@@ -268,11 +268,9 @@ class MzvBasisTable:
             w = comp.weight
             if w not in bases:
                 raise CoverageError(f"no declared basis at weight {w}", weight=w)
-            combo = CoeffExpr.zero()
-            for mono, cstr in zip(bases[w], coeff_strs):
-                frac = Fraction(cstr)
-                if frac:
-                    combo = combo + CoeffExpr({mono: PiRational(frac)})
+            combo = CoeffExpr(
+                {mono: PiRational(Fraction(c)) for mono, c in zip(bases[w], coeff_strs)}
+            )
             lhs = mzv_numeric(CoeffExpr.symbol(comp), ctx)
             rhs = mzv_numeric(combo, ctx) if combo else mp.mpf(0)
             if abs(lhs - rhs) > verify_tolerance:

@@ -18,6 +18,7 @@ coverage limit was hit.  A JSON config file may override numeric settings:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -59,10 +60,7 @@ def _load_context(config_path: str | None) -> NumericContext:
         entries = load_entries_file(raw["basis_table"])
         set_shared(MzvBasisTable.load(entries=entries))
     return NumericContext(
-        target_abs_error=raw.get("target_abs_error", 1e-10),
-        working_precision=raw.get("working_precision", 128),
-        truncation_cap=raw.get("truncation_cap", 200_000),
-        pole_guard=raw.get("pole_guard", 1e-3),
+        **{f.name: raw[f.name] for f in dataclasses.fields(NumericContext) if f.name in raw}
     )
 
 

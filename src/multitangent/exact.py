@@ -7,97 +7,51 @@ Everything here is symbolic and exact.  Numeric evaluation lives in
 
 from __future__ import annotations
 
-import json
+import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import mpmath as mp
 
-from .words import Composition
+from .words import Composition, LinearCombination
 
 RationalLike = Fraction | int
 
 
-class PiRational:
-    """A finite sum  sum_m  c_m * pi^(2m)  with rational c_m, m >= 0."""
+class PiRational(LinearCombination):
+    """A finite sum  sum_m  c_m * pi^(2m)  with rational c_m, m >= 0.
 
-    __slots__ = ("_terms",)
+    A LinearCombination keyed by the pi exponent; adds the even-exponent
+    check, the product of pi polynomials, the numeric value and JSON.
+    """
+
+    __slots__ = ()
+    _zero = Fraction(0)
+    _scalars = (int, Fraction)
+    _coef = staticmethod(Fraction)
 
     def __init__(self, terms: Mapping[int, RationalLike] | RationalLike = 0):
-        self._terms: dict[int, Fraction] = {}
-        if isinstance(terms, (int, Fraction)):
+        if isinstance(terms, self._scalars):
             terms = {0: terms}
-        for exp, coef in terms.items():
+        for exp in terms:
             if exp < 0 or exp % 2:
                 raise ValueError(f"pi exponent must be even and nonnegative, got {exp}")
-            c = Fraction(coef)
-            if c:
-                self._terms[exp] = self._terms.get(exp, Fraction(0)) + c
-                if not self._terms[exp]:
-                    del self._terms[exp]
+        super().__init__(terms)
 
-    @classmethod
-    def pi_power(cls, exp: int, coef: RationalLike = 1) -> "PiRational":
-        return cls({exp: coef})
-
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PiRational(other)
-        if not isinstance(other, PiRational):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "PiRational | RationalLike") -> "PiRational":
-        if isinstance(other, (int, Fraction)):
-            other = PiRational(other)
-        out = dict(self._terms)
-        for exp, coef in other._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coef
-            if not out[exp]:
-                del out[exp]
-        return PiRational(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PiRational":
-        return PiRational({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "PiRational | RationalLike") -> "PiRational":
-        if isinstance(other, (int, Fraction)):
-            other = PiRational(other)
-        return self + (-other)
+    def _lift(self, other):
+        return PiRational(other) if isinstance(other, self._scalars) else None
 
     def __mul__(self, other: "PiRational | RationalLike") -> "PiRational":
-        if isinstance(other, (int, Fraction)):
-            return PiRational({e: c * Fraction(other) for e, c in self._terms.items()})
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return PiRational(out)
-
-    __rmul__ = __mul__
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        return self._convolve(other, operator.add)
 
     def __truediv__(self, k: RationalLike) -> "PiRational":
-        return self * (Fraction(1) / Fraction(k))
+        return self.scale(Fraction(1) / Fraction(k))
 
     @property
     def rational_part(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
-
-    def max_weight(self) -> int:
-        """Largest pi exponent present (pi^2 counts as weight 2)."""
-        return max(self._terms, default=0)
+        return self[0]
 
     def is_homogeneous(self, weight: int) -> bool:
         return all(e == weight for e in self._terms)
@@ -116,20 +70,10 @@ class PiRational:
     def from_json(cls, data: list[dict]) -> "PiRational":
         return cls({int(d["pi2"]): Fraction(d["coef"]) for d in data})
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for exp, coef in self.items():
-            if exp == 0:
-                bits.append(str(coef))
-            elif coef == 1:
-                bits.append(f"pi^{exp}")
-            else:
-                bits.append(f"{coef}*pi^{exp}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def _term_str(self, exp: int, coef: Fraction) -> str:
+        if exp == 0:
+            return str(coef)
+        return f"pi^{exp}" if coef == 1 else f"{coef}*pi^{exp}"
 
 
 ZERO = PiRational(0)
@@ -191,117 +135,43 @@ class MzvMonomial:
     __repr__ = __str__
 
 
-class CoeffExpr:
+class CoeffExpr(LinearCombination):
     """Exact scalar: a map from MZV monomials to PiRational coefficients.
 
-    Products of monomials are kept formal; linearization through the stuffle
-    is an explicit pass (:func:`multitangent.mzv.linearize`).
+    A LinearCombination keyed by MzvMonomial; adds the formal product,
+    symbol substitution and JSON.  Products of monomials are kept formal;
+    linearization through the stuffle is an explicit pass
+    (:func:`multitangent.mzv.linearize`).
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[MzvMonomial, PiRational] | None = None):
-        self._terms: dict[MzvMonomial, PiRational] = {}
-        if terms:
-            for mono, coef in terms.items():
-                if coef:
-                    cur = self._terms.get(mono)
-                    coef = coef if cur is None else cur + coef
-                    if coef:
-                        self._terms[mono] = coef
-                    elif mono in self._terms:
-                        del self._terms[mono]
+    __slots__ = ()
+    _order = staticmethod(MzvMonomial.sort_key)
+    _zero = ZERO
+    _scalars = (int, Fraction, PiRational)
 
     @classmethod
     def zero(cls) -> "CoeffExpr":
-        return cls()
+        return cls._make({})
 
     @classmethod
     def scalar(cls, value: PiRational | RationalLike) -> "CoeffExpr":
-        if isinstance(value, (int, Fraction)):
-            value = PiRational(value)
-        return cls({MzvMonomial.one(): value})
+        return cls._single(MzvMonomial.one(), value)
 
     @classmethod
     def symbol(cls, s: Composition, coef: PiRational | RationalLike = 1) -> "CoeffExpr":
+        return cls._single(MzvMonomial.symbol(s), coef)
+
+    @classmethod
+    def _single(cls, mono: MzvMonomial, coef: PiRational | RationalLike) -> "CoeffExpr":
         if isinstance(coef, (int, Fraction)):
             coef = PiRational(coef)
-        return cls({MzvMonomial.symbol(s): coef})
-
-    def items(self) -> Iterator[tuple[MzvMonomial, PiRational]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoeffExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "CoeffExpr") -> "CoeffExpr":
-        out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            cur = out.get(mono)
-            new = coef if cur is None else cur + coef
-            if new:
-                out[mono] = new
-            elif mono in out:
-                del out[mono]
-        return CoeffExpr(out)
-
-    def __neg__(self) -> "CoeffExpr":
-        return CoeffExpr({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "CoeffExpr") -> "CoeffExpr":
-        return self + (-other)
-
-    def scale(self, k: PiRational | RationalLike) -> "CoeffExpr":
-        if isinstance(k, (int, Fraction)):
-            k = PiRational(k)
-        if not k:
-            return CoeffExpr()
-        return CoeffExpr({m: c * k for m, c in self._terms.items()})
-
-    def __rmul__(self, k):
-        if isinstance(k, (int, Fraction, PiRational)):
-            return self.scale(k)
-        return NotImplemented
+        return cls._make({mono: coef} if coef else {})
 
     def __mul__(self, other: "CoeffExpr") -> "CoeffExpr":
         """Formal product: monomials multiply, no stuffle linearization."""
-        if isinstance(other, (int, Fraction, PiRational)):
+        if isinstance(other, self._scalars):
             return self.scale(other)
-        out: dict[MzvMonomial, PiRational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                cur = out.get(m)
-                c = c if cur is None else cur + c
-                if c:
-                    out[m] = c
-                elif m in out:
-                    del out[m]
-        return CoeffExpr(out)
-
-    def coefficient(self, mono: MzvMonomial) -> PiRational:
-        return self._terms.get(mono, ZERO)
-
-    def scalar_part(self) -> PiRational:
-        return self._terms.get(MzvMonomial.one(), ZERO)
-
-    def monomials(self) -> list[MzvMonomial]:
-        return sorted(self._terms, key=MzvMonomial.sort_key)
-
-    def max_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
+        return self._convolve(other, MzvMonomial.__mul__)
 
     def is_weight_homogeneous(self, weight: int) -> bool:
         """Every term has total weight ``weight`` (pi^2 weighs 2, each zeta
@@ -318,7 +188,7 @@ class CoeffExpr:
         Used for basis substitution; products of factors are substituted
         factor by factor and multiplied formally.
         """
-        out = CoeffExpr()
+        out = CoeffExpr.zero()
         for mono, coef in self._terms.items():
             term = CoeffExpr.scalar(coef)
             for factor in mono.factors:
@@ -348,22 +218,15 @@ class CoeffExpr:
             out = out + cls({mono: coef})
         return out
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+    def _term_str(self, mono: MzvMonomial, coef: PiRational, sep: str = "*") -> str:
+        c = str(coef)
+        factors = sep.join(f"Ze[{f}]" for f in mono.factors)
+        if not factors:
+            return c
+        if c == "1":
+            return factors
+        return (f"({c})" if "+" in c or " " in c else c) + sep + factors
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for mono, coef in self.items():
-            c = str(coef)
-            if mono.degree == 0:
-                bits.append(c)
-            elif c == "1":
-                bits.append(str(mono))
-            else:
-                needs_parens = "+" in c or " " in c
-                bits.append((f"({c})" if needs_parens else c) + "*" + str(mono))
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def text(self, sep: str) -> str:
+        """``str(self)`` with the zeta factors joined by ``sep``."""
+        return " + ".join(self._term_str(m, c, sep) for m, c in self.items()) or "0"

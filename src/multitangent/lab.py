@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,69 +31,29 @@ from .numerics import (
     multitangent_eval_reduced,
 )
 from .reduction import reduce
-from .words import Composition, enumerate_compositions, is_multitangent_convergent
+from .verify import sample_points
+from .words import (
+    Composition,
+    LinearCombination,
+    enumerate_compositions,
+    is_multitangent_convergent,
+)
 
 RECHECK_TOL = 1e-7
-_RNG_SEED = 0x5EED
 
 
-def sample_points(count: int = 2, seed: int = _RNG_SEED) -> list[mp.mpc]:
-    """Deterministic sample points with Im z in [0.4, 1.2]."""
-    rng = random.Random(seed)
-    return [
-        mp.mpc(rng.uniform(0.05, 0.95), rng.uniform(0.4, 1.2)) for _ in range(count)
-    ]
+class MtCombo(LinearCombination):
+    """Rational formal combination of multitangent symbols.
 
+    A LinearCombination keyed by Composition; adds numeric evaluation and
+    the common weight.
+    """
 
-class MtCombo:
-    """Rational formal combination of multitangent symbols."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        self._terms: dict[Composition, Fraction] = {}
-        if terms:
-            for comp, coef in dict(terms).items():
-                coef = Fraction(coef)
-                if coef:
-                    self._terms[comp] = coef
-
-    def items(self):
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
-
-    def __getitem__(self, comp: Composition) -> Fraction:
-        return self._terms.get(comp, Fraction(0))
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, MtCombo):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "MtCombo") -> "MtCombo":
-        out = dict(self._terms)
-        for comp, coef in other._terms.items():
-            out[comp] = out.get(comp, Fraction(0)) + coef
-            if not out[comp]:
-                del out[comp]
-        return MtCombo(out)
-
-    def __sub__(self, other: "MtCombo") -> "MtCombo":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "MtCombo":
-        k = Fraction(k)
-        if not k:
-            return MtCombo()
-        return MtCombo({c: v * k for c, v in self._terms.items()})
+    __slots__ = ()
+    _order = staticmethod(Composition.sort_key)
+    _zero = Fraction(0)
+    _scalars = (int, Fraction)
+    _coef = staticmethod(Fraction)
 
     def weight(self) -> int | None:
         """Common weight of the terms, or None if mixed or empty."""
@@ -108,16 +67,9 @@ class MtCombo:
             total += mp.mpf(coef.numerator) / coef.denominator * fn(comp, z, ctx)
         return total
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for comp, coef in self.items():
-            prefix = "" if coef == 1 else ("-" if coef == -1 else f"{coef}·")
-            bits.append(f"{prefix}Te[{comp}]")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def _term_str(self, comp: Composition, coef: Fraction) -> str:
+        prefix = "" if coef == 1 else ("-" if coef == -1 else f"{coef}·")
+        return f"{prefix}Te[{comp}]"
 
 
 def differentiate_combo(combo: MtCombo) -> MtCombo:
@@ -130,14 +82,11 @@ def differentiate_combo(combo: MtCombo) -> MtCombo:
 
 
 def _as_fraction(coef: PiRational) -> Fraction:
-    """Extract a plain rational; pi powers never survive basis substitution
-    of weight-homogeneous reduction coefficients."""
-    out = Fraction(0)
-    for exp, frac in coef.items():
-        if exp != 0:
-            raise AssertionError("unexpected pi power in substituted coefficient")
-        out = frac
-    return out
+    """The rational value of a coefficient; pi powers never survive basis
+    substitution of weight-homogeneous reduction coefficients."""
+    if not coef.is_homogeneous(0):
+        raise NumericRecheckError(f"pi power in substituted coefficient {coef}")
+    return coef.rational_part
 
 
 Slot = tuple[int, MzvMonomial]
@@ -313,11 +262,11 @@ def unit_cleanse(
         raise ValueError("empty sequence")
     w = s.weight
     _require_coverage(w)
-    red = reduce(s)
-    if red.constant:
-        raise ProjectionUnavailableError(
-            f"Te[{s}] reduces with constant {red.constant}; no unit-free form"
-        )
+    if all(p == 1 for p in s.parts):
+        # Te[1^r] is a constant for even r and a multiple of Te^1 for odd r
+        # (families.te_ones_closed_form); combinations of multitangents with
+        # all parts >= 2 have neither term
+        raise ProjectionUnavailableError(f"Te[{s}] has no unit-free form")
     if all(p >= 2 for p in s.parts):
         return MtCombo({s: 1})
     target = slot_vector(s)
@@ -416,7 +365,7 @@ def dimension_report(p_max: int, ctx: NumericContext = DEFAULT_CONTEXT) -> list[
     return out
 
 
-def _reduction_rows(p_max: int, include_divergent: bool, ctx: NumericContext):
+def _reduction_rows(p_max: int, include_divergent: bool):
     for w in range(1, p_max + 1):
         for s in enumerate_compositions(w, "all"):
             convergent = is_multitangent_convergent(s)
@@ -442,12 +391,12 @@ def table_emit(
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "text":
         lines = []
-        for s, convergent, red in _reduction_rows(p_max, include_divergent, ctx):
+        for s, convergent, red in _reduction_rows(p_max, include_divergent):
             lines.append(red.text())
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = []
-        for s, convergent, red in _reduction_rows(p_max, include_divergent, ctx):
+        for s, convergent, red in _reduction_rows(p_max, include_divergent):
             entry = red.to_json()
             entry["convergent"] = convergent
             entry["numeric_coeffs"] = {
@@ -461,7 +410,7 @@ def table_emit(
     writer.writerow(
         ["sequence", "convergent", "constant", "order", "coefficient", "numeric"]
     )
-    for s, convergent, red in _reduction_rows(p_max, include_divergent, ctx):
+    for s, convergent, red in _reduction_rows(p_max, include_divergent):
         const = str(red.constant) if red.constant else "0"
         if not red.coeffs:
             writer.writerow([str(s), convergent, const, "", "", ""])

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import PrecisionUnreachableError
-from .exact import CoeffExpr, MzvMonomial, PiRational
+from .exact import CoeffExpr, PiRational
 from .words import Composition, WordPoly, stuffle
 from . import zetasum
 
@@ -158,7 +158,7 @@ def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CON
     with ctx.workprec():
         resolved = CoeffExpr.zero()
         for mono, coef in expr.items():
-            term = CoeffExpr({MzvMonomial.one(): coef})
+            term = CoeffExpr.scalar(coef)
             for factor in mono.factors:
                 term = term * symmetrel_extend(factor)
             resolved = resolved + term
@@ -207,10 +207,8 @@ def newton_relation_check(omega: int, p: int) -> bool:
     if omega < 1 or p < 0:
         raise ValueError("need omega >= 1 and p >= 0")
     left = stuffle(Composition((omega,) * p), Composition((omega,)))
-    expected: dict[Composition, int] = {}
-    top = Composition((omega,) * (p + 1))
-    expected[top] = expected.get(top, 0) + (p + 1)
+    expected = WordPoly.single(Composition((omega,) * (p + 1)), p + 1)
     for k in range(p):
         word = Composition((omega,) * k + (2 * omega,) + (omega,) * (p - k - 1))
-        expected[word] = expected.get(word, 0) + 1
-    return left == WordPoly(expected)
+        expected = expected + WordPoly.single(word)
+    return left == expected

@@ -100,24 +100,6 @@ def delta(s: Composition) -> PiRational:
     return PiRational(0)
 
 
-def _render_coeff(expr: CoeffExpr) -> str:
-    """Render an exact coefficient as 2·Ze[2] style text."""
-    bits = []
-    for mono, coef in expr.items():
-        factors = "·".join(f"Ze[{f}]" for f in mono.factors)
-        c = str(coef)
-        if not factors:
-            bits.append(c)
-        elif c == "1":
-            bits.append(factors)
-        else:
-            if "+" in c or " " in c:
-                c = f"({c})"
-            bits.append(f"{c}·{factors}")
-    body = " + ".join(bits) if bits else "0"
-    return f"({body})" if len(bits) > 1 else body
-
-
 @dataclass
 class ReductionResult:
     """Exact decomposition  Te[s] = constant + sum_k coeffs[k] * Te^k."""
@@ -158,11 +140,12 @@ class ReductionResult:
         if self.constant:
             bits.append(str(self.constant))
         for k in sorted(self.coeffs):
-            body = _render_coeff(self.coeffs[k])
+            expr = self.coeffs[k]
+            body = expr.text("·")
             if body == "1":
                 bits.append(f"Te^{k}")
             else:
-                bits.append(f"{body}·Te^{k}")
+                bits.append(f"({body})·Te^{k}" if len(expr) > 1 else f"{body}·Te^{k}")
         return f"Te[{self.sequence}] = " + " + ".join(bits)
 
 

@@ -50,11 +50,19 @@ class SuiteResult:
         )
 
 
-def _points(count: int, seed: int, im_range=(0.3, 1.2)) -> list[mp.mpc]:
+def sample_points(
+    count: int = 2, seed: int = 0x5EED, im_range=(0.4, 1.2)
+) -> list[mp.mpc]:
+    """Deterministic sample points, Re z in [0.05, 0.95] and Im z in
+    ``im_range``.  The suites draw from (0.3, 1.2), the workbench rechecks
+    from the default."""
     rng = random.Random(seed)
     return [
         mp.mpc(rng.uniform(0.05, 0.95), rng.uniform(*im_range)) for _ in range(count)
     ]
+
+
+_SUITE_IM_RANGE = (0.3, 1.2)
 
 
 def suite_symmetrel(
@@ -70,7 +78,7 @@ def suite_symmetrel(
                 for b in enumerate_compositions(wb, "convergent"):
                     if a.sort_key() <= b.sort_key():
                         pairs.append((a, b))
-    for (a, b), z in zip(pairs, _points(len(pairs), seed)):
+    for (a, b), z in zip(pairs, sample_points(len(pairs), seed, _SUITE_IM_RANGE)):
         lhs = multitangent_eval_direct(a, z, ctx) * multitangent_eval_direct(b, z, ctx)
         rhs = mp.mpc(0)
         for word, mult in stuffle(a, b).items():
@@ -89,7 +97,7 @@ def suite_parity(
         for w in range(2, max_weight + 1)
         for s in enumerate_compositions(w, "convergent")
     ]
-    for s, z in zip(seqs, _points(len(seqs), seed)):
+    for s, z in zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE)):
         lhs = multitangent_eval_direct(s, -z, ctx)
         rhs = (-1) ** s.weight * multitangent_eval_direct(s.reverse(), z, ctx)
         result.record(f"parity Te[{s}]", float(abs(lhs - rhs)))
@@ -111,7 +119,7 @@ def suite_diff(
         for w in range(2, max_weight + 1)
         for s in enumerate_compositions(w, "convergent")
     ]
-    for s, z in zip(seqs, _points(len(seqs), seed)):
+    for s, z in zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE)):
         num = (
             multitangent_eval_direct(s, z + h, ctx)
             - multitangent_eval_direct(s, z - h, ctx)
@@ -145,7 +153,7 @@ def suite_trifact(ctx: NumericContext = DEFAULT_CONTEXT, seed: int = 17) -> Suit
         Composition(t) for t in ((2,), (3,), (2, 2), (3, 2), (2, 3))
     ]
     for s in seqs:
-        for z in _points(3, seed + s.weight):
+        for z in sample_points(3, seed + s.weight, _SUITE_IM_RANGE):
             res = trifactorization_residual(s, z, ctx)
             result.record(f"trifact Te[{s}]", res)
     return result

@@ -4,7 +4,8 @@ A composition is a finite sequence of positive integers.  Two products act on
 formal sums of compositions: the shuffle (interleavings only) and the stuffle
 (interleavings plus part-adding contractions over the additive semigroup of
 positive integers).  Both are commutative and associative, with the empty
-composition as unit.
+composition as unit.  Formal sums of compositions, like the other formal
+sums of the package, are sparse linear combinations (LinearCombination).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=False)
@@ -139,33 +140,58 @@ def is_multitangent_convergent(s: Composition) -> bool:
     return bool(s) and s.parts[0] >= 2 and s.parts[-1] >= 2
 
 
-class WordPoly:
-    """Integer-coefficient formal combination of compositions.
+class LinearCombination:
+    """Sparse formal linear combination: a map from keys to nonzero
+    coefficients.
 
-    Zero-multiplicity entries are never stored.  Supports addition, integer
-    scaling, and prefix/merge helpers used by the product recursions.
+    The one implementation behind WordPoly, PiRational, CoeffExpr and
+    lab.MtCombo.  Zero coefficients are never stored.  The public
+    constructor coerces and prunes input from outside; every arithmetic
+    result is built by ``_make``, which takes a dict the operation has
+    already pruned.  Subclasses set the class attributes below and
+    ``_term_str``, which renders one term.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Composition, int] | None = None):
-        self._terms: dict[Composition, int] = {}
+    #: key function of the canonical order of ``items()``; None sorts the
+    #: keys themselves
+    _order = None
+    #: coefficient of an absent key
+    _zero = 0
+    #: types that ``k * combination`` accepts as a scaling factor
+    _scalars: tuple[type, ...] = (int,)
+
+    def __init__(self, terms=None):
+        self._terms = {}
         if terms:
-            for word, mult in terms.items():
-                if mult:
-                    self._terms[word] = self._terms.get(word, 0) + mult
-                    if not self._terms[word]:
-                        del self._terms[word]
+            for key, coef in dict(terms).items():
+                coef = self._coef(coef)
+                if coef:
+                    self._terms[key] = coef
+
+    @staticmethod
+    def _coef(value):
+        """Coerce a coefficient or scaling factor given from outside."""
+        return value
 
     @classmethod
-    def single(cls, word: Composition, mult: int = 1) -> "WordPoly":
-        return cls({word: mult})
+    def _make(cls, terms: dict):
+        """Wrap ``terms`` as it is: the caller has pruned every zero."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
-    def items(self) -> Iterator[tuple[Composition, int]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
+    def _lift(self, other):
+        """``other``, not of this class, as a combination of it, or None."""
+        return None
 
-    def __getitem__(self, word: Composition) -> int:
-        return self._terms.get(word, 0)
+    def items(self) -> Iterator[tuple]:
+        terms = self._terms
+        return iter([(key, terms[key]) for key in sorted(terms, key=self._order)])
+
+    def __getitem__(self, key):
+        return self._terms.get(key, self._zero)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -174,42 +200,99 @@ class WordPoly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordPoly):
-            return NotImplemented
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: "WordPoly") -> "WordPoly":
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
         out = dict(self._terms)
-        for word, mult in other._terms.items():
-            out[word] = out.get(word, 0) + mult
-            if not out[word]:
-                del out[word]
-        return WordPoly(out)
+        for key, coef in other._terms.items():
+            if key in out:
+                coef = out[key] + coef
+                if not coef:
+                    del out[key]
+                    continue
+            out[key] = coef
+        return self._make(out)
 
-    def __rmul__(self, k: int) -> "WordPoly":
-        if not isinstance(k, int):
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make({key: -coef for key, coef in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, k):
+        # coefficients lie in integral domains: a nonzero k keeps every
+        # product nonzero
+        k = self._coef(k)
+        if not k:
+            return self._make({})
+        return self._make({key: coef * k for key, coef in self._terms.items()})
+
+    def __rmul__(self, k):
+        if isinstance(k, self._scalars):
+            return self.scale(k)
+        return NotImplemented
+
+    def _convolve(self, other, key_product):
+        """Bilinear product: keys combine through ``key_product``,
+        coefficients multiply."""
+        if type(other) is not type(self):
             return NotImplemented
-        if k == 0:
-            return WordPoly()
-        return WordPoly({w: k * m for w, m in self._terms.items()})
+        out = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = key_product(k1, k2)
+                coef = c1 * c2
+                out[key] = out[key] + coef if key in out else coef
+        return self._make({key: coef for key, coef in out.items() if coef})
+
+    def __str__(self) -> str:
+        return " + ".join(self._term_str(key, coef) for key, coef in self.items()) or "0"
+
+    __repr__ = __str__
+
+
+class WordPoly(LinearCombination):
+    """Integer-coefficient formal combination of compositions.
+
+    A LinearCombination keyed by Composition; adds the prefix helper used
+    by the product recursions.
+    """
+
+    __slots__ = ()
+    _order = staticmethod(Composition.sort_key)
+
+    @classmethod
+    def single(cls, word: Composition, mult: int = 1) -> "WordPoly":
+        return cls._make({word: mult} if mult else {})
 
     def prepend(self, letter: int) -> "WordPoly":
-        return WordPoly({Composition((letter,) + w.parts): m for w, m in self._terms.items()})
+        return self._make(
+            {Composition((letter,) + w.parts): m for w, m in self._terms.items()}
+        )
 
     def total_multiplicity(self) -> int:
         return sum(self._terms.values())
 
-    def words(self) -> list[Composition]:
-        return sorted(self._terms, key=lambda w: w.sort_key())
+    def _term_str(self, word: Composition, mult: int) -> str:
+        return f"{mult}*({word})"
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "WordPoly(0)"
-        bits = [f"{m}*({w})" for w, m in self.items()]
-        return "WordPoly(" + " + ".join(bits) + ")"
+        return f"WordPoly({super().__str__()})"
+
+    __str__ = __repr__
 
 
 @functools.lru_cache(maxsize=None)

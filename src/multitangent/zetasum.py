@@ -296,10 +296,6 @@ def shifted_nested_sum(
     )
 
 
-def clear_cache() -> None:
-    _cache.clear()
-
-
 def brute_nested_sum(exponents: tuple[int, ...], z=0, n0: int = 60) -> mp.mpc:
     """Plain truncated nested summation; test oracle, no error control."""
     r = len(exponents)

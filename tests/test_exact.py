@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitangent.exact import CoeffExpr, MzvMonomial, PiRational
+from multitangent.lab import MtCombo
 from multitangent.words import Composition
+from multitangent.words import WordPoly
 
 C = Composition.of
 
@@ -79,3 +83,43 @@ class TestCoeffExpr:
         m1 = MzvMonomial([C(3), C(2, 1)])
         m2 = MzvMonomial([C(2, 1), C(3)])
         assert m1 == m2 and hash(m1) == hash(m2)
+
+
+compositions = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple).map(Composition)
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+pi_rationals = st.dictionaries(st.sampled_from([0, 2, 4]), fractions, max_size=2).map(PiRational)
+
+# (class, keys, coefficients, key function of the canonical order)
+COMBINATIONS = [
+    (WordPoly, compositions, st.integers(-3, 3), Composition.sort_key),
+    (PiRational, st.sampled_from([0, 2, 4, 6]), fractions, None),
+    (CoeffExpr, st.lists(compositions, max_size=2).map(MzvMonomial), pi_rationals, MzvMonomial.sort_key),
+    (MtCombo, compositions, fractions, Composition.sort_key),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, keys, coefs, order", COMBINATIONS, ids=[c[0].__name__ for c in COMBINATIONS]
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_linear_combination_laws(cls, keys, coefs, order, data):
+    """The laws every sparse combination class shares."""
+    terms = data.draw(st.lists(st.tuples(keys, coefs), max_size=6))
+    combos = st.dictionaries(keys, coefs, max_size=4).map(cls)
+    a, b = data.draw(combos), data.draw(combos)
+    assert a + b - b == a
+
+    forward, backward = cls(), cls()
+    for key, coef in terms:
+        forward = forward + cls({key: coef})
+    for key, coef in reversed(terms):
+        backward = backward + cls({key: coef})
+    assert forward == backward and hash(forward) == hash(backward)
+
+    zero = a.scale(0)
+    assert not zero and len(zero) == 0 and zero == cls()
+
+    listed = [key for key, _ in a.items()]
+    assert listed == sorted(listed, key=order) and len(listed) == len(a)
+    assert all(coef for _, coef in a.items())

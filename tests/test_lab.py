@@ -10,6 +10,9 @@ from multitangent.errors import (
     ProjectionUnavailableError,
 )
 from multitangent.exact import CoeffExpr
+from multitangent.errors import MultitangentError
+from multitangent.exact import PiRational
+from multitangent.lab import _as_fraction
 from multitangent.lab import (
     MtCombo,
     conjectured_dimension,
@@ -28,6 +31,7 @@ from multitangent.lab import (
 from multitangent.mzv import NumericContext, mzv_numeric
 from multitangent.numerics import monotangent_eval
 from multitangent.words import Composition, enumerate_compositions
+from multitangent.words import repeat
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
@@ -222,6 +226,12 @@ class TestUnitCleanse:
         with pytest.raises(ProjectionUnavailableError):
             unit_cleanse(C(1, 1), CTX)
 
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_te1_family_rejected(self, r):
+        # Te[1^r] for odd r is a multiple of Te^1: no unit-free form exists
+        with pytest.raises(ProjectionUnavailableError):
+            unit_cleanse(repeat(1, r), CTX)
+
 
 class TestRankMatrix:
     @pytest.mark.parametrize("p,expected", [(4, 1), (5, 2), (6, 2), (7, 3)])
@@ -324,3 +334,8 @@ class TestSlotVector:
         vec = slot_vector(C(2, 2))
         ((k, mono), coeff), = vec.items()
         assert k == 2 and str(mono) == "Ze[2]" and coeff == 2
+
+
+def test_pi_power_in_substituted_coefficient_is_a_multitangent_error():
+    with pytest.raises(MultitangentError):
+        _as_fraction(PiRational({2: 1}))
