@@ -9,8 +9,9 @@
     mtk fourier 2,2 --n 2
     mtk verify --suite trifact
 
-Exit codes: 0 all checks passed, 2 a numeric recheck failed, 3 a table
-coverage limit was hit.  A JSON config file may override numeric settings:
+Exit codes: 0 all checks passed, 1 rejected input, 2 a numeric recheck
+failed, a precision target was not reached or a projection is unavailable,
+3 a table coverage limit was hit.  A JSON config file may override numeric settings:
 {"target_abs_error": ..., "working_precision": ..., "truncation_cap": ...,
  "pole_guard": ...}.
 """
@@ -28,8 +29,8 @@ import mpmath as mp
 
 from .errors import (
     CoverageError,
+    MultitangentError,
     NumericRecheckError,
-    PoleProximityError,
     PrecisionUnreachableError,
     ProjectionUnavailableError,
 )
@@ -64,18 +65,25 @@ def _load_context(config_path: str | None) -> NumericContext:
     )
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, CoverageError):
-        sys.exit(EXIT_COVERAGE)
-    if isinstance(
-        exc, (NumericRecheckError, PrecisionUnreachableError, ProjectionUnavailableError)
-    ):
-        sys.exit(EXIT_RECHECK)
-    sys.exit(1)
+class _Group(click.Group):
+    """Reports package errors and rejected input with the documented exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (MultitangentError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            if isinstance(exc, CoverageError):
+                sys.exit(EXIT_COVERAGE)
+            if isinstance(
+                exc,
+                (NumericRecheckError, PrecisionUnreachableError, ProjectionUnavailableError),
+            ):
+                sys.exit(EXIT_RECHECK)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("--config", type=click.Path(exists=True), default=None,
               help="JSON file with numeric settings.")
 @click.pass_context
@@ -91,10 +99,7 @@ def main(ctx, config):
 def reduce_cmd(nctx, sequence, as_json):
     """Reduce Te[SEQUENCE] into monotangents."""
     s = Composition.parse(sequence)
-    try:
-        result = reduce(s)
-    except ValueError as exc:
-        _fail(exc)
+    result = reduce(s)
     if as_json:
         click.echo(json.dumps(result.to_json(), indent=2))
     else:
@@ -111,15 +116,12 @@ def eval_cmd(nctx, sequence, z_str, direct):
     """Evaluate Te[SEQUENCE] at a point; prints one CSV row."""
     s = Composition.parse(sequence)
     z = mp.mpc(complex(z_str.replace(" ", "")))
-    try:
-        if direct:
-            value = multitangent_eval_direct(s, z, nctx)
-            method = "direct"
-        else:
-            value = multitangent_eval_reduced(s, z, nctx)
-            method = "reduced"
-    except (ValueError, PoleProximityError, PrecisionUnreachableError) as exc:
-        _fail(exc)
+    if direct:
+        value = multitangent_eval_direct(s, z, nctx)
+        method = "direct"
+    else:
+        value = multitangent_eval_reduced(s, z, nctx)
+        method = "reduced"
     buf = io.StringIO()
     csv.writer(buf).writerow(
         [
@@ -144,10 +146,7 @@ def eval_cmd(nctx, sequence, z_str, direct):
 @click.pass_obj
 def table_cmd(nctx, max_weight, fmt, divergent, output):
     """Emit the reduction table up to a weight."""
-    try:
-        content = lab.table_emit(max_weight, fmt, include_divergent=divergent, ctx=nctx)
-    except (CoverageError, PrecisionUnreachableError) as exc:
-        _fail(exc)
+    content = lab.table_emit(max_weight, fmt, include_divergent=divergent, ctx=nctx)
     if output:
         with open(output, "w") as fh:
             fh.write(content)
@@ -161,10 +160,7 @@ def table_cmd(nctx, max_weight, fmt, divergent, output):
 @click.pass_obj
 def relations_cmd(nctx, weight):
     """Rational relation kernel between convergent multitangents."""
-    try:
-        kernel = lab.relation_kernel(weight, nctx)
-    except (CoverageError, NumericRecheckError, ValueError) as exc:
-        _fail(exc)
+    kernel = lab.relation_kernel(weight, nctx)
     click.echo(f"weight {weight}: kernel dimension {len(kernel)}")
     for combo in kernel:
         click.echo(f"  0 = {combo}")
@@ -176,10 +172,7 @@ def relations_cmd(nctx, weight):
 def project_cmd(nctx, sequence):
     """Express Ze[SEQUENCE]*Te^2 as a multitangent combination."""
     sigma = Composition.parse(sequence)
-    try:
-        combo = lab.projection(sigma, nctx)
-    except (CoverageError, NumericRecheckError, ProjectionUnavailableError) as exc:
-        _fail(exc)
+    combo = lab.projection(sigma, nctx)
     click.echo(f"Ze[{sigma}]·Te^2 = {combo}")
 
 
@@ -189,10 +182,7 @@ def project_cmd(nctx, sequence):
 def cleanse_cmd(nctx, sequence):
     """Rewrite Te[SEQUENCE] over multitangents with all parts >= 2."""
     s = Composition.parse(sequence)
-    try:
-        combo = lab.unit_cleanse(s, nctx)
-    except (CoverageError, NumericRecheckError, ProjectionUnavailableError) as exc:
-        _fail(exc)
+    combo = lab.unit_cleanse(s, nctx)
     click.echo(f"Te[{s}] = {combo}")
 
 
@@ -203,10 +193,7 @@ def cleanse_cmd(nctx, sequence):
 def fourier_cmd(nctx, sequence, n):
     """Fourier coefficient of Te[SEQUENCE]."""
     s = Composition.parse(sequence)
-    try:
-        value = fourier_coefficient(s, n, nctx)
-    except (ValueError, PrecisionUnreachableError) as exc:
-        _fail(exc)
+    value = fourier_coefficient(s, n, nctx)
     click.echo(f"T_hat_{n}[{s}] = {mp.nstr(value, 15)}")
 
 

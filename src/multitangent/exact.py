@@ -41,6 +41,12 @@ class PiRational(LinearCombination):
     def _lift(self, other):
         return PiRational(other) if isinstance(other, self._scalars) else None
 
+    def __hash__(self):
+        # equal to its rational part when that is all there is, so hash alike
+        if self._terms.keys() <= {0}:
+            return hash(self[0])
+        return super().__hash__()
+
     def __mul__(self, other: "PiRational | RationalLike") -> "PiRational":
         if isinstance(other, self._scalars):
             return self.scale(other)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .errors import NumericRecheckError
 from .exact import PiRational
 from .mzv import DEFAULT_CONTEXT, NumericContext, even_zeta
 from .numerics import check_point
@@ -93,7 +94,7 @@ def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
         if mp.im(z) == 0 and abs(mp.im(value)) > max(
             ctx.target_abs_error, abs(value) * 1e-12
         ):
-            raise ArithmeticError(
+            raise NumericRecheckError(
                 f"closed form for Te[{n}^{k}] returned imaginary part "
                 f"{mp.im(value)} at real z={z}"
             )

@@ -139,13 +139,6 @@ def even_zeta(n: int) -> PiRational:
     return PiRational({2 * n: coef})
 
 
-def _numeric_symbol(s: Composition, target: float, ctx: NumericContext):
-    value, err = zetasum.shifted_nested_sum(
-        s.parts, 0, target=target, cap=ctx.truncation_cap
-    )
-    return value, err
-
-
 def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CONTEXT):
     """Numeric value of an exact expression, certified to ctx.target_abs_error.
 
@@ -156,14 +149,7 @@ def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CON
     if isinstance(expr, Composition):
         expr = symmetrel_extend(expr)
     with ctx.workprec():
-        resolved = CoeffExpr.zero()
-        for mono, coef in expr.items():
-            term = CoeffExpr.scalar(coef)
-            for factor in mono.factors:
-                term = term * symmetrel_extend(factor)
-            resolved = resolved + term
-
-        terms = list(resolved.items())
+        terms = list(expr.map_symbols(symmetrel_extend).items())
         if not terms:
             return mp.mpf(0)
         budget = ctx.target_abs_error / len(terms)
@@ -171,23 +157,15 @@ def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CON
         err_total = mp.mpf(0)
         for mono, coef in terms:
             c = coef.to_mpf()
-            factors = []
             # convergent factor values sit below zeta(2) < 2, so dividing the
             # term budget by 4*degree*(|c|+1) keeps the product error inside it
             share = budget / (4 * max(1, mono.degree) * (abs(c) + 1))
-            for s in mono.factors:
-                fv, fe = _numeric_symbol(s, min(1e-6, float(share)), ctx)
-                factors.append((fv, fe))
-            prod = mp.mpf(1)
-            for fv, _ in factors:
-                prod *= fv
-            prod_err = mp.mpf(0)
-            for i, (fv, fe) in enumerate(factors):
-                others = mp.mpf(1)
-                for j, (gv, ge) in enumerate(factors):
-                    if j != i:
-                        others *= abs(gv) + ge
-                prod_err += fe * others
+            target = min(1e-6, float(share))
+            factors = [
+                zetasum.shifted_nested_sum(s.parts, 0, target=target, cap=ctx.truncation_cap)
+                for s in mono.factors
+            ]
+            prod, prod_err = zetasum.certified_product(factors)
             total += c * prod
             err_total += abs(c) * prod_err
         if err_total > ctx.target_abs_error:

@@ -12,16 +12,16 @@ an absolutely convergent shifted nested sum handled by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import PoleProximityError
+from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
 from .reduction import reduce, z_coeff
 from .words import Composition, is_multitangent_convergent
-from .zetasum import shifted_nested_sum
+from .zetasum import certified_product, shifted_nested_sum
 
 
 def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
@@ -83,6 +83,15 @@ def _splits(s: Composition):
         yield s.parts[:a], (s.parts[a],), s.parts[a + 1 :]
 
 
+def _one_sided(side: str, parts: tuple, z, target: float, cap: int):
+    """(value, error bound) of the one-sided sum He_side[parts](z); the "-"
+    side is (-1)^weight times the "+" side of the reversed parts at -z."""
+    if side == "+":
+        return shifted_nested_sum(parts, z, target=target, cap=cap)
+    v, e = shifted_nested_sum(tuple(reversed(parts)), -z, target=target, cap=cap)
+    return v * (-1) ** sum(parts), e
+
+
 def multitangent_eval_direct(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
@@ -105,25 +114,12 @@ def multitangent_eval_direct(
             for left, mid, right in pieces:
                 parts = []  # (value, error-bound) per factor
                 if left:
-                    parts.append(
-                        shifted_nested_sum(left, z, target=budget, cap=ctx.truncation_cap)
-                    )
+                    parts.append(_one_sided("+", left, z, budget, ctx.truncation_cap))
                 if mid:
                     parts.append((mp.power(z, -mid[0]), mp.mpf(0)))
                 if right:
-                    rev = tuple(reversed(right))
-                    v, e = shifted_nested_sum(rev, -z, target=budget, cap=ctx.truncation_cap)
-                    parts.append((v * (-1) ** sum(right), e))
-                term = mp.mpc(1)
-                for v, _ in parts:
-                    term *= v
-                term_err = mp.mpf(0)
-                for i, (_, e_i) in enumerate(parts):
-                    others = mp.mpf(1)
-                    for j, (v_j, e_j) in enumerate(parts):
-                        if j != i:
-                            others *= abs(v_j) + e_j
-                    term_err += e_i * others
+                    parts.append(_one_sided("-", right, z, budget, ctx.truncation_cap))
+                term, term_err = certified_product(parts)
                 total += term
                 total_err += term_err
             if total_err <= ctx.target_abs_error:
@@ -149,13 +145,11 @@ def multitangent_eval_reduced(
         mono = {k: monotangent_eval(k, z, ctx) for k in red.coeffs}
         n_terms = max(1, len(red.coeffs))
         for k, expr in sorted(red.coeffs.items()):
-            sub = NumericContext(
+            sub = replace(
+                ctx,
                 target_abs_error=float(
                     ctx.target_abs_error / (2 * n_terms * (abs(mono[k]) + 1))
                 ),
-                working_precision=ctx.working_precision,
-                truncation_cap=ctx.truncation_cap,
-                pole_guard=ctx.pole_guard,
             )
             total += mzv_numeric(expr, sub) * mono[k]
         return total
@@ -184,20 +178,9 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
             if side == "+":
                 return -mp.digamma(1 + z) - mp.euler
             return mp.digamma(1 - z) + mp.euler
-        if side == "+":
-            if s.parts[0] < 2:
-                raise ValueError(f"He_+[{s}] diverges")
-            v, _ = shifted_nested_sum(
-                s.parts, z, target=ctx.target_abs_error, cap=ctx.truncation_cap
-            )
-            return v
-        if s.parts[-1] < 2:
-            raise ValueError(f"He_-[{s}] diverges")
-        rev = tuple(reversed(s.parts))
-        v, _ = shifted_nested_sum(
-            rev, -z, target=ctx.target_abs_error, cap=ctx.truncation_cap
-        )
-        return v * (-1) ** s.weight
+        if s.parts[0 if side == "+" else -1] < 2:
+            raise ValueError(f"He_{side}[{s}] diverges")
+        return _one_sided(side, s.parts, z, ctx.target_abs_error, ctx.truncation_cap)[0]
 
 
 def trifactorization_residual(
@@ -227,6 +210,16 @@ def trifactorization_residual(
         return float(abs(lhs - rhs))
 
 
+def _fourier_zetas(s: Composition, ctx: NumericContext):
+    """(k, Z(j, s_j - k; s)) for each nonzero zeta coefficient of the Fourier
+    coefficient formula, evaluated numerically."""
+    for j, s_j in enumerate(s.parts, 1):
+        for k in range(2, s_j + 1):
+            expr = z_coeff(j, s_j - k, s)
+            if expr:
+                yield k, mzv_numeric(expr, ctx)
+
+
 def fourier_coefficient(
     s: Composition, n: int, ctx: NumericContext = DEFAULT_CONTEXT
 ):
@@ -242,14 +235,8 @@ def fourier_coefficient(
         raise ValueError("n must be nonzero")
     with ctx.workprec():
         total = mp.mpc(0)
-        for j in range(1, s.length + 1):
-            s_j = s.parts[j - 1]
-            for k in range(2, s_j + 1):
-                expr = z_coeff(j, s_j - k, s)
-                if not expr:
-                    continue
-                zval = mzv_numeric(expr, ctx)
-                total += (-2j * n * mp.pi) ** (k - 1) / mp.factorial(k - 1) * zval
+        for k, zval in _fourier_zetas(s, ctx):
+            total += (-2j * n * mp.pi) ** (k - 1) / mp.factorial(k - 1) * zval
         return 2j * mp.pi * total
 
 
@@ -278,14 +265,9 @@ def fourier_tail_envelope(s: Composition, n_terms: int, y: float,
     with ctx.workprec():
         big_m = max(s.parts)
         amp = mp.mpf(0)
-        for j in range(1, s.length + 1):
-            s_j = s.parts[j - 1]
-            for k in range(2, s_j + 1):
-                expr = z_coeff(j, s_j - k, s)
-                if not expr:
-                    continue
-                zval = abs(mzv_numeric(expr, ctx)) + ctx.target_abs_error
-                amp += 2 * mp.pi * (2 * mp.pi) ** (k - 1) / mp.factorial(k - 1) * zval
+        for k, zval in _fourier_zetas(s, ctx):
+            bound = abs(zval) + ctx.target_abs_error
+            amp += 2 * mp.pi * (2 * mp.pi) ** (k - 1) / mp.factorial(k - 1) * bound
         x = mp.exp(-2 * mp.pi * y)
         # sum_{n > N} n^(M-1) x^n <= x^(N+1) * sum_{m>=0} (N+1+m)^(M-1) x^m
         tail = mp.mpf(0)
@@ -299,7 +281,9 @@ def fourier_tail_envelope(s: Composition, n_terms: int, y: float,
                 break
             m += 1
             if m > 10_000:
-                raise RuntimeError("tail envelope failed to converge")
+                raise PrecisionUnreachableError(
+                    "tail envelope failed to converge", achieved=math.inf
+                )
         return float(amp * tail)
 
 
@@ -339,27 +323,24 @@ def flatness_and_bounds_check(
             y = abs(mp.im(z))
             if y == 0:
                 raise ValueError("samples must lie off the real axis")
-            eval_ctx = NumericContext(
+            eval_ctx = replace(
+                ctx,
                 target_abs_error=min(1e-8, float(mp.exp(-2 * mp.pi * y)) * 1e-4 + 1e-30),
                 working_precision=max(ctx.working_precision, 160),
-                truncation_cap=ctx.truncation_cap,
-                pole_guard=ctx.pole_guard,
             )
             value = abs(multitangent_eval_direct(s, z, eval_ctx))
             entry = {"z": complex(z), "abs_value": float(value)}
-            bound1 = 4 * l / y ** (w - l - 1)
-            entry["bound_generic"] = float(bound1)
-            if value > bound1 * (1 + 1e-9):
-                report.violations.append(("generic_bound", complex(z), float(value)))
+            # (violation label, sample key, bound) for each bound that applies
+            bounds = [("generic_bound", "bound_generic", 4 * l / y ** (w - l - 1))]
             if val2 and abs(z) >= 1:
-                bound2 = (2 / mp.sqrt(y)) ** w / math.factorial(l)
-                entry["bound_val2"] = float(bound2)
-                if value > bound2 * (1 + 1e-9):
-                    report.violations.append(("val2_bound", complex(z), float(value)))
+                bound = (2 / mp.sqrt(y)) ** w / math.factorial(l)
+                bounds.append(("val2_bound", "bound_val2", bound))
             if y >= 1:
                 envelope = 4 * l * mp.exp(2 * mp.pi) * mp.exp(-2 * mp.pi * y)
-                entry["flatness_envelope"] = float(envelope)
-                if value > envelope * (1 + 1e-9):
-                    report.violations.append(("flatness", complex(z), float(value)))
+                bounds.append(("flatness", "flatness_envelope", envelope))
+            for label, key, bound in bounds:
+                entry[key] = float(bound)
+                if value > bound * (1 + 1e-9):
+                    report.violations.append((label, complex(z), float(value)))
             report.samples.append(entry)
     return report

@@ -15,8 +15,11 @@ finite combination of terms (t+z)^(-a) * log(t+z)^b.  That function class is
 closed under differentiation and antidifferentiation, so correction terms
 stay in closed form, and the Euler-Maclaurin remainder is bounded by
 2*zeta(2K)/(2pi)^(2K) * integral of |f^(2K)|, evaluated termwise by integral
-comparison.  All truncation errors are accumulated into a single envelope
-that is returned with the value.
+comparison.  The order K is fixed (``_EM_ORDER``).  One derivative chain per
+term serves both parts: its odd derivatives g', g''', ..., g^(2K-1) feed the
+Bernoulli corrections, and one more derivative gives the g^(2K) that the
+remainder bound integrates.  All truncation errors are accumulated into a
+single envelope that is returned with the value.
 
 Convergence requires s_1 >= 2; interior and trailing parts may equal 1, in
 which case the intermediate expansions pick up log powers.
@@ -46,11 +49,11 @@ def _cls_add(into: Cls, key: tuple[int, int], coef) -> None:
         del into[key]
 
 
-def _cls_scale_shift(cls_fn: Cls, s: int, factor=1) -> Cls:
-    """factor * (t+z)^(-s) * cls_fn."""
+def _cls_scale_shift(cls_fn: Cls, s: int) -> Cls:
+    """(t+z)^(-s) * cls_fn."""
     out: Cls = {}
     for (a, b), c in cls_fn.items():
-        _cls_add(out, (a + s, b), c * factor)
+        _cls_add(out, (a + s, b), c)
     return out
 
 
@@ -147,25 +150,26 @@ def _abs_fudges(z, n0: int) -> tuple[mp.mpf, mp.mpf]:
     return pow_fudge, log_fudge
 
 
-def _em_remainder_bound(g: Cls, n0: int, z, order: int):
-    """Bound on the Euler-Maclaurin remainder for sum of g over [n0, inf)."""
-    deriv = dict(g)
-    for _ in range(2 * order):
-        deriv = _cls_diff(deriv)
-    pow_fudge, log_fudge = _abs_fudges(z, n0)
+def _em_remainder_bound(deriv: Cls, n0: int, fudges, kernel):
+    """Bound on the Euler-Maclaurin remainder for a sum over [n0, inf) whose
+    summand has 2K-th derivative ``deriv``: kernel * integral of |deriv|."""
+    pow_fudge, log_fudge = fudges
     total = mp.mpf(0)
     for (a, b), c in deriv.items():
         total += abs(c) * pow_fudge**a * log_fudge**b * _int_powlog(a, b, n0)
-    kernel = 2 * mp.zeta(2 * order) / (2 * mp.pi) ** (2 * order)
     return kernel * total
 
 
-def _level_step(s_j: int, inner: _Expansion, prefix_at_n0, n0: int, z, order: int) -> _Expansion:
+def _level_step(
+    s_j: int, inner: _Expansion, prefix_at_n0, n0: int, z, fudges, factors, kernel
+) -> _Expansion:
     """Expansion for P_j from the expansion of P_{j+1}.
 
     P_j(n) = P_j(N) + sum_{m=N}^{n-1} (m+z)^(-s_j) P_{j+1}(m); the sum over
     each class term g is G(n) - G(N) + R with
     G = antideriv(g) - g/2 + sum_k B_2k/(2k)! g^(2k-1)  and |R| <= rho(g).
+    ``factors`` holds B_2k/(2k)! for k = 1..K and ``kernel`` the remainder
+    kernel 2 zeta(2K)/(2 pi)^(2K).
     """
     w = _cls_scale_shift(inner.body, s_j)
     _cls_add(w, (s_j, 0), inner.const)
@@ -174,22 +178,21 @@ def _level_step(s_j: int, inner: _Expansion, prefix_at_n0, n0: int, z, order: in
     env: Cls = {}
     rho_total = mp.mpf(0)
     for key, coef in w.items():
-        g: Cls = {key: coef}
-        G = _cls_antideriv(g)
+        G = _cls_antideriv({key: coef})
         _cls_add(G, key, -coef / 2)
-        deriv = g
-        for k in range(1, order + 1):
-            deriv = _cls_diff(_cls_diff(deriv)) if k > 1 else _cls_diff(deriv)
-            factor = mp.bernoulli(2 * k) / mp.factorial(2 * k)
+        deriv = {key: coef}
+        for k, factor in enumerate(factors):
+            # deriv = g^(2k+1)
+            deriv = _cls_diff(_cls_diff(deriv)) if k else _cls_diff(deriv)
             for dkey, dcoef in deriv.items():
                 _cls_add(body, dkey, factor * dcoef)
         for gkey, gcoef in G.items():
             _cls_add(body, gkey, gcoef)
-        rho_total += _em_remainder_bound(g, n0, z, order)
+        rho_total += _em_remainder_bound(_cls_diff(deriv), n0, fudges, kernel)
     _cls_add(env, (0, 0), rho_total)
 
     # propagate the inner envelope through sum_{m=N}^{n-1} |(m+z)^-s_j| env(m)
-    pow_fudge, log_fudge = _abs_fudges(z, n0)
+    pow_fudge, log_fudge = fudges
     for (a, b), c in inner.env.items():
         alpha = a + s_j
         c_real = c * pow_fudge ** (a + s_j) * log_fudge**b
@@ -204,28 +207,26 @@ def _level_step(s_j: int, inner: _Expansion, prefix_at_n0, n0: int, z, order: in
 
 
 def _exact_prefixes(exponents: tuple[int, ...], z, n0: int) -> list:
-    """prefix[j][n] = nested partial sum of levels j.. over chains below n,
-    j = 0..r (prefix[r] identically 1), n = 0..n0."""
-    r = len(exponents)
-    ones = [mp.mpf(1)] * (n0 + 1)
-    levels = [ones]
-    current = ones
-    for j in range(r - 1, -1, -1):
-        s_j = exponents[j]
+    """prefix[j] = nested partial sum of levels j.. over chains below n0,
+    j = 0..r-1.  Each level's running sums are kept only while the next
+    level is built."""
+    current = [mp.mpf(1)] * (n0 + 1)
+    at_n0 = []
+    for s_j in reversed(exponents):
         nxt = [mp.mpf(0)] * (n0 + 1)
         acc = mp.mpf(0)
         for n in range(2, n0 + 1):
             m = n - 1
             acc = acc + mp.power(m + z, -s_j) * current[m]
             nxt[n] = acc
-        levels.append(nxt)
+        at_n0.append(acc)
         current = nxt
-    levels.reverse()
-    return levels
+    at_n0.reverse()
+    return at_n0
 
 
 def shifted_nested_sum_fixed(
-    exponents: tuple[int, ...], z, n0: int, order: int = _EM_ORDER
+    exponents: tuple[int, ...], z, n0: int
 ) -> tuple[mp.mpc, mp.mpf]:
     """One-shot evaluation with cutoff n0; returns (value, error bound)."""
     r = len(exponents)
@@ -235,15 +236,19 @@ def shifted_nested_sum_fixed(
         raise ValueError(f"divergent nested sum: leading exponent {exponents[0]} < 2")
     if any(s < 1 for s in exponents):
         raise ValueError("exponents must be positive")
-    az = abs(mp.mpc(z))
-    if n0 < 4 * (1 + az) or n0 < 16:
+    if n0 < 4 * (1 + abs(mp.mpc(z))) or n0 < 16:
         raise ValueError("cutoff too small for the tail bounds")
 
     prefixes = _exact_prefixes(exponents, z, n0)
+    fudges = _abs_fudges(z, n0)
+    factors = [
+        mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, _EM_ORDER + 1)
+    ]
+    kernel = 2 * mp.zeta(2 * _EM_ORDER) / (2 * mp.pi) ** (2 * _EM_ORDER)
     expansion = _Expansion(mp.mpc(1), {}, {})  # empty chain below every n
     for j in range(r - 1, -1, -1):
         expansion = _level_step(
-            exponents[j], expansion, prefixes[j][n0], n0, z, order
+            exponents[j], expansion, prefixes[j], n0, z, fudges, factors, kernel
         )
 
     # Leading exponent >= 2 so the top-level body and envelope decay.
@@ -264,7 +269,6 @@ def shifted_nested_sum(
     z=0,
     target: float = 1e-12,
     cap: int = 200_000,
-    order: int = _EM_ORDER,
 ) -> tuple[mp.mpc, mp.mpf]:
     """Evaluate the nested sum to absolute error <= target.
 
@@ -281,10 +285,9 @@ def shifted_nested_sum(
     n0 = max(16, int(4 * (1 + abs(z))) + 1, 48)
     best: tuple | None = None
     while n0 <= cap:
-        value, err = shifted_nested_sum_fixed(exponents, z, n0, order)
-        best = (value, err)
-        if err <= target:
-            if hit is None or err < hit[1]:
+        best = shifted_nested_sum_fixed(exponents, z, n0)
+        if best[1] <= target:
+            if hit is None or best[1] < hit[1]:
                 _cache[key] = best
             return best
         n0 *= 3
@@ -294,6 +297,24 @@ def shifted_nested_sum(
         f"within cutoff cap {cap}",
         achieved=achieved,
     )
+
+
+def certified_product(parts) -> tuple:
+    """Product of certified factors ``[(value, bound), ...]`` and its bound.
+
+    If every true factor lies within its bound of its value, the true product
+    lies within sum_i e_i * prod_{j != i} (|v_j| + e_j) of the returned value.
+    """
+    value = mp.mpf(1)
+    for v, _ in parts:
+        value *= v
+    err = mp.mpf(0)
+    for i, (_, e_i) in enumerate(parts):
+        others = mp.mpf(1)
+        for v_j, e_j in parts[:i] + parts[i + 1 :]:
+            others *= abs(v_j) + e_j
+        err += e_i * others
+    return value, err
 
 
 def brute_nested_sum(exponents: tuple[int, ...], z=0, n0: int = 60) -> mp.mpc:

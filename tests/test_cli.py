@@ -122,6 +122,20 @@ class TestConfig:
         assert result.exit_code == 0
         assert "1.0e-06" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [["relations", "--weight", "5"], ["project", "3"], ["verify", "--suite", "trifact"]],
+    )
+    def test_unreachable_precision_exits_2(self, runner, tmp_path, args):
+        cfg = tmp_path / "cfg.json"
+        # a precision no other test uses, so no cached nested sum serves them
+        cfg.write_text(json.dumps({"truncation_cap": 10, "working_precision": 72}))
+        result = runner.invoke(main, ["--config", str(cfg), *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error: nested sum" in result.output
+
     def test_bad_truncation_cap_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"truncation_cap": 5}))

@@ -44,6 +44,12 @@ class TestPiRational:
         assert PiRational({4: 1}).is_homogeneous(4)
         assert not PiRational({0: 1, 4: 1}).is_homogeneous(4)
 
+    def test_rational_value_hashes_as_its_rational(self):
+        for value in (3, 0, Fraction(-2, 7)):
+            assert PiRational(value) == value and hash(PiRational(value)) == hash(value)
+        assert {3: "x"}.get(PiRational(3)) == "x"
+        assert {PiRational({0: 3}): "x"}.get(3) == "x"
+
 
 class TestCoeffExpr:
     def test_formal_product_keeps_monomials(self):

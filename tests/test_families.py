@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from multitangent.errors import MultitangentError
 from multitangent.exact import CoeffExpr, PiRational
 from multitangent.families import (
     sin_product_series_check,
@@ -83,6 +84,11 @@ class TestRepeatedClosedForm:
     def test_real_axis_realness_guard(self):
         v = te_nk_closed_form(2, 2, mp.mpf("0.3"), CTX)
         assert abs(mp.im(v)) < 1e-12
+
+    def test_realness_failure_is_a_multitangent_error(self):
+        # 32 bits leave an imaginary residue far above the target
+        with pytest.raises(MultitangentError):
+            te_nk_closed_form(3, 3, mp.mpf("0.3"), NumericContext(working_precision=32))
 
 
 class TestFamilyRelation:

@@ -2,8 +2,11 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitangent.errors import PoleProximityError
+from multitangent.errors import MultitangentError
 from multitangent.mzv import NumericContext
 from multitangent.numerics import (
     cot_poly,
@@ -19,6 +22,7 @@ from multitangent.numerics import (
 )
 from multitangent.reduction import reduce
 from multitangent.words import Composition, enumerate_compositions
+from multitangent.zetasum import certified_product
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
@@ -181,6 +185,11 @@ class TestFourier:
             )
             assert abs(direct - partial) <= envelope
 
+    def test_tail_envelope_failure_is_a_multitangent_error(self):
+        # at y = 1e-6 the dominating series does not settle within its cap
+        with pytest.raises(MultitangentError):
+            fourier_tail_envelope(C(3, 2), 2, 1e-6)
+
 
 class TestBounds:
     def test_flatness_and_bounds_clean(self):
@@ -212,3 +221,40 @@ class TestBounds:
         ) / (2 * h)
         sym = -2 * multitangent_eval_direct(C(3, 2), z, CTX) - 2 * multitangent_eval_direct(C(2, 3), z, CTX)
         assert abs(fd - sym) < 1e-5
+
+
+# a factor: value (re, im) and bound in units of 2^-10, both up to 4, and a
+# perturbation direction (x, y) in units of 2^-10 inside the unit disc, often
+# on its rim where the bound is tight
+_DIRECTIONS = st.one_of(
+    st.sampled_from([(2**10, 0), (0, 2**10), (-(2**10), 0), (0, -(2**10))]),
+    st.tuples(st.integers(-(2**10), 2**10), st.integers(-(2**10), 2**10)).filter(
+        lambda d: d[0] ** 2 + d[1] ** 2 <= 2**20
+    ),
+)
+_FACTORS = st.lists(
+    st.tuples(
+        st.integers(-(2**12), 2**12),
+        st.integers(-(2**12), 2**12),
+        st.integers(0, 2**12),
+        _DIRECTIONS,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(_FACTORS)
+@settings(max_examples=200, deadline=None)
+def test_certified_product_covers_every_perturbation(factors):
+    """Moving each factor by at most its bound keeps the product within the
+    returned bound of the returned value."""
+    with mp.workprec(300):
+        parts = [(mp.mpc(re, im) / 2**10, mp.mpf(e) / 2**10) for re, im, e, _ in factors]
+        value, bound = certified_product(parts)
+        perturbed = mp.mpf(1)
+        for (v, e), (_, _, _, (x, y)) in zip(parts, factors):
+            perturbed *= v + e * mp.mpc(x, y) / 2**10
+        # the products are exact at 300 bits; only abs() inside the bound
+        # rounds, by a relative 2^-300 per factor
+        assert abs(perturbed - value) <= bound * (1 + mp.mpf(2) ** -290)

@@ -20,6 +20,9 @@ from multitangent import lab
 from multitangent.words import Composition
 assert lab.MtCombo.evaluate.__name__ == "wrapper"
 lab.MtCombo({Composition((2,)): 1}).evaluate(mp.mpc(0.3, 0.7))
+from multitangent import zetasum
+assert zetasum.shifted_nested_sum.__name__ == "wrapper"
+zetasum.shifted_nested_sum((2, 1), 0, target=1e-10)
 """
 
 
