@@ -1,16 +1,22 @@
-"""Bundled table of multiple zeta values in a fixed basis, weights 2 to 8.
+"""Table of multiple zeta values in a fixed basis, weights 2 to 8.
 
 Per weight w the table declares a basis of zeta monomials (the conjectural
 dimensions 1,1,1,2,2,3,4 for w = 2..8) and expresses every convergent zeta
-symbol of that weight as an exact rational combination of the basis.  The
-entries are data, assembled from the classical reduction of low-weight
-multiple zeta values (Euler's evaluations for length two, the standard
-tables beyond) and re-derived against this basis at 40+ digit precision
-before being frozen here.
+symbol of that weight as an exact rational combination of the basis.
 
-The table is never trusted blindly: ``MzvBasisTable.load`` re-verifies every
-entry numerically against the nested-sum oracle and refuses to load on any
-mismatch, so a corrupted entry fails fast instead of corrupting results
+The entries are derived, not stored.  Per weight, the double shuffle
+relations (stuffle minus shuffle of two convergent words), Hoffman's
+relations (stuffle minus shuffle of Ze[1] with a convergent word, whose
+divergent word cancels) and the stuffle expansion of each basis monomial
+form one exact rational system, and its reduced row echelon form solves
+every convergent word for the basis.  These relations suffice at weights
+2..8 (Ihara-Kaneko-Zagier, Compositio 142, 2006; Bluemlein-Broadhurst-
+Vermaseren, "The MZV Data Mine", arXiv:0907.2557); a word they leave
+unsolved raises CoverageError.
+
+The derivation is not trusted blindly: ``MzvBasisTable.load`` re-verifies
+every entry numerically against the nested-sum oracle and refuses to load
+on any mismatch, so a wrong entry fails fast instead of corrupting results
 downstream.
 """
 
@@ -23,8 +29,9 @@ import mpmath as mp
 
 from .errors import CoverageError, NumericRecheckError
 from .exact import CoeffExpr, MzvMonomial, PiRational
-from .mzv import NumericContext, mzv_numeric
-from .words import Composition
+from .linalg import rref
+from .mzv import NumericContext, linearize, mzv_numeric
+from .words import Composition, WordPoly, enumerate_compositions, shuffle, stuffle
 
 #: Basis monomials per weight, each monomial a tuple of index tuples.
 BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
@@ -38,260 +45,125 @@ BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
     8: (((8,),), ((3,), (5,)), ((2,), (3,), (3,)), ((6, 2),)),
 }
 
-#: Entry data: index tuple -> coefficients over the basis of its weight.
-ENTRIES: dict[tuple[int, ...], tuple[str, ...]] = {
-    # weight 2
-    (2,): ("1",),
-    # weight 3
-    (3,): ("1",),
-    (2, 1): ("1",),  # Euler
-    # weight 4
-    (4,): ("1",),
-    (2, 2): ("3/4",),
-    (3, 1): ("1/4",),
-    (2, 1, 1): ("1",),
-    # weight 5
-    (5,): ("1", "0"),
-    (2, 3): ("9/2", "-2"),  # Euler
-    (3, 2): ("-11/2", "3"),  # Euler
-    (4, 1): ("2", "-1"),  # Euler
-    (2, 1, 2): ("9/2", "-2"),
-    (2, 2, 1): ("-11/2", "3"),
-    (3, 1, 1): ("2", "-1"),
-    (2, 1, 1, 1): ("1", "0"),
-    # weight 6
-    (6,): ("1", "0"),
-    (2, 4): ("25/12", "-1"),
-    (3, 3): ("-1/2", "1/2"),
-    (4, 2): ("-4/3", "1"),
-    (5, 1): ("3/4", "-1/2"),
-    (2, 1, 3): ("-13/16", "1"),
-    (2, 2, 2): ("3/16", "0"),
-    (2, 3, 1): ("53/24", "-3/2"),
-    (3, 1, 2): ("53/24", "-3/2"),
-    (3, 2, 1): ("-203/48", "3"),
-    (4, 1, 1): ("23/16", "-1"),
-    (2, 1, 1, 2): ("25/12", "-1"),
-    (2, 1, 2, 1): ("-1/2", "1/2"),
-    (2, 2, 1, 1): ("-4/3", "1"),
-    (3, 1, 1, 1): ("3/4", "-1/2"),
-    (2, 1, 1, 1, 1): ("1", "0"),
-    # weight 7
-    (7,): ("1", "0", "0"),
-    (2, 5): ("10", "-4", "-2"),
-    (3, 4): ("-18", "10", "1"),
-    (4, 3): ("17", "-10", "0"),
-    (5, 2): ("-11", "5", "2"),
-    (6, 1): ("3", "-1", "-1"),
-    (2, 1, 4): ("61/8", "-11/2", "7/4"),
-    (2, 2, 3): ("-291/16", "12", "-3/2"),
-    (2, 3, 2): ("75/8", "-11/2", "0"),
-    (2, 4, 1): ("-109/16", "5", "-5/4"),
-    (3, 1, 3): ("-1/4", "0", "1/4"),
-    (3, 2, 2): ("157/16", "-15/2", "9/4"),
-    (3, 3, 1): ("61/8", "-9/2", "0"),
-    (4, 1, 2): ("5/8", "5/2", "-15/4"),
-    (4, 2, 1): ("-221/16", "11/2", "7/2"),
-    (5, 1, 1): ("5", "-2", "-5/4"),
-    (2, 1, 1, 3): ("61/8", "-11/2", "7/4"),
-    (2, 1, 2, 2): ("-291/16", "12", "-3/2"),
-    (2, 1, 3, 1): ("-1/4", "0", "1/4"),
-    (2, 2, 1, 2): ("75/8", "-11/2", "0"),
-    (2, 2, 2, 1): ("157/16", "-15/2", "9/4"),
-    (2, 3, 1, 1): ("5/8", "5/2", "-15/4"),
-    (3, 1, 1, 2): ("-109/16", "5", "-5/4"),
-    (3, 1, 2, 1): ("61/8", "-9/2", "0"),
-    (3, 2, 1, 1): ("-221/16", "11/2", "7/2"),
-    (4, 1, 1, 1): ("5", "-2", "-5/4"),
-    (2, 1, 1, 1, 2): ("10", "-4", "-2"),
-    (2, 1, 1, 2, 1): ("-18", "10", "1"),
-    (2, 1, 2, 1, 1): ("17", "-10", "0"),
-    (2, 2, 1, 1, 1): ("-11", "5", "2"),
-    (3, 1, 1, 1, 1): ("3", "-1", "-1"),
-    (2, 1, 1, 1, 1, 1): ("1", "0", "0"),
-    # weight 8
-    (8,): ("1", "0", "0", "0"),
-    (2, 6): ("2/3", "0", "0", "-1"),
-    (3, 5): ("41/8", "-4", "0", "5/2"),
-    (4, 4): ("1/12", "0", "0", "0"),
-    (5, 3): ("-49/8", "5", "0", "-5/2"),
-    (6, 2): ("0", "0", "0", "1"),
-    (7, 1): ("5/4", "-1", "0", "0"),
-    (2, 1, 5): ("-181/18", "21/2", "-1", "-5/2"),
-    (2, 2, 4): ("121/6", "-20", "2", "11/2"),
-    (2, 3, 3): ("1111/48", "-45/2", "2", "27/4"),
-    (2, 4, 2): ("-677/18", "40", "-5", "-10"),
-    (2, 5, 1): ("487/48", "-12", "2", "7/4"),
-    (3, 1, 4): ("241/72", "-11/2", "3/2", "0"),
-    (3, 2, 3): ("-245/6", "89/2", "-6", "-10"),
-    (3, 3, 2): ("857/48", "-23", "9/2", "13/4"),
-    (3, 4, 1): ("673/144", "0", "-2", "15/4"),
-    (4, 1, 3): ("583/72", "-15/2", "1/2", "5/2"),
-    (4, 2, 2): ("1271/72", "-20", "3", "9/2"),
-    (4, 3, 1): ("-677/48", "21/2", "1/2", "-25/4"),
-    (5, 1, 2): ("-145/72", "9/2", "-3/2", "-1"),
-    (5, 2, 1): ("-289/144", "7/2", "-1", "7/4"),
-    (6, 1, 1): ("61/24", "-3", "1/2", "0"),
-    (2, 1, 1, 4): ("-14041/576", "24", "-2", "-15/2"),
-    (2, 1, 2, 3): ("8893/192", "-45", "4", "27/2"),
-    (2, 1, 3, 2): ("-1469/64", "43/2", "-3/2", "-27/4"),
-    (2, 1, 4, 1): ("8335/576", "-31/2", "2", "15/4"),
-    (2, 2, 1, 3): ("-1469/64", "43/2", "-3/2", "-27/4"),
-    (2, 2, 2, 2): ("5/192", "0", "0", "0"),
-    (2, 2, 3, 1): ("-4015/192", "51/2", "-9/2", "-9/2"),
-    (2, 3, 1, 2): ("30301/576", "-54", "6", "27/2"),
-    (2, 3, 2, 1): ("-15143/576", "27", "-3", "-27/4"),
-    (2, 4, 1, 1): ("5725/576", "-9", "1/2", "3"),
-    (3, 1, 1, 3): ("8335/576", "-31/2", "2", "15/4"),
-    (3, 1, 2, 2): ("-4015/192", "51/2", "-9/2", "-9/2"),
-    (3, 1, 3, 1): ("1/192", "0", "0", "0"),
-    (3, 2, 1, 2): ("-15143/576", "27", "-3", "-27/4"),
-    (3, 2, 2, 1): ("8035/192", "-51", "9", "9"),
-    (3, 3, 1, 1): ("-7211/576", "13", "-3/2", "-15/4"),
-    (4, 1, 1, 2): ("5725/576", "-9", "1/2", "3"),
-    (4, 1, 2, 1): ("-7211/576", "13", "-3/2", "-15/4"),
-    (4, 2, 1, 1): ("-863/576", "5", "-2", "3/2"),
-    (5, 1, 1, 1): ("499/192", "-4", "1", "0"),
-    (2, 1, 1, 1, 3): ("-181/18", "21/2", "-1", "-5/2"),
-    (2, 1, 1, 2, 2): ("121/6", "-20", "2", "11/2"),
-    (2, 1, 1, 3, 1): ("241/72", "-11/2", "3/2", "0"),
-    (2, 1, 2, 1, 2): ("1111/48", "-45/2", "2", "27/4"),
-    (2, 1, 2, 2, 1): ("-245/6", "89/2", "-6", "-10"),
-    (2, 1, 3, 1, 1): ("583/72", "-15/2", "1/2", "5/2"),
-    (2, 2, 1, 1, 2): ("-677/18", "40", "-5", "-10"),
-    (2, 2, 1, 2, 1): ("857/48", "-23", "9/2", "13/4"),
-    (2, 2, 2, 1, 1): ("1271/72", "-20", "3", "9/2"),
-    (2, 3, 1, 1, 1): ("-145/72", "9/2", "-3/2", "-1"),
-    (3, 1, 1, 1, 2): ("487/48", "-12", "2", "7/4"),
-    (3, 1, 1, 2, 1): ("673/144", "0", "-2", "15/4"),
-    (3, 1, 2, 1, 1): ("-677/48", "21/2", "1/2", "-25/4"),
-    (3, 2, 1, 1, 1): ("-289/144", "7/2", "-1", "7/4"),
-    (4, 1, 1, 1, 1): ("61/24", "-3", "1/2", "0"),
-    (2, 1, 1, 1, 1, 2): ("2/3", "0", "0", "-1"),
-    (2, 1, 1, 1, 2, 1): ("41/8", "-4", "0", "5/2"),
-    (2, 1, 1, 2, 1, 1): ("1/12", "0", "0", "0"),
-    (2, 1, 2, 1, 1, 1): ("-49/8", "5", "0", "-5/2"),
-    (2, 2, 1, 1, 1, 1): ("0", "0", "0", "1"),
-    (3, 1, 1, 1, 1, 1): ("5/4", "-1", "0", "0"),
-    (2, 1, 1, 1, 1, 1, 1): ("1", "0", "0", "0"),
-}
-
 MAX_WEIGHT = 8
 
-#: The basis dimensions are conjectural beyond what is proved classically;
-#: rank statements made against this table are relative to these bases.
-CONJECTURAL_DIMENSIONS = {2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 3, 8: 4}
+#: Every entry must match its symbol numerically to this absolute error.
+VERIFY_TOLERANCE = 1e-10
+_VERIFY_CONTEXT = NumericContext(target_abs_error=VERIFY_TOLERANCE / 4)
 
 
 def _basis_monomial(mono: tuple[tuple[int, ...], ...]) -> MzvMonomial:
     return MzvMonomial(Composition(f) for f in mono if f)
 
 
-def provenance_note(comp: Composition) -> str:
-    """Short origin label for a table entry."""
-    parts = comp.parts
-    if len(parts) == 1:
-        if parts[0] % 2 == 0:
-            return "even zeta value, Bernoulli closed form"
-        return "odd zeta value, basis element"
-    if all(p == 2 for p in parts):
-        return "repeated-2 family, pi-power closed form"
-    if parts[0] >= 2 and all(p == 1 for p in parts[1:]):
-        return "height-one value, equals the depth-1 zeta of its weight class"
-    if len(parts) == 2:
-        return "Euler double-zeta reduction"
-    return "classical reduction, reconstructed against the declared basis"
+def _letters(s: Composition) -> Composition:
+    """The x/y word of a composition, x as 1 and y as 2: part k is x^(k-1) y."""
+    return Composition(tuple(letter for k in s for letter in (1,) * (k - 1) + (2,)))
+
+
+def _parts(word: Composition) -> Composition:
+    """The composition of an x/y word ending in y; inverse of ``_letters``."""
+    parts, run = [], 0
+    for letter in word:
+        run += 1
+        if letter == 2:
+            parts.append(run)
+            run = 0
+    return Composition(tuple(parts))
+
+
+def _shuffle_xy(a: Composition, b: Composition) -> WordPoly:
+    """Shuffle of the x/y words of ``a`` and ``b``, read back as compositions."""
+    return WordPoly({_parts(w): m for w, m in shuffle(_letters(a), _letters(b)).items()})
+
+
+def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExpr]:
+    """Every convergent symbol of ``weight`` over ``basis``, in canonical order.
+
+    Unknowns are the convergent words, then one column per basis monomial.
+    After one rref every word column must hold a pivot, and the word equals
+    minus the basis part of its row.
+    """
+    words = enumerate_compositions(weight, "mzv")
+    relations = [
+        stuffle(a, b) - _shuffle_xy(a, b)
+        for left in range(2, weight - 1)
+        for a in enumerate_compositions(left, "mzv")
+        for b in enumerate_compositions(weight - left, "mzv")
+        if a <= b  # both products commute: one row per unordered pair
+    ]
+    one = Composition((1,))
+    # Hoffman's relations: the divergent word (1, k) cancels
+    relations += [
+        stuffle(one, k) - _shuffle_xy(one, k)
+        for k in enumerate_compositions(weight - 1, "mzv")
+    ]
+    for mono in basis:
+        expansion = linearize(CoeffExpr({mono: PiRational(1)}))
+        relations.append(
+            {mono: -1, **{m.factors[0]: c.rational_part for m, c in expansion.items()}}
+        )
+    column = {key: i for i, key in enumerate(words + basis)}
+    matrix = []
+    for relation in relations:
+        row = [Fraction(0)] * len(column)
+        for key, coef in relation.items():
+            row[column[key]] = Fraction(coef)
+        matrix.append(row)
+    red, pivots = rref(matrix)
+    n = len(words)
+    if pivots[:n] != list(range(n)):
+        raise CoverageError(
+            f"double shuffle does not reduce weight {weight} to its basis", weight=weight
+        )
+    return {
+        w: CoeffExpr({mono: PiRational(-red[i][n + j]) for j, mono in enumerate(basis)})
+        for i, w in enumerate(words)
+    }
 
 
 _SHARED_TABLE: "MzvBasisTable | None" = None
-_INVALIDATION_HOOKS: list = []
-
-
-def register_invalidation_hook(fn) -> None:
-    """Register a callable to run whenever the shared table is replaced
-    (used by caches keyed on table contents)."""
-    _INVALIDATION_HOOKS.append(fn)
-
-
-def set_shared(table: "MzvBasisTable") -> None:
-    """Install a replacement shared table (e.g. loaded from a user file)."""
-    global _SHARED_TABLE
-    _SHARED_TABLE = table
-    for fn in _INVALIDATION_HOOKS:
-        fn()
-
-
-def load_entries_file(path: str) -> dict[tuple[int, ...], tuple[str, ...]]:
-    """Read table entries from JSON: {"entries": {"2,1": ["1"], ...}}."""
-    import json
-
-    with open(path) as fh:
-        raw = json.load(fh)
-    out = {}
-    for key, coeffs in raw["entries"].items():
-        parts = tuple(int(x) for x in key.split(","))
-        out[parts] = tuple(str(c) for c in coeffs)
-    return out
 
 
 @dataclass
 class MzvBasisTable:
-    """Verified basis table with substitution helpers and per-entry
-    provenance notes."""
+    """Derived and verified basis table with substitution helpers."""
 
     entries: dict[Composition, CoeffExpr]
     bases: dict[int, list[MzvMonomial]]
-    provenance: dict[Composition, str]
     max_weight: int = MAX_WEIGHT
 
     @classmethod
-    def load(
-        cls,
-        ctx: NumericContext | None = None,
-        verify_tolerance: float = 1e-10,
-        entries: dict[tuple[int, ...], tuple[str, ...]] | None = None,
-    ) -> "MzvBasisTable":
-        """Build the table and numerically verify every entry.
+    def load(cls) -> "MzvBasisTable":
+        """Derive the table and numerically verify every entry.
 
         Each entry must satisfy |value(symbol) - value(combination)| below
-        ``verify_tolerance``; any failure raises NumericRecheckError.
+        ``VERIFY_TOLERANCE``; any failure raises NumericRecheckError.
         """
-        raw = ENTRIES if entries is None else entries
-        ctx = ctx or NumericContext(target_abs_error=verify_tolerance / 4)
         bases = {
             w: [_basis_monomial(m) for m in monos] for w, monos in BASES.items()
         }
-        table: dict[Composition, CoeffExpr] = {}
-        notes: dict[Composition, str] = {}
-        for parts, coeff_strs in raw.items():
-            comp = Composition(parts)
-            w = comp.weight
-            if w not in bases:
-                raise CoverageError(f"no declared basis at weight {w}", weight=w)
-            combo = CoeffExpr(
-                {mono: PiRational(Fraction(c)) for mono, c in zip(bases[w], coeff_strs)}
-            )
-            lhs = mzv_numeric(CoeffExpr.symbol(comp), ctx)
-            rhs = mzv_numeric(combo, ctx) if combo else mp.mpf(0)
-            if abs(lhs - rhs) > verify_tolerance:
+        entries: dict[Composition, CoeffExpr] = {}
+        for w in range(2, MAX_WEIGHT + 1):
+            entries.update(_derive(w, bases[w]))
+        shuffle.cache_clear()  # only the derivation shuffles x/y words: free them
+        for comp, combo in entries.items():
+            lhs = mzv_numeric(CoeffExpr.symbol(comp), _VERIFY_CONTEXT)
+            rhs = mzv_numeric(combo, _VERIFY_CONTEXT) if combo else mp.mpf(0)
+            if abs(lhs - rhs) > VERIFY_TOLERANCE:
                 raise NumericRecheckError(
                     f"table entry {comp} fails verification: "
-                    f"|{mp.nstr(lhs, 15)} - {mp.nstr(rhs, 15)}| > {verify_tolerance}"
+                    f"|{mp.nstr(lhs, 15)} - {mp.nstr(rhs, 15)}| > {VERIFY_TOLERANCE}"
                 )
-            table[comp] = combo
-            notes[comp] = provenance_note(comp)
-        return cls(entries=table, bases=bases, provenance=notes)
+        return cls(entries=entries, bases=bases)
 
     @classmethod
     def shared(cls) -> "MzvBasisTable":
-        """The bundled table, verified once per process and reused."""
+        """The table, derived and verified once per process and reused."""
         global _SHARED_TABLE
         if _SHARED_TABLE is None:
             _SHARED_TABLE = cls.load()
         return _SHARED_TABLE
-
-    def covers(self, weight: int) -> bool:
-        return weight == 0 or (2 <= weight <= self.max_weight) or weight == 1
 
     def basis(self, weight: int) -> list[MzvMonomial]:
         if weight == 0 or weight == 1:

@@ -13,7 +13,7 @@ Exit codes: 0 all checks passed, 1 rejected input, 2 a numeric recheck
 failed, a precision target was not reached or a projection is unavailable,
 3 a table coverage limit was hit.  A JSON config file may override numeric settings:
 {"target_abs_error": ..., "working_precision": ..., "truncation_cap": ...,
- "pole_guard": ...}.
+ "pole_guard": ...}; any other key is rejected (exit 1).
 """
 
 from __future__ import annotations
@@ -55,14 +55,11 @@ def _load_context(config_path: str | None) -> NumericContext:
         return NumericContext()
     with open(config_path) as fh:
         raw = json.load(fh)
-    if "basis_table" in raw:
-        from .basis_table import MzvBasisTable, load_entries_file, set_shared
-
-        entries = load_entries_file(raw["basis_table"])
-        set_shared(MzvBasisTable.load(entries=entries))
-    return NumericContext(
-        **{f.name: raw[f.name] for f in dataclasses.fields(NumericContext) if f.name in raw}
-    )
+    fields = {f.name for f in dataclasses.fields(NumericContext)}
+    unknown = sorted(set(raw) - fields)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return NumericContext(**raw)
 
 
 class _Group(click.Group):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .basis_table import MzvBasisTable, register_invalidation_hook
+from .basis_table import MzvBasisTable
 from .errors import CoverageError, NumericRecheckError, ProjectionUnavailableError
 from .exact import CoeffExpr, MzvMonomial, PiRational
 from .linalg import Matrix, nullspace, rank, solve
@@ -130,10 +130,6 @@ def slot_vector(comp: Composition) -> dict[Slot, Fraction]:
     """Reduction of Te[comp] as a vector over (monotangent order, basis
     monomial) slots, with the Te^1 block checked to cancel exactly."""
     return dict(_slot_vector_cached(comp))
-
-
-# slot vectors depend on the installed table; drop them if it is replaced
-register_invalidation_hook(_slot_vector_cached.cache_clear)
 
 
 def _assemble(rows: list[Composition]) -> tuple[list[Slot], Matrix]:

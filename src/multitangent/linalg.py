@@ -35,7 +35,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -220,6 +220,14 @@ def _fourier_zetas(s: Composition, ctx: NumericContext):
                 yield k, mzv_numeric(expr, ctx)
 
 
+def _fourier_from_zetas(zetas, n: int):
+    """T_hat_n from the (k, zeta value) pairs of ``_fourier_zetas``."""
+    total = mp.mpc(0)
+    for k, zval in zetas:
+        total += (-2j * n * mp.pi) ** (k - 1) / mp.factorial(k - 1) * zval
+    return 2j * mp.pi * total
+
+
 def fourier_coefficient(
     s: Composition, n: int, ctx: NumericContext = DEFAULT_CONTEXT
 ):
@@ -234,10 +242,7 @@ def fourier_coefficient(
     if n == 0:
         raise ValueError("n must be nonzero")
     with ctx.workprec():
-        total = mp.mpc(0)
-        for k, zval in _fourier_zetas(s, ctx):
-            total += (-2j * n * mp.pi) ** (k - 1) / mp.factorial(k - 1) * zval
-        return 2j * mp.pi * total
+        return _fourier_from_zetas(_fourier_zetas(s, ctx), n)
 
 
 def fourier_partial_sum(
@@ -247,11 +252,14 @@ def fourier_partial_sum(
     z = mp.mpc(z)
     if mp.im(z) <= 0:
         raise ValueError("partial Fourier sums require Im z > 0")
+    if not is_multitangent_convergent(s):
+        raise ValueError(f"{s} is not convergent")
     with ctx.workprec():
         q = mp.exp(2j * mp.pi * z)
+        zetas = list(_fourier_zetas(s, ctx))
         total = mp.mpc(0)
         for n in range(1, n_terms + 1):
-            total -= fourier_coefficient(s, n, ctx) * q**n
+            total -= _fourier_from_zetas(zetas, n) * q**n
         return total
 
 

@@ -274,13 +274,14 @@ def shifted_nested_sum(
 
     The cutoff is grown geometrically until the analytic envelope meets the
     target; raises PrecisionUnreachableError (carrying the achieved bound)
-    if the cap is hit first.  Results are cached per working precision.
+    if the cap is hit first.  Results are cached per working precision with
+    their cutoff, and a cached result serves only calls whose cap admits it.
     """
     z = mp.mpc(z)
     key = (exponents, str(z), mp.mp.prec)
     hit = _cache.get(key)
-    if hit is not None and hit[1] <= target:
-        return hit
+    if hit is not None and hit[1] <= target and hit[2] <= cap:
+        return hit[:2]
 
     n0 = max(16, int(4 * (1 + abs(z))) + 1, 48)
     best: tuple | None = None
@@ -288,7 +289,7 @@ def shifted_nested_sum(
         best = shifted_nested_sum_fixed(exponents, z, n0)
         if best[1] <= target:
             if hit is None or best[1] < hit[1]:
-                _cache[key] = best
+                _cache[key] = (*best, n0)
             return best
         n0 *= 3
     achieved = float(best[1]) if best else math.inf

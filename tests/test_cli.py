@@ -142,23 +142,11 @@ class TestConfig:
         result = runner.invoke(main, ["--config", str(cfg), "reduce", "2"])
         assert result.exit_code != 0
 
-    def test_custom_basis_table(self, runner, tmp_path):
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps({"entries": {"2": ["1"]}}))
+    def test_unknown_config_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"basis_table": str(table)}))
-        try:
-            result = runner.invoke(
-                main, ["--config", str(cfg), "relations", "--weight", "4"]
-            )
-            assert result.exit_code == 0
-            assert "kernel dimension 0" in result.output
-            # weight 5 now lacks weight-3 entries
-            result = runner.invoke(
-                main, ["--config", str(cfg), "relations", "--weight", "5"]
-            )
-            assert result.exit_code in (2, 3)
-        finally:
-            from multitangent.basis_table import MzvBasisTable, set_shared
-
-            set_shared(MzvBasisTable.load())
+        cfg.write_text(json.dumps({"basis_table": "table.json"}))
+        result = runner.invoke(main, ["--config", str(cfg), "reduce", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error: unknown config keys: basis_table" in result.output

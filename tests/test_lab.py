@@ -3,13 +3,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from multitangent import basis_table
 from multitangent.basis_table import MzvBasisTable
 from multitangent.errors import (
     CoverageError,
     NumericRecheckError,
     ProjectionUnavailableError,
 )
-from multitangent.exact import CoeffExpr
+from multitangent.exact import CoeffExpr, MzvMonomial
+from multitangent.families import zagier_ze2n
 from multitangent.errors import MultitangentError
 from multitangent.exact import PiRational
 from multitangent.lab import _as_fraction
@@ -28,7 +30,7 @@ from multitangent.lab import (
     te2_basis_coefficient,
     unit_cleanse,
 )
-from multitangent.mzv import NumericContext, mzv_numeric
+from multitangent.mzv import NumericContext, even_zeta, mzv_numeric
 from multitangent.numerics import monotangent_eval
 from multitangent.words import Composition, enumerate_compositions
 from multitangent.words import repeat
@@ -52,20 +54,48 @@ class TestTableLoading:
         table = MzvBasisTable.shared()
         assert table.substitute_symbol(C(2, 1)) == CoeffExpr.symbol(C(3))
 
-    def test_provenance_notes(self):
-        table = MzvBasisTable.shared()
-        assert table.provenance[C(2, 1)] == (
-            "height-one value, equals the depth-1 zeta of its weight class"
-        )
-        assert "Euler" in table.provenance[C(3, 2)]
-        assert "Bernoulli" in table.provenance[C(6)]
-        assert "repeated-2" in table.provenance[C(2, 2, 2)]
-        assert len(table.provenance) == len(table.entries)
+    def test_corrupted_entry_fails_fast(self, monkeypatch):
+        derive = basis_table._derive
 
-    def test_corrupted_entry_fails_fast(self):
-        bad = {(2, 1): ("2",)}  # Ze[2,1] is zeta(3), not 2 zeta(3)
+        def corrupted(weight, basis):
+            entries = derive(weight, basis)
+            if weight == 3:
+                # Ze[2,1] is zeta(3), not 2 zeta(3)
+                entries[C(2, 1)] = entries[C(2, 1)].scale(2)
+            return entries
+
+        monkeypatch.setattr(basis_table, "_derive", corrupted)
         with pytest.raises(NumericRecheckError):
-            MzvBasisTable.load(entries=bad)
+            MzvBasisTable.load()
+
+    def test_entries_respect_duality(self):
+        # the derivation imposes no duality: reversing the x/y word of a
+        # symbol and swapping x and y must keep its value
+        def dual(s):
+            word = "".join("x" * (k - 1) + "y" for k in s)
+            flipped = word[::-1].translate(str.maketrans("xy", "yx"))
+            return Composition(tuple(len(run) + 1 for run in flipped.split("y")[:-1]))
+
+        table = MzvBasisTable.shared()
+        for s in table.entries:
+            assert table.substitute_symbol(s) == table.substitute_symbol(dual(s)), s
+
+    def test_entries_satisfy_sum_theorem(self):
+        table = MzvBasisTable.shared()
+        for w in range(2, table.max_weight + 1):
+            for depth in range(1, w):
+                total = CoeffExpr.zero()
+                for s in enumerate_compositions(w, "mzv"):
+                    if s.length == depth:
+                        total = total + table.substitute_symbol(s)
+                assert total == table.substitute_symbol(C(w)), (w, depth)
+
+    def test_repeated_twos_match_zagier(self):
+        table = MzvBasisTable.shared()
+        for n in range(1, 5):
+            (mono, coef), = table.substitute_symbol(repeat(2, n)).items()
+            assert mono == MzvMonomial.symbol(C(2 * n))
+            assert coef * even_zeta(n) == zagier_ze2n(n)
 
     def test_coverage_error_reported(self):
         table = MzvBasisTable.shared()

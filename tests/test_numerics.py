@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multitangent import numerics
 from multitangent.errors import PoleProximityError
 from multitangent.errors import MultitangentError
-from multitangent.mzv import NumericContext
+from multitangent.errors import PrecisionUnreachableError
+from multitangent.mzv import NumericContext, mzv_numeric
 from multitangent.numerics import (
     cot_poly,
     flatness_and_bounds_check,
@@ -22,7 +24,7 @@ from multitangent.numerics import (
 )
 from multitangent.reduction import reduce
 from multitangent.words import Composition, enumerate_compositions
-from multitangent.zetasum import certified_product
+from multitangent.zetasum import certified_product, shifted_nested_sum
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
@@ -185,10 +187,35 @@ class TestFourier:
             )
             assert abs(direct - partial) <= envelope
 
+    def test_partial_sum_evaluates_each_zeta_once(self, monkeypatch):
+        s, z, n_terms = C(3, 2, 3), mp.mpc("0.2", "0.8"), 4
+        calls = []
+
+        def counted(expr, ctx):
+            calls.append(expr)
+            return mzv_numeric(expr, ctx)
+
+        monkeypatch.setattr(numerics, "mzv_numeric", counted)
+        partial = fourier_partial_sum(s, z, n_terms, CTX)
+        assert len(calls) == 5
+        with CTX.workprec():
+            q = mp.exp(2j * mp.pi * z)
+            expected = mp.mpc(0)
+            for n in range(1, n_terms + 1):
+                expected -= fourier_coefficient(s, n, CTX) * q**n
+        assert partial == expected
+
     def test_tail_envelope_failure_is_a_multitangent_error(self):
         # at y = 1e-6 the dominating series does not settle within its cap
         with pytest.raises(MultitangentError):
             fourier_tail_envelope(C(3, 2), 2, 1e-6)
+
+
+def test_cached_nested_sum_respects_cap():
+    """A cached sum whose cutoff exceeds the caller's cap must not serve it."""
+    shifted_nested_sum((3,), 0, target=1e-10)
+    with pytest.raises(PrecisionUnreachableError):
+        shifted_nested_sum((3,), 0, target=1e-10, cap=20)
 
 
 class TestBounds:

@@ -23,6 +23,10 @@ lab.MtCombo({Composition((2,)): 1}).evaluate(mp.mpc(0.3, 0.7))
 from multitangent import zetasum
 assert zetasum.shifted_nested_sum.__name__ == "wrapper"
 zetasum.shifted_nested_sum((2, 1), 0, target=1e-10)
+from multitangent.basis_table import MzvBasisTable
+assert isinstance(MzvBasisTable.__dict__["load"], classmethod)
+assert MzvBasisTable.__dict__["load"].__func__.__name__ == "wrapper"
+assert MzvBasisTable.substitute.__name__ == "wrapper"
 """
 
 
