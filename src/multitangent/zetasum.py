@@ -8,18 +8,22 @@ multiple zeta values; a complex shift gives one-sided Hurwitz-type sums.
 
 Method
 ------
-Exact partial sums up to a cutoff N are computed by a running prefix pass.
-The truncated remainder at each nesting level is completed through the
-Euler-Maclaurin formula applied to the level's weight function, which is a
-finite combination of terms (t+z)^(-a) * log(t+z)^b.  That function class is
-closed under differentiation and antidifferentiation, so correction terms
-stay in closed form, and the Euler-Maclaurin remainder is bounded by
-2*zeta(2K)/(2pi)^(2K) * integral of |f^(2K)|, evaluated termwise by integral
-comparison.  The order K is fixed (``_EM_ORDER``).  One derivative chain per
-term serves both parts: its odd derivatives g', g''', ..., g^(2K-1) feed the
-Bernoulli corrections, and one more derivative gives the g^(2K) that the
-remainder bound integrates.  All truncation errors are accumulated into a
-single envelope that is returned with the value.
+Exact partial sums up to a cutoff N are computed by a running prefix pass
+that forms each power (m+z)^(-s) once per distinct exponent.  The truncated
+remainder at each nesting level is completed through the Euler-Maclaurin
+formula applied to the level's weight function, a finite combination of
+terms c * g with g = (t+z)^(-a) * log(t+z)^b.  That class is closed under
+differentiation and antidifferentiation, so the completion
+G = antideriv(g) - g/2 + sum_k B_2k/(2k)! g^(2k-1) and the g^(2K) whose
+integral bounds the remainder stay in closed form.  Both depend only on the
+shape (a, b): they are derived once in exact rational arithmetic and kept as
+integers over one common denominator in a bounded cache that is independent
+of the working precision.  The remainder bound 2*zeta(2K)/(2pi)^(2K) *
+integral of |g^(2K)| is evaluated by integral comparison once per shape and
+call, as rho(a, b), and the term adds |c| * rho(a, b).  The order K is fixed
+(``_EM_ORDER``).  Each level's expansion is evaluated at N from powers of
+1/(N+z) and log(N+z) formed once per call.  All truncation errors are
+accumulated into a single envelope that is returned with the value.
 
 Convergence requires s_1 >= 2; interior and trailing parts may equal 1, in
 which case the intermediate expansions pick up log powers.
@@ -27,7 +31,11 @@ which case the intermediate expansions pick up log powers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -84,18 +92,6 @@ def _cls_antideriv(cls_fn: Cls) -> Cls:
     return out
 
 
-def _cls_eval(cls_fn: Cls, t, z):
-    u = t + z
-    lg = mp.log(u) if any(b for (_, b) in cls_fn) else None
-    total = mp.mpf(0)
-    for (a, b), c in cls_fn.items():
-        term = c * mp.power(u, -a) if a else c
-        if b:
-            term = term * lg**b
-        total += term
-    return total
-
-
 def _sup_powlog(a: int, b: int, n: float):
     """sup over t >= n of t^(-a) log^b t, for a >= 1 (unimodal in t)."""
     if b == 0:
@@ -106,22 +102,25 @@ def _sup_powlog(a: int, b: int, n: float):
     return mp.exp(-b) * mp.mpf(b / a) ** b
 
 
-def _int_powlog(a: int, b: int, n: float):
-    """integral over [n, inf) of t^(-a) log^b t dt, for a >= 2."""
+@functools.lru_cache(maxsize=1024)
+def _int_powlog(a: int, b: int, n: int, prec: int):
+    """integral over [n, inf) of t^(-a) log^b t dt, for a >= 2, at ``prec``
+    bits (the caller's working precision, part of the cache key)."""
     if a < 2:
         raise ValueError("tail integral needs a >= 2")
-    total = mp.mpf(0)
-    fac = mp.mpf(1)
-    lg = mp.log(n)
-    for j in range(b, -1, -1):
-        total += fac * lg**j / (a - 1)
-        fac = fac * j / (a - 1)
-    return total * mp.power(n, 1 - a)
+    with mp.workprec(prec):
+        total = mp.mpf(0)
+        fac = mp.mpf(1)
+        lg = mp.log(n)
+        for j in range(b, -1, -1):
+            total += fac * lg**j / (a - 1)
+            fac = fac * j / (a - 1)
+        return total * mp.power(n, 1 - a)
 
 
 def _tail_sum_bound(a: int, b: int, n: float):
     """Upper bound for sum over integers m >= n of m^(-a) log^b m, a >= 2."""
-    return _int_powlog(a, b, n) + _sup_powlog(a, b, n)
+    return _int_powlog(a, b, n, mp.mp.prec) + _sup_powlog(a, b, n)
 
 
 class _Expansion:
@@ -150,78 +149,122 @@ def _abs_fudges(z, n0: int) -> tuple[mp.mpf, mp.mpf]:
     return pow_fudge, log_fudge
 
 
-def _em_remainder_bound(deriv: Cls, n0: int, fudges, kernel):
-    """Bound on the Euler-Maclaurin remainder for a sum over [n0, inf) whose
-    summand has 2K-th derivative ``deriv``: kernel * integral of |deriv|."""
-    pow_fudge, log_fudge = fudges
-    total = mp.mpf(0)
-    for (a, b), c in deriv.items():
-        total += abs(c) * pow_fudge**a * log_fudge**b * _int_powlog(a, b, n0)
-    return kernel * total
+@functools.lru_cache(maxsize=1024)
+def _em_template(a: int, b: int) -> tuple[int, tuple, tuple]:
+    """Exact Euler-Maclaurin data ``(D, G, R)`` of g = (t+z)^(-a) log^b(t+z).
+
+    G = antideriv(g) - g/2 + sum_k B_2k/(2k)! g^(2k-1) is sum N/D *
+    (t+z)^(-a') log^b'(t+z) over the flat triples (a', b', N, a', b', N, ...)
+    of ``G``; R holds the integer coefficients of g^(2K) in the same layout.
+    """
+    chain = [{(a, b): Fraction(1)}]
+    for _ in range(2 * _EM_ORDER):
+        chain.append(_cls_diff(chain[-1]))
+    G = _cls_antideriv(chain[0])
+    _cls_add(G, (a, b), Fraction(-1, 2))
+    for k in range(1, _EM_ORDER + 1):
+        factor = Fraction(*mp.bernfrac(2 * k)) / math.factorial(2 * k)
+        for key, c in chain[2 * k - 1].items():
+            _cls_add(G, key, factor * c)
+    D = math.lcm(*(c.denominator for c in G.values()))
+    flat_g = tuple(x for (a2, b2), c in G.items() for x in (a2, b2, int(c * D)))
+    flat_r = tuple(x for (a2, b2), c in chain[-1].items() for x in (a2, b2, int(c)))
+    return D, flat_g, flat_r
 
 
-def _level_step(
-    s_j: int, inner: _Expansion, prefix_at_n0, n0: int, z, fudges, factors, kernel
-) -> _Expansion:
+def _triples(flat: tuple):
+    it = iter(flat)
+    return zip(it, it, it)
+
+
+class _Cutoff:
+    """What every level of one call at cutoff n0 shares: the envelope
+    fudges, the remainder kernel 2 zeta(2K)/(2 pi)^(2K), rho per term shape,
+    and the powers u^(-a), log(u)^b at u = n0 + z."""
+
+    def __init__(self, z, n0: int):
+        self.n0 = n0
+        self.fudges = _abs_fudges(z, n0)
+        self.kernel = 2 * mp.zeta(2 * _EM_ORDER) / (2 * mp.pi) ** (2 * _EM_ORDER)
+        u = n0 + z
+        self.inv_pow = [mp.mpf(1), mp.mpf(1) / u]  # u^(-a), grown on demand
+        self.log_pow = [mp.mpf(1), mp.log(u)]  # log(u)^b, grown on demand
+        self.rhos: dict = {}
+
+    def rho(self, a: int, b: int):
+        """Remainder bound for the sum over [n0, inf) of (t+z)^(-a) log^b(t+z):
+        kernel * integral of a real envelope of |g^(2K)|."""
+        r = self.rhos.get((a, b))
+        if r is None:
+            pow_fudge, log_fudge = self.fudges
+            total = mp.mpf(0)
+            for a2, b2, d in _triples(_em_template(a, b)[2]):
+                envelope = abs(d) * pow_fudge**a2 * log_fudge**b2
+                total += envelope * _int_powlog(a2, b2, self.n0, mp.mp.prec)
+            r = self.rhos[(a, b)] = self.kernel * total
+        return r
+
+    def evaluate(self, cls_fn: Cls):
+        """cls_fn at t = n0."""
+        inv, logs = self.inv_pow, self.log_pow
+        total = mp.mpf(0)
+        for (a, b), c in cls_fn.items():
+            while len(inv) <= a:
+                inv.append(inv[-1] * inv[1])
+            while len(logs) <= b:
+                logs.append(logs[-1] * logs[1])
+            total += c * inv[a] * logs[b] if b else c * inv[a]
+        return total
+
+
+def _level_step(s_j: int, inner: _Expansion, prefix, cut: _Cutoff) -> _Expansion:
     """Expansion for P_j from the expansion of P_{j+1}.
 
     P_j(n) = P_j(N) + sum_{m=N}^{n-1} (m+z)^(-s_j) P_{j+1}(m); the sum over
-    each class term g is G(n) - G(N) + R with
-    G = antideriv(g) - g/2 + sum_k B_2k/(2k)! g^(2k-1)  and |R| <= rho(g).
-    ``factors`` holds B_2k/(2k)! for k = 1..K and ``kernel`` the remainder
-    kernel 2 zeta(2K)/(2 pi)^(2K).
+    each class term c*g is c*(G(n) - G(N)) + R with |R| <= |c| rho(g) and G
+    from ``_em_template``.
     """
     w = _cls_scale_shift(inner.body, s_j)
     _cls_add(w, (s_j, 0), inner.const)
 
     body: Cls = {}
-    env: Cls = {}
     rho_total = mp.mpf(0)
-    for key, coef in w.items():
-        G = _cls_antideriv({key: coef})
-        _cls_add(G, key, -coef / 2)
-        deriv = {key: coef}
-        for k, factor in enumerate(factors):
-            # deriv = g^(2k+1)
-            deriv = _cls_diff(_cls_diff(deriv)) if k else _cls_diff(deriv)
-            for dkey, dcoef in deriv.items():
-                _cls_add(body, dkey, factor * dcoef)
-        for gkey, gcoef in G.items():
-            _cls_add(body, gkey, gcoef)
-        rho_total += _em_remainder_bound(_cls_diff(deriv), n0, fudges, kernel)
-    _cls_add(env, (0, 0), rho_total)
+    for (a, b), coef in w.items():
+        D, flat_g, _ = _em_template(a, b)
+        q = coef / D
+        for a2, b2, n in _triples(flat_g):
+            _cls_add(body, (a2, b2), q * n)
+        rho_total += abs(coef) * cut.rho(a, b)
+    env: Cls = {(0, 0): rho_total}
 
     # propagate the inner envelope through sum_{m=N}^{n-1} |(m+z)^-s_j| env(m)
-    pow_fudge, log_fudge = fudges
+    pow_fudge, log_fudge = cut.fudges
     for (a, b), c in inner.env.items():
         alpha = a + s_j
         c_real = c * pow_fudge ** (a + s_j) * log_fudge**b
         if alpha >= 2:
-            _cls_add(env, (0, 0), c_real * _tail_sum_bound(alpha, b, n0))
+            _cls_add(env, (0, 0), c_real * _tail_sum_bound(alpha, b, cut.n0))
         else:
             # alpha == 1: sum_{m=N}^{n-1} log^b(m)/m <= log^{b+1}(n)
             _cls_add(env, (0, b + 1), c_real)
 
-    const = prefix_at_n0 - _cls_eval(body, n0, z)
+    const = prefix - cut.evaluate(body)
     return _Expansion(const, body, env)
 
 
 def _exact_prefixes(exponents: tuple[int, ...], z, n0: int) -> list:
-    """prefix[j] = nested partial sum of levels j.. over chains below n0,
-    j = 0..r-1.  Each level's running sums are kept only while the next
-    level is built."""
-    current = [mp.mpf(1)] * (n0 + 1)
+    """Nested partial sums of levels j.. over chains below n0, for
+    j = r-1 down to 0.  Each level's running sums are kept only while the
+    next level is built."""
+    # an mp numerator: with a Python-int z, 1 / (m + z) would be a float
+    recip = [mp.mpf(1) / (m + z) for m in range(1, n0)]
+    powers = {s: recip if s == 1 else [r**s for r in recip] for s in set(exponents)}
+    current = [mp.mpf(1)] * (n0 - 1)  # current[m-1]: partial sum below m
     at_n0 = []
     for s_j in reversed(exponents):
-        nxt = [mp.mpf(0)] * (n0 + 1)
-        acc = mp.mpf(0)
-        for n in range(2, n0 + 1):
-            m = n - 1
-            acc = acc + mp.power(m + z, -s_j) * current[m]
-            nxt[n] = acc
-        at_n0.append(acc)
-        current = nxt
-    at_n0.reverse()
+        terms = map(operator.mul, powers[s_j], current)
+        current = list(itertools.accumulate(terms, initial=mp.mpf(0)))
+        at_n0.append(current.pop())
     return at_n0
 
 
@@ -229,8 +272,7 @@ def shifted_nested_sum_fixed(
     exponents: tuple[int, ...], z, n0: int
 ) -> tuple[mp.mpc, mp.mpf]:
     """One-shot evaluation with cutoff n0; returns (value, error bound)."""
-    r = len(exponents)
-    if r == 0:
+    if not exponents:
         return mp.mpc(1), mp.mpf(0)
     if exponents[0] < 2:
         raise ValueError(f"divergent nested sum: leading exponent {exponents[0]} < 2")
@@ -240,25 +282,12 @@ def shifted_nested_sum_fixed(
         raise ValueError("cutoff too small for the tail bounds")
 
     prefixes = _exact_prefixes(exponents, z, n0)
-    fudges = _abs_fudges(z, n0)
-    factors = [
-        mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, _EM_ORDER + 1)
-    ]
-    kernel = 2 * mp.zeta(2 * _EM_ORDER) / (2 * mp.pi) ** (2 * _EM_ORDER)
+    cut = _Cutoff(z, n0)
     expansion = _Expansion(mp.mpc(1), {}, {})  # empty chain below every n
-    for j in range(r - 1, -1, -1):
-        expansion = _level_step(
-            exponents[j], expansion, prefixes[j], n0, z, fudges, factors, kernel
-        )
-
-    # Leading exponent >= 2 so the top-level body and envelope decay.
-    value = expansion.const
-    err = mp.mpf(0)
-    for (a, b), c in expansion.env.items():
-        if a == 0 and b > 0:
-            raise AssertionError("growing envelope at top level")
-        err += c if a == 0 else c * _sup_powlog(a, b, n0)
-    return value, err
+    for s_j, prefix in zip(reversed(exponents), prefixes):
+        expansion = _level_step(s_j, expansion, prefix, cut)
+    # s_0 >= 2 and inner envelopes are keyed (0, b): all top-level error is (0, 0)
+    return expansion.const, expansion.env.get((0, 0), mp.mpf(0))
 
 
 _cache: dict = {}
@@ -283,7 +312,7 @@ def shifted_nested_sum(
     if hit is not None and hit[1] <= target and hit[2] <= cap:
         return hit[:2]
 
-    n0 = max(16, int(4 * (1 + abs(z))) + 1, 48)
+    n0 = max(int(4 * (1 + abs(z))) + 1, 48)
     best: tuple | None = None
     while n0 <= cap:
         best = shifted_nested_sum_fixed(exponents, z, n0)

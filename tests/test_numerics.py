@@ -24,7 +24,12 @@ from multitangent.numerics import (
 )
 from multitangent.reduction import reduce
 from multitangent.words import Composition, enumerate_compositions
-from multitangent.zetasum import certified_product, shifted_nested_sum
+from multitangent import zetasum
+from multitangent.zetasum import (
+    certified_product,
+    shifted_nested_sum,
+    shifted_nested_sum_fixed,
+)
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
@@ -216,6 +221,109 @@ def test_cached_nested_sum_respects_cap():
     shifted_nested_sum((3,), 0, target=1e-10)
     with pytest.raises(PrecisionUnreachableError):
         shifted_nested_sum((3,), 0, target=1e-10, cap=20)
+
+
+class TestEulerMaclaurinEngine:
+    @pytest.mark.parametrize("z", ["0", "0.3+0.7i"])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    @pytest.mark.parametrize("a", [1, 2, 3, 5])
+    def test_template_obeys_euler_maclaurin(self, a, b, z):
+        """sum_{m=N}^{n-1} g(m) = G(n) - G(N) + R with |R| <= rho(a, b)."""
+        with mp.workprec(200):
+            z = 0 if z == "0" else mp.mpc("0.3", "0.7")
+            D, flat_g, _ = zetasum._em_template(a, b)
+
+            def G(t):
+                terms = zetasum._triples(flat_g)
+                return mp.fsum(
+                    num * mp.power(t + z, -a2) * mp.log(t + z) ** b2 for a2, b2, num in terms
+                ) / D
+
+            N, n = 48, 248
+            g = [mp.power(m + z, -a) * mp.log(m + z) ** b for m in range(N, n)]
+            rho = zetasum._Cutoff(z, N).rho(a, b)
+            assert abs(mp.fsum(g) - (G(n) - G(N))) <= rho
+
+    def test_caches_do_not_leak_precision(self):
+        def run():
+            with mp.workprec(200):
+                v, e = shifted_nested_sum_fixed((3, 1, 2), 0.3 + 0.7j, 48)
+                return v.real._mpf_, v.imag._mpf_, e._mpf_
+
+        caches = (zetasum._em_template, zetasum._int_powlog)
+        with mp.workprec(64):
+            shifted_nested_sum_fixed((3, 1, 2), 0.3 + 0.7j, 48)
+        warm = run()
+        for cache in caches:
+            cache.cache_clear()
+        assert run() == warm
+        assert all(cache.cache_info().maxsize is not None for cache in caches)
+
+    def test_python_int_shift_stays_in_mp_arithmetic(self):
+        # with float arithmetic anywhere the error would be near 1e-17
+        with mp.workprec(200):
+            v, e = shifted_nested_sum_fixed((3,), 0, 48)
+            assert e < mp.mpf("1e-20")
+            assert abs(v - mp.zeta(3)) <= e
+
+    # (value, bound) of the engine at 128 bits, default target, pinned so
+    # later changes to the cutoff or the rounding have a fixed reference
+    GOLDEN = [
+        (
+            (2,),
+            ("0", "0"),
+            "1.64493406684822643647241509630888624473646",
+            "0.0",
+            "3.52516390356720873138448259042e-23",
+        ),
+        (
+            (3, 1, 2),
+            ("0", "0"),
+            "0.0792213975652071659990327885973465636921836",
+            "0.0",
+            "7.98798512964936888168082454086e-23",
+        ),
+        (
+            (2, 1, 1, 1, 1, 1, 1),
+            ("0", "0"),
+            "1.00407735619794433937868523520145753719794",
+            "0.0",
+            "2.31633199980870084280178045279e-16",
+        ),
+        (
+            (4, 1),
+            ("0.3", "0.7"),
+            "0.00648879408786032986777054326336256916392558",
+            "-0.034908260777300853281468509044513844548512",
+            "5.82221724617657314695239385252e-24",
+        ),
+        (
+            (2, 2, 1),
+            ("0.3", "0.7"),
+            "0.0669311576546047760975157591231984285385678",
+            "-0.0917892136696148919189774964050295441684103",
+            "1.10514497989745371167843959134e-22",
+        ),
+        (
+            (3,),
+            ("-1.6", "-0.4"),
+            "-3.06086468680552691564219169658722633762081",
+            "6.81157389906611305658318267792551167665005",
+            "8.06524226855569763398229507803e-24",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "parts, z, re, im, bound",
+        GOLDEN,
+        ids=[f"{','.join(map(str, g[0]))}@{g[1][0]},{g[1][1]}" for g in GOLDEN],
+    )
+    def test_golden_values(self, parts, z, re, im, bound):
+        with mp.workprec(128):
+            v, e = shifted_nested_sum(parts, mp.mpc(*z))
+            bound = mp.mpf(bound)
+            assert abs(v - mp.mpc(re, im)) <= mp.mpf("1e-6") * bound
+            assert abs(e - bound) <= mp.mpf("1e-20") * bound
 
 
 class TestBounds:
