@@ -35,7 +35,6 @@ from .words import Composition, WordPoly, enumerate_compositions, shuffle, stuff
 
 #: Basis monomials per weight, each monomial a tuple of index tuples.
 BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
-    0: (((),),),
     2: (((2,),),),
     3: (((3,),),),
     4: (((4,),),),
@@ -45,7 +44,7 @@ BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
     8: (((8,),), ((3,), (5,)), ((2,), (3,), (3,)), ((6, 2),)),
 }
 
-MAX_WEIGHT = 8
+MAX_WEIGHT = max(BASES)
 
 #: Every entry must match its symbol numerically to this absolute error.
 VERIFY_TOLERANCE = 1e-10
@@ -53,7 +52,7 @@ _VERIFY_CONTEXT = NumericContext(target_abs_error=VERIFY_TOLERANCE / 4)
 
 
 def _basis_monomial(mono: tuple[tuple[int, ...], ...]) -> MzvMonomial:
-    return MzvMonomial(Composition(f) for f in mono if f)
+    return MzvMonomial(Composition(f) for f in mono)
 
 
 def _letters(s: Composition) -> Composition:

@@ -60,11 +60,11 @@ class MtCombo(LinearCombination):
         weights = {c.weight for c in self._terms}
         return weights.pop() if len(weights) == 1 else None
 
-    def evaluate(self, z, ctx: NumericContext = DEFAULT_CONTEXT, method: str = "direct"):
-        fn = multitangent_eval_direct if method == "direct" else multitangent_eval_reduced
+    def evaluate(self, z, ctx: NumericContext = DEFAULT_CONTEXT):
         total = mp.mpc(0)
         for comp, coef in self.items():
-            total += mp.mpf(coef.numerator) / coef.denominator * fn(comp, z, ctx)
+            scale = mp.mpf(coef.numerator) / coef.denominator
+            total += scale * multitangent_eval_direct(comp, z, ctx)
         return total
 
     def _term_str(self, comp: Composition, coef: Fraction) -> str:
@@ -92,38 +92,36 @@ def _as_fraction(coef: PiRational) -> Fraction:
 Slot = tuple[int, MzvMonomial]
 
 
+def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
+    """The Te^k coefficient ``expr`` over the zeta basis, keyed by slot."""
+    sub = MzvBasisTable.shared().substitute(linearize(expr))
+    return {(k, mono): _as_fraction(coef) for mono, coef in sub.items()}
+
+
 @lru_cache(maxsize=None)
 def _slot_vector_cached(comp: Composition) -> tuple[tuple[Slot, Fraction], ...]:
-    table = MzvBasisTable.shared()
     red = reduce(comp)
     if red.constant:
         raise ValueError(f"Te[{comp}] reduces with a constant term")
     entries: dict[Slot, Fraction] = {}
     for k, expr in red.coeffs.items():
-        if k == 1:
-            # the Te^1 block must cancel: exactly when the table covers its
-            # weight, numerically one weight past the table's edge
-            try:
-                sub = table.substitute(linearize(expr))
-            except CoverageError:
-                residual = float(abs(mzv_numeric(expr, DEFAULT_CONTEXT)))
-                if residual > 1e-8 * max(1, len(expr)):
-                    raise NumericRecheckError(
-                        f"Te^1 coefficient of {comp} is {residual:.3e}"
-                    )
-                continue
-            if sub:
+        if k != 1:
+            entries.update(_slots(k, expr))
+            continue
+        # the Te^1 block must cancel: exactly when the table covers its
+        # weight, numerically one weight past the table's edge
+        try:
+            if _slots(1, expr):
                 raise NumericRecheckError(
                     f"Te^1 coefficient of {comp} fails exact cancellation"
                 )
-            continue
-        sub = table.substitute(linearize(expr))
-        for mono, coef in sub.items():
-            frac = _as_fraction(coef)
-            if frac:
-                slot = (k, mono)
-                entries[slot] = entries.get(slot, Fraction(0)) + frac
-    return tuple(sorted(entries.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+        except CoverageError:
+            residual = float(abs(mzv_numeric(expr, DEFAULT_CONTEXT)))
+            if residual > 1e-8 * max(1, len(expr)):
+                raise NumericRecheckError(
+                    f"Te^1 coefficient of {comp} is {residual:.3e}"
+                )
+    return tuple(entries.items())
 
 
 def slot_vector(comp: Composition) -> dict[Slot, Fraction]:
@@ -132,14 +130,15 @@ def slot_vector(comp: Composition) -> dict[Slot, Fraction]:
     return dict(_slot_vector_cached(comp))
 
 
-def _assemble(rows: list[Composition]) -> tuple[list[Slot], Matrix]:
+def _system(rows: list[Composition]) -> tuple[list[Slot], Matrix]:
+    """The slots and the slots-by-rows matrix whose column j is the slot
+    vector of rows[j]."""
     vectors = [slot_vector(s) for s in rows]
     slots = sorted(
         {slot for vec in vectors for slot in vec},
         key=lambda sl: (sl[0], sl[1].sort_key()),
     )
-    matrix = [[vec.get(slot, Fraction(0)) for slot in slots] for vec in vectors]
-    return slots, matrix
+    return slots, [[vec.get(slot, Fraction(0)) for vec in vectors] for slot in slots]
 
 
 def _require_coverage(weight: int) -> None:
@@ -152,6 +151,16 @@ def _require_coverage(weight: int) -> None:
         )
 
 
+def _recheck(what: str, lhs, combo: MtCombo, ctx: NumericContext) -> None:
+    """Require lhs(z) == combo(z) within RECHECK_TOL at the sample points."""
+    for z in sample_points(2):
+        diff = abs(lhs(z) - combo.evaluate(z, ctx))
+        if diff > RECHECK_TOL:
+            raise NumericRecheckError(
+                f"{what} fails recheck at {z}: |diff| = {float(diff):.3e}"
+            )
+
+
 def relation_kernel(
     p: int, ctx: NumericContext = DEFAULT_CONTEXT, recheck: bool = True
 ) -> list[MtCombo]:
@@ -162,57 +171,50 @@ def relation_kernel(
         raise ValueError("relation kernels start at weight 4")
     _require_coverage(p)
     rows = enumerate_compositions(p, "convergent")
-    slots, matrix = _assemble(rows)
-    transposed = [[matrix[j][i] for j in range(len(rows))] for i in range(len(slots))]
-    combos = [
-        MtCombo({rows[j]: vec[j] for j in range(len(rows))})
-        for vec in nullspace(transposed)
-    ]
+    combos = [MtCombo(dict(zip(rows, vec))) for vec in nullspace(_system(rows)[1])]
     if recheck:
         for combo in combos:
-            for z in sample_points(2):
-                value = abs(combo.evaluate(z, ctx))
-                if value > RECHECK_TOL:
-                    raise NumericRecheckError(
-                        f"kernel relation {combo} evaluates to {float(value):.3e} at {z}"
-                    )
+            _recheck(f"kernel relation {combo}", lambda z: 0, combo, ctx)
     return combos
 
 
 def kernel_contains(p: int, combo: MtCombo) -> bool:
-    """Membership of a combination in the weight-p relation kernel, over Q."""
-    kernel = relation_kernel(p, recheck=False)
-    rows = enumerate_compositions(p, "convergent")
-    basis = [[vec[s] for s in rows] for vec in kernel]
-    target = [combo[s] for s in rows]
-    from .linalg import in_row_span
+    """Membership of a combination in the weight-p relation kernel, over Q:
+    whether the slot vectors of its terms cancel.
 
-    return in_row_span(basis, target)
-
-
-def _target_vector_for_zeta(sigma: Composition) -> dict[Slot, Fraction]:
-    """Slot vector of the product Ze[sigma] * Te^2."""
-    table = MzvBasisTable.shared()
-    sub = table.substitute(linearize(CoeffExpr.symbol(sigma)))
-    out: dict[Slot, Fraction] = {}
-    for mono, coef in sub.items():
-        out[(2, mono)] = _as_fraction(coef)
-    return out
+    Every term must be a convergent multitangent of weight p (first and last
+    part >= 2); any other term raises ValueError naming it.
+    """
+    if p < 4:
+        raise ValueError("relation kernels start at weight 4")
+    _require_coverage(p)
+    stray = [
+        s
+        for s, _ in combo.items()
+        if s.weight != p or not is_multitangent_convergent(s)
+    ]
+    if stray:
+        raise ValueError(
+            f"terms outside the weight-{p} convergent multitangents: "
+            + ", ".join(f"Te[{s}]" for s in stray)
+        )
+    image: dict[Slot, Fraction] = {}
+    for s, coef in combo.items():
+        for slot, value in slot_vector(s).items():
+            image[slot] = image.get(slot, Fraction(0)) + coef * value
+    return not any(image.values())
 
 
 def _solve_for_combo(
     rows: list[Composition], target: dict[Slot, Fraction]
 ) -> MtCombo | None:
-    slots, matrix = _assemble(rows)
-    slot_set = set(slots)
-    if any(slot not in slot_set for slot in target if target[slot]):
+    slots, system = _system(rows)
+    if not target.keys() <= set(slots):
         return None
-    system = [[matrix[j][i] for j in range(len(rows))] for i in range(len(slots))]
-    rhs = [target.get(slot, Fraction(0)) for slot in slots]
-    x = solve(system, rhs)
+    x = solve(system, [target.get(slot, Fraction(0)) for slot in slots])
     if x is None:
         return None
-    return MtCombo({rows[j]: x[j] for j in range(len(rows))})
+    return MtCombo(dict(zip(rows, x)))
 
 
 def projection(
@@ -228,22 +230,20 @@ def projection(
         raise ValueError("sigma must index a convergent zeta value")
     w = sigma.weight + 2
     _require_coverage(w)
-    rows = [s for s in enumerate_compositions(w, "val2")]
-    combo = _solve_for_combo(rows, _target_vector_for_zeta(sigma))
+    rows = enumerate_compositions(w, "val2")
+    combo = _solve_for_combo(rows, _slots(2, CoeffExpr.symbol(sigma)))
     if combo is None:
         raise ProjectionUnavailableError(
             f"projection of Ze[{sigma}] not found at weight {w}"
         )
     if recheck:
         zeta_val = mzv_numeric(CoeffExpr.symbol(sigma), ctx)
-        for z in sample_points(2):
-            lhs = zeta_val * monotangent_eval(2, z, ctx)
-            rhs = combo.evaluate(z, ctx)
-            if abs(lhs - rhs) > RECHECK_TOL:
-                raise NumericRecheckError(
-                    f"projection of Ze[{sigma}] fails recheck at {z}: "
-                    f"|diff| = {float(abs(lhs - rhs)):.3e}"
-                )
+        _recheck(
+            f"projection of Ze[{sigma}]",
+            lambda z: zeta_val * monotangent_eval(2, z, ctx),
+            combo,
+            ctx,
+        )
     return combo
 
 
@@ -271,18 +271,12 @@ def unit_cleanse(
     if combo is None:
         raise ProjectionUnavailableError(f"no unit-free form found for Te[{s}]")
     if recheck:
-        for z in sample_points(2):
-            lhs = (
-                multitangent_eval_direct(s, z, ctx)
-                if is_multitangent_convergent(s)
-                else multitangent_eval_reduced(s, z, ctx)
-            )
-            rhs = combo.evaluate(z, ctx)
-            if abs(lhs - rhs) > RECHECK_TOL:
-                raise NumericRecheckError(
-                    f"cleansing of Te[{s}] fails recheck at {z}: "
-                    f"|diff| = {float(abs(lhs - rhs)):.3e}"
-                )
+        te = (
+            multitangent_eval_direct
+            if is_multitangent_convergent(s)
+            else multitangent_eval_reduced
+        )
+        _recheck(f"cleansing of Te[{s}]", lambda z: te(s, z, ctx), combo, ctx)
     return combo
 
 
@@ -311,10 +305,7 @@ def rank_matrix(p: int, ctx: NumericContext = DEFAULT_CONTEXT) -> tuple[RankMatr
     _require_coverage(p + 2)
     basis = table.basis(p)
     rows = [s for s in enumerate_compositions(p + 2, "val2") if s.length >= 2]
-    entries: Matrix = []
-    for s in rows:
-        vec = slot_vector(s)
-        entries.append([vec.get((2, mono), Fraction(0)) for mono in basis])
+    entries = [te2_basis_coefficient(s) for s in rows]
     r = rank(entries)
     return RankMatrix(weight=p, rows=rows, basis=basis, entries=entries, rank=r), r
 

@@ -83,10 +83,3 @@ def solve(m: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
         x[pc] = red[r][cols]
     return x
 
-
-def in_row_span(m: Matrix, vec: list[Fraction]) -> bool:
-    """Whether ``vec`` is a rational combination of the rows of ``m``."""
-    if not m:
-        return not any(vec)
-    base_rank = rank(m)
-    return rank(m + [vec]) == base_rank

@@ -117,24 +117,11 @@ def linearize(expr: CoeffExpr) -> CoeffExpr:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def bernoulli_fraction(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2)."""
-    if n == 0:
-        return Fraction(1)
-    row = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
-
-
 def even_zeta(n: int) -> PiRational:
     """zeta(2n) as an exact rational multiple of pi^(2n)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    b = bernoulli_fraction(2 * n)
+    b = Fraction(*mp.bernfrac(2 * n))
     coef = Fraction((-1) ** (n + 1)) * b * Fraction(2 ** (2 * n - 1), math.factorial(2 * n))
     return PiRational({2 * n: coef})
 

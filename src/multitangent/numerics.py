@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -33,33 +34,23 @@ def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
     return z
 
 
-_COT_POLY_CACHE: dict[int, dict[int, Fraction]] = {}
-
-
+@lru_cache(maxsize=64)
 def cot_poly(k: int) -> dict[int, Fraction]:
     """Te^k / pi^k as an exact polynomial in c = cot(pi z): degree -> rational.
 
     Te^1 = pi c, and Te^(k+1) = -(1/k) d/dz Te^k with c' = -pi (1 + c^2),
-    so the recurrence stays polynomial and every Te^k carries pi^k overall.
+    so the recurrence stays polynomial and every Te^k carries pi^k overall;
+    the caller multiplies pi^k back in.
     """
     if k < 1:
         raise ValueError("monotangent order must be >= 1")
-    if k in _COT_POLY_CACHE:
-        return _COT_POLY_CACHE[k]
-    # Te^k carries an overall pi^k; the cache stores the rational polynomial
-    # in c and the caller multiplies pi^k back in.
-    rat: dict[int, Fraction] = {1: Fraction(1)}
-    order = 1
-    _COT_POLY_CACHE[1] = dict(rat)
-    while order < k:
-        nxt: dict[int, Fraction] = {}
-        for j, a in rat.items():
-            for jj in (j - 1, j + 1):
-                nxt[jj] = nxt.get(jj, Fraction(0)) + a * j
-        rat = {j: a / order for j, a in nxt.items() if a}
-        order += 1
-        _COT_POLY_CACHE[order] = dict(rat)
-    return _COT_POLY_CACHE[k]
+    if k == 1:
+        return {1: Fraction(1)}
+    nxt: dict[int, Fraction] = {}
+    for j, a in cot_poly(k - 1).items():
+        for jj in (j - 1, j + 1):
+            nxt[jj] = nxt.get(jj, Fraction(0)) + a * j
+    return {j: a / (k - 1) for j, a in nxt.items() if a}
 
 
 def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):

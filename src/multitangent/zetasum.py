@@ -348,18 +348,18 @@ def certified_product(parts) -> tuple:
 
 
 def brute_nested_sum(exponents: tuple[int, ...], z=0, n0: int = 60) -> mp.mpc:
-    """Plain truncated nested summation; test oracle, no error control."""
-    r = len(exponents)
-    if r == 0:
-        return mp.mpc(1)
+    """Plain truncated nested summation; test oracle, no error control.
 
-    def rec(level: int, upper: int) -> mp.mpc:
-        if level == r:
-            return mp.mpc(1)
-        s = exponents[level]
+    One running-sum pass per level, innermost first: after the pass for
+    exponent s, inner[u] is the nested sum of that level and the deeper ones
+    over indices below u.
+    """
+    inner = [mp.mpc(1)] * (n0 + 1)
+    for s in reversed(exponents):
         total = mp.mpc(0)
-        for n in range(1, upper):
-            total += mp.power(n + z, -s) * rec(level + 1, n)
-        return total
-
-    return rec(0, n0)
+        outer = [total, total]
+        for n in range(1, n0):
+            total += mp.power(n + z, -s) * inner[n]
+            outer.append(total)
+        inner = outer
+    return inner[n0]

@@ -159,6 +159,14 @@ class TestRelationKernel:
     def test_non_member(self):
         assert not kernel_contains(6, MtCombo({C(2, 4): 1}))
 
+    def test_stray_terms_rejected(self):
+        # Te[3] has the wrong weight and Te[1,4,1] is divergent: neither is
+        # a weight-6 kernel coordinate, so neither may be dropped silently
+        relation = relation_kernel(6, recheck=False)[0]
+        for stray in (C(3), C(1, 4, 1)):
+            with pytest.raises(ValueError, match=rf"Te\[{stray}\]"):
+                kernel_contains(6, relation + MtCombo({stray: 5}))
+
 
 class TestDifferentiate:
     def test_single(self):
