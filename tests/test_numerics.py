@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -221,6 +222,97 @@ def test_cached_nested_sum_respects_cap():
     shifted_nested_sum((3,), 0, target=1e-10)
     with pytest.raises(PrecisionUnreachableError):
         shifted_nested_sum((3,), 0, target=1e-10, cap=20)
+
+
+def _counting_fixed(monkeypatch) -> list:
+    """Route shifted_nested_sum's fixed-cutoff calls through a counter."""
+    calls = []
+    fixed = zetasum.shifted_nested_sum_fixed
+
+    def counted(*args):
+        calls.append(args)
+        return fixed(*args)
+
+    monkeypatch.setattr(zetasum, "shifted_nested_sum_fixed", counted)
+    return calls
+
+
+def test_nested_sum_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(zetasum, "_cache", {})
+    size = zetasum._CACHE_SIZE
+    points = [mp.mpf(i) / 1024 for i in range(size + 40)]
+    with mp.workprec(64):
+        for z in points[:size]:
+            shifted_nested_sum((2,), z, target=1e-8)
+        shifted_nested_sum((2,), points[0], target=1e-8)  # a hit refreshes the oldest
+        for z in points[size:]:
+            shifted_nested_sum((2,), z, target=1e-8)
+        assert len(zetasum._cache) <= size
+        calls = _counting_fixed(monkeypatch)
+        shifted_nested_sum((2,), points[-1], target=1e-8)
+        shifted_nested_sum((2,), points[0], target=1e-8)
+        assert calls == []
+        shifted_nested_sum((2,), points[1], target=1e-8)  # evicted
+        assert len(calls) == 1
+
+
+def test_unreachable_target_is_refused_at_once(monkeypatch):
+    """Below the rounding of the working precision no cutoff helps, so the
+    first fixed-cutoff sum decides."""
+    monkeypatch.setattr(zetasum, "_cache", {})
+    calls = _counting_fixed(monkeypatch)
+    with mp.workprec(128):
+        with pytest.raises(PrecisionUnreachableError) as info:
+            shifted_nested_sum((3,), 0, target=1e-60)
+    assert len(calls) == 1
+    assert info.value.achieved > 1e-60
+
+
+def test_bound_covers_rounding_below_working_precision(monkeypatch):
+    monkeypatch.setattr(zetasum, "_cache", {})
+    with mp.workprec(128):
+        v, e = shifted_nested_sum((3,), 0, target=1e-45)
+    assert e <= 1e-45
+    with mp.workprec(300):
+        assert abs(v - mp.zeta(3)) <= e
+
+
+# convergent sequences of depth 1..6 over parts 1..4; shifts on a 1/16 grid,
+# 0 or with either sign of Im z
+_SEQUENCES = st.tuples(st.integers(2, 4), st.lists(st.integers(1, 4), max_size=5)).map(
+    lambda t: (t[0], *t[1])
+)
+_SHIFTS = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(-32, 32), st.integers(1, 32), st.sampled_from((-1, 1))).map(
+        lambda t: (t[0], t[1] * t[2])
+    ),
+)
+
+
+@given(_SEQUENCES, _SHIFTS, st.sampled_from((64, 128, 200)), st.integers(1, 40))
+@settings(max_examples=30, deadline=None)
+def test_certificate_covers_reference(parts, shift, prec, below):
+    """|value - reference| <= bound + reference bound, for the fixed cutoff
+    and for targets below 2^-prec; the reference is a 400-bit sum at
+    n0 = 144."""
+    z = mp.mpc(*shift) / 16
+    with mp.workprec(400):
+        ref, ref_bound = shifted_nested_sum_fixed(parts, z, 144)
+    results = []
+    # a fresh cache: these sums must not serve later tests at their targets
+    with mp.workprec(prec), mock.patch.dict(zetasum._cache, clear=True):
+        results.append(shifted_nested_sum_fixed(parts, z, 48))
+        target = 2.0 ** -(prec + below)
+        try:
+            results.append(shifted_nested_sum(parts, z, target=target, cap=48 * 27))
+        except PrecisionUnreachableError as exc:
+            assert exc.achieved > target
+        else:
+            assert results[-1][1] <= target
+    with mp.workprec(400):
+        for v, e in results:
+            assert abs(v - ref) <= e + ref_bound
 
 
 class TestEulerMaclaurinEngine:
