@@ -45,7 +45,6 @@ from .verify import SUITES, run_suite
 from .words import Composition
 from . import lab
 
-EXIT_OK = 0
 EXIT_RECHECK = 2
 EXIT_COVERAGE = 3
 

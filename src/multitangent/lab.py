@@ -98,7 +98,7 @@ def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
     return {(k, mono): _as_fraction(coef) for mono, coef in sub.items()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _slot_vector_cached(comp: Composition) -> tuple[tuple[Slot, Fraction], ...]:
     red = reduce(comp)
     if red.constant:
@@ -295,7 +295,7 @@ class RankMatrix:
         return [row[j] for row in self.entries]
 
 
-def rank_matrix(p: int, ctx: NumericContext = DEFAULT_CONTEXT) -> tuple[RankMatrix, int]:
+def rank_matrix(p: int) -> tuple[RankMatrix, int]:
     """Build the projection system at weight p: rows are the length >= 2,
     all-parts->=2 multitangents of weight p + 2, columns the declared zeta
     basis monomials of weight p; entries are the Te^2 coefficients of the
@@ -333,13 +333,13 @@ def conjectured_dimension(weight: int) -> int:
     return d[weight - 2]
 
 
-def dimension_report(p_max: int, ctx: NumericContext = DEFAULT_CONTEXT) -> list[dict]:
+def dimension_report(p_max: int) -> list[dict]:
     """Per weight: sequence count, kernel dimension, computed span dimension
     and the conjectural dimension."""
     out = []
     for w in range(2, p_max + 1):
         count = len(enumerate_compositions(w, "convergent"))
-        kdim = 0 if w < 4 else len(relation_kernel(w, ctx, recheck=False))
+        kdim = 0 if w < 4 else len(relation_kernel(w, recheck=False))
         out.append(
             {
                 "weight": w,
@@ -360,6 +360,13 @@ def _reduction_rows(p_max: int, include_divergent: bool):
                 continue
             red = reduce(s)
             yield s, convergent, red
+
+
+def _numeric(expr: CoeffExpr, ctx: NumericContext) -> str:
+    """A coefficient to 12 digits, or 0 where the certificate cannot tell it
+    from 0 (its digits would be truncation noise)."""
+    value = mzv_numeric(expr, ctx)
+    return "0" if abs(value) <= ctx.target_abs_error else mp.nstr(value, 12)
 
 
 def table_emit(
@@ -387,8 +394,7 @@ def table_emit(
             entry = red.to_json()
             entry["convergent"] = convergent
             entry["numeric_coeffs"] = {
-                str(k): mp.nstr(mzv_numeric(expr, ctx), 12)
-                for k, expr in sorted(red.coeffs.items())
+                str(k): _numeric(expr, ctx) for k, expr in sorted(red.coeffs.items())
             }
             payload.append(entry)
         return json.dumps(payload, indent=2) + "\n"
@@ -402,14 +408,5 @@ def table_emit(
         if not red.coeffs:
             writer.writerow([str(s), convergent, const, "", "", ""])
         for k, expr in sorted(red.coeffs.items()):
-            writer.writerow(
-                [
-                    str(s),
-                    convergent,
-                    const,
-                    k,
-                    str(expr),
-                    mp.nstr(mzv_numeric(expr, ctx), 12),
-                ]
-            )
+            writer.writerow([str(s), convergent, const, k, str(expr), _numeric(expr, ctx)])
     return buf.getvalue()

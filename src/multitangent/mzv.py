@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import PrecisionUnreachableError
 from .exact import CoeffExpr, PiRational
 from .words import Composition, WordPoly, stuffle
 from . import zetasum
@@ -60,7 +59,7 @@ def mzv_product(a: Composition, b: Composition) -> CoeffExpr:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def symmetrel_extend(s: Composition) -> CoeffExpr:
     """Value of Ze[s] in the unique stuffle-compatible extension with Ze[1]=0.
 
@@ -126,40 +125,45 @@ def even_zeta(n: int) -> PiRational:
     return PiRational({2 * n: coef})
 
 
-def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CONTEXT):
-    """Numeric value of an exact expression, certified to ctx.target_abs_error.
+def _coefficient(coef: PiRational):
+    """``coef.to_mpf()`` and its bound: a term q pi^k rounds at most k + 4
+    times (pi counting k times) and the sum once per term, each by 2^-prec
+    of sum |q| pi^k, counted twice over for the float rounding of that sum."""
+    size = rounds = 0
+    for k, q in coef.items():
+        size += abs(q.numerator) / q.denominator * math.pi**k
+        rounds = max(rounds, len(coef) + 4 + k)
+    return coef.to_mpf(), mp.ldexp(size * rounds, 1 - mp.mp.prec)
 
-    Divergent symbols are resolved through the symmetrel extension first.
-    Raises PrecisionUnreachableError if a factor cannot be certified within
-    the truncation cap.
+
+def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CONTEXT):
+    """Numeric value of an exact expression, certified to ctx.target_abs_error
+    by ``zetasum.certify``, which raises PrecisionUnreachableError if it
+    cannot be.  Divergent symbols are resolved through the symmetrel
+    extension first.
     """
     if isinstance(expr, Composition):
         expr = symmetrel_extend(expr)
     with ctx.workprec():
-        terms = list(expr.map_symbols(symmetrel_extend).items())
-        if not terms:
-            return mp.mpf(0)
-        budget = ctx.target_abs_error / len(terms)
-        total = mp.mpf(0)
-        err_total = mp.mpf(0)
-        for mono, coef in terms:
-            c = coef.to_mpf()
+        expr = expr.map_symbols(symmetrel_extend)
+        budget = ctx.target_abs_error / max(1, len(expr))
+        terms = []  # (symbols, first-pass target of each, coefficient)
+        for mono, coef in expr.items():
+            c = _coefficient(coef)
             # convergent factor values sit below zeta(2) < 2, so dividing the
             # term budget by 4*degree*(|c|+1) keeps the product error inside it
-            share = budget / (4 * max(1, mono.degree) * (abs(c) + 1))
-            target = min(1e-6, float(share))
-            factors = [
-                zetasum.shifted_nested_sum(s.parts, 0, target=target, cap=ctx.truncation_cap)
-                for s in mono.factors
+            share = budget / (4 * max(1, mono.degree) * (abs(c[0]) + 1))
+            terms.append((mono.factors, min(1e-6, float(share)), c))
+
+        def terms_at(scale):
+            cap = ctx.truncation_cap
+            return [
+                [*(zetasum.shifted_nested_sum(s.parts, 0, target * scale, cap) for s in symbols), c]
+                for symbols, target, c in terms
             ]
-            prod, prod_err = zetasum.certified_product(factors)
-            total += c * prod
-            err_total += abs(c) * prod_err
-        if err_total > ctx.target_abs_error:
-            raise PrecisionUnreachableError(
-                f"certified only {float(err_total):.3e}", achieved=float(err_total)
-            )
-        return mp.re(total)  # zeta expressions are real
+
+        # zeta expressions are real
+        return mp.re(zetasum.certify(terms_at, ctx.target_abs_error)[0])
 
 
 def newton_relation_check(omega: int, p: int) -> bool:

@@ -6,7 +6,9 @@ Monotangents are evaluated through exact cotangent polynomials.  Bilateral
 multitangent sums are evaluated by splitting the summation range into a
 positive part, the n = 0 pivot and a negative part; each one-sided piece is
 an absolutely convergent shifted nested sum handled by
-:mod:`multitangent.zetasum` with a certified error bound.
+:mod:`multitangent.zetasum` with a certified error bound, and
+``zetasum.certify`` certifies the sum over splits.  This direct bilateral
+evaluation is the right side of the trifactorization check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
 from .reduction import reduce, z_coeff
 from .words import Composition, is_multitangent_convergent
-from .zetasum import certified_product, shifted_nested_sum
+from .zetasum import certify, shifted_nested_sum
 
 
 def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
@@ -76,7 +78,8 @@ def _splits(s: Composition):
 
 def _one_sided(side: str, parts: tuple, z, target: float, cap: int):
     """(value, error bound) of the one-sided sum He_side[parts](z); the "-"
-    side is (-1)^weight times the "+" side of the reversed parts at -z."""
+    side is (-1)^weight times the "+" side of the reversed parts at -z (the
+    sign's rounding is the one ``zetasum.certified_sum`` counts per factor)."""
     if side == "+":
         return shifted_nested_sum(parts, z, target=target, cap=cap)
     v, e = shifted_nested_sum(tuple(reversed(parts)), -z, target=target, cap=cap)
@@ -87,11 +90,12 @@ def multitangent_eval_direct(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
     """Bilateral nested sum for a convergent sequence, via the three-way
-    split into positive-index, zero-pivot and negative-index chains.
+    split into positive-index, zero-pivot and negative-index chains: the
+    trifactorization sum over splits of He_+ * Ce * He_-.
 
-    Piece errors are propagated through the products a posteriori; the piece
-    targets shrink and the evaluation repeats (cheap, thanks to the sum
-    cache) until the certified total meets the context target.
+    The split terms are certified by ``zetasum.certify``, which shrinks the
+    piece targets (cheap, thanks to the sum cache) until the bound, rounding
+    included, meets the context target.
     """
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
@@ -99,23 +103,24 @@ def multitangent_eval_direct(
     with ctx.workprec():
         pieces = list(_splits(s))
         budget = ctx.target_abs_error / (8 * len(pieces))
-        while True:
-            total = mp.mpc(0)
-            total_err = mp.mpf(0)
+
+        def terms_at(scale):
+            target, cap = budget * scale, ctx.truncation_cap
+            terms = []
             for left, mid, right in pieces:
-                parts = []  # (value, error-bound) per factor
+                factors = []
                 if left:
-                    parts.append(_one_sided("+", left, z, budget, ctx.truncation_cap))
+                    factors.append(_one_sided("+", left, z, target, cap))
                 if mid:
-                    parts.append((mp.power(z, -mid[0]), mp.mpf(0)))
+                    # the exact power rounded at 4 extra bits, then its reciprocal
+                    w = mp.power(z, -mid[0])
+                    factors.append((w, mp.ldexp(abs(w), 1 - mp.mp.prec)))
                 if right:
-                    parts.append(_one_sided("-", right, z, budget, ctx.truncation_cap))
-                term, term_err = certified_product(parts)
-                total += term
-                total_err += term_err
-            if total_err <= ctx.target_abs_error:
-                return total
-            budget *= float(ctx.target_abs_error / (4 * total_err))
+                    factors.append(_one_sided("-", right, z, target, cap))
+                terms.append(factors)
+            return terms
+
+        return certify(terms_at, ctx.target_abs_error)[0]
 
 
 def multitangent_eval_reduced(
@@ -180,25 +185,13 @@ def trifactorization_residual(
     """|Te[s](z) - sum over splits He_+ * Ce * He_-|.
 
     The left side is evaluated through the reduction (zeta values times
-    cotangent polynomials), the right side through one-sided Hurwitz sums,
-    so the two sides share no code path.
+    cotangent polynomials), the right side is the direct bilateral
+    evaluation, whose split terms are certified one-sided sums, so the two
+    sides share no code path above the nested sums.
     """
-    if not is_multitangent_convergent(s):
-        raise ValueError(f"{s} is not convergent")
-    z = check_point(z, ctx.pole_guard)
     with ctx.workprec():
-        lhs = multitangent_eval_reduced(s, z, ctx)
-        rhs = mp.mpc(0)
-        for left, mid, right in _splits(s):
-            term = mp.mpc(1)
-            if left:
-                term *= hurwitz_eval("+", Composition(left), z, ctx)
-            if mid:
-                term *= mp.power(z, -mid[0])
-            if right:
-                term *= hurwitz_eval("-", Composition(right), z, ctx)
-            rhs += term
-        return float(abs(lhs - rhs))
+        rhs = multitangent_eval_direct(s, z, ctx)
+        return float(abs(multitangent_eval_reduced(s, z, ctx) - rhs))
 
 
 def _fourier_zetas(s: Composition, ctx: NumericContext):

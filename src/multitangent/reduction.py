@@ -108,9 +108,6 @@ class ReductionResult:
     constant: PiRational
     coeffs: dict[int, CoeffExpr] = field(default_factory=dict)
 
-    def max_order(self) -> int:
-        return max(self.coeffs, default=0)
-
     def coefficient(self, k: int) -> CoeffExpr:
         return self.coeffs.get(k, CoeffExpr.zero())
 

@@ -20,8 +20,6 @@ from .numerics import (
 )
 from .words import Composition, enumerate_compositions, stuffle
 
-SUITES = ("symmetrel", "parity", "diff", "flatness", "trifact")
-
 
 @dataclass
 class SuiteResult:
@@ -159,14 +157,16 @@ def suite_trifact(ctx: NumericContext = DEFAULT_CONTEXT, seed: int = 17) -> Suit
     return result
 
 
+SUITES = {
+    "symmetrel": suite_symmetrel,
+    "parity": suite_parity,
+    "diff": suite_diff,
+    "flatness": suite_flatness,
+    "trifact": suite_trifact,
+}
+
+
 def run_suite(name: str, ctx: NumericContext = DEFAULT_CONTEXT) -> SuiteResult:
-    fns = {
-        "symmetrel": suite_symmetrel,
-        "parity": suite_parity,
-        "diff": suite_diff,
-        "flatness": suite_flatness,
-        "trifact": suite_trifact,
-    }
-    if name not in fns:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return fns[name](ctx)
+    return SUITES[name](ctx)

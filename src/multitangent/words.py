@@ -295,7 +295,7 @@ class WordPoly(LinearCombination):
     __str__ = __repr__
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def stuffle(a: Composition, b: Composition) -> WordPoly:
     """Quasi-shuffle of two compositions, contractions adding the parts.
 
@@ -314,7 +314,7 @@ def stuffle(a: Composition, b: Composition) -> WordPoly:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def shuffle(a: Composition, b: Composition) -> WordPoly:
     """Plain shuffle (interleavings, no contractions) of two compositions."""
     if not a:

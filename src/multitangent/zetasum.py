@@ -448,8 +448,8 @@ def _exact_prefixes(exponents: tuple[int, ...], cut: _Cutoff) -> list:
 
 
 class _FixedSum(tuple):
-    """``(value, bound)`` of one cutoff.  ``rounding`` is the part of the
-    bound that covers fixed-point rounding; it grows with the cutoff."""
+    """``(value, bound)``.  ``rounding`` is the part of the bound that covers
+    rounding; for a nested sum it grows with the cutoff."""
 
     def __new__(cls, value, bound, rounding):
         self = super().__new__(cls, (value, bound))
@@ -535,22 +535,49 @@ def shifted_nested_sum(
     )
 
 
-def certified_product(parts) -> tuple:
-    """Product of certified factors ``[(value, bound), ...]`` and its bound.
+def certified_sum(terms) -> _FixedSum:
+    """Sum over ``terms`` of the products of their factors ``(value, bound)``.
+    If each true factor is within its bound of its value, the true sum is
+    within the returned bound of the returned value.  A term's bounds add
+    prod(|v| + e) - prod |v|.  Each product (one per factor, from 1) and each
+    sum rounds by a relative 2^-prec; ``rounding`` counts each at 2^(3-prec)
+    prod(|v| + e), which also covers the rounding of the bound arithmetic,
+    the cancellation in that difference included."""
+    value = mp.mpc(0)
+    propagated = size = mp.mpf(0)
+    for term in terms:
+        product, mag, hi = 1, 1, 1
+        for v, e in term:
+            product *= v
+            a = abs(v)
+            mag *= a
+            hi *= a + e
+        value += product
+        propagated += hi - mag
+        size += (len(term) + len(terms)) * hi
+    rounding = mp.ldexp(size, 3 - mp.mp.prec)
+    return _FixedSum(value, mp.fadd(propagated, rounding, rounding="u"), rounding)
 
-    If every true factor lies within its bound of its value, the true product
-    lies within sum_i e_i * prod_{j != i} (|v_j| + e_j) of the returned value.
-    """
-    value = mp.mpf(1)
-    for v, _ in parts:
-        value *= v
-    err = mp.mpf(0)
-    for i, (_, e_i) in enumerate(parts):
-        others = mp.mpf(1)
-        for v_j, e_j in parts[:i] + parts[i + 1 :]:
-            others *= abs(v_j) + e_j
-        err += e_i * others
-    return value, err
+
+def certify(terms_at, target) -> _FixedSum:
+    """``certified_sum(terms_at(scale))`` within ``target``, where
+    ``terms_at`` evaluates the certified pieces to ``scale`` times their
+    first-pass targets.  The scale starts at 1 and shrinks by
+    target / (4 bound) while the bound misses, until a piece refuses its
+    target.  Raises PrecisionUnreachableError at once when the rounding alone
+    exceeds half the target, which no scale can shrink."""
+    scale = 1.0
+    while True:
+        result = certified_sum(terms_at(scale))
+        if result[1] <= target:
+            return result
+        if result.rounding > target / 2:
+            raise PrecisionUnreachableError(
+                f"sum reached bound {float(result[1]):.3e} > {float(target):.3e}: rounding "
+                f"at {mp.mp.prec} bits alone is {float(result.rounding):.3e}",
+                achieved=float(result[1]),
+            )
+        scale *= float(target / (4 * result[1]))
 
 
 def brute_nested_sum(exponents: tuple[int, ...], z=0, n0: int = 60) -> mp.mpc:

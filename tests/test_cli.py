@@ -78,6 +78,19 @@ class TestTable:
         assert result.exit_code == 0
         assert out.read_text().startswith("sequence,")
 
+    def test_json_independent_of_precision(self, runner, tmp_path):
+        """Coefficients within the target of 0 print as 0, not as their
+        truncation noise, and the rest do not move with the precision."""
+        args = ["table", "--max-weight", "7", "--format", "json"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"working_precision": 256}))
+        at_128 = runner.invoke(main, args)
+        at_256 = runner.invoke(main, ["--config", str(cfg), *args])
+        assert at_128.exit_code == at_256.exit_code == 0
+        assert at_128.output == at_256.output
+        rows = {tuple(e["sequence"]): e for e in json.loads(at_128.output)}
+        assert rows[(2, 1, 2)]["numeric_coeffs"] == {"1": "0"}
+
 
 class TestLabCommands:
     def test_relations(self, runner):

@@ -274,11 +274,11 @@ class TestUnitCleanse:
 class TestRankMatrix:
     @pytest.mark.parametrize("p,expected", [(4, 1), (5, 2), (6, 2), (7, 3)])
     def test_ranks(self, p, expected):
-        matrix, r = rank_matrix(p, CTX)
+        matrix, r = rank_matrix(p)
         assert r == expected
 
     def test_weight4_column(self):
-        matrix, r = rank_matrix(4, CTX)
+        matrix, r = rank_matrix(4)
         assert [str(s) for s in matrix.rows] == ["2,4", "3,3", "4,2", "2,2,2"]
         assert matrix.column(0) == [
             Fraction(4),
@@ -290,7 +290,7 @@ class TestRankMatrix:
     def test_fibonacci_row_count(self):
         fib = {4: 4, 5: 7, 6: 12, 7: 20}
         for p, rows in fib.items():
-            matrix, _ = rank_matrix(p, CTX)
+            matrix, _ = rank_matrix(p)
             assert len(matrix.rows) == rows
 
 
@@ -318,7 +318,7 @@ class TestDimensions:
         assert got == [1, 1, 2, 3, 4, 6, 8, 11, 15, 20]
 
     def test_report_matches_conjecture_to_weight7(self):
-        report = dimension_report(7, CTX)
+        report = dimension_report(7)
         for row in report:
             assert row["dimension"] == row["conjectured"], row
         by_weight = {row["weight"]: row for row in report}

@@ -23,11 +23,12 @@ from multitangent.numerics import (
     multitangent_eval_reduced,
     trifactorization_residual,
 )
+from multitangent.exact import CoeffExpr
 from multitangent.reduction import reduce
 from multitangent.words import Composition, enumerate_compositions
 from multitangent import zetasum
 from multitangent.zetasum import (
-    certified_product,
+    certified_sum,
     shifted_nested_sum,
     shifted_nested_sum_fixed,
 )
@@ -450,7 +451,8 @@ class TestBounds:
         assert abs(fd - sym) < 1e-5
 
 
-# a factor: value (re, im) and bound in units of 2^-10, both up to 4, and a
+# a factor: value (re, im) up to 4 with 40-bit mantissas, so that narrow
+# working precisions round them, bound in units of 2^-10 up to 4, and a
 # perturbation direction (x, y) in units of 2^-10 inside the unit disc, often
 # on its rim where the bound is tight
 _DIRECTIONS = st.one_of(
@@ -461,8 +463,8 @@ _DIRECTIONS = st.one_of(
 )
 _FACTORS = st.lists(
     st.tuples(
-        st.integers(-(2**12), 2**12),
-        st.integers(-(2**12), 2**12),
+        st.integers(-(2**40), 2**40),
+        st.integers(-(2**40), 2**40),
         st.integers(0, 2**12),
         _DIRECTIONS,
     ),
@@ -471,17 +473,60 @@ _FACTORS = st.lists(
 )
 
 
-@given(_FACTORS)
+@pytest.mark.parametrize("prec", [24, 53, 128])
+@given(st.lists(_FACTORS, min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_certified_product_covers_every_perturbation(factors):
-    """Moving each factor by at most its bound keeps the product within the
-    returned bound of the returned value."""
+def test_certified_sum_covers_every_perturbation(prec, terms):
+    """Moving each factor by at most its bound keeps the sum of products
+    within the returned bound of the returned value, rounding included: the
+    reference is the 300-bit sum over the same inputs, rounded to ``prec``."""
+    with mp.workprec(prec):
+        parts = [
+            [(mp.mpc(re, im) / 2**38, mp.mpf(e) / 2**10) for re, im, e, _ in term]
+            for term in terms
+        ]
+        value, bound = certified_sum(parts)
     with mp.workprec(300):
-        parts = [(mp.mpc(re, im) / 2**10, mp.mpf(e) / 2**10) for re, im, e, _ in factors]
-        value, bound = certified_product(parts)
-        perturbed = mp.mpf(1)
-        for (v, e), (_, _, _, (x, y)) in zip(parts, factors):
-            perturbed *= v + e * mp.mpc(x, y) / 2**10
-        # the products are exact at 300 bits; only abs() inside the bound
-        # rounds, by a relative 2^-300 per factor
-        assert abs(perturbed - value) <= bound * (1 + mp.mpf(2) ** -290)
+        perturbed = mp.mpc(0)
+        for term, factors in zip(parts, terms):
+            product = mp.mpf(1)
+            for (v, e), (_, _, _, (x, y)) in zip(term, factors):
+                product *= v + e * mp.mpc(x, y) / 2**10
+            perturbed += product
+        assert abs(perturbed - value) <= bound
+
+
+_TIGHT_CTX = NumericContext(target_abs_error=1e-45, working_precision=128)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda ctx: multitangent_eval_direct(C(2, 2), mp.mpc("0.3", "0.7"), ctx),
+        lambda ctx: mzv_numeric(CoeffExpr.symbol(C(2)) * CoeffExpr.symbol(C(3)), ctx),
+        lambda ctx: mzv_numeric(
+            CoeffExpr.symbol(C(2, 2), 3) - CoeffExpr.symbol(C(3, 1)), ctx
+        ),
+    ],
+    ids=["Te[2,2]", "Ze[2]*Ze[3]", "3Ze[2,2]-Ze[3,1]"],
+)
+def test_products_never_claim_below_their_rounding(evaluate):
+    """A target the working precision cannot certify raises after one
+    certify pass, or the value comes back within it of a 300-bit value."""
+    with mp.workprec(300):
+        ref = evaluate(NumericContext(target_abs_error=1e-55, working_precision=300))
+    passes = []
+
+    def recording(terms):
+        passes.append(certified_sum(terms))
+        return passes[-1]
+
+    with mock.patch.object(zetasum, "certified_sum", side_effect=recording):
+        try:
+            value = evaluate(_TIGHT_CTX)
+        except PrecisionUnreachableError as exc:
+            # refused on the first pass's own bound, not by a piece later on
+            assert [float(bound) for _, bound in passes] == [exc.achieved]
+            return
+    with mp.workprec(300):
+        assert abs(value - ref) <= _TIGHT_CTX.target_abs_error

@@ -14,7 +14,8 @@ sys.path.insert(0, sys.argv[1])
 import workloads
 workloads.import_program()
 import spans
-spans.install(spans.Tracer())
+tracer = spans.Tracer()
+spans.install(tracer)
 import mpmath as mp
 from multitangent import lab
 from multitangent.words import Composition
@@ -27,6 +28,22 @@ from multitangent.basis_table import MzvBasisTable
 assert isinstance(MzvBasisTable.__dict__["load"], classmethod)
 assert MzvBasisTable.__dict__["load"].__func__.__name__ == "wrapper"
 assert MzvBasisTable.substitute.__name__ == "wrapper"
+# the nested sums of a direct evaluation and of a zeta value are spans
+# under their caller's span
+from multitangent import mzv, numerics
+from multitangent.exact import CoeffExpr
+nested = tracer.names.index("zetasum.shifted_nested_sum")
+for name, call in (
+    ("numerics.multitangent_eval_direct",
+     lambda: numerics.multitangent_eval_direct(Composition((2, 3)), mp.mpc(0.4, 0.9))),
+    ("mzv.mzv_numeric", lambda: mzv.mzv_numeric(CoeffExpr.symbol(Composition((3, 2))))),
+):
+    caller, start = tracer.names.index(name), len(tracer.kind)
+    call()
+    assert any(
+        tracer.kind[i] == nested and tracer.kind[tracer.parent[i]] == caller
+        for i in range(start, len(tracer.kind))
+    ), name
 """
 
 

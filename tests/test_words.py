@@ -1,10 +1,13 @@
+import importlib
 import math
+import pkgutil
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multitangent
 from multitangent.words import (
     EMPTY,
     Composition,
@@ -256,3 +259,14 @@ class TestEnumeration:
     def test_repeat(self):
         assert repeat(2, 3) == C(2, 2, 2)
         assert repeat((3, 1), 2) == C(3, 1, 3, 1)
+
+
+def test_every_cache_is_bounded():
+    """An unbounded lru_cache grows for the life of the process."""
+    unbounded = []
+    for info in pkgutil.iter_modules(multitangent.__path__):
+        module = importlib.import_module(f"multitangent.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.cache_info().maxsize is None:
+                unbounded.append(f"{info.name}.{name}")
+    assert not unbounded
