@@ -67,8 +67,8 @@ def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
         raise ValueError("need n >= 1 and k >= 0")
     if k == 0:
         return mp.mpc(1)
-    z = check_point(z, ctx.pole_guard)
     with ctx.workprec():
+        z = check_point(z, ctx.pole_guard)
         kn = k * n
         roots = [mp.exp((2 * j - 1) * 1j * mp.pi / n) for j in range(1, n + 1)]
         # phase-shifted derivative: cos^(n-1)(x) = cos(x + (n-1) pi/2), same

@@ -24,11 +24,14 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
 from .reduction import reduce, z_coeff
 from .words import Composition, is_multitangent_convergent
-from .zetasum import certify, shifted_nested_sum
+from .zetasum import _MEMO_SIZE, cache_lookup, cache_store, certify, shifted_nested_sum
+
+_memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
 
 
 def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
-    """Reject evaluation points within ``guard`` of an integer pole."""
+    """The point rounded at the working precision; raises PoleProximityError
+    within ``guard`` of an integer pole."""
     z = mp.mpc(z)
     nearest = mp.mpc(mp.nint(mp.re(z)), 0)
     if abs(z - nearest) < guard:
@@ -58,8 +61,8 @@ def cot_poly(k: int) -> dict[int, Fraction]:
 def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     """Te^k(z) through the exact cotangent polynomial, so the derivative
     relation Te^(k+1) = -(1/k) d/dz Te^k holds by construction."""
-    z = check_point(z, ctx.pole_guard)
     with ctx.workprec():
+        z = check_point(z, ctx.pole_guard)
         c = mp.cot(mp.pi * z)
         total = mp.mpc(0)
         for j, coef in cot_poly(k).items():
@@ -94,13 +97,17 @@ def multitangent_eval_direct(
     trifactorization sum over splits of He_+ * Ce * He_-.
 
     The split terms are certified by ``zetasum.certify``, which shrinks the
-    piece targets (cheap, thanks to the sum cache) until the bound, rounding
-    included, meets the context target.
+    piece targets until the bound, rounding included, meets the context
+    target.  The last ``_MEMO_SIZE`` results serve later calls they meet.
     """
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
-    z = check_point(z, ctx.pole_guard)
     with ctx.workprec():
+        z = check_point(z, ctx.pole_guard)
+        key = (s, z._mpc_, mp.mp.prec, ctx.truncation_cap)
+        hit = cache_lookup(_memo, key, ctx.target_abs_error)
+        if hit is not None:
+            return hit[0]
         pieces = list(_splits(s))
         budget = ctx.target_abs_error / (8 * len(pieces))
 
@@ -120,7 +127,9 @@ def multitangent_eval_direct(
                 terms.append(factors)
             return terms
 
-        return certify(terms_at, ctx.target_abs_error)[0]
+        value, bound = certify(terms_at, ctx.target_abs_error)
+        cache_store(_memo, key, (value, bound), _MEMO_SIZE)
+        return value
 
 
 def multitangent_eval_reduced(
@@ -134,9 +143,9 @@ def multitangent_eval_reduced(
     """
     if not s:
         raise ValueError("empty sequence")
-    z = check_point(z, ctx.pole_guard)
-    red = reduce(s)
     with ctx.workprec():
+        z = check_point(z, ctx.pole_guard)
+        red = reduce(s)
         total = mp.mpc(red.constant.to_mpf())
         mono = {k: monotangent_eval(k, z, ctx) for k in red.coeffs}
         n_terms = max(1, len(red.coeffs))
@@ -161,13 +170,13 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    # poles sit at z = -1, -2, ... for the + side and 1, 2, ... for the - side
-    z = mp.mpc(z)
-    pole_dir = -1 if side == "+" else 1
-    nearest = mp.nint(mp.re(z))
-    if pole_dir * nearest >= 1 and abs(z - mp.mpc(nearest, 0)) < ctx.pole_guard:
-        raise PoleProximityError(f"{z} is within {ctx.pole_guard} of a pole")
     with ctx.workprec():
+        # poles sit at z = -1, -2, ... for the + side and 1, 2, ... for the - side
+        z = mp.mpc(z)
+        pole_dir = -1 if side == "+" else 1
+        nearest = mp.nint(mp.re(z))
+        if pole_dir * nearest >= 1 and abs(z - mp.mpc(nearest, 0)) < ctx.pole_guard:
+            raise PoleProximityError(f"{z} is within {ctx.pole_guard} of a pole")
         if not s:
             return mp.mpc(1)
         if s.parts == (1,):
@@ -233,12 +242,12 @@ def fourier_partial_sum(
     s: Composition, z, n_terms: int, ctx: NumericContext = DEFAULT_CONTEXT
 ):
     """-sum_{n=1}^{N} T_hat_n q^n, valid for Im z > 0."""
-    z = mp.mpc(z)
-    if mp.im(z) <= 0:
-        raise ValueError("partial Fourier sums require Im z > 0")
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not convergent")
     with ctx.workprec():
+        z = mp.mpc(z)
+        if mp.im(z) <= 0:
+            raise ValueError("partial Fourier sums require Im z > 0")
         q = mp.exp(2j * mp.pi * z)
         zetas = list(_fourier_zetas(s, ctx))
         total = mp.mpc(0)

@@ -48,16 +48,8 @@ class Composition:
     def length(self) -> int:
         return len(self.parts)
 
-    @property
-    def valuation(self) -> int:
-        """Smallest part; 0 for the empty composition."""
-        return min(self.parts) if self.parts else 0
-
     def reverse(self) -> "Composition":
         return Composition(self.parts[::-1])
-
-    def concat(self, other: "Composition") -> "Composition":
-        return Composition(self.parts + other.parts)
 
     def bump(self, i: int) -> "Composition":
         """Return the composition with part ``i`` (0-based) increased by one."""
@@ -129,11 +121,6 @@ def classify(s: Composition) -> SeqClass:
     if right_ok:
         return SeqClass.DIVERGENT_LEFT
     return SeqClass.DIVERGENT_BOTH
-
-
-def is_mzv_convergent(s: Composition) -> bool:
-    """Whether the one-sided nested sum over 0 < n_r < ... < n_1 converges."""
-    return not s or s.parts[0] >= 2
 
 
 def is_multitangent_convergent(s: Composition) -> bool:

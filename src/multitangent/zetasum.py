@@ -45,6 +45,11 @@ below it: the count grows with the cutoff, whose prefix sums alone add n0
 roundings per level.  The value is returned exactly as the integers hold
 it, so the bound covers the number handed back.
 
+Certified results are cached under one rule, ``cache_lookup``: keyed on the
+exact point at the working precision, an entry serves only calls whose target
+and cap it meets.  Bounded LRUs hold 1024 nested sums (``_CACHE_SIZE``) and
+256 ``multitangent_eval_direct`` values (``_MEMO_SIZE``).
+
 Convergence requires s_1 >= 2; interior and trailing parts may equal 1, in
 which case the intermediate expansions pick up log powers.
 """
@@ -70,6 +75,7 @@ _EM_KERNEL = abs(Fraction(*mp.bernfrac(2 * _EM_ORDER))) / math.factorial(2 * _EM
 
 GUARD = 48  # fixed-point bits carried beyond the working precision
 _CACHE_SIZE = 1024  # nested sums kept by shifted_nested_sum
+_MEMO_SIZE = 256  # certified values kept by numerics.multitangent_eval_direct
 
 
 def _cls_add(into: Cls, key: tuple[int, int], coef) -> None:
@@ -485,6 +491,25 @@ def shifted_nested_sum_fixed(
     return _FixedSum(value, mp.fadd(truncation, rounding, rounding="u"), rounding)
 
 
+def cache_lookup(cache: dict, key, target, cap=math.inf):
+    """The entry ``(value, bound)`` or ``(value, bound, cutoff)`` under
+    ``key`` if it meets ``target`` and ``cap``, made the most recently used."""
+    entry = cache.get(key)
+    if entry is not None and entry[1] <= target and (len(entry) < 3 or entry[2] <= cap):
+        cache[key] = cache.pop(key)
+        return entry
+    return None
+
+
+def cache_store(cache: dict, key, entry: tuple, size: int) -> None:
+    """Keep ``entry`` under ``key`` as the most recently used, unless the one
+    there is at least as tight; past ``size`` the oldest goes."""
+    old = cache.pop(key, None)
+    cache[key] = entry if old is None or entry[1] < old[1] else old
+    if len(cache) > size:
+        del cache[next(iter(cache))]
+
+
 _cache: dict = {}  # least recently used first
 
 
@@ -500,14 +525,12 @@ def shifted_nested_sum(
     target; raises PrecisionUnreachableError (carrying the achieved bound)
     if the cap is hit first, or at once if the rounding at this working
     precision alone exceeds the target.  The last ``_CACHE_SIZE`` results
-    used are cached per working precision with their cutoff, and a cached
-    result serves only calls whose cap admits it.
+    used are cached with their cutoff, which the caller's cap must admit.
     """
     z = mp.mpc(z)
-    key = (exponents, str(z), mp.mp.prec)
-    hit = _cache.get(key)
-    if hit is not None and hit[1] <= target and hit[2] <= cap:
-        _cache[key] = _cache.pop(key)
+    key = (exponents, z._mpc_, mp.mp.prec)
+    hit = cache_lookup(_cache, key, target, cap)
+    if hit is not None:
         return hit[:2]
 
     n0 = max(int(4 * (1 + abs(z))) + 1, 48)
@@ -515,11 +538,7 @@ def shifted_nested_sum(
     while n0 <= cap:
         best = shifted_nested_sum_fixed(exponents, z, n0)
         if best[1] <= target:
-            if hit is None or best[1] < hit[1]:
-                _cache.pop(key, None)
-                _cache[key] = (*best, n0)
-                if len(_cache) > _CACHE_SIZE:
-                    del _cache[next(iter(_cache))]
+            cache_store(_cache, key, (*best, n0), _CACHE_SIZE)
             return best[:2]
         if best.rounding > target:
             break
@@ -578,21 +597,3 @@ def certify(terms_at, target) -> _FixedSum:
                 achieved=float(result[1]),
             )
         scale *= float(target / (4 * result[1]))
-
-
-def brute_nested_sum(exponents: tuple[int, ...], z=0, n0: int = 60) -> mp.mpc:
-    """Plain truncated nested summation; test oracle, no error control.
-
-    One running-sum pass per level, innermost first: after the pass for
-    exponent s, inner[u] is the nested sum of that level and the deeper ones
-    over indices below u.
-    """
-    inner = [mp.mpc(1)] * (n0 + 1)
-    for s in reversed(exponents):
-        total = mp.mpc(0)
-        outer = [total, total]
-        for n in range(1, n0):
-            total += mp.power(n + z, -s) * inner[n]
-            outer.append(total)
-        inner = outer
-    return inner[n0]

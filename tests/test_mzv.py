@@ -18,10 +18,28 @@ from multitangent.mzv import (
     ze_minus,
 )
 from multitangent.words import Composition, stuffle
-from multitangent.zetasum import brute_nested_sum, shifted_nested_sum
+from multitangent.zetasum import shifted_nested_sum
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-10)
+
+
+def brute_nested_sum(exponents: tuple[int, ...], z=0, n0: int = 60) -> mp.mpc:
+    """Plain truncated nested summation; test oracle, no error control.
+
+    One running-sum pass per level, innermost first: after the pass for
+    exponent s, inner[u] is the nested sum of that level and the deeper ones
+    over indices below u.
+    """
+    inner = [mp.mpc(1)] * (n0 + 1)
+    for s in reversed(exponents):
+        total = mp.mpc(0)
+        outer = [total, total]
+        for n in range(1, n0):
+            total += mp.power(n + z, -s) * inner[n]
+            outer.append(total)
+        inner = outer
+    return inner[n0]
 
 
 def sym(*parts):

@@ -3,6 +3,7 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -530,3 +531,122 @@ def test_products_never_claim_below_their_rounding(evaluate):
             return
     with mp.workprec(300):
         assert abs(value - ref) <= _TIGHT_CTX.target_abs_error
+
+
+def test_nested_sum_cache_key_is_the_exact_point(monkeypatch):
+    """Two points one ulp apart print alike at 128 bits; each keeps its own
+    sum, so neither is served the other's value under its bound."""
+    monkeypatch.setattr(zetasum, "_cache", {})
+    with mp.workprec(128):
+        a = mp.mpc("0.3", "0.7")
+        man, exp = zetasum._man_exp(a.real)
+        b = mp.mpc(mp.mpf(from_man_exp(man + 1, exp)), a.imag)
+        assert a != b and str(a) == str(b)
+        shifted_nested_sum((3,), a, target=1e-42)
+        value, bound = shifted_nested_sum((3,), b, target=1e-42)
+    with mp.workprec(300):
+        assert abs(value - mp.zeta(3, 1 + b)) <= bound
+
+
+_POINT_CTX = NumericContext(target_abs_error=1e-40, working_precision=200)
+
+
+def _te2_from_hurwitz(z):
+    """Te[2] = He_+[2] + z^-2 + He_-[2]."""
+    plus, minus = (hurwitz_eval(side, C(2), z, _POINT_CTX) for side in "+-")
+    with _POINT_CTX.workprec():
+        return plus + z**-2 + minus
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda z: multitangent_eval_direct(C(2), z, _POINT_CTX),
+        lambda z: multitangent_eval_reduced(C(2), z, _POINT_CTX),
+        lambda z: monotangent_eval(2, z, _POINT_CTX),
+        _te2_from_hurwitz,
+    ],
+    ids=["direct", "reduced", "monotangent", "hurwitz"],
+)
+def test_point_keeps_the_working_precision(evaluate):
+    """A 200-bit point is evaluated as given, not rounded to the caller's
+    precision first: Te[2](z) = pi^2 / sin^2(pi z) within the 1e-40 target."""
+    with mp.workprec(200):
+        z = mp.mpf(1) / 3 + mp.mpc(0, 1) / 7
+        exact = mp.pi**2 / mp.sin(mp.pi * z) ** 2
+    value = evaluate(z)
+    with mp.workprec(200):
+        assert abs(value - exact) <= 1e-39
+
+
+def _counting_certify(monkeypatch) -> list:
+    """A fresh memo, and a counter of the certify calls behind it."""
+    monkeypatch.setattr(numerics, "_memo", {})
+    calls = []
+    certify = numerics.certify
+
+    def counted(terms_at, target):
+        calls.append(target)
+        return certify(terms_at, target)
+
+    monkeypatch.setattr(numerics, "certify", counted)
+    return calls
+
+
+_MEMO_Z = mp.mpc("0.3", "0.7")
+
+
+class TestDirectMemo:
+    def test_repeated_call_makes_no_certify_pass(self, monkeypatch):
+        calls = _counting_certify(monkeypatch)
+        first = multitangent_eval_direct(C(2, 3), _MEMO_Z, CTX)
+        again = multitangent_eval_direct(C(2, 3), _MEMO_Z, CTX)
+        assert len(calls) == 1
+        assert again == first
+
+    def test_tighter_target_recomputes_then_serves_looser(self, monkeypatch):
+        calls = _counting_certify(monkeypatch)
+        loose = NumericContext(target_abs_error=1e-6)  # met at about 2e-22
+        tight = NumericContext(target_abs_error=1e-30)
+        multitangent_eval_direct(C(3, 2), _MEMO_Z, loose)
+        value = multitangent_eval_direct(C(3, 2), _MEMO_Z, tight)
+        assert len(calls) == 2
+        assert multitangent_eval_direct(C(3, 2), _MEMO_Z, CTX) == value
+        assert multitangent_eval_direct(C(3, 2), _MEMO_Z, loose) == value
+        assert len(calls) == 2
+
+    def test_larger_cap_does_not_serve_smaller(self, monkeypatch):
+        """Mirrors test_cached_nested_sum_respects_cap one layer up."""
+        calls = _counting_certify(monkeypatch)
+        multitangent_eval_direct(C(3), _MEMO_Z, CTX)
+        capped = NumericContext(target_abs_error=CTX.target_abs_error, truncation_cap=20)
+        with pytest.raises(PrecisionUnreachableError):
+            multitangent_eval_direct(C(3), _MEMO_Z, capped)
+        assert len(calls) == 2
+
+    def test_refused_evaluation_is_not_stored(self, monkeypatch):
+        calls = _counting_certify(monkeypatch)
+        with pytest.raises(PrecisionUnreachableError):
+            multitangent_eval_direct(C(2, 2), _MEMO_Z, _TIGHT_CTX)
+        assert numerics._memo == {}
+        with pytest.raises(PrecisionUnreachableError):
+            multitangent_eval_direct(C(2, 2), _MEMO_Z, _TIGHT_CTX)
+        assert len(calls) == 2
+
+    def test_memo_is_a_bounded_lru(self, monkeypatch):
+        calls = _counting_certify(monkeypatch)
+        ctx = NumericContext(target_abs_error=1e-6, working_precision=64)
+        size = zetasum._MEMO_SIZE
+        points = [mp.mpc(mp.mpf(i) / 1024 + 0.25, 0.5) for i in range(size + 8)]
+        for z in points[:size]:
+            multitangent_eval_direct(C(2), z, ctx)
+        multitangent_eval_direct(C(2), points[0], ctx)  # a hit refreshes the oldest
+        for z in points[size:]:
+            multitangent_eval_direct(C(2), z, ctx)
+        assert len(numerics._memo) == size
+        del calls[:]
+        multitangent_eval_direct(C(2), points[-1], ctx)
+        multitangent_eval_direct(C(2), points[0], ctx)
+        assert calls == []
+        multitangent_eval_direct(C(2), points[1], ctx)  # evicted
+        assert len(calls) == 1
