@@ -71,9 +71,12 @@ def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
 
 
 def _splits(s: Composition):
-    """Deconcatenations s1 . s2 . s3 with the middle of length <= 1."""
+    """Deconcatenations s1 . s2 . s3 with the middle of length <= 1.  The
+    two with an empty side come first: their one-sided sums run over all of
+    s, and each pass stores every prefix, so the shorter pieces are cache
+    hits."""
     r = s.length
-    for a in range(r + 1):
+    for a in (r, *range(r)):
         yield s.parts[:a], (), s.parts[a:]
     for a in range(r):
         yield s.parts[:a], (s.parts[a],), s.parts[a + 1 :]
