@@ -7,6 +7,13 @@ basis substitution, rational linear algebra with no floating point) and a
 mandatory numeric recheck stage that re-evaluates every produced identity at
 sample points off the real axis.  A failed recheck raises instead of
 returning a silently wrong result.
+
+The exact stage does no work twice.  A coefficient is written over the zeta
+basis as the sum of the basis vectors of its monomials, and each monomial's
+vector (stuffle linearization, then table substitution) is kept in a bounded
+cache.  Projections and cleansings at one weight solve against the same
+system; each row set's system is built and factored once, in a bounded
+cache, and every right-hand side costs one sparse product.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from . import mzv
 from .basis_table import MzvBasisTable
 from .errors import CoverageError, NumericRecheckError, ProjectionUnavailableError
-from .exact import CoeffExpr, MzvMonomial, PiRational
-from .linalg import Matrix, nullspace, rank, solve
-from .mzv import DEFAULT_CONTEXT, NumericContext, linearize, mzv_numeric
+from .exact import ZERO, CoeffExpr, MzvMonomial, PiRational
+from .linalg import Factorization, Matrix, factor, nullspace, rank
+from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
 from .numerics import (
     monotangent_eval,
     multitangent_eval_direct,
@@ -92,10 +100,22 @@ def _as_fraction(coef: PiRational) -> Fraction:
 Slot = tuple[int, MzvMonomial]
 
 
+@lru_cache(maxsize=2048)
+def _basis_vector(mono: MzvMonomial) -> tuple[tuple[MzvMonomial, PiRational], ...]:
+    """One zeta monomial over the basis: its product linearized, then
+    substituted through the shared table."""
+    expr = mzv.linearize(CoeffExpr({mono: PiRational(1)}))
+    return tuple(MzvBasisTable.shared().substitute(expr).items())
+
+
 def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
-    """The Te^k coefficient ``expr`` over the zeta basis, keyed by slot."""
-    sub = MzvBasisTable.shared().substitute(linearize(expr))
-    return {(k, mono): _as_fraction(coef) for mono, coef in sub.items()}
+    """The Te^k coefficient ``expr`` over the zeta basis, keyed by slot: the
+    sum of the cached basis vectors of its monomials."""
+    total: dict[MzvMonomial, PiRational] = {}
+    for mono, coef in expr.items():
+        for basis_mono, value in _basis_vector(mono):
+            total[basis_mono] = total.get(basis_mono, ZERO) + coef * value
+    return {(k, mono): _as_fraction(coef) for mono, coef in CoeffExpr(total).items()}
 
 
 @lru_cache(maxsize=4096)
@@ -205,13 +225,22 @@ def kernel_contains(p: int, combo: MtCombo) -> bool:
     return not any(image.values())
 
 
+@lru_cache(maxsize=32)
+def _factored_system(
+    rows: tuple[Composition, ...],
+) -> tuple[tuple[Slot, ...], Factorization]:
+    """The slots and the factorization of the system of ``rows``."""
+    slots, system = _system(list(rows))
+    return tuple(slots), factor(system)
+
+
 def _solve_for_combo(
     rows: list[Composition], target: dict[Slot, Fraction]
 ) -> MtCombo | None:
-    slots, system = _system(rows)
+    slots, system = _factored_system(tuple(rows))
     if not target.keys() <= set(slots):
         return None
-    x = solve(system, [target.get(slot, Fraction(0)) for slot in slots])
+    x = system.solve([target.get(slot, Fraction(0)) for slot in slots])
     if x is None:
         return None
     return MtCombo(dict(zip(rows, x)))
@@ -381,6 +410,8 @@ def table_emit(
     ordering is the canonical composition order, so output is reproducible.
     """
     ctx = ctx or NumericContext(target_abs_error=1e-9)
+    if p_max < 1:
+        raise ValueError(f"maximum weight must be at least 1, got {p_max}")
     if fmt not in ("text", "json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "text":

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Plain dense routines on lists of Fraction rows: reduced row echelon form,
-rank, null space, and a deterministic linear solve.  No floating point
+rank, null space, and a deterministic linear solve that factors a matrix
+once and answers each right-hand side by one product.  No floating point
 enters anywhere; pivoting is by first nonzero column, which keeps results
 reproducible across runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
@@ -68,18 +70,45 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def solve(m: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of m x = rhs with free variables set to zero, or None
-    if the system is inconsistent."""
-    if not m:
-        return None if any(rhs) else []
-    cols = len(m[0])
-    aug = [row[:] + [b] for row, b in zip(m, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None  # pivot in the constant column
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+@dataclass(frozen=True)
+class Factorization:
+    """A matrix M reduced once, for many right-hand sides: the pivot columns
+    of rref(M) and the invertible row transform T with T M = rref(M)."""
 
+    cols: int
+    pivots: tuple[int, ...]
+    transform: tuple[tuple[Fraction, ...], ...]
+
+    def solve(self, rhs: list[Fraction]) -> list[Fraction] | None:
+        """One solution of M x = rhs with free variables set to zero, or
+        None if the system is inconsistent.
+
+        RREF is unique, so [rref(M) | T rhs] is rref([M | rhs]): the system
+        is inconsistent iff T rhs is nonzero past the rank, and otherwise
+        the pivot variables read T rhs off row by row.
+        """
+        nonzero = [(j, b) for j, b in enumerate(rhs) if b]
+        y = [sum((row[j] * b for j, b in nonzero), Fraction(0)) for row in self.transform]
+        if any(y[len(self.pivots) :]):
+            return None
+        x = [Fraction(0)] * self.cols
+        for r, pc in enumerate(self.pivots):
+            x[pc] = y[r]
+        return x
+
+
+def factor(m: Matrix) -> Factorization:
+    """Factor ``m`` by one rref of [m | I]: its left block is rref(m) and
+    its right block the transform T."""
+    if not m:
+        return Factorization(cols=0, pivots=(), transform=())
+    rows, cols = len(m), len(m[0])
+    aug = [
+        row + [Fraction(int(i == j)) for j in range(rows)] for i, row in enumerate(m)
+    ]
+    red, pivots = rref(aug)
+    return Factorization(
+        cols=cols,
+        pivots=tuple(c for c in pivots if c < cols),
+        transform=tuple(tuple(row[cols:]) for row in red),
+    )

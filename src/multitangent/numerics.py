@@ -30,9 +30,11 @@ _memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently us
 
 
 def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
-    """The point rounded at the working precision; raises PoleProximityError
-    within ``guard`` of an integer pole."""
+    """The point rounded at the working precision; raises ValueError if it
+    is not finite and PoleProximityError within ``guard`` of an integer pole."""
     z = mp.mpc(z)
+    if not mp.isfinite(z):
+        raise ValueError(f"evaluation point {z} is not finite")
     nearest = mp.mpc(mp.nint(mp.re(z)), 0)
     if abs(z - nearest) < guard:
         raise PoleProximityError(f"{z} is within {guard} of an integer")

@@ -55,6 +55,12 @@ class TestEval:
         result = runner.invoke(main, ["eval", "2", "--z", "1.0000001+0j"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("z", ["nan", "1e400", "-inf", "0.5+nanj"])
+    def test_non_finite_point_rejected(self, runner, z):
+        result = runner.invoke(main, ["eval", "2", f"--z={z}"])
+        assert result.exit_code == 1
+        assert "is not finite" in result.output
+
     def test_divergent_sequences_need_reduced_mode(self, runner):
         direct = runner.invoke(main, ["eval", "1,2", "--z", "0.3+0.7j", "--direct"])
         assert direct.exit_code != 0
@@ -69,6 +75,12 @@ class TestTable:
         result = runner.invoke(main, ["table", "--max-weight", "4"])
         assert result.exit_code == 0
         assert "Te[2,2] = 2·Ze[2]·Te^2" in result.output
+
+    @pytest.mark.parametrize("weight", ["0", "-1"])
+    def test_max_weight_below_one_rejected(self, runner, weight):
+        result = runner.invoke(main, ["table", f"--max-weight={weight}"])
+        assert result.exit_code == 1
+        assert "maximum weight must be at least 1" in result.output
 
     def test_write_file(self, runner, tmp_path):
         out = tmp_path / "table.csv"

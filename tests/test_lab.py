@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multitangent import basis_table
+from multitangent import basis_table, lab, linalg, mzv
 from multitangent.basis_table import MzvBasisTable
 from multitangent.errors import (
     CoverageError,
@@ -32,6 +34,7 @@ from multitangent.lab import (
 )
 from multitangent.mzv import NumericContext, even_zeta, mzv_numeric
 from multitangent.numerics import monotangent_eval
+from multitangent.reduction import reduce
 from multitangent.words import Composition, enumerate_compositions
 from multitangent.words import repeat
 
@@ -377,3 +380,109 @@ class TestSlotVector:
 def test_pi_power_in_substituted_coefficient_is_a_multitangent_error():
     with pytest.raises(MultitangentError):
         _as_fraction(PiRational({2: 1}))
+
+
+def rref_solve(m, b):
+    """Reference solve: read the solution off rref([m | b]), free variables
+    at 0; None when the constant column holds a pivot."""
+    if not m:
+        return None if any(b) else []
+    cols = len(m[0])
+    red, pivots = linalg.rref([row + [rhs] for row, rhs in zip(m, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def systems(draw):
+    """A matrix that is full rank, rank deficient (a row combining two
+    others) or arbitrary, with right-hand sides that are consistent by
+    construction, inconsistent by construction, or arbitrary."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = [draw(st.lists(fractions, min_size=cols, max_size=cols)) for _ in range(rows)]
+    x = draw(st.lists(fractions, min_size=cols, max_size=cols))
+    consistent = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in m]
+    rhss = [consistent, draw(st.lists(fractions, min_size=rows, max_size=rows))]
+    kind = draw(st.sampled_from(["full", "deficient", "any"]))
+    if kind == "full":
+        # the identity on top of the drawn rows has full column rank
+        m = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)] + m
+        rhss = [x + b for b in rhss]
+    elif kind == "deficient":
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a, c = draw(fractions), draw(fractions)
+        m.append([a * u + c * v for u, v in zip(m[i], m[j])])
+        rhss = [b + [a * b[i] + c * b[j] + off] for b in rhss for off in (0, 1)]
+    return m, rhss
+
+
+class TestFactoredSolve:
+    @given(systems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rref_of_augmented_system(self, system):
+        m, rhss = system
+        factored = linalg.factor(m)
+        for b in rhss:
+            x = factored.solve(b)
+            assert x == rref_solve(m, b)
+            if x is not None:
+                assert [sum((a * xi for a, xi in zip(row, x)), 0) for row in m] == b
+
+    def test_empty_system(self):
+        assert linalg.factor([]).solve([]) == []
+
+
+def _reference_combo(rows, target):
+    """The workbench solve done afresh: build the system of ``rows`` and
+    read the combination off rref([system | target])."""
+    slots, system = lab._system(rows)
+    if not target.keys() <= set(slots):
+        return None
+    x = rref_solve(system, [target.get(slot, Fraction(0)) for slot in slots])
+    return None if x is None else MtCombo(dict(zip(rows, x)))
+
+
+class TestWorkbenchParity:
+    """The cached slot vectors and factored systems give exactly the results
+    of fresh linearization, substitution and row reduction."""
+
+    def test_slots_match_fresh_substitution(self):
+        table = MzvBasisTable.shared()
+        for w in range(1, 10):
+            for s in enumerate_compositions(w, "all"):
+                for k, expr in reduce(s).coeffs.items():
+                    fresh = table.substitute(mzv.linearize(expr))
+                    expected = [((k, m), _as_fraction(c)) for m, c in fresh.items()]
+                    assert list(lab._slots(k, expr).items()) == expected, (s, k)
+
+    def _check(self, call, rows, target):
+        expected = _reference_combo(rows, target)
+        if expected is None:
+            with pytest.raises(ProjectionUnavailableError):
+                call()
+        else:
+            got = call()
+            assert got == expected and str(got) == str(expected)
+
+    def test_projections_match_reference_solve(self):
+        for w in range(2, 8):
+            rows = enumerate_compositions(w + 2, "val2")
+            for sigma in enumerate_compositions(w, "mzv"):
+                target = lab._slots(2, CoeffExpr.symbol(sigma))
+                self._check(lambda: projection(sigma, recheck=False), rows, target)
+
+    def test_cleansings_match_reference_solve(self):
+        for w in range(3, 9):
+            rows = enumerate_compositions(w, "val2")
+            for s in enumerate_compositions(w, "all"):
+                if 1 in s.parts and max(s.parts) >= 2:
+                    self._check(
+                        lambda: unit_cleanse(s, recheck=False), rows, slot_vector(s)
+                    )

@@ -47,11 +47,54 @@ for name, call in (
 """
 
 
-def test_span_tracer_installs_against_src():
+# A cold cleansing still reaches the layers the per-layer metrics name: the
+# solve through linalg.rref and the slot vectors through mzv.linearize and
+# MzvBasisTable.substitute, each a span under the cleansing's span.
+CLEANSE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+workloads.import_program()
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from multitangent import lab
+from multitangent.basis_table import MzvBasisTable
+from multitangent.words import Composition
+MzvBasisTable.shared()
+start = len(tracer.kind)
+lab.unit_cleanse(Composition((2, 1, 3)), recheck=False)
+cleanse = tracer.names.index("lab.unit_cleanse")
+
+def under_cleanse(i):
+    while i >= 0:
+        if tracer.kind[i] == cleanse:
+            return True
+        i = tracer.parent[i]
+    return False
+
+for name in ("linalg.rref", "mzv.linearize", "basis_table.MzvBasisTable.substitute"):
+    kind = tracer.names.index(name)
+    assert any(
+        tracer.kind[i] == kind and under_cleanse(i)
+        for i in range(start, len(tracer.kind))
+    ), name
+"""
+
+
+def _run(script: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
+        [sys.executable, "-c", script, str(ROOT / "perfbench")],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_span_tracer_installs_against_src():
+    _run(SCRIPT)
+
+
+def test_cold_cleansing_records_solver_and_substitution_spans():
+    _run(CLEANSE_SCRIPT)
