@@ -22,7 +22,7 @@ import mpmath as mp
 
 from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
-from .reduction import reduce, z_coeff
+from .reduction import reduce
 from .words import Composition, is_multitangent_convergent
 from .zetasum import _MEMO_SIZE, cache_lookup, cache_store, certify, shifted_nested_sum
 
@@ -209,13 +209,11 @@ def trifactorization_residual(
 
 
 def _fourier_zetas(s: Composition, ctx: NumericContext):
-    """(k, Z(j, s_j - k; s)) for each nonzero zeta coefficient of the Fourier
-    coefficient formula, evaluated numerically."""
-    for j, s_j in enumerate(s.parts, 1):
-        for k in range(2, s_j + 1):
-            expr = z_coeff(j, s_j - k, s)
-            if expr:
-                yield k, mzv_numeric(expr, ctx)
+    """(k, sum_j Z(j, s_j - k; s)), the zeta data of the Fourier coefficient
+    formula, for each nonzero order k >= 2 of reduce(s), evaluated numerically."""
+    for k, expr in sorted(reduce(s).coeffs.items()):
+        if k >= 2:
+            yield k, mzv_numeric(expr, ctx)
 
 
 def _fourier_from_zetas(zetas, n: int):
@@ -243,16 +241,23 @@ def fourier_coefficient(
         return _fourier_from_zetas(_fourier_zetas(s, ctx), n)
 
 
+def _check_fourier_sum(s: Composition, n_terms: int, y) -> None:
+    """Fourier sums of N >= 0 terms hold for convergent s at Im z = y > 0."""
+    if not is_multitangent_convergent(s):
+        raise ValueError(f"{s} is not convergent")
+    if n_terms < 0:
+        raise ValueError("the number of Fourier terms must be >= 0")
+    if not y > 0:
+        raise ValueError("Fourier sums require Im z > 0")
+
+
 def fourier_partial_sum(
     s: Composition, z, n_terms: int, ctx: NumericContext = DEFAULT_CONTEXT
 ):
     """-sum_{n=1}^{N} T_hat_n q^n, valid for Im z > 0."""
-    if not is_multitangent_convergent(s):
-        raise ValueError(f"{s} is not convergent")
     with ctx.workprec():
         z = mp.mpc(z)
-        if mp.im(z) <= 0:
-            raise ValueError("partial Fourier sums require Im z > 0")
+        _check_fourier_sum(s, n_terms, mp.im(z))
         q = mp.exp(2j * mp.pi * z)
         zetas = list(_fourier_zetas(s, ctx))
         total = mp.mpc(0)
@@ -268,6 +273,7 @@ def fourier_tail_envelope(s: Composition, n_terms: int, y: float,
     Uses |T_hat_n| <= A * n^(M-1) with M = max part and A read off the
     coefficient formula, then sums the dominated geometric tail.
     """
+    _check_fourier_sum(s, n_terms, y)
     with ctx.workprec():
         big_m = max(s.parts)
         amp = mp.mpf(0)

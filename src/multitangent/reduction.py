@@ -4,15 +4,15 @@ For an index sequence s of length r the bilateral nested sum equals
 
     Te[s](z) = delta(s) + sum_{i=1}^{r} sum_{k=1}^{s_i} Z(i, s_i - k; s) Te^k(z),
 
-where the coefficient Z(i, k; s) collects partial-fraction data:
+where the coefficient Z(i, k; s) is one coefficient of a product of two
+power series in one indeterminate X,
 
-    Z(i,k;s) = sum over k_1..k_r >= 0 (k_i omitted, sum = k) of
-               B(i,s,kvec) * Ze[s_r+k_r, ..., s_{i+1}+k_{i+1}]
-                           * Ze[s_1+k_1, ..., s_{i-1}+k_{i-1}],
+    Z(i,k;s) = [X^k] (-1)^(s_{i+1}+...+s_r) * Ze[s_r, ..., s_{i+1}](X)
+                                            * Ze[s_1, ..., s_{i-1}](-X),
 
-    B(i,s,kvec) = (-1)^(sum_{l<i} k_l) (-1)^(sum_{l>i} s_l)
-                  * prod_{l != i} C(s_l + k_l - 1, s_l - 1),
-
+of the fragment series Ze[t](X) = sum_{n_1>...>n_d>=1} prod_l (n_l - X)^(-t_l).
+Expanding each factor binomially, its X^a coefficient is the sum over
+k_1..k_d >= 0 with sum a of prod_l C(t_l+k_l-1, t_l-1) Ze[t_1+k_1, ..., t_d+k_d],
 and delta(s) = (-1)^(r/2) pi^r / r!  when s = (1,...,1) with r even, else 0.
 
 Divergent zeta symbols arising for sequences with end ones are resolved by
@@ -24,10 +24,10 @@ coefficient is retained symbolically; it always evaluates to zero and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import NumericRecheckError
 from .exact import CoeffExpr, PiRational
@@ -35,59 +35,47 @@ from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric, symmetrel_extend
 from .words import Composition, is_multitangent_convergent
 
 
-def bounded_compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``slots`` nonnegative integers summing to ``total``,
-    in lexicographic order."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in bounded_compositions(total - first, slots - 1):
-            yield (first,) + rest
+def _shifted_words(parts: tuple[int, ...], a: int) -> dict[tuple[int, ...], int]:
+    """Each word t + k with k >= 0 and sum(k) = a, mapped to its binomial
+    weight prod_l C(t_l + k_l - 1, t_l - 1)."""
+    if not parts:
+        return {(): 1} if a == 0 else {}
+    *head, last = parts
+    out = {}
+    for k in range(a + 1):
+        c = math.comb(last + k - 1, last - 1)
+        for word, coef in _shifted_words(tuple(head), a - k).items():
+            out[word + (last + k,)] = coef * c
+    return out
 
 
-def b_coeff(i: int, s: Composition, k_vec: tuple[int, ...]) -> int:
-    """Integer partial-fraction coefficient for pivot position i (1-based).
-
-    ``k_vec`` lists k_1..k_r with the pivot entry ignored (any value works;
-    conventionally 0).
-    """
-    r = s.length
-    if not 1 <= i <= r:
-        raise ValueError(f"pivot {i} out of range for length {r}")
-    sign = (-1) ** (sum(k_vec[l] for l in range(i - 1))) * (
-        (-1) ** sum(s.parts[l] for l in range(i, r))
-    )
-    prod = 1
-    for l in range(r):
-        if l == i - 1:
-            continue
-        prod *= math.comb(s.parts[l] + k_vec[l] - 1, s.parts[l] - 1)
-    return sign * prod
+# reducing every sequence up to weight w fills 2^w - 1 entries
+@functools.lru_cache(maxsize=2048)
+def _fragment(parts: tuple[int, ...], a: int) -> CoeffExpr:
+    """[X^a] Ze[parts](X), each symbol through its symmetrel extension."""
+    out = CoeffExpr.zero()
+    for word, c in _shifted_words(parts, a).items():
+        value = symmetrel_extend(Composition(word))
+        # sharing the unscaled terms saves two thirds of the cache's memory
+        out = out + (value if c == 1 else value.scale(c))
+    return out
 
 
 def z_coeff(i: int, k: int, s: Composition) -> CoeffExpr:
-    """Zeta-valued coefficient Z(i, k; s), a degree <= 2 exact expression.
-
-    The right fragment is read back to front; fragments with a leading one
-    are replaced by their symmetrel extension.
-    """
+    """Zeta-valued coefficient Z(i, k; s), a degree <= 2 exact expression:
+    the X^k coefficient of the product of the right fragment, read back to
+    front, and the left fragment at -X."""
     r = s.length
     if not 1 <= i <= r:
         raise ValueError(f"pivot {i} out of range for length {r}")
     if not 0 <= k <= s.parts[i - 1] - 1:
         raise ValueError(f"order shift {k} out of range for part {s.parts[i - 1]}")
+    right, left = s.parts[i:][::-1], s.parts[: i - 1]
+    sign = (-1) ** sum(right)
     out = CoeffExpr.zero()
-    for partial in bounded_compositions(k, r - 1):
-        k_vec = partial[: i - 1] + (0,) + partial[i - 1 :]
-        b = b_coeff(i, s, k_vec)
-        right = Composition(
-            tuple(s.parts[l] + k_vec[l] for l in range(r - 1, i - 1, -1))
-        )
-        left = Composition(tuple(s.parts[l] + k_vec[l] for l in range(i - 1)))
-        term = symmetrel_extend(right) * symmetrel_extend(left)
-        out = out + term.scale(Fraction(b))
+    for a in range(k + 1):
+        term = _fragment(right, k - a) * _fragment(left, a)
+        out = out + term.scale(sign * (-1) ** a)
     return out
 
 
@@ -155,12 +143,9 @@ def reduce(s: Composition) -> ReductionResult:
     if not s:
         raise ValueError("cannot reduce the empty sequence")
     coeffs: dict[int, CoeffExpr] = {}
-    for i in range(1, s.length + 1):
-        s_i = s.parts[i - 1]
+    for i, s_i in enumerate(s.parts, 1):
         for k in range(1, s_i + 1):
-            expr = z_coeff(i, s_i - k, s)
-            if expr:
-                coeffs[k] = coeffs.get(k, CoeffExpr.zero()) + expr
+            coeffs[k] = coeffs.get(k, CoeffExpr.zero()) + z_coeff(i, s_i - k, s)
     coeffs = {k: e for k, e in coeffs.items() if e}
     return ReductionResult(sequence=s, constant=delta(s), coeffs=coeffs)
 

@@ -206,7 +206,9 @@ class TestFourier:
 
         monkeypatch.setattr(numerics, "mzv_numeric", counted)
         partial = fourier_partial_sum(s, z, n_terms, CTX)
-        assert len(calls) == 5
+        orders = [k for k in reduce(s).coeffs if k >= 2]
+        assert len(orders) == 1
+        assert len(calls) == len(orders)
         with CTX.workprec():
             q = mp.exp(2j * mp.pi * z)
             expected = mp.mpc(0)
@@ -218,6 +220,34 @@ class TestFourier:
         # at y = 1e-6 the dominating series does not settle within its cap
         with pytest.raises(MultitangentError):
             fourier_tail_envelope(C(3, 2), 2, 1e-6)
+
+    @pytest.mark.parametrize(
+        "s, n_terms, y",
+        [
+            (C(1, 2), 2, 1.5),  # divergent
+            (Composition(), 2, 1.5),  # empty
+            (C(3, 2), -1, 1.5),
+            (C(3, 2), 2, 0.0),
+            (C(3, 2), 2, -1.0),
+        ],
+        ids=["divergent", "empty", "negative-terms", "real-axis", "lower-half-plane"],
+    )
+    def test_tail_envelope_rejects_invalid_input(self, s, n_terms, y):
+        with pytest.raises(ValueError):
+            fourier_tail_envelope(s, n_terms, y, CTX)
+
+    @pytest.mark.parametrize(
+        "s, n_terms, z",
+        [
+            (C(1, 2), 2, mp.mpc("0.2", "0.8")),
+            (C(3, 2), -2, mp.mpc("0.2", "0.8")),
+            (C(3, 2), 2, mp.mpc("0.2", "-0.8")),
+        ],
+        ids=["divergent", "negative-terms", "lower-half-plane"],
+    )
+    def test_partial_sum_rejects_invalid_input(self, s, n_terms, z):
+        with pytest.raises(ValueError):
+            fourier_partial_sum(s, z, n_terms, CTX)
 
 
 def test_cached_nested_sum_respects_cap():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,11 +6,11 @@ import pytest
 
 from multitangent.errors import NumericRecheckError
 from multitangent.exact import CoeffExpr, PiRational
-from multitangent.mzv import NumericContext, mzv_numeric
+from multitangent.mzv import NumericContext, mzv_numeric, symmetrel_extend
 from multitangent.reduction import (
+    ReductionResult,
+    _fragment,
     assert_clean,
-    b_coeff,
-    bounded_compositions,
     delta,
     reduce,
     te1_identity_residual,
@@ -25,20 +26,75 @@ def sym(*parts):
     return CoeffExpr.symbol(C(*parts))
 
 
-class TestBCoeff:
-    def test_length_one_is_one(self):
-        assert b_coeff(1, C(7), (0,)) == 1
+def shift_vectors(total, slots):
+    """All tuples of ``slots`` nonnegative integers summing to ``total``."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in shift_vectors(total - first, slots - 1):
+            yield (first,) + rest
 
-    def test_mixed_signs(self):
-        # signs: (-1)^(k_1) * (-1)^(s_3), binomials C(2,1) * C(1,1)
-        assert b_coeff(2, C(2, 1, 2), (1, 0, 0)) == (-1) * (+1) * 2 * 1 == -2
+
+def z_by_shift_vectors(i, k, s):
+    """Z(i, k; s) summed term by term over the shift vectors k_1..k_r
+    (k_i = 0, sum k), each term
+
+        (-1)^(sum_{l<i} k_l) (-1)^(sum_{l>i} s_l) prod_{l != i} C(s_l+k_l-1, s_l-1)
+        * Ze[s_r+k_r, ..., s_{i+1}+k_{i+1}] * Ze[s_1+k_1, ..., s_{i-1}+k_{i-1}],
+
+    symbols with a leading one through their symmetrel extension."""
+    r, parts = s.length, s.parts
+    out = CoeffExpr.zero()
+    for partial in shift_vectors(k, r - 1):
+        k_vec = partial[: i - 1] + (0,) + partial[i - 1 :]
+        sign = (-1) ** sum(k_vec[: i - 1]) * (-1) ** sum(parts[i:])
+        binom = math.prod(
+            math.comb(parts[l] + k_vec[l] - 1, parts[l] - 1) for l in range(r) if l != i - 1
+        )
+        right = C(*(parts[l] + k_vec[l] for l in range(r - 1, i - 1, -1)))
+        left = C(*(parts[l] + k_vec[l] for l in range(i - 1)))
+        term = symmetrel_extend(right) * symmetrel_extend(left)
+        out = out + term.scale(sign * binom)
+    return out
+
+
+class TestFragment:
+    """_fragment(t, a) is the X^a coefficient of the fragment series
+    Ze[t](X) = sum prod_l (n_l - X)^(-t_l)."""
+
+    @pytest.mark.parametrize("p, a", [(2, 1), (3, 2), (1, 0), (1, 3)])
+    def test_length_one_is_a_binomial_times_one_symbol(self, p, a):
+        expected = symmetrel_extend(C(p + a)).scale(math.comb(p + a - 1, p - 1))
+        assert _fragment((p,), a) == expected
+
+    def test_length_one_is_one(self):
+        assert _fragment((7,), 0) == sym(7)
 
     def test_simple_pair(self):
-        assert b_coeff(1, C(2, 2), (0, 0)) == 1
+        assert _fragment((2, 2), 0) == sym(2, 2)
+
+    def test_empty_fragment_is_the_unit_series(self):
+        assert _fragment((), 0) == CoeffExpr.scalar(1)
+        assert not _fragment((), 1)
+        assert not _fragment((), 3)
 
     def test_enumeration_order(self):
-        got = list(bounded_compositions(2, 2))
-        assert got == [(0, 2), (1, 1), (2, 0)]
+        # shift vectors (0,2), (1,1), (2,0) with binomials C(3,1), C(2,1)^2, C(3,1)
+        expected = sym(2, 4).scale(3) + sym(3, 3).scale(4) + sym(4, 2).scale(3)
+        assert _fragment((2, 2), 2) == expected
+
+    def test_leading_one_goes_through_symmetrel_extension(self):
+        # shifts (1,0) and (0,1): Ze[2,2] + C(2,1) Ze[1,3]
+        expected = sym(2, 2) + symmetrel_extend(C(1, 3)).scale(2)
+        assert _fragment((1, 2), 1) == expected
+
+    def test_mixed_signs(self):
+        # Z(2,1;(2,2,3)): shift (1,0,0) has sign (-1)^1 (-1)^3 and weight
+        # C(2,1); shift (0,0,1) has sign (-1)^3 and weight C(3,1)
+        expected = (sym(3) * sym(3)).scale(2) - (sym(4) * sym(2)).scale(3)
+        assert z_coeff(2, 1, C(2, 2, 3)) == expected
 
 
 class TestZCoeff:
@@ -147,6 +203,18 @@ class TestReduce:
             low = [k for k in red.coeffs if k < 2]
             for k in low:
                 assert abs(mzv_numeric(red.coeffs[k], ctx)) <= 1e-8
+
+
+def test_reduce_matches_the_shift_vector_formula_to_weight_eight():
+    for w in range(1, 9):
+        for s in enumerate_compositions(w, "all"):
+            coeffs = {}
+            for i, s_i in enumerate(s.parts, 1):
+                for k in range(1, s_i + 1):
+                    coeffs[k] = coeffs.get(k, CoeffExpr.zero()) + z_by_shift_vectors(i, s_i - k, s)
+            coeffs = {k: e for k, e in coeffs.items() if e}
+            expected = ReductionResult(s, delta(s), coeffs)
+            assert reduce(s).to_json() == expected.to_json(), s
 
 
 class TestTe1Residual:

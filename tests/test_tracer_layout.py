@@ -28,20 +28,26 @@ from multitangent.basis_table import MzvBasisTable
 assert isinstance(MzvBasisTable.__dict__["load"], classmethod)
 assert MzvBasisTable.__dict__["load"].__func__.__name__ == "wrapper"
 assert MzvBasisTable.substitute.__name__ == "wrapper"
-# the nested sums of a direct evaluation and of a zeta value are spans
+# the nested sums of a direct evaluation and of a zeta value, and the
+# reductions of a cold reduced evaluation and a cold slot vector, are spans
 # under their caller's span
 from multitangent import mzv, numerics
 from multitangent.exact import CoeffExpr
-nested = tracer.names.index("zetasum.shifted_nested_sum")
-for name, call in (
-    ("numerics.multitangent_eval_direct",
+for name, child, call in (
+    ("numerics.multitangent_eval_direct", "zetasum.shifted_nested_sum",
      lambda: numerics.multitangent_eval_direct(Composition((2, 3)), mp.mpc(0.4, 0.9))),
-    ("mzv.mzv_numeric", lambda: mzv.mzv_numeric(CoeffExpr.symbol(Composition((3, 2))))),
+    ("mzv.mzv_numeric", "zetasum.shifted_nested_sum",
+     lambda: mzv.mzv_numeric(CoeffExpr.symbol(Composition((3, 2))))),
+    ("numerics.multitangent_eval_reduced", "reduction.reduce",
+     lambda: numerics.multitangent_eval_reduced(Composition((3, 1, 2)), mp.mpc(0.3, 0.8))),
+    ("lab.slot_vector", "reduction.reduce",
+     lambda: lab.slot_vector(Composition((2, 1, 3)))),
 ):
     caller, start = tracer.names.index(name), len(tracer.kind)
+    kind = tracer.names.index(child)
     call()
     assert any(
-        tracer.kind[i] == nested and tracer.kind[tracer.parent[i]] == caller
+        tracer.kind[i] == kind and tracer.kind[tracer.parent[i]] == caller
         for i in range(start, len(tracer.kind))
     ), name
 """
