@@ -39,10 +39,14 @@ class NumericContext:
     pole_guard: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.target_abs_error <= 0:
-            raise ValueError("target_abs_error must be positive")
+        if not 0 < self.target_abs_error < math.inf:
+            raise ValueError("target_abs_error must be finite and positive")
+        if self.working_precision < 1:
+            raise ValueError("working_precision must be at least 1")
         if self.truncation_cap < 10:
             raise ValueError("truncation_cap must be at least 10")
+        if not 0 < self.pole_guard < math.inf:
+            raise ValueError("pole_guard must be finite and positive")
 
     def workprec(self):
         return mp.workprec(self.working_precision)
@@ -136,6 +140,32 @@ def _coefficient(coef: PiRational):
     return coef.to_mpf(), mp.ldexp(size * rounds, 1 - mp.mp.prec)
 
 
+def _certified(expr: CoeffExpr, target, cap: int) -> tuple:
+    """(value, bound) of an exact expression at the current working
+    precision, certified to ``target`` by ``zetasum.certify``, which raises
+    PrecisionUnreachableError if it cannot be.  Divergent symbols are
+    resolved through the symmetrel extension first."""
+    expr = expr.map_symbols(symmetrel_extend)
+    budget = target / max(1, len(expr))
+    terms = []  # (symbols, first-pass target of each, coefficient)
+    for mono, coef in expr.items():
+        c = _coefficient(coef)
+        # convergent factor values sit below zeta(2) < 2, so dividing the
+        # term budget by 4*degree*(|c|+1) keeps the product error inside it
+        share = budget / (4 * max(1, mono.degree) * (abs(c[0]) + 1))
+        terms.append((mono.factors, min(1e-6, float(share)), c))
+
+    def terms_at(scale):
+        return [
+            [*(zetasum.shifted_nested_sum(s.parts, 0, t * scale, cap) for s in symbols), c]
+            for symbols, t, c in terms
+        ]
+
+    value, bound = zetasum.certify(terms_at, target)
+    # zeta expressions are real
+    return mp.re(value), bound
+
+
 def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CONTEXT):
     """Numeric value of an exact expression, certified to ctx.target_abs_error
     by ``zetasum.certify``, which raises PrecisionUnreachableError if it
@@ -145,25 +175,7 @@ def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CON
     if isinstance(expr, Composition):
         expr = symmetrel_extend(expr)
     with ctx.workprec():
-        expr = expr.map_symbols(symmetrel_extend)
-        budget = ctx.target_abs_error / max(1, len(expr))
-        terms = []  # (symbols, first-pass target of each, coefficient)
-        for mono, coef in expr.items():
-            c = _coefficient(coef)
-            # convergent factor values sit below zeta(2) < 2, so dividing the
-            # term budget by 4*degree*(|c|+1) keeps the product error inside it
-            share = budget / (4 * max(1, mono.degree) * (abs(c[0]) + 1))
-            terms.append((mono.factors, min(1e-6, float(share)), c))
-
-        def terms_at(scale):
-            cap = ctx.truncation_cap
-            return [
-                [*(zetasum.shifted_nested_sum(s.parts, 0, target * scale, cap) for s in symbols), c]
-                for symbols, target, c in terms
-            ]
-
-        # zeta expressions are real
-        return mp.re(zetasum.certify(terms_at, ctx.target_abs_error)[0])
+        return _certified(expr, ctx.target_abs_error, ctx.truncation_cap)[0]
 
 
 def newton_relation_check(omega: int, p: int) -> bool:

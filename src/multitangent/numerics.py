@@ -9,6 +9,13 @@ an absolutely convergent shifted nested sum handled by
 :mod:`multitangent.zetasum` with a certified error bound, and
 ``zetasum.certify`` certifies the sum over splits.  This direct bilateral
 evaluation is the right side of the trifactorization check.
+
+The left side is the reduction into monotangents, evaluated without
+expanding its coefficients: each coefficient is a certified sum of products
+of two fragment values, zeta values at 0 that do not depend on the point.
+They are cached per fragment, precision and cap.  The two sides share no
+nested-sum value: zeta values at 0 times cotangent polynomials on the left,
+shifted sums at +-z on the right.
 """
 
 from __future__ import annotations
@@ -21,12 +28,20 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import PoleProximityError, PrecisionUnreachableError
-from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
-from .reduction import reduce
+from .mzv import DEFAULT_CONTEXT, NumericContext, _certified, mzv_numeric
+from .reduction import _fragment, _order_terms, delta, reduce
 from .words import Composition, is_multitangent_convergent
-from .zetasum import _MEMO_SIZE, cache_lookup, cache_store, certify, shifted_nested_sum
+from .zetasum import (
+    _FRAGMENT_SIZE,
+    _MEMO_SIZE,
+    cache_lookup,
+    cache_store,
+    certify,
+    shifted_nested_sum,
+)
 
 _memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
+_fragments: dict = {}  # _fragment_value's (value, bound), least recently used first
 
 
 def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
@@ -137,31 +152,55 @@ def multitangent_eval_direct(
         return value
 
 
+def _fragment_value(parts: tuple, a: int, target: float, cap: int):
+    """(value, bound) of the fragment coefficient [X^a] Ze[parts](X) at the
+    working precision, within ``target``.  It does not depend on the point,
+    so one entry serves every point and every sequence that shares it."""
+    key = (parts, a, mp.mp.prec, cap)
+    hit = cache_lookup(_fragments, key, target)
+    if hit is None:
+        hit = _certified(_fragment(parts, a), target, cap)
+        cache_store(_fragments, key, hit, _FRAGMENT_SIZE)
+    return hit
+
+
 def multitangent_eval_reduced(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
-    """Evaluate Te[s](z) from its reduction into monotangents.
+    """Evaluate Te[s](z) from its reduction into monotangents,
 
-    Monotangent values can be large near the real axis, so each zeta
-    coefficient's error budget is scaled by the monotangent magnitude it
-    multiplies.
+        Te[s](z) = delta(s) + sum_k c_k Te^k(z),
+
+    where c_k, the sum over i of Z(i, s_i - k; s), is certified as a sum of
+    products of two cached fragment values (``_fragment_value``), the terms
+    that ``reduction.z_coeff`` folds exactly.  No exact coefficient is
+    expanded; a second point costs the monotangents and these products.
+
+    Monotangent values can be large near the real axis, so each coefficient's
+    error budget is scaled by the monotangent magnitude it multiplies.
     """
     if not s:
         raise ValueError("empty sequence")
     with ctx.workprec():
         z = check_point(z, ctx.pole_guard)
-        red = reduce(s)
-        total = mp.mpc(red.constant.to_mpf())
-        mono = {k: monotangent_eval(k, z, ctx) for k in red.coeffs}
-        n_terms = max(1, len(red.coeffs))
-        for k, expr in sorted(red.coeffs.items()):
-            sub = replace(
-                ctx,
-                target_abs_error=float(
-                    ctx.target_abs_error / (2 * n_terms * (abs(mono[k]) + 1))
-                ),
-            )
-            total += mzv_numeric(expr, sub) * mono[k]
+        orders = _order_terms(s)
+        total = mp.mpc(delta(s).to_mpf())
+        cap = ctx.truncation_cap
+        for k, terms in sorted(orders.items()):
+            mono = monotangent_eval(k, z, ctx)
+            budget = float(ctx.target_abs_error / (2 * len(orders) * (abs(mono) + 1)))
+            # most fragment values are below 1 (a few reach 35 by weight 9);
+            # when a first pass misses, certify retries at tighter targets
+            first = budget / (4 * len(terms))
+
+            def terms_at(scale):
+                target, products = first * scale, []
+                for sign, right, a_r, left, a_l in terms:
+                    v, e = _fragment_value(right, a_r, target, cap)
+                    products.append([(sign * v, e), _fragment_value(left, a_l, target, cap)])
+                return products
+
+            total += certify(terms_at, budget)[0] * mono
         return total
 
 
@@ -198,10 +237,11 @@ def trifactorization_residual(
 ) -> float:
     """|Te[s](z) - sum over splits He_+ * Ce * He_-|.
 
-    The left side is evaluated through the reduction (zeta values times
-    cotangent polynomials), the right side is the direct bilateral
-    evaluation, whose split terms are certified one-sided sums, so the two
-    sides share no code path above the nested sums.
+    The left side is evaluated through the reduction: zeta values at 0,
+    certified per fragment of the reduction and independent of z, times
+    cotangent polynomials.  The right side is the direct bilateral
+    evaluation, whose split terms are certified one-sided sums at z and -z,
+    so the two sides share no code path above the nested sums.
     """
     with ctx.workprec():
         rhs = multitangent_eval_direct(s, z, ctx)

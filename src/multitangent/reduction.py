@@ -15,6 +15,11 @@ Expanding each factor binomially, its X^a coefficient is the sum over
 k_1..k_d >= 0 with sum a of prod_l C(t_l+k_l-1, t_l-1) Ze[t_1+k_1, ..., t_d+k_d],
 and delta(s) = (-1)^(r/2) pi^r / r!  when s = (1,...,1) with r even, else 0.
 
+One private generator, ``_z_terms``, yields the terms of this product for
+each pivot and order.  ``z_coeff`` and ``reduce`` fold them exactly;
+``numerics.multitangent_eval_reduced`` folds the same terms as a certified
+sum of numeric fragment values, so the index formula lives here alone.
+
 Divergent zeta symbols arising for sequences with end ones are resolved by
 the symmetrel extension with Ze[1] = 0, which is what makes the same formula
 cover regularized divergent multitangents.  For a convergent s the k = 1
@@ -61,10 +66,12 @@ def _fragment(parts: tuple[int, ...], a: int) -> CoeffExpr:
     return out
 
 
-def z_coeff(i: int, k: int, s: Composition) -> CoeffExpr:
-    """Zeta-valued coefficient Z(i, k; s), a degree <= 2 exact expression:
-    the X^k coefficient of the product of the right fragment, read back to
-    front, and the left fragment at -X."""
+def _z_terms(i: int, k: int, s: Composition):
+    """The terms (sign, right, a_r, left, a_l) of Z(i, k; s): the X^k
+    coefficient is the sum of sign * [X^a_r] Ze[right](X) * [X^a_l] Ze[left](X)
+    over a_r + a_l = k, with the right fragment read back to front and the
+    sign (-1)^(weight of right + a_l) from evaluating the left one at -X.
+    An empty fragment is the series 1, so its side only takes a = 0."""
     r = s.length
     if not 1 <= i <= r:
         raise ValueError(f"pivot {i} out of range for length {r}")
@@ -72,11 +79,35 @@ def z_coeff(i: int, k: int, s: Composition) -> CoeffExpr:
         raise ValueError(f"order shift {k} out of range for part {s.parts[i - 1]}")
     right, left = s.parts[i:][::-1], s.parts[: i - 1]
     sign = (-1) ** sum(right)
+    for a in range(0 if right else k, (k if left else 0) + 1):
+        yield sign * (-1) ** a, right, k - a, left, a
+
+
+def _order_terms(s: Composition) -> dict[int, list]:
+    """Each monotangent order k of the reduction of s that has a term,
+    mapped to the terms of ``_z_terms`` of its coefficient, the sum over i
+    of Z(i, s_i - k; s)."""
+    terms: dict[int, list] = {}
+    for i, s_i in enumerate(s.parts, 1):
+        for k in range(1, s_i + 1):
+            for term in _z_terms(i, s_i - k, s):
+                terms.setdefault(k, []).append(term)
+    return terms
+
+
+def _fold(terms) -> CoeffExpr:
+    """The exact sum of the fragment products of ``_z_terms`` terms."""
     out = CoeffExpr.zero()
-    for a in range(k + 1):
-        term = _fragment(right, k - a) * _fragment(left, a)
-        out = out + term.scale(sign * (-1) ** a)
+    for sign, right, a_r, left, a_l in terms:
+        out = out + (_fragment(right, a_r) * _fragment(left, a_l)).scale(sign)
     return out
+
+
+def z_coeff(i: int, k: int, s: Composition) -> CoeffExpr:
+    """Zeta-valued coefficient Z(i, k; s), a degree <= 2 exact expression:
+    the X^k coefficient of the product of the right fragment, read back to
+    front, and the left fragment at -X."""
+    return _fold(_z_terms(i, k, s))
 
 
 def delta(s: Composition) -> PiRational:
@@ -142,10 +173,7 @@ def reduce(s: Composition) -> ReductionResult:
     """
     if not s:
         raise ValueError("cannot reduce the empty sequence")
-    coeffs: dict[int, CoeffExpr] = {}
-    for i, s_i in enumerate(s.parts, 1):
-        for k in range(1, s_i + 1):
-            coeffs[k] = coeffs.get(k, CoeffExpr.zero()) + z_coeff(i, s_i - k, s)
+    coeffs = {k: _fold(terms) for k, terms in _order_terms(s).items()}
     coeffs = {k: e for k, e in coeffs.items() if e}
     return ReductionResult(sequence=s, constant=delta(s), coeffs=coeffs)
 

@@ -65,8 +65,9 @@ hold it, so the bound covers the number handed back.
 Certified results are cached under one rule, ``cache_lookup``: keyed on the
 exact point at the working precision, an entry serves only calls whose target
 and cap it meets.  A pass stores every prefix it evaluated.  Bounded LRUs hold
-1024 nested sums (``_CACHE_SIZE``) and 256 ``multitangent_eval_direct``
-values (``_MEMO_SIZE``).
+1024 nested sums (``_CACHE_SIZE``), 256 ``multitangent_eval_direct``
+values (``_MEMO_SIZE``) and 1024 fragment values of
+``multitangent_eval_reduced``, which have no point (``_FRAGMENT_SIZE``).
 
 Convergence requires s_1 >= 2; later parts may equal 1.
 """
@@ -91,6 +92,9 @@ GUARD = 48  # fixed-point bits carried beyond the working precision
 _BOUND_PREC = 53  # bits of the upward-rounded truncation bound
 _CACHE_SIZE = 1024  # nested sums kept by shifted_nested_sum
 _MEMO_SIZE = 256  # certified values kept by numerics.multitangent_eval_direct
+# fragment values kept by numerics._fragment_value; the sequences up to
+# weight w need 2^w - w per precision and cap
+_FRAGMENT_SIZE = 1024
 
 
 def _up(op, x, y):

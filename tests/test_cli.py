@@ -167,6 +167,22 @@ class TestConfig:
         result = runner.invoke(main, ["--config", str(cfg), "reduce", "2"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"pole_guard": -1}, "pole_guard"),
+            ({"target_abs_error": float("nan")}, "target_abs_error"),
+        ],
+    )
+    def test_bad_numeric_setting_rejected(self, runner, tmp_path, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["--config", str(cfg), "eval", "2,3", "--z", "2+0j"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"error: {field} must be" in result.output
+
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"basis_table": "table.json"}))

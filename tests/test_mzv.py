@@ -298,3 +298,24 @@ class TestNewtonRelation:
     @pytest.mark.parametrize("omega,p", [(2, 1), (1, 0), (3, 2), (2, 3), (1, 4)])
     def test_holds(self, omega, p):
         assert newton_relation_check(omega, p)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("target_abs_error", 0.0),
+        ("target_abs_error", -1e-9),
+        ("target_abs_error", float("nan")),
+        ("target_abs_error", float("inf")),
+        ("working_precision", 0),
+        ("working_precision", -53),
+        ("truncation_cap", 9),
+        ("pole_guard", 0.0),
+        ("pole_guard", -1.0),
+        ("pole_guard", float("nan")),
+        ("pole_guard", float("inf")),
+    ],
+)
+def test_context_rejects_settings_that_break_evaluation(field, value):
+    with pytest.raises(ValueError, match=field):
+        NumericContext(**{field: value})

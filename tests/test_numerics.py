@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from unittest import mock
 
 import mpmath as mp
@@ -26,7 +27,8 @@ from multitangent.numerics import (
     trifactorization_residual,
 )
 from multitangent.exact import CoeffExpr
-from multitangent.reduction import reduce
+from multitangent.reduction import delta, reduce
+from multitangent.verify import sample_points
 from multitangent.words import Composition, enumerate_compositions
 from multitangent import zetasum
 from multitangent.zetasum import (
@@ -125,6 +127,80 @@ class TestMultitangent:
         a = multitangent_eval_direct(C(3, 2), z, CTX)
         b = multitangent_eval_direct(C(3, 2), z + 1, CTX)
         assert abs(a - b) < 1e-9
+
+
+def _expanded_reduced(s, z, ctx):
+    """The reduced evaluation through expanded coefficients, as an oracle:
+    delta(s) + sum_k mzv_numeric(reduce(s).coeffs[k]) Te^k, each coefficient
+    to target / (2 * orders * (|Te^k| + 1))."""
+    red = reduce(s)
+    n = max(1, len(red.coeffs))
+    with ctx.workprec():
+        total = mp.mpc(delta(s).to_mpf())
+        for k, expr in red.coeffs.items():
+            mono = monotangent_eval(k, z, ctx)
+            budget = float(ctx.target_abs_error / (2 * n * (abs(mono) + 1)))
+            total += mzv_numeric(expr, replace(ctx, target_abs_error=budget)) * mono
+        return total
+
+
+class TestReducedFromFragments:
+    def test_agrees_with_expanded_coefficients(self, monkeypatch):
+        """Every composition of weight 1..7, divergent ones included, at the
+        recheck points and near the real axis.  Its tight nested sums stay
+        out of the shared cache, which later tests read."""
+        monkeypatch.setattr(numerics, "_fragments", {})
+        monkeypatch.setattr(zetasum, "_cache", {})
+        with mp.workprec(53):
+            for z in [*sample_points(2), mp.mpc(0.5, 1e-3)]:
+                for w in range(1, 8):
+                    for s in enumerate_compositions(w):
+                        new = multitangent_eval_reduced(s, z, CTX)
+                        old = _expanded_reduced(s, z, CTX)
+                        assert abs(new - old) <= 2 * CTX.target_abs_error, (s, z)
+
+    def test_second_point_makes_no_nested_sum_pass(self, monkeypatch):
+        """Fragment values do not depend on the point.  Every monotangent is
+        smaller at the second point, so no coefficient budget is tighter."""
+        monkeypatch.setattr(numerics, "_fragments", {})
+        monkeypatch.setattr(zetasum, "_cache", {})
+        passes = []
+        fixed = zetasum.shifted_nested_sum_fixed
+
+        def counted(*args):
+            passes.append(args)
+            return fixed(*args)
+
+        monkeypatch.setattr(zetasum, "shifted_nested_sum_fixed", counted)
+        s = C(3, 1, 2, 1)
+        multitangent_eval_reduced(s, mp.mpc("0.1", "0.6"), CTX)
+        assert passes
+        del passes[:]
+        multitangent_eval_reduced(s, mp.mpc("0.1", "1.3"), CTX)
+        assert passes == []
+
+    def test_tighter_target_replaces_the_entry(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_fragments", {})
+        monkeypatch.setattr(zetasum, "_cache", {})
+        cap = CTX.truncation_cap
+        with CTX.workprec():
+            _, loose = numerics._fragment_value((2, 1), 2, 1e-8, cap)
+            (key,) = numerics._fragments
+            assert numerics._fragment_value((2, 1), 2, 1e-8, cap)[1] == loose
+            _, tight = numerics._fragment_value((2, 1), 2, float(loose) / 1e6, cap)
+        assert tight <= loose / 1e6
+        assert list(numerics._fragments) == [key]
+        assert numerics._fragments[key][1] == tight
+
+    def test_fragment_cache_is_bounded(self, monkeypatch):
+        """The fragments of the weight-9 sequences, 2^9 - 9 of them at one
+        precision, overflow a cache of 100."""
+        monkeypatch.setattr(numerics, "_fragments", {})
+        monkeypatch.setattr(numerics, "_FRAGMENT_SIZE", 100)
+        ctx = NumericContext(target_abs_error=1e-8, working_precision=64)
+        for s in enumerate_compositions(9):
+            multitangent_eval_reduced(s, mp.mpc("0.3", "0.7"), ctx)
+        assert len(numerics._fragments) == 100
 
 
 class TestHurwitz:

@@ -28,9 +28,9 @@ from multitangent.basis_table import MzvBasisTable
 assert isinstance(MzvBasisTable.__dict__["load"], classmethod)
 assert MzvBasisTable.__dict__["load"].__func__.__name__ == "wrapper"
 assert MzvBasisTable.substitute.__name__ == "wrapper"
-# the nested sums of a direct evaluation and of a zeta value, and the
-# reductions of a cold reduced evaluation and a cold slot vector, are spans
-# under their caller's span
+# the nested sums of a direct evaluation, of a zeta value and of the fragment
+# values of a cold reduced evaluation, and the reduction of a cold slot
+# vector, are spans under their caller's span
 from multitangent import mzv, numerics
 from multitangent.exact import CoeffExpr
 for name, child, call in (
@@ -38,7 +38,7 @@ for name, child, call in (
      lambda: numerics.multitangent_eval_direct(Composition((2, 3)), mp.mpc(0.4, 0.9))),
     ("mzv.mzv_numeric", "zetasum.shifted_nested_sum",
      lambda: mzv.mzv_numeric(CoeffExpr.symbol(Composition((3, 2))))),
-    ("numerics.multitangent_eval_reduced", "reduction.reduce",
+    ("numerics.multitangent_eval_reduced", "zetasum.shifted_nested_sum",
      lambda: numerics.multitangent_eval_reduced(Composition((3, 1, 2)), mp.mpc(0.3, 0.8))),
     ("lab.slot_vector", "reduction.reduce",
      lambda: lab.slot_vector(Composition((2, 1, 3)))),
