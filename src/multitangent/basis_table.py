@@ -14,10 +14,10 @@ every convergent word for the basis.  These relations suffice at weights
 Vermaseren, "The MZV Data Mine", arXiv:0907.2557); a word they leave
 unsolved raises CoverageError.
 
-The derivation is not trusted blindly: ``MzvBasisTable.load`` re-verifies
-every entry numerically against the nested-sum oracle and refuses to load
-on any mismatch, so a wrong entry fails fast instead of corrupting results
-downstream.
+The derivation is not trusted blindly: ``MzvBasisTable.load`` certifies
+the difference of each symbol and its entry, as one sum over the nested-sum
+engine, and refuses to load unless 0 lies within that certificate, so a
+wrong entry fails fast instead of corrupting results downstream.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
-from .errors import CoverageError, NumericRecheckError
+from .errors import CoverageError
 from .exact import CoeffExpr, MzvMonomial, PiRational
 from .linalg import rref
-from .mzv import NumericContext, linearize, mzv_numeric
+from .mzv import NumericContext, _check_zero, linearize
 from .words import Composition, WordPoly, enumerate_compositions, shuffle, stuffle
 
 #: Basis monomials per weight, each monomial a tuple of index tuples.
@@ -46,9 +44,7 @@ BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
 
 MAX_WEIGHT = max(BASES)
 
-#: Every entry must match its symbol numerically to this absolute error.
-VERIFY_TOLERANCE = 1e-10
-_VERIFY_CONTEXT = NumericContext(target_abs_error=VERIFY_TOLERANCE / 4)
+_VERIFY_CONTEXT = NumericContext(target_abs_error=5e-11)  # an entry off by 1e-10 fails
 
 
 def _basis_monomial(mono: tuple[tuple[int, ...], ...]) -> MzvMonomial:
@@ -136,8 +132,8 @@ class MzvBasisTable:
     def load(cls) -> "MzvBasisTable":
         """Derive the table and numerically verify every entry.
 
-        Each entry must satisfy |value(symbol) - value(combination)| below
-        ``VERIFY_TOLERANCE``; any failure raises NumericRecheckError.
+        Ze[s] minus its entry is certified as one sum; unless 0 lies within
+        its certificate, NumericRecheckError names the entry.
         """
         bases = {
             w: [_basis_monomial(m) for m in monos] for w, monos in BASES.items()
@@ -147,13 +143,8 @@ class MzvBasisTable:
             entries.update(_derive(w, bases[w]))
         shuffle.cache_clear()  # only the derivation shuffles x/y words: free them
         for comp, combo in entries.items():
-            lhs = mzv_numeric(CoeffExpr.symbol(comp), _VERIFY_CONTEXT)
-            rhs = mzv_numeric(combo, _VERIFY_CONTEXT) if combo else mp.mpf(0)
-            if abs(lhs - rhs) > VERIFY_TOLERANCE:
-                raise NumericRecheckError(
-                    f"table entry {comp} fails verification: "
-                    f"|{mp.nstr(lhs, 15)} - {mp.nstr(rhs, 15)}| > {VERIFY_TOLERANCE}"
-                )
+            diff = CoeffExpr.symbol(comp) - combo
+            _check_zero(f"Ze[{comp}] minus its table entry", diff, _VERIFY_CONTEXT)
         return cls(entries=entries, bases=bases)
 
     @classmethod

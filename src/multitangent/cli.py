@@ -54,6 +54,8 @@ def _load_context(config_path: str | None) -> NumericContext:
         return NumericContext()
     with open(config_path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object of numeric settings")
     fields = {f.name for f in dataclasses.fields(NumericContext)}
     unknown = sorted(set(raw) - fields)
     if unknown:

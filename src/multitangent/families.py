@@ -108,34 +108,24 @@ def zagier_ze2n(n: int) -> PiRational:
     return PiRational({2 * n: Fraction(1, math.factorial(2 * n + 1))})
 
 
-def sin_product_series_check(order: int, tol: float = 1e-9) -> bool:
+def sin_product_series_check(order: int) -> bool:
     """Coefficientwise check, through X^(2*order), of
 
         exp(- sum_{n>=1} Ze[2n]/n X^(2n)) = sum_n (-1)^n (pi X)^(2n)/(2n+1)!.
 
-    Even zeta values enter exactly (Bernoulli closed form); the comparison
-    is numeric with tolerance scaled by coefficient size.
+    Even zeta values enter through their Bernoulli closed form, so at X^(2m)
+    both sides are a rational times pi^(2m); they are compared exactly.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order == 0:
-        return True
-    with mp.workdps(40):
-        # exponent series: a_n = -zeta(2n)/n for X^(2n)
-        a = [mp.mpf(0)] * (order + 1)
-        for n in range(1, order + 1):
-            a[n] = -even_zeta(n).to_mpf() / n
-        # exp of a power series with zero constant term, in X^2
-        exp_coeffs = [mp.mpf(1)] + [mp.mpf(0)] * order
-        for m in range(1, order + 1):
-            acc = mp.mpf(0)
-            for j in range(1, m + 1):
-                acc += j * a[j] * exp_coeffs[m - j]
-            exp_coeffs[m] = acc / m
-        ok = True
-        for m in range(order + 1):
-            rhs = (-1) ** m * mp.pi ** (2 * m) / mp.factorial(2 * m + 1)
-            scale = max(abs(rhs), mp.mpf(1))
-            if abs(exp_coeffs[m] - rhs) > tol * scale:
-                ok = False
-        return ok
+    # exponent series a_n = -zeta(2n)/n at X^(2n); the exponential of a series
+    # with zero constant term has e_m = (1/m) sum_j j a_j e_(m-j)
+    a = [PiRational(0)] + [even_zeta(n) / -n for n in range(1, order + 1)]
+    exp_coeffs = [PiRational(1)]
+    for m in range(1, order + 1):
+        acc = sum((a[j] * exp_coeffs[m - j]).scale(j) for j in range(1, m + 1))
+        exp_coeffs.append(acc / m)
+    return all(
+        exp_coeffs[m] == PiRational({2 * m: Fraction((-1) ** m, math.factorial(2 * m + 1))})
+        for m in range(order + 1)
+    )

@@ -129,18 +129,14 @@ def _slot_vector_cached(comp: Composition) -> tuple[tuple[Slot, Fraction], ...]:
             entries.update(_slots(k, expr))
             continue
         # the Te^1 block must cancel: exactly when the table covers its
-        # weight, numerically one weight past the table's edge
+        # weight, within its certificate one weight past the table's edge
         try:
             if _slots(1, expr):
                 raise NumericRecheckError(
                     f"Te^1 coefficient of {comp} fails exact cancellation"
                 )
         except CoverageError:
-            residual = float(abs(mzv_numeric(expr, DEFAULT_CONTEXT)))
-            if residual > 1e-8 * max(1, len(expr)):
-                raise NumericRecheckError(
-                    f"Te^1 coefficient of {comp} is {residual:.3e}"
-                )
+            mzv._check_zero(f"Te^1 coefficient of {comp}", expr, DEFAULT_CONTEXT)
     return tuple(entries.items())
 
 
@@ -392,10 +388,11 @@ def _reduction_rows(p_max: int, include_divergent: bool):
 
 
 def _numeric(expr: CoeffExpr, ctx: NumericContext) -> str:
-    """A coefficient to 12 digits, or 0 where the certificate cannot tell it
-    from 0 (its digits would be truncation noise)."""
-    value = mzv_numeric(expr, ctx)
-    return "0" if abs(value) <= ctx.target_abs_error else mp.nstr(value, 12)
+    """A coefficient to 12 digits, or 0 where 0 lies within its certificate
+    (its digits would be truncation noise)."""
+    with ctx.workprec():
+        value, bound = mzv._certified(expr, ctx.target_abs_error, ctx.truncation_cap)
+    return "0" if abs(value) <= bound else mp.nstr(value, 12)
 
 
 def table_emit(

@@ -14,9 +14,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 
 import mpmath as mp
 
+from .errors import NumericRecheckError
 from .exact import CoeffExpr, PiRational
 from .words import Composition, WordPoly, stuffle
 from . import zetasum
@@ -39,6 +41,12 @@ class NumericContext:
     pole_guard: float = 1e-3
 
     def __post_init__(self) -> None:
+        for name, kind in (("target_abs_error", Real), ("working_precision", Integral),
+                           ("truncation_cap", Integral), ("pole_guard", Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a real number"
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if not 0 < self.target_abs_error < math.inf:
             raise ValueError("target_abs_error must be finite and positive")
         if self.working_precision < 1:
@@ -176,6 +184,17 @@ def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CON
         expr = symmetrel_extend(expr)
     with ctx.workprec():
         return _certified(expr, ctx.target_abs_error, ctx.truncation_cap)[0]
+
+
+def _check_zero(what: str, expr: CoeffExpr, ctx: NumericContext) -> None:
+    """Check an exact expression that should vanish: raise
+    NumericRecheckError unless 0 lies within its certificate at ``ctx``."""
+    with ctx.workprec():
+        value, bound = _certified(expr, ctx.target_abs_error, ctx.truncation_cap)
+    if abs(value) > bound:
+        raise NumericRecheckError(
+            f"{what} is {mp.nstr(value, 15)}, outside its certified bound {mp.nstr(bound, 3)}"
+        )
 
 
 def newton_relation_check(omega: int, p: int) -> bool:

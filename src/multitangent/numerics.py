@@ -28,8 +28,8 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import PoleProximityError, PrecisionUnreachableError
-from .mzv import DEFAULT_CONTEXT, NumericContext, _certified, mzv_numeric
-from .reduction import _fragment, _order_terms, delta, reduce
+from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
+from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
 from .zetasum import (
     _FRAGMENT_SIZE,
@@ -164,6 +164,23 @@ def _fragment_value(parts: tuple, a: int, target: float, cap: int):
     return hit
 
 
+def _order_coefficient(terms: list, target, cap: int):
+    """(value, bound) of c_k within ``target``: the certified sum of the
+    fragment products of its terms in ``reduction._order_terms``."""
+    # most fragment values are below 1 (a few reach 35 by weight 9);
+    # when a first pass misses, certify retries at tighter targets
+    first = target / (4 * len(terms))
+
+    def terms_at(scale):
+        piece, products = first * scale, []
+        for sign, right, a_r, left, a_l in terms:
+            v, e = _fragment_value(right, a_r, piece, cap)
+            products.append([(sign * v, e), _fragment_value(left, a_l, piece, cap)])
+        return products
+
+    return certify(terms_at, target)
+
+
 def multitangent_eval_reduced(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
@@ -172,8 +189,8 @@ def multitangent_eval_reduced(
         Te[s](z) = delta(s) + sum_k c_k Te^k(z),
 
     where c_k, the sum over i of Z(i, s_i - k; s), is certified as a sum of
-    products of two cached fragment values (``_fragment_value``), the terms
-    that ``reduction.z_coeff`` folds exactly.  No exact coefficient is
+    products of two cached fragment values (``_order_coefficient``), the
+    terms that ``reduction.z_coeff`` folds exactly.  No exact coefficient is
     expanded; a second point costs the monotangents and these products.
 
     Monotangent values can be large near the real axis, so each coefficient's
@@ -185,22 +202,10 @@ def multitangent_eval_reduced(
         z = check_point(z, ctx.pole_guard)
         orders = _order_terms(s)
         total = mp.mpc(delta(s).to_mpf())
-        cap = ctx.truncation_cap
         for k, terms in sorted(orders.items()):
             mono = monotangent_eval(k, z, ctx)
             budget = float(ctx.target_abs_error / (2 * len(orders) * (abs(mono) + 1)))
-            # most fragment values are below 1 (a few reach 35 by weight 9);
-            # when a first pass misses, certify retries at tighter targets
-            first = budget / (4 * len(terms))
-
-            def terms_at(scale):
-                target, products = first * scale, []
-                for sign, right, a_r, left, a_l in terms:
-                    v, e = _fragment_value(right, a_r, target, cap)
-                    products.append([(sign * v, e), _fragment_value(left, a_l, target, cap)])
-                return products
-
-            total += certify(terms_at, budget)[0] * mono
+            total += _order_coefficient(terms, budget, ctx.truncation_cap)[0] * mono
         return total
 
 
@@ -249,17 +254,18 @@ def trifactorization_residual(
 
 
 def _fourier_zetas(s: Composition, ctx: NumericContext):
-    """(k, sum_j Z(j, s_j - k; s)), the zeta data of the Fourier coefficient
-    formula, for each nonzero order k >= 2 of reduce(s), evaluated numerically."""
-    for k, expr in sorted(reduce(s).coeffs.items()):
+    """(k, (value, bound)) of sum_j Z(j, s_j - k; s), the zeta data of the
+    Fourier coefficient formula, for each order k >= 2 of the reduction of s,
+    certified to the context target by ``_order_coefficient``."""
+    for k, terms in sorted(_order_terms(s).items()):
         if k >= 2:
-            yield k, mzv_numeric(expr, ctx)
+            yield k, _order_coefficient(terms, ctx.target_abs_error, ctx.truncation_cap)
 
 
 def _fourier_from_zetas(zetas, n: int):
-    """T_hat_n from the (k, zeta value) pairs of ``_fourier_zetas``."""
+    """T_hat_n from the (k, (value, bound)) pairs of ``_fourier_zetas``."""
     total = mp.mpc(0)
-    for k, zval in zetas:
+    for k, (zval, _) in zetas:
         total += (-2j * n * mp.pi) ** (k - 1) / mp.factorial(k - 1) * zval
     return 2j * mp.pi * total
 
@@ -317,9 +323,8 @@ def fourier_tail_envelope(s: Composition, n_terms: int, y: float,
     with ctx.workprec():
         big_m = max(s.parts)
         amp = mp.mpf(0)
-        for k, zval in _fourier_zetas(s, ctx):
-            bound = abs(zval) + ctx.target_abs_error
-            amp += 2 * mp.pi * (2 * mp.pi) ** (k - 1) / mp.factorial(k - 1) * bound
+        for k, (zval, bound) in _fourier_zetas(s, ctx):
+            amp += 2 * mp.pi * (2 * mp.pi) ** (k - 1) / mp.factorial(k - 1) * (abs(zval) + bound)
         x = mp.exp(-2 * mp.pi * y)
         # sum_{n > N} n^(M-1) x^n <= x^(N+1) * sum_{m>=0} (N+1+m)^(M-1) x^m
         tail = mp.mpf(0)

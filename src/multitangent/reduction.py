@@ -24,7 +24,7 @@ Divergent zeta symbols arising for sequences with end ones are resolved by
 the symmetrel extension with Ze[1] = 0, which is what makes the same formula
 cover regularized divergent multitangents.  For a convergent s the k = 1
 coefficient is retained symbolically; it always evaluates to zero and
-``assert_clean`` removes it after checking that numerically.
+``assert_clean`` removes it after checking that 0 lies within its certificate.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NumericRecheckError
 from .exact import CoeffExpr, PiRational
-from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric, symmetrel_extend
+from .mzv import DEFAULT_CONTEXT, NumericContext, _check_zero, mzv_numeric, symmetrel_extend
 from .words import Composition, is_multitangent_convergent
 
 
@@ -198,17 +197,13 @@ def te1_identity_residual(
 def assert_clean(
     result: ReductionResult, ctx: NumericContext = DEFAULT_CONTEXT
 ) -> ReductionResult:
-    """Drop the Te^1 term of a convergent reduction after verifying that it
-    evaluates to zero numerically; raises NumericRecheckError otherwise."""
+    """Drop the Te^1 term of a convergent reduction after verifying that 0
+    lies within the certificate of its value; raises NumericRecheckError
+    otherwise."""
     if not is_multitangent_convergent(result.sequence):
         raise ValueError("assert_clean only applies to convergent sequences")
     expr = result.coefficient(1)
     if expr:
-        tol = ctx.target_abs_error * max(1, len(expr))
-        residual = float(abs(mzv_numeric(expr, ctx)))
-        if residual > tol:
-            raise NumericRecheckError(
-                f"Te^1 coefficient of {result.sequence} is {residual:.3e} > {tol:.3e}"
-            )
+        _check_zero(f"Te^1 coefficient of {result.sequence}", expr, ctx)
     coeffs = {k: e for k, e in result.coeffs.items() if k != 1}
     return ReductionResult(result.sequence, result.constant, coeffs)

@@ -10,3 +10,11 @@ def high_ambient_precision():
     mp.mp.dps = 30
     yield
     mp.mp.dps = old
+
+
+@pytest.fixture
+def user_precision():
+    """The 53-bit ambient precision a user's process starts at, for tests
+    whose claim must not lean on the session's dps 30."""
+    with mp.workprec(53):
+        yield

@@ -172,6 +172,10 @@ class TestConfig:
         [
             ({"pole_guard": -1}, "pole_guard"),
             ({"target_abs_error": float("nan")}, "target_abs_error"),
+            ({"target_abs_error": "1e-6"}, "target_abs_error"),
+            ({"truncation_cap": "x"}, "truncation_cap"),
+            ({"working_precision": 100.5}, "working_precision"),
+            ({"pole_guard": True}, "pole_guard"),
         ],
     )
     def test_bad_numeric_setting_rejected(self, runner, tmp_path, config, field):
@@ -182,6 +186,16 @@ class TestConfig:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert f"error: {field} must be" in result.output
+
+    @pytest.mark.parametrize("config", [[["target_abs_error", 1e-6]], 1e-6, None])
+    def test_config_that_is_not_an_object_rejected(self, runner, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["--config", str(cfg), "reduce", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error: config must be a JSON object" in result.output
 
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

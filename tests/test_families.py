@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from multitangent import families
 from multitangent.errors import MultitangentError
 from multitangent.exact import CoeffExpr, PiRational
 from multitangent.families import (
@@ -12,7 +13,7 @@ from multitangent.families import (
     te_ones_closed_form,
     zagier_ze2n,
 )
-from multitangent.mzv import NumericContext, mzv_numeric
+from multitangent.mzv import NumericContext, even_zeta, mzv_numeric
 from multitangent.numerics import monotangent_eval, multitangent_eval_direct
 from multitangent.reduction import reduce
 from multitangent.words import Composition, repeat
@@ -130,4 +131,13 @@ class TestZagier:
 class TestSinProduct:
     @pytest.mark.parametrize("order", [0, 1, 3, 5])
     def test_holds(self, order):
-        assert sin_product_series_check(order, tol=1e-9)
+        assert sin_product_series_check(order)
+
+    def test_detects_a_relative_error_of_1e_12(self, monkeypatch):
+        # a relative comparison at 1e-9 would let this through
+        def off(n):
+            value = even_zeta(n)
+            return value * (1 + Fraction(1, 10**12)) if n == 2 else value
+
+        monkeypatch.setattr(families, "even_zeta", off)
+        assert not sin_product_series_check(5)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -69,6 +70,20 @@ class TestTableLoading:
 
         monkeypatch.setattr(basis_table, "_derive", corrupted)
         with pytest.raises(NumericRecheckError):
+            MzvBasisTable.load()
+
+    def test_entry_off_by_9e_11_fails(self, monkeypatch, user_precision):
+        # 9e-11 Ze[8] is below 1e-10 but outside a certificate of 5e-11
+        derive = basis_table._derive
+
+        def shifted(weight, basis):
+            entries = derive(weight, basis)
+            if weight == 8:
+                entries[C(3, 3, 2)] += CoeffExpr.symbol(C(8), Fraction(9, 10**11))
+            return entries
+
+        monkeypatch.setattr(basis_table, "_derive", shifted)
+        with pytest.raises(NumericRecheckError, match=r"Ze\[3,3,2\]"):
             MzvBasisTable.load()
 
     def test_entries_respect_duality(self):
@@ -370,6 +385,26 @@ class TestSlotVector:
         for w in range(4, 9):
             for s in enumerate_compositions(w, "convergent"):
                 slot_vector(s)  # raises on failed cancellation
+
+    def test_te1_check_past_the_table_compares_certificates(self, monkeypatch, user_precision):
+        # weight 10: the Te^1 block (weight 9) is past the table, so it is
+        # certified numerically; 5e-9 Ze[2] is below 1e-8 per term but far
+        # outside the certificate
+        s = C(3, 1, 2, 1, 1, 2)
+        monkeypatch.setattr(
+            lab, "_slot_vector_cached", lru_cache(maxsize=8)(lab._slot_vector_cached.__wrapped__)
+        )
+        assert slot_vector(s)
+
+        def perturbed(comp):
+            red = reduce(comp)
+            red.coeffs[1] = red.coeffs[1] + CoeffExpr.symbol(C(2), Fraction(5, 10**9))
+            return red
+
+        lab._slot_vector_cached.cache_clear()
+        monkeypatch.setattr(lab, "reduce", perturbed)
+        with pytest.raises(NumericRecheckError, match="Te\\^1 coefficient of 3,1,2,1,1,2"):
+            slot_vector(s)
 
     def test_values(self):
         vec = slot_vector(C(2, 2))

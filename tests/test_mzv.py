@@ -314,8 +314,21 @@ class TestNewtonRelation:
         ("pole_guard", -1.0),
         ("pole_guard", float("nan")),
         ("pole_guard", float("inf")),
+        ("target_abs_error", "1e-6"),
+        ("target_abs_error", True),
+        ("working_precision", 100.5),
+        ("working_precision", "128"),
+        ("truncation_cap", "x"),
+        ("truncation_cap", 1e6),
+        ("truncation_cap", True),
+        ("pole_guard", None),
     ],
 )
 def test_context_rejects_settings_that_break_evaluation(field, value):
     with pytest.raises(ValueError, match=field):
         NumericContext(**{field: value})
+
+
+def test_context_takes_any_real_target():
+    ctx = NumericContext(target_abs_error=Fraction(1, 10**9), pole_guard=1)
+    assert ctx.target_abs_error == Fraction(1, 10**9)

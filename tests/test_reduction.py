@@ -238,6 +238,14 @@ class TestAssertClean:
         cleaned = assert_clean(reduce(C(2, 1, 2)), CTX)
         assert cleaned.is_zero()
 
+    def test_te1_check_compares_certificates(self, user_precision):
+        # 5e-10 Ze[2] is below the target per term but outside the certificate
+        red = reduce(C(2, 2, 1, 3))
+        assert_clean(red)
+        red.coeffs[1] = red.coeffs[1] + CoeffExpr.symbol(C(2), Fraction(5, 10**10))
+        with pytest.raises(NumericRecheckError, match="Te\\^1 coefficient of 2,2,1,3"):
+            assert_clean(red)
+
     def test_detects_corruption(self):
         red = reduce(C(2, 2))
         red.coeffs[1] = sym(3)  # nonzero junk in the order-1 slot
