@@ -95,10 +95,13 @@ class MzvMonomial:
     :mod:`multitangent.mzv` so that intermediate formal work stays cheap.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors: Iterable[Composition] = ()):
-        object.__setattr__(self, "factors", tuple(sorted(factors, key=Composition.sort_key)))
+        factors = tuple(sorted(factors, key=Composition.sort_key))
+        object.__setattr__(self, "factors", factors)
+        # every dict and cache lookup hashes the monomial: hash it once
+        object.__setattr__(self, "_hash", hash(factors))
 
     def __setattr__(self, *args):
         raise AttributeError("MzvMonomial is immutable")
@@ -128,7 +131,7 @@ class MzvMonomial:
         return self.factors == other.factors
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     def sort_key(self):
         return (self.weight, self.degree, tuple(f.sort_key() for f in self.factors))

@@ -1,48 +1,94 @@
 """Exact linear algebra over the rationals.
 
-Plain dense routines on lists of Fraction rows: reduced row echelon form,
-rank, null space, and a deterministic linear solve that factors a matrix
-once and answers each right-hand side by one product.  No floating point
-enters anywhere; pivoting is by first nonzero column, which keeps results
-reproducible across runs.
+Routines on lists of Fraction rows: reduced row echelon form, rank, null
+space, and a deterministic linear solve that factors a matrix once and
+answers each right-hand side by one product.  Rows go in and come out as
+Fractions; inside, ``rref`` eliminates on sparse integer rows, fraction-free,
+and divides by the pivots once at the end.  No floating point enters
+anywhere.  The reduced row echelon form is unique, so the result does not
+depend on the order in which pivots are taken.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 
+_ZERO = Fraction(0)
 
-def _copy(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _integer_row(row: list[Fraction]) -> dict[int, int]:
+    """{column: int} for the nonzero entries of ``row``, times the lcm of
+    their denominators, with the content divided out."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    den = math.lcm(*(x.denominator for _, x in nonzero))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero})
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """(P/g) row - (a/g) pivot_row, primitive, where P and a are the entries
+    of pivot_row and row in column c and g = gcd(P, a): zero in column c."""
+    p, a = pivot_row[c], row[c]
+    g = math.gcd(p, a)
+    p, a = p // g, a // g
+    out = {j: p * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        w = out.get(j, 0) - a * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = _copy(m)
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    Forward elimination takes, per column, the shortest remaining row that
+    holds it as the pivot; back substitution then clears each pivot column
+    above its pivot.  Each pivot row is finally divided by its pivot.
+    """
     if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
+        return [], []
+    cols = len(m[0])
+    rest = [row for row in map(_integer_row, m) if row]
+    done: list[tuple[int, dict[int, int]]] = []  # (pivot column, row)
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
+        holding = [row for row in rest if c in row]
+        if not holding:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        pivot_row = min(holding, key=len)
+        rest = [
+            _eliminate(row, pivot_row, c) if c in row else row
+            for row in rest
+            if row is not pivot_row
+        ]
+        rest = [row for row in rest if row]
+        done.append((c, pivot_row))
+    for k in range(len(done) - 1, 0, -1):
+        c, pivot_row = done[k]
+        for i in range(k):
+            pc, row = done[i]
+            if c in row:
+                done[i] = pc, _eliminate(row, pivot_row, c)
+    out = []
+    for c, row in done:
+        p = row[c]
+        dense = [_ZERO] * cols
+        for j, v in row.items():
+            dense[j] = Fraction(v, p)
+        out.append(dense)
+    out += [[_ZERO] * cols for _ in range(len(m) - len(done))]
+    return out, [c for c, _ in done]
 
 
 def rank(m: Matrix) -> int:

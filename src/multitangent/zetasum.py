@@ -33,11 +33,14 @@ x = pf/N the envelope of level j at N is
 
 w_b = |c| kappa (b')_(2K) / (b'+2K-1), b' = b+s_j.  E_j, the tail value
 V_j = E_j + u^(-s_j) E_(j-1) and the w_b are built per exponent prefix from
-the parent prefix's entry and kept as integers over one common denominator
-in a bounded cache (``_tail``).  The bound rounds upward: |z| is bounded
-from above through the integer square root of the exact dyadic |z|^2, x by
-a 64-bit fraction, the sum over b by a ceiling Horner scheme on integers,
-and every other step by mpmath's upward rounding at 53 bits.
+the parent prefix's entry, in integers: the numerators of E_(j-1), of each
+G_b over its own denominator (``_em_integers``) and of each w_b are combined
+over common denominators, and the result is divided by its gcd, so each is
+kept over its least denominator in a bounded cache (``_tail``).  The bound
+rounds upward: |z| is bounded from above through the integer square root of
+the exact dyadic |z|^2, x by a 64-bit fraction, the sum over b by a ceiling
+Horner scheme on integers, and every other step by mpmath's upward rounding
+at 53 bits.
 
 Below N the running sums go backward: P_j(N-1) = V_j(N+z), which is
 T_j(N-1) within eps_j = c_j + x^(s_j) c_(j-1), and P_j(m-1) = P_j(m) +
@@ -133,52 +136,74 @@ def _remainder_weight(b: int) -> Fraction:
     return _EM_KERNEL * _rising(b, 2 * _EM_ORDER) / (b + 2 * _EM_ORDER - 1)
 
 
-def _dense(coefs: dict) -> tuple[int, int, tuple]:
-    """(den, lo, nums) with coefs[lo + i] = nums[i] / den, den the least
-    common denominator."""
-    lo = min(coefs)
-    den = math.lcm(*(c.denominator for c in coefs.values()))
-    return den, lo, tuple(int(coefs.get(k, 0) * den) for k in range(lo, max(coefs) + 1))
+@functools.lru_cache(maxsize=256)
+def _em_integers(b: int) -> tuple:
+    """``_em_template(b)`` over one common denominator, with the remainder
+    weight: (den, ((k, num), ...), rho_num, rho_den), e_k = num / den and
+    ``_remainder_weight(b)`` = rho_num / rho_den."""
+    terms = _em_template(b)
+    den = math.lcm(*(e.denominator for _, e in terms))
+    rho = _remainder_weight(b)
+    nums = tuple((k, e.numerator * (den // e.denominator)) for k, e in terms)
+    return den, nums, rho.numerator, rho.denominator
+
+
+def _layout(den: int, lo: int, nums: list[int]) -> tuple[int, int, tuple]:
+    """(den, lo, nums) with the gcd of den and every num divided out, so
+    den is the least common denominator of the nums[i] / den."""
+    g = math.gcd(den, *nums)
+    return den // g, lo, tuple(n // g for n in nums)
 
 
 class _Tail:
     """The tail expansion of one exponent prefix (s_1, ..., s_j), free of z,
-    N and the precision.  ``E``, ``V`` and ``W`` are ``_dense`` layouts:
-    E_j, the tail value V_j = E_j + u^(-s_j) E_(j-1), and the w_b keyed by
-    the exponent b + s_j + 2K of x they multiply.  ``top`` is the largest
-    power of 1/u in V_j."""
+    N and the precision.  ``E``, ``V`` and ``W`` are ``_layout``s, with
+    coefficient lo + i equal to nums[i] / den: E_j, the tail value
+    V_j = E_j + u^(-s_j) E_(j-1), and the w_b keyed by the exponent
+    b + s_j + 2K of x they multiply.  ``top`` is the largest power of 1/u
+    in V_j."""
 
     __slots__ = ("E", "V", "W", "beta", "top")
 
-    def __init__(self, E: dict, V: dict, W: dict, beta: int):
-        self.E, self.V, self.W, self.beta = _dense(E), _dense(V), _dense(W), beta
-        self.top = max(V)
-
-    def expansion(self) -> dict:
-        den, lo, nums = self.E
-        return {lo + i: Fraction(n, den) for i, n in enumerate(nums) if n}
+    def __init__(self, E: tuple, V: tuple, W: tuple, beta: int):
+        self.E, self.V, self.W, self.beta = E, V, W, beta
+        self.top = V[1] + len(V[2]) - 1
 
 
 @functools.lru_cache(maxsize=1024)
 def _tail(prefix: tuple[int, ...]) -> _Tail:
-    """The ``_Tail`` of ``prefix``, built from its parent prefix's entry."""
+    """The ``_Tail`` of ``prefix``, built from its parent prefix's entry in
+    integers: E_j and V_j over den(E_(j-1)) times the lcm of the template
+    denominators, the w_b over den(E_(j-1)) times the lcm of the remainder
+    weight denominators."""
     s = prefix[-1]
     if len(prefix) == 1:
-        inner, beta = {0: Fraction(1)}, 2 * _EM_ORDER
+        (den, start, nums), beta = (1, 0, (1,)), 2 * _EM_ORDER
     else:
         parent = _tail(prefix[:-1])
-        inner, beta = parent.expansion(), parent.beta
-    E: dict = {}
-    V: dict = {}
-    W: dict = {}
-    for b, c in inner.items():
-        for k, e in _em_template(b + s):
-            E[k] = E.get(k, 0) + c * e
-        V[b + s] = c
-        W[b + s + 2 * _EM_ORDER] = abs(c) * _remainder_weight(b + s)
-    for k, e in E.items():
-        V[k] = V.get(k, 0) + e
-    return _Tail(E, V, W, beta + s - 1)
+        (den, start, nums), beta = parent.E, parent.beta
+    # the terms c u^(-b) of E_(j-1), c = n / den, with the integers of G_(b+s)
+    inner = [(start + i, n, _em_integers(start + i + s)) for i, n in enumerate(nums) if n]
+    e_den = math.lcm(*(t[0] for _, _, t in inner))
+    w_den = math.lcm(*(t[3] for _, _, t in inner))
+    first, last = inner[0][0], inner[-1][0]
+    lo = first + s - 1  # the least power of 1/u in E_j and V_j
+    E = [0] * (last - first + 2 * _EM_ORDER + 1)
+    W = [0] * (last - first + 1)
+    for b, n, (t_den, terms, rho_num, rho_den) in inner:
+        scale = n * (e_den // t_den)
+        for k, t in terms:
+            E[k - lo] += scale * t
+        W[b - first] = abs(n) * rho_num * (w_den // rho_den)
+    V = E[:]
+    for b, n, _ in inner:
+        V[b + s - lo] += n * e_den
+    return _Tail(
+        _layout(den * e_den, lo, E),
+        _layout(den * e_den, lo, V),
+        _layout(den * w_den, first + s + 2 * _EM_ORDER, W),
+        beta + s - 1,
+    )
 
 
 def _man_exp(x) -> tuple[int, int]:

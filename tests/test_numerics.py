@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
@@ -512,7 +514,7 @@ class TestEulerMaclaurinEngine:
                 result = shifted_nested_sum_fixed((3, 1, 2), 0.3 + 0.7j, 48)
                 return [(v.real._mpf_, v.imag._mpf_, e._mpf_) for v, e in result.prefixes]
 
-        caches = (zetasum._em_template, zetasum._tail)
+        caches = (zetasum._em_template, zetasum._em_integers, zetasum._tail)
         with mp.workprec(64):
             shifted_nested_sum_fixed((3, 1, 2), 0.3 + 0.7j, 48)
         warm = run()
@@ -520,6 +522,47 @@ class TestEulerMaclaurinEngine:
             cache.cache_clear()
         assert run() == warm
         assert all(cache.cache_info().maxsize is not None for cache in caches)
+
+    @staticmethod
+    def _fraction_tails(prefixes):
+        """The tail layouts (E, V, W, beta, top) built in Fraction dict
+        arithmetic, keyed by prefix: the oracle of ``zetasum._tail``."""
+
+        def dense(coefs):
+            lo = min(coefs)
+            den = math.lcm(*(c.denominator for c in coefs.values()))
+            return den, lo, tuple(int(coefs.get(k, 0) * den) for k in range(lo, max(coefs) + 1))
+
+        K = zetasum._EM_ORDER
+        expansions = {(): ({0: Fraction(1)}, 2 * K)}
+        out = {}
+        for prefix in sorted(prefixes, key=len):
+            s = prefix[-1]
+            inner, beta = expansions[prefix[:-1]]
+            E, V, W = {}, {}, {}
+            for b, c in inner.items():
+                for k, e in zetasum._em_template(b + s):
+                    E[k] = E.get(k, 0) + c * e
+                V[b + s] = c
+                W[b + s + 2 * K] = abs(c) * zetasum._remainder_weight(b + s)
+            for k, e in E.items():
+                V[k] = V.get(k, 0) + e
+            expansions[prefix] = {k: e for k, e in E.items() if e}, beta + s - 1
+            out[prefix] = dense(E), dense(V), dense(W), beta + s - 1, max(V)
+        return out
+
+    def test_integer_tails_match_fraction_oracle(self):
+        """Every prefix of every convergent word of weight <= 8, of its
+        reversal and of (2,1,1,1,1,1,1,1,1,2): the same layouts, each over
+        its least common denominator."""
+        words = [tuple(c) for w in range(2, 9) for c in enumerate_compositions(w, "mzv")]
+        words += [w[::-1] for w in words if w[-1] >= 2] + [(2, 1, 1, 1, 1, 1, 1, 1, 1, 2)]
+        prefixes = {w[:j] for w in words for j in range(1, len(w) + 1)}
+        for prefix, expected in self._fraction_tails(prefixes).items():
+            tail = zetasum._tail(prefix)
+            assert (tail.E, tail.V, tail.W, tail.beta, tail.top) == expected, prefix
+            for den, _, nums in (tail.E, tail.V, tail.W):
+                assert math.gcd(den, *nums) == 1
 
     def test_python_int_shift_stays_in_mp_arithmetic(self):
         # with float arithmetic anywhere the error would be near 1e-17
