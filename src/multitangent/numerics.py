@@ -75,16 +75,20 @@ def cot_poly(k: int) -> dict[int, Fraction]:
     return {j: a / (k - 1) for j, a in nxt.items() if a}
 
 
+def _monotangent(k: int, c):
+    """Te^k at the point where cot(pi z) = c, at the working precision."""
+    total = mp.mpc(0)
+    for j, coef in cot_poly(k).items():
+        total += mp.mpf(coef.numerator) / coef.denominator * c**j
+    return mp.pi**k * total
+
+
 def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     """Te^k(z) through the exact cotangent polynomial, so the derivative
     relation Te^(k+1) = -(1/k) d/dz Te^k holds by construction."""
     with ctx.workprec():
         z = check_point(z, ctx.pole_guard)
-        c = mp.cot(mp.pi * z)
-        total = mp.mpc(0)
-        for j, coef in cot_poly(k).items():
-            total += mp.mpf(coef.numerator) / coef.denominator * c**j
-        return mp.pi**k * total
+        return _monotangent(k, mp.cot(mp.pi * z))
 
 
 def _splits(s: Composition):
@@ -191,7 +195,8 @@ def multitangent_eval_reduced(
     where c_k, the sum over i of Z(i, s_i - k; s), is certified as a sum of
     products of two cached fragment values (``_order_coefficient``), the
     terms that ``reduction.z_coeff`` folds exactly.  No exact coefficient is
-    expanded; a second point costs the monotangents and these products.
+    expanded; a second point costs one cotangent, its polynomials and these
+    products.
 
     Monotangent values can be large near the real axis, so each coefficient's
     error budget is scaled by the monotangent magnitude it multiplies.
@@ -199,11 +204,11 @@ def multitangent_eval_reduced(
     if not s:
         raise ValueError("empty sequence")
     with ctx.workprec():
-        z = check_point(z, ctx.pole_guard)
+        c = mp.cot(mp.pi * check_point(z, ctx.pole_guard))
         orders = _order_terms(s)
         total = mp.mpc(delta(s).to_mpf())
         for k, terms in sorted(orders.items()):
-            mono = monotangent_eval(k, z, ctx)
+            mono = _monotangent(k, c)
             budget = float(ctx.target_abs_error / (2 * len(orders) * (abs(mono) + 1)))
             total += _order_coefficient(terms, budget, ctx.truncation_cap)[0] * mono
         return total

@@ -22,16 +22,22 @@ sum of c G_(b+s_j) over the terms c u^(-b) of E_(j-1), where for b >= 2
     G_b(u) = u^(1-b)/(b-1) - u^(-b)/2 + sum_k B_2k/(2k)! (b)_(2k-1) u^(1-b-2k)
 
 is sum over n > m of (n+z)^(-b) at u = m+z, k = 1..K (``_EM_ORDER``), with
-(b)_k the rising factorial.  Its remainder is at most
-kappa (b)_(2K) pf^(b+2K) m^(1-b-2K) / (b+2K-1), kappa = |B_2K|/(2K)!, where
-pf = N/(N-|z|) bounds t/|t+z| for t >= N; the envelope below is carried
-through the sum as pf^s C m^(1-s-beta)/(s+beta-1).  Every exponent that
-appears is at least beta_j = beta_(j-1) + s_j - 1, beta_0 = 2K, so with
-x = pf/N the envelope of level j at N is
+(b)_k the rising factorial.  Its remainder R_K is the first omitted term
+T_(K+1) = B_(2K+2)/(2K+2)! (b)_(2K+1) u^(-b-2K-1) plus the remainder R_(K+1)
+after it, and R_(K+1) is at most |B_(2K+2)|/(2K+2)! times the integral of
+|f^(2K+2)| past m, f(t) = (t+z)^(-b).  With pf = N/(N-|z|), which bounds
+t/|t+z| for t >= N, both parts are O(m^(-b-2K-1)) for complex z, and
 
-    c_j = N (sum over b of w_b x^(b+s_j+2K) + c_(j-1) x^(s_j) / beta_j),
+    |R_K(m)| <= kappa (b)_(2K+1) (1 + pf) pf^(b+2K+1) m^(-b-2K-1),
 
-w_b = |c| kappa (b')_(2K) / (b'+2K-1), b' = b+s_j.  E_j, the tail value
+kappa = |B_(2K+2)|/(2K+2)!.  The envelope below is carried through the sum
+as pf^s C m^(1-s-beta)/(s+beta-1).  Every exponent that appears is at least
+beta_j = beta_(j-1) + s_j - 1, beta_0 = 2K+2, so with x = pf/N the envelope
+of level j at N is
+
+    c_j = (1 + pf) sum over b of w_b x^(b+s_j+2K+1) + N c_(j-1) x^(s_j) / beta_j,
+
+w_b = |c| kappa (b')_(2K+1), b' = b+s_j.  E_j, the tail value
 V_j = E_j + u^(-s_j) E_(j-1) and the w_b are built per exponent prefix from
 the parent prefix's entry, in integers: the numerators of E_(j-1), of each
 G_b over its own denominator (``_em_integers``) and of each w_b are combined
@@ -41,6 +47,11 @@ rounds upward: |z| is bounded from above through the integer square root of
 the exact dyadic |z|^2, x by a 64-bit fraction, the sum over b by a ceiling
 Horner scheme on integers, and every other step by mpmath's upward rounding
 at 53 bits.
+
+The cutoff N starts at the floor the tail bounds allow, N > 4 (1 + |z|)
+and N >= 16 (``_floor_cutoff``), so pf < 4/3.  K = 9 certifies the targets
+of the direct evaluations at the floor almost always; a pass that misses is
+retried at three times the cutoff.
 
 Below N the running sums go backward: P_j(N-1) = V_j(N+z), which is
 T_j(N-1) within eps_j = c_j + x^(s_j) c_(j-1), and P_j(m-1) = P_j(m) +
@@ -87,9 +98,10 @@ from mpmath.libmp import fzero, from_int, from_man_exp, mpf_add, mpf_div, mpf_mu
 
 from .errors import PrecisionUnreachableError
 
-_EM_ORDER = 6  # K: Bernoulli corrections B_2..B_{2K}, remainder uses f^(2K)
-# 2 zeta(2K) / (2 pi)^(2K), the Euler-Maclaurin remainder kernel
-_EM_KERNEL = abs(Fraction(*mp.bernfrac(2 * _EM_ORDER))) / math.factorial(2 * _EM_ORDER)
+_EM_ORDER = 9  # K: Bernoulli corrections B_2..B_{2K}
+# |B_(2K+2)| / (2K+2)!: the size of the first omitted Euler-Maclaurin term and
+# the kernel of the remainder after it
+_EM_KERNEL = abs(Fraction(*mp.bernfrac(2 * _EM_ORDER + 2))) / math.factorial(2 * _EM_ORDER + 2)
 
 GUARD = 48  # fixed-point bits carried beyond the working precision
 _BOUND_PREC = 53  # bits of the upward-rounded truncation bound
@@ -120,7 +132,7 @@ def _rising(b: int, k: int) -> int:
 def _em_template(b: int) -> tuple:
     """The completion G_b of sum over n > m of (n+z)^(-b), b >= 2, as pairs
     (k, e_k): the sum is e_k u^(-k) summed over k at u = m+z, up to the
-    remainder ``_remainder_weight(b)`` x^(b+2K) N."""
+    remainder ``_remainder_weight(b)`` (1 + pf) x^(b+2K+1)."""
     if b < 2:
         raise ValueError(f"the tail of (n+z)^-{b} diverges")
     terms = [(b - 1, Fraction(1, b - 1)), (b, Fraction(-1, 2))]
@@ -131,9 +143,9 @@ def _em_template(b: int) -> tuple:
 
 
 def _remainder_weight(b: int) -> Fraction:
-    """kappa (b)_(2K) / (b+2K-1): the remainder of G_b at m >= N is at most
-    this times pf^(b+2K) m^(1-b-2K)."""
-    return _EM_KERNEL * _rising(b, 2 * _EM_ORDER) / (b + 2 * _EM_ORDER - 1)
+    """kappa (b)_(2K+1): the remainder of G_b at m >= N is at most this times
+    (1 + pf) pf^(b+2K+1) m^(-b-2K-1)."""
+    return _EM_KERNEL * _rising(b, 2 * _EM_ORDER + 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -160,7 +172,7 @@ class _Tail:
     N and the precision.  ``E``, ``V`` and ``W`` are ``_layout``s, with
     coefficient lo + i equal to nums[i] / den: E_j, the tail value
     V_j = E_j + u^(-s_j) E_(j-1), and the w_b keyed by the exponent
-    b + s_j + 2K of x they multiply.  ``top`` is the largest power of 1/u
+    b + s_j + 2K + 1 of x they multiply.  ``top`` is the largest power of 1/u
     in V_j."""
 
     __slots__ = ("E", "V", "W", "beta", "top")
@@ -178,7 +190,7 @@ def _tail(prefix: tuple[int, ...]) -> _Tail:
     weight denominators."""
     s = prefix[-1]
     if len(prefix) == 1:
-        (den, start, nums), beta = (1, 0, (1,)), 2 * _EM_ORDER
+        (den, start, nums), beta = (1, 0, (1,)), 2 * _EM_ORDER + 2
     else:
         parent = _tail(prefix[:-1])
         (den, start, nums), beta = parent.E, parent.beta
@@ -201,7 +213,7 @@ def _tail(prefix: tuple[int, ...]) -> _Tail:
     return _Tail(
         _layout(den * e_den, lo, E),
         _layout(den * e_den, lo, V),
-        _layout(den * w_den, first + s + 2 * _EM_ORDER, W),
+        _layout(den * w_den, first + s + 2 * _EM_ORDER + 1, W),
         beta + s - 1,
     )
 
@@ -313,17 +325,26 @@ class _Cutoff:
         return p
 
     def envelope(self, tail: _Tail, carried):
-        """c_j = n0 (sum_b w_b x^(b+s_j+2K) + carried / beta_j), upward, with
-        carried = c_(j-1) x^(s_j).  The sum over b runs as a Horner scheme on
-        integers with 64 fraction bits that rounds every product up."""
+        """c_j = (1 + n0 x) sum_b w_b x^(b+s_j+2K+1) + n0 carried / beta_j,
+        upward, with carried = c_(j-1) x^(s_j).  The sum over b runs as a
+        Horner scheme on integers with 64 fraction bits that rounds every
+        product up."""
         den, lo, nums = tail.W
         X = self.X
         acc = nums[-1] << 64
         for n in nums[-2::-1]:
             acc = -((-acc * X) >> 64) + (n << 64)
+        # times 1 + n0 x >= 1 + pf (x = X 2^-64), rounded up
+        acc = -((-acc * ((1 << 64) + self.n0 * X)) >> 64)
         total = _up(mpf_mul, _up(mpf_div, from_man_exp(acc, -64), from_int(den)), self.xpow(lo))
-        total = _up(mpf_add, total, _up(mpf_div, carried, from_int(tail.beta)))
-        return _up(mpf_mul, total, from_int(self.n0))
+        carried = _up(mpf_mul, _up(mpf_div, carried, from_int(tail.beta)), from_int(self.n0))
+        return _up(mpf_add, total, carried)
+
+
+def _floor_cutoff(z) -> int:
+    """The least cutoff the tail bounds allow at z: n0 > 4 (1 + |z|) and
+    n0 >= 16."""
+    return max(16, int(4 * (1 + abs(z))) + 1)
 
 
 class _FixedSum(tuple):
@@ -351,7 +372,7 @@ def shifted_nested_sum_fixed(
     if any(s < 1 for s in exponents):
         raise ValueError("exponents must be positive")
     z = mp.mpc(z)
-    if n0 < 4 * (1 + abs(z)) or n0 < 16:
+    if n0 < _floor_cutoff(z):
         raise ValueError("cutoff too small for the tail bounds")
 
     tails = [_tail(exponents[:j]) for j in range(1, len(exponents) + 1)]
@@ -436,7 +457,8 @@ def shifted_nested_sum(
 ) -> tuple[mp.mpc, mp.mpf]:
     """Evaluate the nested sum to absolute error <= target.
 
-    The cutoff is grown geometrically until the certified bound meets the
+    The first pass runs at the floor cutoff ``_floor_cutoff(z)``, 16 unless
+    |z| >= 3, and the cutoff triples while the certified bound misses the
     target; raises PrecisionUnreachableError (carrying the achieved bound)
     if the cap is hit first, or at once if the rounding at this working
     precision alone exceeds the target.  The last ``_CACHE_SIZE`` results
@@ -449,7 +471,7 @@ def shifted_nested_sum(
     if hit is not None:
         return hit[:2]
 
-    n0 = max(int(4 * (1 + abs(z))) + 1, 48)
+    n0 = _floor_cutoff(z)
     best = None
     while n0 <= cap:
         best = shifted_nested_sum_fixed(exponents, z, n0)

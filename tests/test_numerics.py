@@ -181,6 +181,21 @@ class TestReducedFromFragments:
         multitangent_eval_reduced(s, mp.mpc("0.1", "1.3"), CTX)
         assert passes == []
 
+    def test_one_cotangent_per_point(self):
+        """The point is checked and cot(pi z) computed once, whatever the
+        number of orders; each Te^k is the value monotangent_eval returns."""
+        s, z = C(3, 1, 2, 1), mp.mpc("0.1", "0.6")
+        assert len(_order_terms(s)) > 1
+        with mock.patch.object(mp, "cot", wraps=mp.cot) as cot, mock.patch.object(
+            numerics, "check_point", wraps=numerics.check_point
+        ) as check:
+            multitangent_eval_reduced(s, z, CTX)
+        assert cot.call_count == check.call_count == 1
+        with CTX.workprec():
+            c = mp.cot(mp.pi * z)
+            for k in _order_terms(s):
+                assert numerics._monotangent(k, c) == monotangent_eval(k, z, CTX)
+
     def test_tighter_target_replaces_the_entry(self, monkeypatch):
         monkeypatch.setattr(numerics, "_fragments", {})
         monkeypatch.setattr(zetasum, "_cache", {})
@@ -332,10 +347,11 @@ class TestFourier:
 
 
 def test_cached_nested_sum_respects_cap():
-    """A cached sum whose cutoff exceeds the caller's cap must not serve it."""
-    shifted_nested_sum((3,), 0, target=1e-10)
+    """A cached sum whose cutoff exceeds the caller's cap must not serve it.
+    The target misses at the floor cutoff 16, so the sum is cached at 48."""
+    shifted_nested_sum((3,), 0, target=1e-25)
     with pytest.raises(PrecisionUnreachableError):
-        shifted_nested_sum((3,), 0, target=1e-10, cap=20)
+        shifted_nested_sum((3,), 0, target=1e-25, cap=20)
 
 
 def _counting_fixed(monkeypatch) -> list:
@@ -407,16 +423,16 @@ _SHIFTS = st.one_of(
 @given(_SEQUENCES, _SHIFTS, st.sampled_from((64, 128, 200)), st.integers(1, 40))
 @settings(max_examples=30, deadline=None)
 def test_certificate_covers_reference(parts, shift, prec, below):
-    """|value - reference| <= bound + reference bound, for the fixed cutoff
-    and for targets below 2^-prec; the reference is a 400-bit sum at
-    n0 = 144."""
+    """|value - reference| <= bound + reference bound, for the fixed cutoffs
+    16 and 48 and for targets below 2^-prec; the reference is a 400-bit sum
+    at n0 = 144."""
     z = mp.mpc(*shift) / 16
     with mp.workprec(400):
         ref, ref_bound = shifted_nested_sum_fixed(parts, z, 144)
     results = []
     # a fresh cache: these sums must not serve later tests at their targets
     with mp.workprec(prec), mock.patch.dict(zetasum._cache, clear=True):
-        results.append(shifted_nested_sum_fixed(parts, z, 48))
+        results += [shifted_nested_sum_fixed(parts, z, n0) for n0 in (16, 48)]
         target = 2.0 ** -(prec + below)
         try:
             results.append(shifted_nested_sum(parts, z, target=target, cap=48 * 27))
@@ -429,7 +445,7 @@ def test_certificate_covers_reference(parts, shift, prec, below):
             assert abs(v - ref) <= e + ref_bound
 
 
-@given(st.integers(2, 5), st.integers(2, 5), _SHIFTS, st.sampled_from((48, 144)))
+@given(st.integers(2, 5), st.integers(2, 5), _SHIFTS, st.sampled_from((16, 48, 144)))
 @settings(max_examples=20, deadline=None)
 def test_engine_agrees_with_independent_oracles(a, b, shift, n0):
     """At 300 bits, against references that share no code with the engine:
@@ -484,29 +500,89 @@ def test_direct_evaluation_makes_two_passes(monkeypatch, depth):
         assert [args[0] for args in calls] == [parts, parts[::-1]]
 
 
+def test_near_pole_certifies_by_48():
+    """The "-" side of Te[5,2] at 2.039+0.053i is S(2,5) at -z, whose
+    (n+z)^-5 at n = 2 is about 1e6: it certifies at the floor cutoff or at
+    48, never at 144."""
+    z = mp.mpc("2.039", "0.053")
+    ctx = NumericContext(target_abs_error=1e-16)
+    with mock.patch.dict(zetasum._cache, clear=True), mock.patch.dict(numerics._memo, clear=True):
+        with mock.patch.object(
+            zetasum, "shifted_nested_sum_fixed", wraps=shifted_nested_sum_fixed
+        ) as fixed:
+            direct = multitangent_eval_direct(C(5, 2), z, ctx)
+    with ctx.workprec():
+        minus = [n0 for parts, point, n0 in (c.args for c in fixed.call_args_list)
+                 if parts == (2, 5) and point == -z]
+    assert 1 <= len(minus) <= 2 and max(minus) <= 48
+    assert abs(direct - multitangent_eval_reduced(C(5, 2), z, ctx)) <= 2 * ctx.target_abs_error
+
+
+def test_direct_evaluations_certify_at_the_floor(monkeypatch):
+    """A seeded sample like the benchmark's direct evaluations: every sum
+    starts at the floor cutoff, and at least 95% certify there."""
+    monkeypatch.setattr(numerics, "_memo", {})
+    monkeypatch.setattr(zetasum, "_cache", {})
+    passes, requests = [], []
+    fixed, nested = zetasum.shifted_nested_sum_fixed, zetasum.shifted_nested_sum
+
+    def counted_fixed(exponents, z, n0):
+        result = fixed(exponents, z, n0)
+        passes.append((n0, zetasum._floor_cutoff(z), result[1]))
+        return result
+
+    def counted_nested(exponents, z=0, target=1e-12, cap=200_000):
+        start = len(passes)
+        try:
+            return nested(exponents, z, target, cap)
+        finally:
+            if passes[start:]:
+                requests.append((target, passes[start:]))
+
+    monkeypatch.setattr(zetasum, "shifted_nested_sum_fixed", counted_fixed)
+    monkeypatch.setattr(numerics, "shifted_nested_sum", counted_nested)
+    rng = random.Random(16)
+    words = [c for w in range(2, 8) for c in enumerate_compositions(w, "convergent")]
+    for _ in range(40):
+        z = complex(rng.uniform(-2, 3), rng.choice((-1, 1)) * rng.uniform(0.1, 2))
+        ctx = NumericContext(target_abs_error=rng.choice((1e-8, 1e-12, 1e-16)))
+        multitangent_eval_direct(rng.choice(words), z, ctx)
+    assert requests and all(n0 == floor for _, ((n0, floor, _), *_) in requests)
+    first = sum(bound <= target for target, ((_, _, bound), *_) in requests)
+    assert first >= 0.95 * len(requests)
+
+
+def test_remainder_is_sharp():
+    """Ze[2] at n0 = 48: the bound is within 20 times the actual error."""
+    with mp.workprec(128):
+        v, e = shifted_nested_sum_fixed((2,), 0, 48)
+    with mp.workprec(300):
+        assert e <= 20 * abs(v - mp.zeta(2))
+
+
 class TestEulerMaclaurinEngine:
     @pytest.mark.parametrize("z", ["0", "0.3+0.7i"])
     @pytest.mark.parametrize("b", [0, 1, 2])
     @pytest.mark.parametrize("a", [1, 2, 3, 5])
     def test_template_obeys_euler_maclaurin(self, a, b, z):
         """A level sums (n+z)^-a times each term (n+z)^-b of the tail below
-        (b = 0 at the first level, where T_0 = 1).  Past N that sum is
-        G_(a+b)(N+z) + R with |R| <= rho, the remainder the engine adds for
-        it, against mpmath's Hurwitz zeta; a + b = 1 diverges and has no
-        template."""
+        (b = 0 at the first level, where T_0 = 1).  Past N = 16 or 48 that
+        sum is G_(a+b)(N+z) + R with |R| <= rho, the remainder the engine
+        adds for it, against mpmath's Hurwitz zeta; a + b = 1 diverges and
+        has no template."""
         if a + b < 2:
             with pytest.raises(ValueError):
                 zetasum._em_template(a + b)
             return
         with mp.workprec(200):
             z = mp.mpc(0) if z == "0" else mp.mpc("0.3", "0.7")
-            N = 48
-            G = mp.fsum(
-                mp.mpf(e.numerator) / e.denominator * mp.power(N + z, -k)
-                for k, e in zetasum._em_template(a + b)
-            )
-            rho = zetasum._Cutoff(z, N, 1).envelope(zetasum._tail((a + b,)), fzero)
-            assert abs(mp.zeta(a + b, N + 1 + z) - G) <= mp.make_mpf(rho)
+            for N in (16, 48):
+                G = mp.fsum(
+                    mp.mpf(e.numerator) / e.denominator * mp.power(N + z, -k)
+                    for k, e in zetasum._em_template(a + b)
+                )
+                rho = zetasum._Cutoff(z, N, 1).envelope(zetasum._tail((a + b,)), fzero)
+                assert abs(mp.zeta(a + b, N + 1 + z) - G) <= mp.make_mpf(rho), N
 
     def test_caches_do_not_leak_precision(self):
         def run():
@@ -533,8 +609,12 @@ class TestEulerMaclaurinEngine:
             den = math.lcm(*(c.denominator for c in coefs.values()))
             return den, lo, tuple(int(coefs.get(k, 0) * den) for k in range(lo, max(coefs) + 1))
 
+        # After K corrections the remainder of G_b at m >= N is at most the
+        # first omitted term plus the remainder after it:
+        # kappa (b)_(2K+1) (1 + pf) pf^(b+2K+1) m^-(b+2K+1), kappa = |B_(2K+2)|/(2K+2)!
         K = zetasum._EM_ORDER
-        expansions = {(): ({0: Fraction(1)}, 2 * K)}
+        kappa = abs(Fraction(*mp.bernfrac(2 * K + 2))) / math.factorial(2 * K + 2)
+        expansions = {(): ({0: Fraction(1)}, math.inf)}
         out = {}
         for prefix in sorted(prefixes, key=len):
             s = prefix[-1]
@@ -544,11 +624,14 @@ class TestEulerMaclaurinEngine:
                 for k, e in zetasum._em_template(b + s):
                     E[k] = E.get(k, 0) + c * e
                 V[b + s] = c
-                W[b + s + 2 * K] = abs(c) * zetasum._remainder_weight(b + s)
+                W[b + s + 2 * K + 1] = abs(c) * kappa * math.prod(range(b + s, b + s + 2 * K + 1))
             for k, e in E.items():
                 V[k] = V.get(k, 0) + e
-            expansions[prefix] = {k: e for k, e in E.items() if e}, beta + s - 1
-            out[prefix] = dense(E), dense(V), dense(W), beta + s - 1, max(V)
+            # the envelope decays like its slowest part: a template remainder,
+            # m^-(b+s+2K+1), or the level above summed against (n+z)^-s
+            beta = min(min(W), beta + s - 1)
+            expansions[prefix] = {k: e for k, e in E.items() if e}, beta
+            out[prefix] = dense(E), dense(V), dense(W), beta, max(V)
         return out
 
     def test_integer_tails_match_fraction_oracle(self):
@@ -572,49 +655,50 @@ class TestEulerMaclaurinEngine:
             assert abs(v - mp.zeta(3)) <= e
 
     # (value, bound) of the engine at 128 bits, default target, pinned so
-    # later changes to the cutoff or the rounding have a fixed reference
+    # later changes to the cutoff or the rounding have a fixed reference;
+    # every one certifies at the floor cutoff n0 = 16
     GOLDEN = [
         (
             (2,),
             ("0", "0"),
-            "1.64493406684822643647241509630888624473071",
+            "1.64493406684822643647244133544876039787085",
             "0.0",
-            "3.52516390356721033023574798273e-23",
+            "5.47101643706426952746403936603e-23",
         ),
         (
             (3, 1, 2),
             ("0", "0"),
-            "0.0792213975652071659990327464988313769098181",
+            "0.0792213975652071659990979844868740682769432",
             "0.0",
-            "2.8593416176164226641079031313e-23",
+            "1.69601866635729371173913055716e-22",
         ),
         (
             (2, 1, 1, 1, 1, 1, 1),
             ("0", "0"),
-            "1.00407735619794433937868213777023011715254",
+            "1.00407735619794433937895814398604641169952",
             "0.0",
-            "1.96503794087919926720625476542e-21",
+            "1.80500579228245461852534598226e-21",
         ),
         (
             (4, 1),
             ("0.3", "0.7"),
-            "0.00648879408786032986777054119969595709637012",
-            "-0.0349082607773008532814685085256813677660524",
-            "2.9559441185940478814456262643e-24",
+            "0.00648879408786032986777610491140804028746025",
+            "-0.0349082607773008532814825969548104741101037",
+            "2.07441951007646348538519823364e-22",
         ),
         (
             (2, 2, 1),
             ("0.3", "0.7"),
-            "0.0669311576546047760975157000987273694746458",
-            "-0.0917892136696148919189774705065448335350587",
-            "8.10248966962173526108627130099e-23",
+            "0.0669311576546047760975278139748649231541799",
+            "-0.0917892136696148919190132005272888805078874",
+            "7.1969892426643237754594663842e-22",
         ),
         (
             (3,),
             ("-1.6", "-0.4"),
-            "-3.06086468680552691564219169658722633763752",
-            "6.81157389906611305658318267792551167668995",
-            "8.06524226855569905651958706298e-24",
+            "-3.06086468680552691564205182915030921033231",
+            "6.8115738990661130565832799636541042858772",
+            "4.15714651032323632189271005678e-22",
         ),
     ]
 
@@ -632,6 +716,9 @@ class TestEulerMaclaurinEngine:
             bound = mp.mpf(bound)
             assert abs(v - mp.mpc(re, im)) <= mp.mpf("1e-6") * bound
             assert abs(e - bound) <= mp.mpf("1e-20") * bound
+        with mp.workprec(400):
+            ref, ref_bound = shifted_nested_sum_fixed(parts, mp.mpc(*z), 144)
+            assert abs(mp.mpc(re, im) - ref) <= bound + ref_bound
 
 
 class TestBounds:
@@ -830,10 +917,12 @@ class TestDirectMemo:
         assert len(calls) == 2
 
     def test_larger_cap_does_not_serve_smaller(self, monkeypatch):
-        """Mirrors test_cached_nested_sum_respects_cap one layer up."""
+        """Mirrors test_cached_nested_sum_respects_cap one layer up: the
+        target misses at the floor cutoff 16, so the pieces are cached at 48."""
         calls = _counting_certify(monkeypatch)
-        multitangent_eval_direct(C(3), _MEMO_Z, CTX)
-        capped = NumericContext(target_abs_error=CTX.target_abs_error, truncation_cap=20)
+        tight = NumericContext(target_abs_error=1e-24)
+        multitangent_eval_direct(C(3), _MEMO_Z, tight)
+        capped = NumericContext(target_abs_error=tight.target_abs_error, truncation_cap=20)
         with pytest.raises(PrecisionUnreachableError):
             multitangent_eval_direct(C(3), _MEMO_Z, capped)
         assert len(calls) == 2
