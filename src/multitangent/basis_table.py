@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoverageError
-from .exact import CoeffExpr, MzvMonomial, PiRational
+from .exact import CoeffExpr, MzvMonomial
 from .linalg import rref
 from .mzv import NumericContext, _check_zero, linearize
 from .words import Composition, WordPoly, enumerate_compositions, shuffle, stuffle
@@ -94,10 +94,8 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
         for k in enumerate_compositions(weight - 1, "mzv")
     ]
     for mono in basis:
-        expansion = linearize(CoeffExpr({mono: PiRational(1)}))
-        relations.append(
-            {mono: -1, **{m.factors[0]: c.rational_part for m, c in expansion.items()}}
-        )
+        expansion = linearize(CoeffExpr({mono: 1}))
+        relations.append({mono: -1, **{m.factors[0]: c for m, c in expansion.items()}})
     column = {key: i for i, key in enumerate(words + basis)}
     matrix = []
     for relation in relations:
@@ -112,7 +110,7 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
             f"double shuffle does not reduce weight {weight} to its basis", weight=weight
         )
     return {
-        w: CoeffExpr({mono: PiRational(-red[i][n + j]) for j, mono in enumerate(basis)})
+        w: CoeffExpr({mono: -red[i][n + j] for j, mono in enumerate(basis)})
         for i, w in enumerate(words)
     }
 

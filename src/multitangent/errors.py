@@ -23,7 +23,7 @@ class PoleProximityError(MultitangentError):
 
 
 class CoverageError(MultitangentError):
-    """The bundled zeta-value table does not cover a required weight."""
+    """The derived zeta-value table does not cover a required weight."""
 
     def __init__(self, message: str, weight: int | None = None):
         super().__init__(message)

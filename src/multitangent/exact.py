@@ -1,5 +1,10 @@
-"""Exact scalar arithmetic: rational combinations of even powers of pi and
-formal products of multiple zeta symbols.
+"""Exact scalar arithmetic: rational combinations of formal products of
+multiple zeta symbols, and rational combinations of even powers of pi.
+
+Every reduction coefficient Z(i,k;s) is a rational combination of zeta
+values, so a CoeffExpr holds Fraction coefficients.  Pi lives only in
+PiRational: the corrective constant delta(s), the even zeta values and the
+closed-form families.
 
 Everything here is symbolic and exact.  Numeric evaluation lives in
 :mod:`multitangent.mzv`.
@@ -55,10 +60,6 @@ class PiRational(LinearCombination):
     def __truediv__(self, k: RationalLike) -> "PiRational":
         return self.scale(Fraction(1) / Fraction(k))
 
-    @property
-    def rational_part(self) -> Fraction:
-        return self[0]
-
     def is_homogeneous(self, weight: int) -> bool:
         return all(e == weight for e in self._terms)
 
@@ -80,10 +81,6 @@ class PiRational(LinearCombination):
         if exp == 0:
             return str(coef)
         return f"pi^{exp}" if coef == 1 else f"{coef}*pi^{exp}"
-
-
-ZERO = PiRational(0)
-ONE = PiRational(1)
 
 
 class MzvMonomial:
@@ -145,35 +142,36 @@ class MzvMonomial:
 
 
 class CoeffExpr(LinearCombination):
-    """Exact scalar: a map from MZV monomials to PiRational coefficients.
+    """Exact scalar: a map from MZV monomials to rational coefficients.
 
     A LinearCombination keyed by MzvMonomial; adds the formal product,
-    symbol substitution and JSON.  Products of monomials are kept formal;
-    linearization through the stuffle is an explicit pass
-    (:func:`multitangent.mzv.linearize`).
+    symbol substitution and JSON.  Coefficients are Fractions: pi never
+    enters a zeta coefficient, only the constants, which are PiRational.
+    Products of monomials are kept formal; linearization through the
+    stuffle is an explicit pass (:func:`multitangent.mzv.linearize`).
     """
 
     __slots__ = ()
     _order = staticmethod(MzvMonomial.sort_key)
-    _zero = ZERO
-    _scalars = (int, Fraction, PiRational)
+    _zero = Fraction(0)
+    _scalars = (int, Fraction)
+    _coef = staticmethod(Fraction)
 
     @classmethod
     def zero(cls) -> "CoeffExpr":
         return cls._make({})
 
     @classmethod
-    def scalar(cls, value: PiRational | RationalLike) -> "CoeffExpr":
+    def scalar(cls, value: RationalLike) -> "CoeffExpr":
         return cls._single(MzvMonomial.one(), value)
 
     @classmethod
-    def symbol(cls, s: Composition, coef: PiRational | RationalLike = 1) -> "CoeffExpr":
+    def symbol(cls, s: Composition, coef: RationalLike = 1) -> "CoeffExpr":
         return cls._single(MzvMonomial.symbol(s), coef)
 
     @classmethod
-    def _single(cls, mono: MzvMonomial, coef: PiRational | RationalLike) -> "CoeffExpr":
-        if isinstance(coef, (int, Fraction)):
-            coef = PiRational(coef)
+    def _single(cls, mono: MzvMonomial, coef: RationalLike) -> "CoeffExpr":
+        coef = cls._coef(coef)
         return cls._make({mono: coef} if coef else {})
 
     def __mul__(self, other: "CoeffExpr") -> "CoeffExpr":
@@ -183,13 +181,8 @@ class CoeffExpr(LinearCombination):
         return self._convolve(other, MzvMonomial.__mul__)
 
     def is_weight_homogeneous(self, weight: int) -> bool:
-        """Every term has total weight ``weight`` (pi^2 weighs 2, each zeta
-        symbol its own weight)."""
-        for mono, coef in self._terms.items():
-            for exp, _ in coef.items():
-                if mono.weight + exp != weight:
-                    return False
-        return True
+        """Every term has total weight ``weight``, each zeta symbol its own."""
+        return all(mono.weight == weight for mono in self._terms)
 
     def map_symbols(self, fn) -> "CoeffExpr":
         """Replace every length-1 factor through ``fn: Composition -> CoeffExpr``.
@@ -206,35 +199,33 @@ class CoeffExpr(LinearCombination):
         return out
 
     def to_json(self) -> dict:
-        terms = []
-        for mono, coef in self.items():
-            for exp, frac in coef.items():
-                terms.append(
-                    {
-                        "pi2": exp,
-                        "coef": f"{frac.numerator}/{frac.denominator}",
-                        "mzv": [list(f.parts) for f in mono.factors],
-                    }
-                )
-        return {"terms": terms}
+        # "pi2" stays in the wire format; a coefficient carries no pi power
+        return {
+            "terms": [
+                {
+                    "pi2": 0,
+                    "coef": f"{coef.numerator}/{coef.denominator}",
+                    "mzv": [list(f.parts) for f in mono.factors],
+                }
+                for mono, coef in self.items()
+            ]
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "CoeffExpr":
         out = cls()
         for term in data["terms"]:
+            if int(term["pi2"]) != 0:
+                raise ValueError(f"pi power in term {term}: coefficients are rational")
             mono = MzvMonomial(Composition(tuple(p)) for p in term["mzv"])
-            coef = PiRational({int(term["pi2"]): Fraction(term["coef"])})
-            out = out + cls({mono: coef})
+            out = out + cls({mono: Fraction(term["coef"])})
         return out
 
-    def _term_str(self, mono: MzvMonomial, coef: PiRational, sep: str = "*") -> str:
-        c = str(coef)
+    def _term_str(self, mono: MzvMonomial, coef: Fraction, sep: str = "*") -> str:
         factors = sep.join(f"Ze[{f}]" for f in mono.factors)
         if not factors:
-            return c
-        if c == "1":
-            return factors
-        return (f"({c})" if "+" in c or " " in c else c) + sep + factors
+            return str(coef)
+        return factors if coef == 1 else f"{coef}{sep}{factors}"
 
     def text(self, sep: str) -> str:
         """``str(self)`` with the zeta factors joined by ``sep``."""

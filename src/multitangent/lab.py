@@ -30,7 +30,7 @@ import mpmath as mp
 from . import mzv
 from .basis_table import MzvBasisTable
 from .errors import CoverageError, NumericRecheckError, ProjectionUnavailableError
-from .exact import ZERO, CoeffExpr, MzvMonomial, PiRational
+from .exact import CoeffExpr, MzvMonomial
 from .linalg import Factorization, Matrix, factor, nullspace, rank
 from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
 from .numerics import (
@@ -89,33 +89,25 @@ def differentiate_combo(combo: MtCombo) -> MtCombo:
     return out
 
 
-def _as_fraction(coef: PiRational) -> Fraction:
-    """The rational value of a coefficient; pi powers never survive basis
-    substitution of weight-homogeneous reduction coefficients."""
-    if not coef.is_homogeneous(0):
-        raise NumericRecheckError(f"pi power in substituted coefficient {coef}")
-    return coef.rational_part
-
-
 Slot = tuple[int, MzvMonomial]
 
 
 @lru_cache(maxsize=2048)
-def _basis_vector(mono: MzvMonomial) -> tuple[tuple[MzvMonomial, PiRational], ...]:
+def _basis_vector(mono: MzvMonomial) -> tuple[tuple[MzvMonomial, Fraction], ...]:
     """One zeta monomial over the basis: its product linearized, then
     substituted through the shared table."""
-    expr = mzv.linearize(CoeffExpr({mono: PiRational(1)}))
+    expr = mzv.linearize(CoeffExpr({mono: 1}))
     return tuple(MzvBasisTable.shared().substitute(expr).items())
 
 
 def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
     """The Te^k coefficient ``expr`` over the zeta basis, keyed by slot: the
     sum of the cached basis vectors of its monomials."""
-    total: dict[MzvMonomial, PiRational] = {}
+    total: dict[MzvMonomial, Fraction] = {}
     for mono, coef in expr.items():
         for basis_mono, value in _basis_vector(mono):
-            total[basis_mono] = total.get(basis_mono, ZERO) + coef * value
-    return {(k, mono): _as_fraction(coef) for mono, coef in CoeffExpr(total).items()}
+            total[basis_mono] = total.get(basis_mono, 0) + coef * value
+    return {(k, mono): coef for mono, coef in CoeffExpr(total).items()}
 
 
 @lru_cache(maxsize=4096)
@@ -162,7 +154,7 @@ def _require_coverage(weight: int) -> None:
     if weight > table.max_weight + 2:
         raise CoverageError(
             f"weight {weight} needs table entries up to {weight - 2}, "
-            f"bundled table stops at {table.max_weight}",
+            f"the derived table stops at {table.max_weight}",
             weight=weight,
         )
 

@@ -137,15 +137,12 @@ def even_zeta(n: int) -> PiRational:
     return PiRational({2 * n: coef})
 
 
-def _coefficient(coef: PiRational):
-    """``coef.to_mpf()`` and its bound: a term q pi^k rounds at most k + 4
-    times (pi counting k times) and the sum once per term, each by 2^-prec
-    of sum |q| pi^k, counted twice over for the float rounding of that sum."""
-    size = rounds = 0
-    for k, q in coef.items():
-        size += abs(q.numerator) / q.denominator * math.pi**k
-        rounds = max(rounds, len(coef) + 4 + k)
-    return coef.to_mpf(), mp.ldexp(size * rounds, 1 - mp.mp.prec)
+def _coefficient(q: Fraction):
+    """``q`` at the current working precision and its bound: five roundings
+    by 2^-prec of |q| (the numerator and the quotient round once each, the
+    rest is slack), counted twice over for the float rounding of |q|."""
+    size = abs(q.numerator) / q.denominator
+    return mp.mpf(q.numerator) / q.denominator, mp.ldexp(size * 5, 1 - mp.mp.prec)
 
 
 def _certified(expr: CoeffExpr, target, cap: int) -> tuple:

@@ -43,8 +43,10 @@ class TestOnesClosedForm:
             if got:
                 assert abs(mzv_numeric(got, CTX)) < 1e-9
         else:
-            diff = got - CoeffExpr.scalar(te1)
-            assert abs(mzv_numeric(diff, CTX)) < 1e-9
+            # the Te^1 coefficient is a zeta expression, its closed form a
+            # power of pi: compare values
+            with CTX.workprec():
+                assert abs(mzv_numeric(got, CTX) - te1.to_mpf()) < 1e-9
         for k in red.coeffs:
             if k >= 2:
                 assert abs(mzv_numeric(red.coeffs[k], CTX)) < 1e-9
