@@ -33,7 +33,7 @@ from .mzv import (
     symmetrel_extend,
     ze_minus,
 )
-from .reduction import ReductionResult, assert_clean, reduce, te1_identity_residual
+from .reduction import ReductionResult, assert_clean, reduce
 from .words import Composition, SeqClass, WordPoly, classify, shuffle, stuffle
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "ReductionResult",
     "reduce",
     "assert_clean",
-    "te1_identity_residual",
     "MultitangentError",
     "PrecisionUnreachableError",
     "PoleProximityError",

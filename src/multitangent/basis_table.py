@@ -1,8 +1,8 @@
-"""Table of multiple zeta values in a fixed basis, weights 2 to 8.
+"""Table of multiple zeta values in a fixed basis, weights 2 to 10.
 
 Per weight w the table declares a basis of zeta monomials (the conjectural
-dimensions 1,1,1,2,2,3,4 for w = 2..8) and expresses every convergent zeta
-symbol of that weight as an exact rational combination of the basis.
+dimensions 1,1,1,2,2,3,4,5,7 for w = 2..10) and expresses every convergent
+zeta symbol of that weight as an exact rational combination of the basis.
 
 The entries are derived, not stored.  Per weight, the double shuffle
 relations (stuffle minus shuffle of two convergent words), Hoffman's
@@ -10,14 +10,16 @@ relations (stuffle minus shuffle of Ze[1] with a convergent word, whose
 divergent word cancels) and the stuffle expansion of each basis monomial
 form one exact rational system, and its reduced row echelon form solves
 every convergent word for the basis.  These relations suffice at weights
-2..8 (Ihara-Kaneko-Zagier, Compositio 142, 2006; Bluemlein-Broadhurst-
+2..10 (Ihara-Kaneko-Zagier, Compositio 142, 2006; Bluemlein-Broadhurst-
 Vermaseren, "The MZV Data Mine", arXiv:0907.2557); a word they leave
 unsolved raises CoverageError.
 
-The derivation is not trusted blindly: ``MzvBasisTable.load`` certifies
-the difference of each symbol and its entry, as one sum over the nested-sum
-engine, and refuses to load unless 0 lies within that certificate, so a
-wrong entry fails fast instead of corrupting results downstream.
+The derivation is not trusted blindly: each weight's entries are stored
+only after the difference of each symbol and its entry is certified, as one
+sum over the nested-sum engine, with 0 inside its certificate, so a wrong
+entry fails fast instead of corrupting results downstream.
+``MzvBasisTable.load`` derives weights up to ``EAGER_WEIGHT``; each heavier
+weight is derived on its first lookup.
 """
 
 from __future__ import annotations
@@ -40,9 +42,18 @@ BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
     6: (((6,),), ((3,), (3,))),
     7: (((7,),), ((2,), (5,)), ((4,), (3,))),
     8: (((8,),), ((3,), (5,)), ((2,), (3,), (3,)), ((6, 2),)),
+    9: (((9,),), ((2,), (7,)), ((4,), (5,)), ((3,), (6,)), ((3,), (3,), (3,))),
+    10: (((10,),), ((3,), (7,)), ((5,), (5,)), ((2,), (3,), (5,)), ((4,), (3,), (3,)),
+         ((8, 2),), ((2,), (6, 2))),
 }
 
 MAX_WEIGHT = max(BASES)
+
+# Weights past this one are derived on first use: deriving and certifying
+# 9 and 10 takes about 2.5 s on a 2-vCPU host, which every process would pay
+# at load (the benchmark's setup_s), though only workbench calls past weight
+# 9 need them.
+EAGER_WEIGHT = 8
 
 _VERIFY_CONTEXT = NumericContext(target_abs_error=5e-11)  # an entry off by 1e-10 fails
 
@@ -115,6 +126,20 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
     }
 
 
+def _certified_entries(
+    weight: int, basis: list[MzvMonomial]
+) -> dict[Composition, CoeffExpr]:
+    """The entries of ``weight``, each certified: Ze[s] minus its entry is
+    one sum, and unless 0 lies within its certificate NumericRecheckError
+    names the entry."""
+    entries = _derive(weight, basis)
+    shuffle.cache_clear()  # only the derivation shuffles x/y words: free them
+    for comp, combo in entries.items():
+        diff = CoeffExpr.symbol(comp) - combo
+        _check_zero(f"Ze[{comp}] minus its table entry", diff, _VERIFY_CONTEXT)
+    return entries
+
+
 _SHARED_TABLE: "MzvBasisTable | None" = None
 
 
@@ -124,25 +149,17 @@ class MzvBasisTable:
 
     entries: dict[Composition, CoeffExpr]
     bases: dict[int, list[MzvMonomial]]
-    max_weight: int = MAX_WEIGHT
+    max_weight = MAX_WEIGHT  # not a field: every table reaches the same weight
 
     @classmethod
     def load(cls) -> "MzvBasisTable":
-        """Derive the table and numerically verify every entry.
-
-        Ze[s] minus its entry is certified as one sum; unless 0 lies within
-        its certificate, NumericRecheckError names the entry.
-        """
+        """Derive and certify the entries up to ``EAGER_WEIGHT``."""
         bases = {
             w: [_basis_monomial(m) for m in monos] for w, monos in BASES.items()
         }
         entries: dict[Composition, CoeffExpr] = {}
-        for w in range(2, MAX_WEIGHT + 1):
-            entries.update(_derive(w, bases[w]))
-        shuffle.cache_clear()  # only the derivation shuffles x/y words: free them
-        for comp, combo in entries.items():
-            diff = CoeffExpr.symbol(comp) - combo
-            _check_zero(f"Ze[{comp}] minus its table entry", diff, _VERIFY_CONTEXT)
+        for w in range(2, EAGER_WEIGHT + 1):
+            entries.update(_certified_entries(w, bases[w]))
         return cls(entries=entries, bases=bases)
 
     @classmethod
@@ -161,14 +178,17 @@ class MzvBasisTable:
         return self.bases[weight]
 
     def substitute_symbol(self, s: Composition) -> CoeffExpr:
-        """Basis expansion of a single convergent zeta symbol."""
+        """Basis expansion of a single convergent zeta symbol; the first
+        lookup past ``EAGER_WEIGHT`` derives and certifies its weight."""
         if not s:
             return CoeffExpr.scalar(1)
+        w = s.weight
+        # Ze[w] is an entry of every derived weight
+        if EAGER_WEIGHT < w <= MAX_WEIGHT and Composition((w,)) not in self.entries:
+            self.entries.update(_certified_entries(w, self.bases[w]))
         entry = self.entries.get(s)
         if entry is None:
-            raise CoverageError(
-                f"no table entry for Ze[{s}] (weight {s.weight})", weight=s.weight
-            )
+            raise CoverageError(f"no table entry for Ze[{s}] (weight {w})", weight=w)
         return entry
 
     def substitute(self, expr: CoeffExpr) -> CoeffExpr:

@@ -119,16 +119,10 @@ def _slot_vector_cached(comp: Composition) -> tuple[tuple[Slot, Fraction], ...]:
     for k, expr in red.coeffs.items():
         if k != 1:
             entries.update(_slots(k, expr))
-            continue
-        # the Te^1 block must cancel: exactly when the table covers its
-        # weight, within its certificate one weight past the table's edge
-        try:
-            if _slots(1, expr):
-                raise NumericRecheckError(
-                    f"Te^1 coefficient of {comp} fails exact cancellation"
-                )
-        except CoverageError:
-            mzv._check_zero(f"Te^1 coefficient of {comp}", expr, DEFAULT_CONTEXT)
+        elif _slots(1, expr):
+            raise NumericRecheckError(
+                f"Te^1 coefficient of {comp} fails exact cancellation"
+            )
     return tuple(entries.items())
 
 
@@ -151,9 +145,9 @@ def _system(rows: list[Composition]) -> tuple[list[Slot], Matrix]:
 
 def _require_coverage(weight: int) -> None:
     table = MzvBasisTable.shared()
-    if weight > table.max_weight + 2:
+    if weight > table.max_weight + 1:
         raise CoverageError(
-            f"weight {weight} needs table entries up to {weight - 2}, "
+            f"weight {weight} needs table entries up to {weight - 1}, "
             f"the derived table stops at {table.max_weight}",
             weight=weight,
         )

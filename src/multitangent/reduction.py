@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import CoeffExpr, PiRational
-from .mzv import DEFAULT_CONTEXT, NumericContext, _check_zero, mzv_numeric, symmetrel_extend
+from .mzv import DEFAULT_CONTEXT, NumericContext, _check_zero, symmetrel_extend
 from .words import Composition, is_multitangent_convergent
 
 
@@ -175,23 +175,6 @@ def reduce(s: Composition) -> ReductionResult:
     coeffs = {k: _fold(terms) for k, terms in _order_terms(s).items()}
     coeffs = {k: e for k, e in coeffs.items() if e}
     return ReductionResult(sequence=s, constant=delta(s), coeffs=coeffs)
-
-
-def te1_identity_residual(
-    s: Composition, ctx: NumericContext = DEFAULT_CONTEXT
-) -> float:
-    """Numeric size of the Te^1 coefficient of a convergent reduction.
-
-    The coefficient vanishes identically (convergent multitangents are flat
-    at i*infinity); this evaluates the symbolic expression as an independent
-    check of that cancellation.
-    """
-    if not is_multitangent_convergent(s):
-        raise ValueError("residual check only applies to convergent sequences")
-    expr = reduce(s).coefficient(1)
-    if not expr:
-        return 0.0
-    return float(abs(mzv_numeric(expr, ctx)))
 
 
 def assert_clean(

@@ -13,7 +13,6 @@ from multitangent.reduction import (
     assert_clean,
     delta,
     reduce,
-    te1_identity_residual,
     z_coeff,
 )
 from multitangent.words import Composition, enumerate_compositions, repeat, stuffle
@@ -217,26 +216,23 @@ def test_reduce_matches_the_shift_vector_formula_to_weight_eight():
             assert reduce(s).to_json() == expected.to_json(), s
 
 
-class TestTe1Residual:
+class TestAssertClean:
     @pytest.mark.parametrize("parts", [(2, 1, 2), (3, 2, 2), (2, 1, 3)])
-    def test_small(self, parts):
-        assert te1_identity_residual(
-            Composition(parts), NumericContext(target_abs_error=1e-10)
-        ) <= 1e-9
+    def test_drops_verified_zero(self, parts):
+        red = reduce(Composition(parts))
+        assert red.coefficient(1)
+        cleaned = assert_clean(red, CTX)
+        assert cleaned.coeffs == {k: e for k, e in red.coeffs.items() if k != 1}
+        assert cleaned.is_zero() == (parts == (2, 1, 2))
 
     def test_symbolically_zero_for_22(self):
-        assert not reduce(C(2, 2)).coefficient(1)
-        assert te1_identity_residual(C(2, 2)) == 0.0
+        red = reduce(C(2, 2))
+        assert not red.coefficient(1)
+        assert assert_clean(red).coeffs == red.coeffs
 
     def test_requires_convergent(self):
         with pytest.raises(ValueError):
-            te1_identity_residual(C(1, 2))
-
-
-class TestAssertClean:
-    def test_drops_verified_zero(self):
-        cleaned = assert_clean(reduce(C(2, 1, 2)), CTX)
-        assert cleaned.is_zero()
+            assert_clean(reduce(C(1, 2)))
 
     def test_te1_check_compares_certificates(self, user_precision):
         # 5e-10 Ze[2] is below the target per term but outside the certificate
