@@ -216,9 +216,11 @@ def test_reduce_matches_the_shift_vector_formula_to_weight_eight():
             assert reduce(s).to_json() == expected.to_json(), s
 
 
-class TestAssertClean:
+class TestTe1Residual:
+    """The Te^1 identity, checked through assert_clean's certified test."""
+
     @pytest.mark.parametrize("parts", [(2, 1, 2), (3, 2, 2), (2, 1, 3)])
-    def test_drops_verified_zero(self, parts):
+    def test_small(self, parts):
         red = reduce(Composition(parts))
         assert red.coefficient(1)
         cleaned = assert_clean(red, CTX)
@@ -233,6 +235,12 @@ class TestAssertClean:
     def test_requires_convergent(self):
         with pytest.raises(ValueError):
             assert_clean(reduce(C(1, 2)))
+
+
+class TestAssertClean:
+    def test_drops_verified_zero(self):
+        cleaned = assert_clean(reduce(C(2, 1, 2)), CTX)
+        assert cleaned.is_zero()
 
     def test_te1_check_compares_certificates(self, user_precision):
         # 5e-10 Ze[2] is below the target per term but outside the certificate
