@@ -34,6 +34,7 @@ from .words import Composition, is_multitangent_convergent
 from .zetasum import (
     _FRAGMENT_SIZE,
     _MEMO_SIZE,
+    _dyadic,
     cache_lookup,
     cache_store,
     certify,
@@ -50,8 +51,12 @@ def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
     z = mp.mpc(z)
     if not mp.isfinite(z):
         raise ValueError(f"evaluation point {z} is not finite")
-    nearest = mp.mpc(mp.nint(mp.re(z)), 0)
-    if abs(z - nearest) < guard:
+    # exactly, in integers: z = (zr + i zi) / 2^k and guard = p / q
+    zr, zi, k = _dyadic(z)
+    exact = guard.man * Fraction(2) ** guard.exp if isinstance(guard, mp.mpf) else guard
+    p, q = exact.as_integer_ratio()
+    dr = zr - ((zr + (1 << k >> 1)) >> k << k)  # 2^k (Re z - nearest integer)
+    if (dr * dr + zi * zi) * q * q < (p << k) ** 2:
         raise PoleProximityError(f"{z} is within {guard} of an integer")
     return z
 

@@ -32,26 +32,29 @@ t/|t+z| for t >= N, both parts are O(m^(-b-2K-1)) for complex z, and
 
 kappa = |B_(2K+2)|/(2K+2)!.  The envelope below is carried through the sum
 as pf^s C m^(1-s-beta)/(s+beta-1).  Every exponent that appears is at least
-beta_j = beta_(j-1) + s_j - 1, beta_0 = 2K+2, so with x = pf/N the envelope
-of level j at N is
+beta_j = beta_(j-1) + s_j - 1, beta_0 = 2K+2.  E_j keeps only its powers
+below beta_j + M (``_TAIL_MARGIN``): for m >= N, with x = pf/N, a dropped
+e_k u^(-k) is at most |e_k| x^k (m/N)^(-beta_j), so it joins the envelope of
+level j at N,
 
-    c_j = (1 + pf) sum over b of w_b x^(b+s_j+2K+1) + N c_(j-1) x^(s_j) / beta_j,
+    c_j = (1 + pf) sum over k of W_k x^k + N c_(j-1) x^(s_j) / beta_j,
 
+W_k = sum of w_b over b+s_j+2K+1 = k plus the dropped |e_k|, where
 w_b = |c| kappa (b')_(2K+1), b' = b+s_j.  E_j, the tail value
-V_j = E_j + u^(-s_j) E_(j-1) and the w_b are built per exponent prefix from
-the parent prefix's entry, in integers: the numerators of E_(j-1), of each
-G_b over its own denominator (``_em_integers``) and of each w_b are combined
+V_j = E_j + u^(-s_j) E_(j-1) and W are built per exponent prefix from the
+parent prefix's entry, in integers: the numerators of E_(j-1), of each G_b
+over its own denominator (``_em_integers``) and of each w_b are combined
 over common denominators, and the result is divided by its gcd, so each is
 kept over its least denominator in a bounded cache (``_tail``).  The bound
 rounds upward: |z| is bounded from above through the integer square root of
-the exact dyadic |z|^2, x by a 64-bit fraction, the sum over b by a ceiling
+the exact dyadic |z|^2, x by a 64-bit fraction, the sum over k by a ceiling
 Horner scheme on integers, and every other step by mpmath's upward rounding
 at 53 bits.
 
 The cutoff N starts at the floor the tail bounds allow, N > 4 (1 + |z|)
-and N >= 16 (``_floor_cutoff``), so pf < 4/3.  K = 9 certifies the targets
-of the direct evaluations at the floor almost always; a pass that misses is
-retried at three times the cutoff.
+and N >= 16 (``_floor_cutoff``, exact on the dyadic z), so pf < 4/3.  K = 9
+certifies the targets of the direct evaluations at the floor almost always;
+a pass that misses is retried at three times the cutoff.
 
 Below N the running sums go backward: P_j(N-1) = V_j(N+z), which is
 T_j(N-1) within eps_j = c_j + x^(s_j) c_(j-1), and P_j(m-1) = P_j(m) +
@@ -102,6 +105,11 @@ _EM_ORDER = 9  # K: Bernoulli corrections B_2..B_{2K}
 # |B_(2K+2)| / (2K+2)!: the size of the first omitted Euler-Maclaurin term and
 # the kernel of the remainder after it
 _EM_KERNEL = abs(Fraction(*mp.bernfrac(2 * _EM_ORDER + 2))) / math.factorial(2 * _EM_ORDER + 2)
+# M: V_j holds at most 2K+2+M powers of 1/u at any depth.  Against unfolded
+# tails, the bounds of depth-10 words at the floor cutoff, three times it and
+# 48 grow by at most 1.10x at M = 4, 1.49x at M = 2, 4.5x at M = 0; a pass
+# costs the same from M = 2 to 6
+_TAIL_MARGIN = 4
 
 GUARD = 48  # fixed-point bits carried beyond the working precision
 _BOUND_PREC = 53  # bits of the upward-rounded truncation bound
@@ -161,8 +169,10 @@ def _em_integers(b: int) -> tuple:
 
 
 def _layout(den: int, lo: int, nums: list[int]) -> tuple[int, int, tuple]:
-    """(den, lo, nums) with the gcd of den and every num divided out, so
-    den is the least common denominator of the nums[i] / den."""
+    """(den, lo, nums) without trailing zeros and with the gcd of den and
+    every num divided out, so den is the least common denominator."""
+    while not nums[-1]:
+        nums = nums[:-1]
     g = math.gcd(den, *nums)
     return den // g, lo, tuple(n // g for n in nums)
 
@@ -170,36 +180,39 @@ def _layout(den: int, lo: int, nums: list[int]) -> tuple[int, int, tuple]:
 class _Tail:
     """The tail expansion of one exponent prefix (s_1, ..., s_j), free of z,
     N and the precision.  ``E``, ``V`` and ``W`` are ``_layout``s, with
-    coefficient lo + i equal to nums[i] / den: E_j, the tail value
-    V_j = E_j + u^(-s_j) E_(j-1), and the w_b keyed by the exponent
-    b + s_j + 2K + 1 of x they multiply.  ``top`` is the largest power of 1/u
-    in V_j."""
+    coefficient lo + i equal to nums[i] / den: E_j below the power
+    beta_j + M, the tail value V_j = E_j + u^(-s_j) E_(j-1), and W by powers
+    of x.  ``mags`` holds the floats |nums[i]| / den of V_j, and ``top`` is
+    the largest power of 1/u in V_j."""
 
-    __slots__ = ("E", "V", "W", "beta", "top")
+    __slots__ = ("E", "V", "W", "beta", "top", "mags")
 
     def __init__(self, E: tuple, V: tuple, W: tuple, beta: int):
         self.E, self.V, self.W, self.beta = E, V, W, beta
         self.top = V[1] + len(V[2]) - 1
+        self.mags = tuple(abs(n) / V[0] for n in V[2])
 
 
 @functools.lru_cache(maxsize=1024)
 def _tail(prefix: tuple[int, ...]) -> _Tail:
     """The ``_Tail`` of ``prefix``, built from its parent prefix's entry in
     integers: E_j and V_j over den(E_(j-1)) times the lcm of the template
-    denominators, the w_b over den(E_(j-1)) times the lcm of the remainder
-    weight denominators."""
+    denominators, W over den(E_(j-1)) times the lcm of those and of the
+    remainder weight denominators."""
     s = prefix[-1]
     if len(prefix) == 1:
         (den, start, nums), beta = (1, 0, (1,)), 2 * _EM_ORDER + 2
     else:
         parent = _tail(prefix[:-1])
         (den, start, nums), beta = parent.E, parent.beta
+    beta += s - 1
     # the terms c u^(-b) of E_(j-1), c = n / den, with the integers of G_(b+s)
     inner = [(start + i, n, _em_integers(start + i + s)) for i, n in enumerate(nums) if n]
     e_den = math.lcm(*(t[0] for _, _, t in inner))
-    w_den = math.lcm(*(t[3] for _, _, t in inner))
+    w_den = math.lcm(e_den, *(t[3] for _, _, t in inner))
     first, last = inner[0][0], inner[-1][0]
     lo = first + s - 1  # the least power of 1/u in E_j and V_j
+    w_lo = first + s + 2 * _EM_ORDER + 1  # the least power of x in W, beta_j
     E = [0] * (last - first + 2 * _EM_ORDER + 1)
     W = [0] * (last - first + 1)
     for b, n, (t_den, terms, rho_num, rho_den) in inner:
@@ -207,14 +220,19 @@ def _tail(prefix: tuple[int, ...]) -> _Tail:
         for k, t in terms:
             E[k - lo] += scale * t
         W[b - first] = abs(n) * rho_num * (w_den // rho_den)
-    V = E[:]
+    # fold each e_k u^(-k), k >= beta_j + M, into W as |e_k| x^k
+    cut = beta + _TAIL_MARGIN - lo
+    for i, e in enumerate(E[cut:], cut + lo - w_lo):
+        W[i] += abs(e) * (w_den // e_den)
+    del E[cut:]
+    V = E + [0] * (last - first + 2 - len(E))  # room for u^(-s) E_(j-1)
     for b, n, _ in inner:
         V[b + s - lo] += n * e_den
     return _Tail(
         _layout(den * e_den, lo, E),
         _layout(den * e_den, lo, V),
-        _layout(den * w_den, first + s + 2 * _EM_ORDER + 1, W),
-        beta + s - 1,
+        _layout(den * w_den, w_lo, W),
+        beta,
     )
 
 
@@ -275,10 +293,11 @@ class _Cutoff:
             re.append(x)
             im.append(y)
             self.power_err = max(self.power_err, err)
-        self.scales = [n0 ** (top - k) for k in range(top + 1)]
-        self.re = list(map(mul, re, self.scales))
-        self.im = list(map(mul, im, self.scales))
+        scales = [n0 ** (top - k) for k in range(top + 1)]
+        self.re = list(map(mul, re, scales))
+        self.im = list(map(mul, im, scales))
         self.denom = n0**top
+        self.inv = [n0**-k for k in range(top + 1)]  # floats n0^-k
 
     def _mag(self, x: int, y: int) -> float:
         """Upper bound on |x + iy| * 2^-wp, up to float rounding."""
@@ -308,14 +327,15 @@ class _Cutoff:
 
     def tail_value(self, tail: _Tail) -> tuple[int, int, float]:
         """V_j at u = n0 + z as (re, im, error in ulps): the exact sum of
-        nums[i] (n0/u)^(lo+i) n0^(top-lo-i), divided by den n0^top once."""
+        nums[i] (n0/u)^(lo+i) n0^(top-lo-i), divided by den n0^top once.
+        The powers' errors weigh sum |v_k| n0^-k, summed in floats."""
         den, lo, nums = tail.V
         x = sum(map(mul, nums, self.re[lo:]))
         y = sum(map(mul, nums, self.im[lo:]))
-        size = sum(map(mul, map(abs, nums), self.scales[lo:]))
+        size = sum(map(mul, tail.mags, self.inv[lo:]))
         d = den * self.denom
         h = d >> 1
-        return (x + h) // d, (y + h) // d, size / d * self.power_err + 1.0
+        return (x + h) // d, (y + h) // d, size * self.power_err + 1.0
 
     def xpow(self, n: int):
         """The upper bound on x to the n, rounded upward."""
@@ -325,10 +345,10 @@ class _Cutoff:
         return p
 
     def envelope(self, tail: _Tail, carried):
-        """c_j = (1 + n0 x) sum_b w_b x^(b+s_j+2K+1) + n0 carried / beta_j,
-        upward, with carried = c_(j-1) x^(s_j).  The sum over b runs as a
-        Horner scheme on integers with 64 fraction bits that rounds every
-        product up."""
+        """c_j = (1 + n0 x) sum_k W_k x^k + n0 carried / beta_j, upward,
+        with carried = c_(j-1) x^(s_j) and W the w_b and the dropped |e_k|.
+        The sum over k runs as a Horner scheme on integers with 64 fraction
+        bits that rounds every product up."""
         den, lo, nums = tail.W
         X = self.X
         acc = nums[-1] << 64
@@ -343,8 +363,10 @@ class _Cutoff:
 
 def _floor_cutoff(z) -> int:
     """The least cutoff the tail bounds allow at z: n0 > 4 (1 + |z|) and
-    n0 >= 16."""
-    return max(16, int(4 * (1 + abs(z))) + 1)
+    n0 >= 16, decided exactly on the dyadic z = (zr + i zi) / 2^k, where
+    floor(4 |z|) = floor(isqrt(16 |2^k z|^2) / 2^k)."""
+    zr, zi, k = _dyadic(mp.mpc(z))
+    return max(16, 5 + (math.isqrt(16 * (zr * zr + zi * zi)) >> k))
 
 
 class _FixedSum(tuple):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -78,6 +79,15 @@ class TestMonotangent:
     def test_pole_guard(self):
         with pytest.raises(PoleProximityError):
             monotangent_eval(2, mp.mpf("1e-5"), CTX)
+
+    @pytest.mark.parametrize("guard", [1e-3, Fraction(1, 1000), mp.mpf("1e-3")])
+    def test_pole_guard_edge(self, guard):
+        """The distance to the nearest integer against the guard, exactly,
+        for a float, rational or mpf guard."""
+        with pytest.raises(PoleProximityError):
+            numerics.check_point(1 + 0.000999j, guard)
+        assert numerics.check_point(1 + 0.001001j, guard) == mp.mpc(1 + 0.001001j)
+        assert numerics.check_point(-2.5, 0.5) == -2.5
 
 
 class TestMultitangent:
@@ -560,6 +570,56 @@ def test_remainder_is_sharp():
         assert e <= 20 * abs(v - mp.zeta(2))
 
 
+_DEEP = [(2, 1, 1, 1, 1, 1, 1, 1, 1, 2), (3, 1, 2, 1, 1, 2, 1, 1, 1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _deep_pass(parts, z: tuple, n0: int, prec: int):
+    """``shifted_nested_sum_fixed`` at the point z = (re, im), parsed at
+    128 bits so every precision sees the same point."""
+    with mp.workprec(128):
+        point = mp.mpc(*z)
+    with mp.workprec(prec):
+        return shifted_nested_sum_fixed(parts, point, n0)
+
+
+@pytest.mark.parametrize("parts", _DEEP)
+@pytest.mark.parametrize("z", [("0", "0"), ("0.3", "0.7"), ("-1.2", "0.4")])
+def test_deep_remainder_is_sharp(parts, z):
+    """Depth 10 at n0 = 48: the bound, with the tails truncated and folded
+    into the envelope, is within 20 times the error against a 400-bit pass
+    at n0 = 144."""
+    v, e = _deep_pass(parts, z, 48, 128)
+    ref, ref_bound = _deep_pass(parts, z, 144, 400)
+    with mp.workprec(400):
+        assert ref_bound < abs(v - ref) / 1000
+        assert e <= 20 * abs(v - ref)
+
+
+@pytest.mark.parametrize("parts", _DEEP)
+@pytest.mark.parametrize("z", [("0", "0"), ("0.3", "0.7"), ("-1.2", "0.4"), ("2.039", "0.053")])
+def test_deep_certificate_covers_reference(parts, z):
+    """Depth 10 at the floor cutoff and at three times it: |value - ref| is
+    within the bound plus the reference's."""
+    with mp.workprec(128):
+        floor = zetasum._floor_cutoff(mp.mpc(*z))
+    ref, ref_bound = _deep_pass(parts, z, 144, 400)
+    for n0 in (floor, 3 * floor):
+        v, e = _deep_pass(parts, z, n0, 128)
+        with mp.workprec(400):
+            assert abs(v - ref) <= e + ref_bound, n0
+
+
+def test_floor_cutoff_is_exact():
+    """n0 > 4 (1 + |z|) decided exactly at integer edges: 4 (1 + 3) = 16 and
+    4 (1 + |3 + 4i|) = 24 are refused."""
+    assert zetasum._floor_cutoff(3) == 17
+    assert zetasum._floor_cutoff(3 + 4j) == 25
+    assert zetasum._floor_cutoff(mp.mpc("0.3", "0.7")) == 16
+    with pytest.raises(ValueError):
+        shifted_nested_sum_fixed((2,), 3, 16)
+
+
 class TestEulerMaclaurinEngine:
     @pytest.mark.parametrize("z", ["0", "0.3+0.7i"])
     @pytest.mark.parametrize("b", [0, 1, 2])
@@ -602,7 +662,9 @@ class TestEulerMaclaurinEngine:
     @staticmethod
     def _fraction_tails(prefixes):
         """The tail layouts (E, V, W, beta, top) built in Fraction dict
-        arithmetic, keyed by prefix: the oracle of ``zetasum._tail``."""
+        arithmetic, keyed by prefix: the oracle of ``zetasum._tail``.  E keeps
+        the powers below beta + M; each dropped e_k u^-k adds |e_k| to W at
+        x^k."""
 
         def dense(coefs):
             lo = min(coefs)
@@ -612,7 +674,7 @@ class TestEulerMaclaurinEngine:
         # After K corrections the remainder of G_b at m >= N is at most the
         # first omitted term plus the remainder after it:
         # kappa (b)_(2K+1) (1 + pf) pf^(b+2K+1) m^-(b+2K+1), kappa = |B_(2K+2)|/(2K+2)!
-        K = zetasum._EM_ORDER
+        K, M = zetasum._EM_ORDER, zetasum._TAIL_MARGIN
         kappa = abs(Fraction(*mp.bernfrac(2 * K + 2))) / math.factorial(2 * K + 2)
         expansions = {(): ({0: Fraction(1)}, math.inf)}
         out = {}
@@ -625,11 +687,13 @@ class TestEulerMaclaurinEngine:
                     E[k] = E.get(k, 0) + c * e
                 V[b + s] = c
                 W[b + s + 2 * K + 1] = abs(c) * kappa * math.prod(range(b + s, b + s + 2 * K + 1))
-            for k, e in E.items():
-                V[k] = V.get(k, 0) + e
             # the envelope decays like its slowest part: a template remainder,
             # m^-(b+s+2K+1), or the level above summed against (n+z)^-s
             beta = min(min(W), beta + s - 1)
+            for k in [k for k in E if k >= beta + M]:
+                W[k] = W.get(k, 0) + abs(E.pop(k))
+            for k, e in E.items():
+                V[k] = V.get(k, 0) + e
             expansions[prefix] = {k: e for k, e in E.items() if e}, beta
             out[prefix] = dense(E), dense(V), dense(W), beta, max(V)
         return out
@@ -637,15 +701,18 @@ class TestEulerMaclaurinEngine:
     def test_integer_tails_match_fraction_oracle(self):
         """Every prefix of every convergent word of weight <= 8, of its
         reversal and of (2,1,1,1,1,1,1,1,1,2): the same layouts, each over
-        its least common denominator."""
+        its least common denominator, and a tail value whose length does not
+        grow with the depth."""
         words = [tuple(c) for w in range(2, 9) for c in enumerate_compositions(w, "mzv")]
         words += [w[::-1] for w in words if w[-1] >= 2] + [(2, 1, 1, 1, 1, 1, 1, 1, 1, 2)]
         prefixes = {w[:j] for w in words for j in range(1, len(w) + 1)}
+        longest = 2 * zetasum._EM_ORDER + 2 + zetasum._TAIL_MARGIN
         for prefix, expected in self._fraction_tails(prefixes).items():
             tail = zetasum._tail(prefix)
             assert (tail.E, tail.V, tail.W, tail.beta, tail.top) == expected, prefix
             for den, _, nums in (tail.E, tail.V, tail.W):
                 assert math.gcd(den, *nums) == 1
+            assert tail.top - tail.V[1] <= longest, prefix
 
     def test_python_int_shift_stays_in_mp_arithmetic(self):
         # with float arithmetic anywhere the error would be near 1e-17
@@ -655,8 +722,8 @@ class TestEulerMaclaurinEngine:
             assert abs(v - mp.zeta(3)) <= e
 
     # (value, bound) of the engine at 128 bits, default target, pinned so
-    # later changes to the cutoff or the rounding have a fixed reference;
-    # every one certifies at the floor cutoff n0 = 16
+    # later changes to the cutoff, the tail truncation or the rounding have a
+    # fixed reference; every one certifies at the floor cutoff n0 = 16
     GOLDEN = [
         (
             (2,),
@@ -668,30 +735,30 @@ class TestEulerMaclaurinEngine:
         (
             (3, 1, 2),
             ("0", "0"),
-            "0.0792213975652071659990979844868740682769432",
+            "0.0792213975652071659990979077047088458269818",
             "0.0",
-            "1.69601866635729371173913055716e-22",
+            "1.6982594257789093188403696805e-22",
         ),
         (
             (2, 1, 1, 1, 1, 1, 1),
             ("0", "0"),
-            "1.00407735619794433937895814398604641169952",
+            "1.00407735619794433937895609019675833410721",
             "0.0",
-            "1.80500579228245461852534598226e-21",
+            "1.81548242739920411319340834893e-21",
         ),
         (
             (4, 1),
             ("0.3", "0.7"),
-            "0.00648879408786032986777610491140804028746025",
-            "-0.0349082607773008532814825969548104741101037",
-            "2.07441951007646348538519823364e-22",
+            "0.00648879408786032986777609825882482853134012",
+            "-0.0349082607773008532814825819154697200735751",
+            "2.07682175715312051752880361031e-22",
         ),
         (
             (2, 2, 1),
             ("0.3", "0.7"),
-            "0.0669311576546047760975278139748649231541799",
-            "-0.0917892136696148919190132005272888805078874",
-            "7.1969892426643237754594663842e-22",
+            "0.0669311576546047760975278126707952895615961",
+            "-0.0917892136696148919190131893009098598734703",
+            "7.2013911830819944379141774466e-22",
         ),
         (
             (3,),
