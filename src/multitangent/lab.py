@@ -39,6 +39,7 @@ from .numerics import (
     multitangent_eval_reduced,
 )
 from .reduction import reduce
+from .zetasum import certified_sum
 from .verify import sample_points
 from .words import (
     Composition,
@@ -46,8 +47,6 @@ from .words import (
     enumerate_compositions,
     is_multitangent_convergent,
 )
-
-RECHECK_TOL = 1e-7
 
 
 class MtCombo(LinearCombination):
@@ -154,12 +153,16 @@ def _require_coverage(weight: int) -> None:
 
 
 def _recheck(what: str, lhs, combo: MtCombo, ctx: NumericContext) -> None:
-    """Require lhs(z) == combo(z) within RECHECK_TOL at the sample points."""
+    """Require lhs(z) == combo(z) at the sample points: 0 must lie within the
+    certified sum of ``lhs(z, t)`` and -combo(z), every value within the target t."""
+    t, coefs = ctx.target_abs_error, [(s, mzv._coefficient(-c)) for s, c in combo.items()]
     for z in sample_points(2):
-        diff = abs(lhs(z) - combo.evaluate(z, ctx))
-        if diff > RECHECK_TOL:
+        rhs = [[c, (multitangent_eval_direct(s, z, ctx), t)] for s, c in coefs]
+        diff, bound = certified_sum(lhs(z, t) + rhs)
+        if abs(diff) > bound:
             raise NumericRecheckError(
-                f"{what} fails recheck at {z}: |diff| = {float(diff):.3e}"
+                f"{what} fails recheck at {z}: |diff| = {float(abs(diff)):.3e} "
+                f"> certified bound {float(bound):.3e}"
             )
 
 
@@ -176,7 +179,7 @@ def relation_kernel(
     combos = [MtCombo(dict(zip(rows, vec))) for vec in nullspace(_system(rows)[1])]
     if recheck:
         for combo in combos:
-            _recheck(f"kernel relation {combo}", lambda z: 0, combo, ctx)
+            _recheck(f"kernel relation {combo}", lambda z, t: [], combo, ctx)
     return combos
 
 
@@ -251,7 +254,7 @@ def projection(
         zeta_val = mzv_numeric(CoeffExpr.symbol(sigma), ctx)
         _recheck(
             f"projection of Ze[{sigma}]",
-            lambda z: zeta_val * monotangent_eval(2, z, ctx),
+            lambda z, t: [[(zeta_val, t), (monotangent_eval(2, z, ctx), t)]],
             combo,
             ctx,
         )
@@ -287,7 +290,7 @@ def unit_cleanse(
             if is_multitangent_convergent(s)
             else multitangent_eval_reduced
         )
-        _recheck(f"cleansing of Te[{s}]", lambda z: te(s, z, ctx), combo, ctx)
+        _recheck(f"cleansing of Te[{s}]", lambda z, t: [[(te(s, z, ctx), t)]], combo, ctx)
     return combo
 
 

@@ -2,18 +2,18 @@
 plus the analytic cross-checks (trifactorization, Fourier data, growth
 bounds, exponential flatness).
 
-Monotangents are evaluated through exact cotangent polynomials.  Bilateral
-multitangent sums are evaluated by splitting the summation range into a
-positive part, the n = 0 pivot and a negative part; each one-sided piece is
-an absolutely convergent shifted nested sum handled by
-:mod:`multitangent.zetasum` with a certified error bound, and
+Monotangents are evaluated through exact cotangent polynomials, with an
+error bound.  Bilateral multitangent sums are evaluated by splitting the
+summation range into a positive part, the n = 0 pivot and a negative part;
+each one-sided piece is an absolutely convergent shifted nested sum handled
+by :mod:`multitangent.zetasum` with a certified error bound, and
 ``zetasum.certify`` certifies the sum over splits.  This direct bilateral
 evaluation is the right side of the trifactorization check.
 
 The left side is the reduction into monotangents, evaluated without
-expanding its coefficients: each coefficient is a certified sum of products
-of two fragment values, zeta values at 0 that do not depend on the point.
-They are cached per fragment, precision and cap.  The two sides share no
+expanding its coefficients: each is a certified sum of products of two
+fragment values, zeta values at 0 that do not depend on the point, cached
+like them; the sum over orders is certified too.  The two sides share no
 nested-sum value: zeta values at 0 times cotangent polynomials on the left,
 shifted sums at +-z on the right.
 """
@@ -28,7 +28,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import PoleProximityError, PrecisionUnreachableError
-from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
+from .mzv import DEFAULT_CONTEXT, NumericContext, _certified, _coefficient
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
 from .zetasum import (
@@ -37,12 +37,14 @@ from .zetasum import (
     _dyadic,
     cache_lookup,
     cache_store,
+    certified_sum,
     certify,
     shifted_nested_sum,
 )
 
 _memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
 _fragments: dict = {}  # _fragment_value's (value, bound), least recently used first
+_orders: dict = {}  # _order_coefficient's (value, bound), least recently used first
 
 
 def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
@@ -80,20 +82,42 @@ def cot_poly(k: int) -> dict[int, Fraction]:
     return {j: a / (k - 1) for j, a in nxt.items() if a}
 
 
-def _monotangent(k: int, c):
-    """Te^k at the point where cot(pi z) = c, at the working precision."""
-    total = mp.mpc(0)
+def _cot(z):
+    """(c, x, err): c = cot(pi z) at the working precision, and floats err >=
+    |cot(pi z) - c| and x >= |c| + err.  The one trust placed in mpmath's cot:
+    pi z rounds by a relative 2^(2-prec), which cot' = -(1 + cot^2) carries,
+    and cot adds 2^(2-prec) (1 + |c|); err is twice that."""
+    c = mp.cot(mp.pi * z)
+    m = float(abs(c)) * (1 + 2.0**-50)
+    err = math.ldexp(4 * float(abs(z)) * (1 + m * m) + 1 + m, max(-1070, 3 - mp.mp.prec))
+    return c, m + err, err
+
+
+def _monotangent(k: int, cot):
+    """(value, bound) of Te^k at the point where ``_cot`` gave ``cot``.  The
+    coefficients are positive, so the error of c moves the polynomial by at
+    most err Q'(x), and it rounds by at most 2^(3-prec) (k + 4) Q(x); pi^k
+    scales both, and 1 + 2^-40 covers the float rounding of the bound."""
+    c, x, err = cot
+    x = x if x < 1e300 ** (1 / (k + 1)) else math.inf  # past it, powers of x overflow
+    total, q, dq = mp.mpc(0), 0.0, 0.0
     for j, coef in cot_poly(k).items():
         total += mp.mpf(coef.numerator) / coef.denominator * c**j
-    return mp.pi**k * total
+        a = coef.numerator / coef.denominator
+        q, dq = q + a * x**j, dq + j * a * x ** (j - 1)
+    bound = err * dq + math.ldexp(8 * (k + 4) * q, max(-1070, -mp.mp.prec))
+    return mp.pi**k * total, math.pi**k * bound * (1 + 2.0**-40)
 
 
 def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     """Te^k(z) through the exact cotangent polynomial, so the derivative
-    relation Te^(k+1) = -(1/k) d/dz Te^k holds by construction."""
+    relation Te^(k+1) = -(1/k) d/dz Te^k holds by construction; raises
+    PrecisionUnreachableError if its bound misses the context target."""
     with ctx.workprec():
-        z = check_point(z, ctx.pole_guard)
-        return _monotangent(k, mp.cot(mp.pi * z))
+        value, bound = _monotangent(k, _cot(check_point(z, ctx.pole_guard)))
+    if not bound <= ctx.target_abs_error:
+        raise PrecisionUnreachableError(f"Te^{k} reached bound {bound:.3e}", achieved=bound)
+    return value
 
 
 def _splits(s: Composition):
@@ -175,7 +199,11 @@ def _fragment_value(parts: tuple, a: int, target: float, cap: int):
 
 def _order_coefficient(terms: list, target, cap: int):
     """(value, bound) of c_k within ``target``: the certified sum of the
-    fragment products of its terms in ``reduction._order_terms``."""
+    fragment products of its terms in ``reduction._order_terms``, cached."""
+    key = (tuple(terms), mp.mp.prec, cap)
+    hit = cache_lookup(_orders, key, target)
+    if hit is not None:
+        return hit
     # most fragment values are below 1 (a few reach 35 by weight 9);
     # when a first pass misses, certify retries at tighter targets
     first = target / (4 * len(terms))
@@ -187,7 +215,9 @@ def _order_coefficient(terms: list, target, cap: int):
             products.append([(sign * v, e), _fragment_value(left, a_l, piece, cap)])
         return products
 
-    return certify(terms_at, target)
+    hit = certify(terms_at, target)
+    cache_store(_orders, key, hit, _FRAGMENT_SIZE)
+    return hit
 
 
 def multitangent_eval_reduced(
@@ -197,26 +227,29 @@ def multitangent_eval_reduced(
 
         Te[s](z) = delta(s) + sum_k c_k Te^k(z),
 
-    where c_k, the sum over i of Z(i, s_i - k; s), is certified as a sum of
-    products of two cached fragment values (``_order_coefficient``), the
-    terms that ``reduction.z_coeff`` folds exactly.  No exact coefficient is
-    expanded; a second point costs one cotangent, its polynomials and these
-    products.
-
-    Monotangent values can be large near the real axis, so each coefficient's
-    error budget is scaled by the monotangent magnitude it multiplies.
+    where c_k, the sum over i of Z(i, s_i - k; s), is certified and cached
+    as a sum of products of two fragment values (``_order_coefficient``),
+    the terms that ``reduction.z_coeff`` folds exactly, and ``certify``
+    certifies the sum.  Monotangent values can be large near the real axis,
+    so each c_k's budget is scaled by the one it multiplies.
     """
     if not s:
         raise ValueError("empty sequence")
     with ctx.workprec():
-        c = mp.cot(mp.pi * check_point(z, ctx.pole_guard))
-        orders = _order_terms(s)
-        total = mp.mpc(delta(s).to_mpf())
-        for k, terms in sorted(orders.items()):
-            mono = _monotangent(k, c)
-            budget = float(ctx.target_abs_error / (2 * len(orders) * (abs(mono) + 1)))
-            total += _order_coefficient(terms, budget, ctx.truncation_cap)[0] * mono
-        return total
+        cot = _cot(check_point(z, ctx.pole_guard))
+        orders = [(terms, _monotangent(k, cot)) for k, terms in sorted(_order_terms(s).items())]
+        pi = +mp.pi, mp.ldexp(mp.pi, -mp.mp.prec)  # correctly rounded
+        constant = [[_coefficient(q), *[pi] * r] for r, q in delta(s).items()]
+        target, cap = ctx.target_abs_error, ctx.truncation_cap
+        budgets = [target / (2 * len(orders) * (float(abs(mono[0])) + 1)) for _, mono in orders]
+
+        def terms_at(scale):
+            return constant + [
+                [_order_coefficient(terms, budget * scale, cap), mono]
+                for (terms, mono), budget in zip(orders, budgets)
+            ]
+
+        return certify(terms_at, target)[0]
 
 
 def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT):
@@ -232,10 +265,8 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
     with ctx.workprec():
         # poles sit at z = -1, -2, ... for the + side and 1, 2, ... for the - side
         z = mp.mpc(z)
-        pole_dir = -1 if side == "+" else 1
-        nearest = mp.nint(mp.re(z))
-        if pole_dir * nearest >= 1 and abs(z - mp.mpc(nearest, 0)) < ctx.pole_guard:
-            raise PoleProximityError(f"{z} is within {ctx.pole_guard} of a pole")
+        if (-1 if side == "+" else 1) * mp.nint(z.real) >= 1:
+            check_point(z, ctx.pole_guard)
         if not s:
             return mp.mpc(1)
         if s.parts == (1,):
@@ -247,20 +278,14 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
         return _one_sided(side, s.parts, z, ctx.target_abs_error, ctx.truncation_cap)[0]
 
 
-def trifactorization_residual(
-    s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
-) -> float:
-    """|Te[s](z) - sum over splits He_+ * Ce * He_-|.
-
-    The left side is evaluated through the reduction: zeta values at 0,
-    certified per fragment of the reduction and independent of z, times
-    cotangent polynomials.  The right side is the direct bilateral
-    evaluation, whose split terms are certified one-sided sums at z and -z,
-    so the two sides share no code path above the nested sums.
-    """
+def trifactorization_residual(s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT):
+    """Certified (value, bound) of Te[s](z) - sum over splits He_+ * Ce * He_-,
+    the reduced evaluation less the direct one, each within the context
+    target: the module docstring says why they share no nested-sum value."""
+    t = ctx.target_abs_error
     with ctx.workprec():
         rhs = multitangent_eval_direct(s, z, ctx)
-        return float(abs(multitangent_eval_reduced(s, z, ctx) - rhs))
+        return certified_sum([[(multitangent_eval_reduced(s, z, ctx), t)], [(-rhs, t)]])
 
 
 def _fourier_zetas(s: Composition, ctx: NumericContext):

@@ -1,8 +1,9 @@
 """Self-contained verification suites over the analytic identities.
 
 Each suite draws deterministic sample points, evaluates both sides of an
-identity through independent code paths, and reports the worst deviation.
-The command line exposes them as ``mtk verify --suite <name>``.
+identity through independent code paths, and passes a check when 0 lies
+within the certificate of the difference, as the workbench rechecks do.
+It reports the worst deviation; ``mtk verify --suite <name>`` runs it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .numerics import (
     trifactorization_residual,
 )
 from .words import Composition, enumerate_compositions, stuffle
+from .zetasum import certified_sum
 
 
 @dataclass
@@ -26,19 +28,19 @@ class SuiteResult:
     name: str
     checks: int = 0
     worst: float = 0.0
-    tolerance: float = 1e-7
     failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, label: str, deviation: float, tolerance: float | None = None):
-        tol = self.tolerance if tolerance is None else tolerance
+    def record(self, label: str, terms) -> None:
+        """Check that 0 lies within the ``zetasum.certified_sum`` of ``terms``."""
+        value, bound = certified_sum(terms)
         self.checks += 1
-        self.worst = max(self.worst, deviation)
-        if deviation > tol:
-            self.failures.append((label, deviation))
+        self.worst = max(self.worst, float(abs(value)))
+        if abs(value) > bound:
+            self.failures.append((label, float(abs(value))))
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAIL"
@@ -61,6 +63,14 @@ def sample_points(
 
 
 _SUITE_IM_RANGE = (0.3, 1.2)
+# |quotient - F'| <= h^2 |F^(3)| / 6 for the diff suite's h = 1e-5, which no
+# certificate covers: 1.2e-6 at most at its points (Te[6]), 80 times below
+DIFF_TRUNCATION = 1e-4
+
+
+def _te(s: Composition, z, ctx: NumericContext):
+    """Te[s](z) as a certified factor: within the context target."""
+    return multitangent_eval_direct(s, z, ctx), ctx.target_abs_error
 
 
 def suite_symmetrel(
@@ -77,11 +87,8 @@ def suite_symmetrel(
                     if a.sort_key() <= b.sort_key():
                         pairs.append((a, b))
     for (a, b), z in zip(pairs, sample_points(len(pairs), seed, _SUITE_IM_RANGE)):
-        lhs = multitangent_eval_direct(a, z, ctx) * multitangent_eval_direct(b, z, ctx)
-        rhs = mp.mpc(0)
-        for word, mult in stuffle(a, b).items():
-            rhs += mult * multitangent_eval_direct(word, z, ctx)
-        result.record(f"Te[{a}]*Te[{b}]", float(abs(lhs - rhs)))
+        rhs = [[(-mult, 0), _te(word, z, ctx)] for word, mult in stuffle(a, b).items()]
+        result.record(f"Te[{a}]*Te[{b}]", [[_te(a, z, ctx), _te(b, z, ctx)], *rhs])
     return result
 
 
@@ -96,37 +103,30 @@ def suite_parity(
         for s in enumerate_compositions(w, "convergent")
     ]
     for s, z in zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE)):
-        lhs = multitangent_eval_direct(s, -z, ctx)
-        rhs = (-1) ** s.weight * multitangent_eval_direct(s.reverse(), z, ctx)
-        result.record(f"parity Te[{s}]", float(abs(lhs - rhs)))
+        rhs = [(-((-1) ** s.weight), 0), _te(s.reverse(), z, ctx)]
+        result.record(f"parity Te[{s}]", [[_te(s, -z, ctx)], rhs])
     return result
 
 
 def suite_diff(
     ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 7, seed: int = 13
 ) -> SuiteResult:
-    """Central finite difference of Te[s] against -sum_i s_i Te[s + e_i].
-
-    The quotient carries an O(h^2) truncation term, so the tolerance is
-    h^2-scaled rather than the suite default.
+    """Central finite difference of Te[s] against -sum_i s_i Te[s + e_i],
+    with ``DIFF_TRUNCATION`` as one more term, of value 0.
     """
     result = SuiteResult("diff")
-    h = mp.mpf("1e-5")
     seqs = [
         s
         for w in range(2, max_weight + 1)
         for s in enumerate_compositions(w, "convergent")
     ]
     for s, z in zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE)):
-        num = (
-            multitangent_eval_direct(s, z + h, ctx)
-            - multitangent_eval_direct(s, z - h, ctx)
-        ) / (2 * h)
-        sym = mp.mpc(0)
-        for i, part in enumerate(s.parts):
-            sym -= part * multitangent_eval_direct(s.bump(i), z, ctx)
-        # third derivative of a weight <= 6 multitangent stays O(10^3) here
-        result.record(f"diff Te[{s}]", float(abs(num - sym)), tolerance=1e-4)
+        with ctx.workprec():  # z +- h exact, 1/(2h) rounded once
+            h = mp.mpf("1e-5")
+            quotient = [(1 / (2 * h), mp.ldexp(1 / h, -mp.mp.prec))]
+            terms = [[_te(s, z + h, ctx), *quotient], [_te(s, z - h, ctx), (-1, 0), *quotient]]
+        terms += [[(part, 0), _te(s.bump(i), z, ctx)] for i, part in enumerate(s.parts)]
+        result.record(f"diff Te[{s}]", [*terms, [(0, DIFF_TRUNCATION)]])
     return result
 
 
@@ -152,8 +152,7 @@ def suite_trifact(ctx: NumericContext = DEFAULT_CONTEXT, seed: int = 17) -> Suit
     ]
     for s in seqs:
         for z in sample_points(3, seed + s.weight, _SUITE_IM_RANGE):
-            res = trifactorization_residual(s, z, ctx)
-            result.record(f"trifact Te[{s}]", res)
+            result.record(f"trifact Te[{s}]", [[trifactorization_residual(s, z, ctx)]])
     return result
 
 

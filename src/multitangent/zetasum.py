@@ -98,6 +98,7 @@ from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import fzero, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_pow_int
+from mpmath.libmp import fone, from_float, mpc_abs, mpf_mul_int, mpf_shift, mpf_sub
 
 from .errors import PrecisionUnreachableError
 
@@ -515,28 +516,43 @@ def shifted_nested_sum(
     )
 
 
+def _magnitude(v):
+    """|v| of an int, mpf or mpc as a raw mpf rounded up to a 53-bit mantissa,
+    for a complex v from the exact sum of squares."""
+    real = v._mpf_ if isinstance(v, mp.mpf) else from_int(v) if isinstance(v, int) else None
+    w = v._mpc_ if real is None else (real, fzero)
+    (_, mr, er, _), (_, mi, ei, _) = w
+    if not (mr and mi):  # a part is zero or not finite
+        return mpc_abs(w, 53, "u")
+    e = min(er, ei)
+    s = (mr << (er - e)) ** 2 + (mi << (ei - e)) ** 2
+    t = (s.bit_length() - 105) >> 1  # s / 4^t has 105 or 106 bits
+    return from_man_exp(math.isqrt(s >> 2 * t if t > 0 else s << -2 * t) + 1, e + t)
+
+
 def certified_sum(terms) -> _FixedSum:
     """Sum over ``terms`` of the products of their factors ``(value, bound)``.
     If each true factor is within its bound of its value, the true sum is
     within the returned bound of the returned value.  A term's bounds add
-    prod(|v| + e) - prod |v|.  Each product (one per factor, from 1) and each
-    sum rounds by a relative 2^-prec; ``rounding`` counts each at 2^(3-prec)
-    prod(|v| + e), which also covers the rounding of the bound arithmetic,
-    the cancellation in that difference included."""
-    value = mp.mpc(0)
-    propagated = size = mp.mpf(0)
+    prod(|v| + e) - prod |v|, which grows with each |v|, so |v| may be rounded
+    up.  Each product (one per factor, from 1) and each sum rounds by a
+    relative 2^-prec; ``rounding`` counts each at 2^(3-prec) prod(|v| + e),
+    which also covers the rounding of the bound arithmetic on raw mpfs, the
+    cancellation in that difference included."""
+    prec, value, propagated, size = mp.mp.prec, mp.mpc(0), fzero, fzero
     for term in terms:
-        product, mag, hi = 1, 1, 1
+        product, mag, hi = 1, fone, fone
         for v, e in term:
             product *= v
-            a = abs(v)
-            mag *= a
-            hi *= a + e
+            a, e = _magnitude(v), e._mpf_ if isinstance(e, mp.mpf) else from_float(e)
+            mag = mpf_mul(mag, a, prec, "n")
+            hi = mpf_mul(hi, mpf_add(a, e, prec, "n"), prec, "n")
         value += product
-        propagated += hi - mag
-        size += (len(term) + len(terms)) * hi
-    rounding = mp.ldexp(size, 3 - mp.mp.prec)
-    return _FixedSum(value, mp.fadd(propagated, rounding, rounding="u"), rounding)
+        propagated = mpf_add(propagated, mpf_sub(hi, mag, prec, "n"), prec, "n")
+        size = mpf_add(size, mpf_mul_int(hi, len(term) + len(terms), prec, "n"), prec, "n")
+    rounding = mpf_shift(size, 3 - prec)
+    bound = mpf_add(propagated, rounding, prec, "u")
+    return _FixedSum(value, mp.make_mpf(bound), mp.make_mpf(rounding))
 
 
 def certify(terms_at, target) -> _FixedSum:

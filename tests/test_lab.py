@@ -153,6 +153,22 @@ class TestRelationKernel:
         rel = MtCombo({C(3, 1, 2): 1, C(2, 1, 3): 1, C(2, 1, 1, 2): 1})
         assert kernel_contains(6, rel)
 
+    def test_recheck_rejects_a_relation_off_by_1e_8(self, monkeypatch, user_precision):
+        """1e-8 more of one term moves a weight-6 relation by about 1.5e-8
+        at the sample points: below a fixed 1e-7, far outside the
+        certificate of the difference at the default target 1e-10."""
+        exact = lab.nullspace
+
+        def shifted(matrix):
+            basis = exact(matrix)
+            j = next(j for j, x in enumerate(basis[0]) if x)
+            basis[0][j] += Fraction(1, 10**8)
+            return basis
+
+        monkeypatch.setattr(lab, "nullspace", shifted)
+        with pytest.raises(NumericRecheckError, match="kernel relation"):
+            relation_kernel(6)
+
     def test_weight6_all_tabulated_relations(self):
         relations = [
             {C(3, 1, 2): 1, C(2, 1, 3): 1, C(2, 1, 1, 2): 1},

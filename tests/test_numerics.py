@@ -31,7 +31,7 @@ from multitangent.numerics import (
 )
 from multitangent.exact import CoeffExpr
 from multitangent.reduction import _order_terms, delta, reduce
-from multitangent.verify import sample_points
+from multitangent.verify import run_suite, sample_points
 from multitangent.words import Composition, enumerate_compositions
 from multitangent import zetasum
 from multitangent.zetasum import (
@@ -79,6 +79,13 @@ class TestMonotangent:
     def test_pole_guard(self):
         with pytest.raises(PoleProximityError):
             monotangent_eval(2, mp.mpf("1e-5"), CTX)
+
+    def test_precision_unreachable_near_a_pole(self):
+        """Te^10 at 0.0011(1 + i) is about 1.2e28: at 53 bits its rounding
+        alone is near 1e12, so the 1e-10 target is refused, not missed."""
+        ctx = NumericContext(working_precision=53)
+        with pytest.raises(PrecisionUnreachableError):
+            monotangent_eval(10, mp.mpc(0.0011, 0.0011), ctx)
 
     @pytest.mark.parametrize("guard", [1e-3, Fraction(1, 1000), mp.mpf("1e-3")])
     def test_pole_guard_edge(self, guard):
@@ -175,6 +182,7 @@ class TestReducedFromFragments:
         """Fragment values do not depend on the point.  Every monotangent is
         smaller at the second point, so no coefficient budget is tighter."""
         monkeypatch.setattr(numerics, "_fragments", {})
+        monkeypatch.setattr(numerics, "_orders", {})
         monkeypatch.setattr(zetasum, "_cache", {})
         passes = []
         fixed = zetasum.shifted_nested_sum_fixed
@@ -202,9 +210,9 @@ class TestReducedFromFragments:
             multitangent_eval_reduced(s, z, CTX)
         assert cot.call_count == check.call_count == 1
         with CTX.workprec():
-            c = mp.cot(mp.pi * z)
+            at_z = numerics._cot(z)
             for k in _order_terms(s):
-                assert numerics._monotangent(k, c) == monotangent_eval(k, z, CTX)
+                assert numerics._monotangent(k, at_z)[0] == monotangent_eval(k, z, CTX)
 
     def test_tighter_target_replaces_the_entry(self, monkeypatch):
         monkeypatch.setattr(numerics, "_fragments", {})
@@ -243,6 +251,17 @@ class TestHurwitz:
     def test_subtracted_series_telescopes(self):
         assert abs(hurwitz_eval("+", C(1), mp.mpf(1), CTX) + 1) < 1e-15
 
+    def test_rational_pole_guard(self):
+        """A Fraction guard, which NumericContext accepts, decides the
+        one-sided poles exactly: -2 is a pole of the + side only."""
+        ctx = NumericContext(pole_guard=Fraction(1, 1000))
+        z = mp.mpc(-1.5, 0.1)
+        assert abs(hurwitz_eval("+", C(2, 3), z, ctx) - hurwitz_eval("+", C(2, 3), z, CTX)) < 2e-9
+        with pytest.raises(PoleProximityError):
+            hurwitz_eval("+", C(2), mp.mpc(-2, 0.0009), ctx)
+        hurwitz_eval("-", C(2), mp.mpc(-2, 0.0009), ctx)
+        hurwitz_eval("+", C(2), mp.mpc(-2, 0.0011), ctx)
+
     def test_divergent_side_rejected(self):
         with pytest.raises(ValueError):
             hurwitz_eval("+", C(1, 2), 0.5, CTX)
@@ -254,7 +273,23 @@ class TestTrifactorization:
     @pytest.mark.parametrize("parts", [(2,), (3,), (2, 2), (3, 2), (2, 3)])
     def test_residuals(self, parts):
         for z in points(3, sum(parts)):
-            assert trifactorization_residual(Composition(parts), z, CTX) < 1e-7
+            value, bound = trifactorization_residual(Composition(parts), z, CTX)
+            assert abs(value) <= bound and abs(value) < 1e-7
+
+    def test_suite_rejects_a_cot_poly_coefficient_off_by_1e_9(self, monkeypatch, user_precision):
+        """The c^2 coefficient of Te^2 = pi^2 (1 + c^2) scaled by 1 + 1e-9
+        moves the reduced side by about 1e-8 at the suite's points: below a
+        fixed 1e-7, far outside the certificate of the difference."""
+        exact = numerics.cot_poly
+
+        def scaled(k):
+            poly = dict(exact(k))
+            if k == 2:
+                poly[2] *= 1 + Fraction(1, 10**9)
+            return poly
+
+        monkeypatch.setattr(numerics, "cot_poly", scaled)
+        assert not run_suite("trifact").ok
 
 
 class TestFourier:
@@ -863,6 +898,30 @@ def test_certified_sum_covers_every_perturbation(prec, terms):
                 product *= v + e * mp.mpc(x, y) / 2**10
             perturbed += product
         assert abs(perturbed - value) <= bound
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+@given(st.lists(_FACTORS, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_magnitudes_at_53_bits_keep_the_value_and_only_raise_the_bound(prec, terms):
+    """certified_sum takes each |v| rounded up at 53 bits: against |v| at
+    the working precision, the value is bit-identical and the bound is no
+    lower, up to the rounding of prod(|v| + e) - prod |v| at the working
+    precision, which moves by ulps either way and which the rounding term
+    covers many times over.  Factors with an odd bound are real."""
+    with mp.workprec(prec):
+        parts = [
+            [
+                (mp.mpf(re) / 2**38 if e % 2 else mp.mpc(re, im) / 2**38, mp.mpf(e) / 2**10)
+                for re, im, e, _ in term
+            ]
+            for term in terms
+        ]
+        value, bound = certified_sum(parts)
+        with mock.patch.object(zetasum, "_magnitude", lambda v: mp.mpf(abs(v))._mpf_):
+            old = certified_sum(parts)
+        assert value == old[0]
+        assert bound >= old[1] - old.rounding / 4
 
 
 _TIGHT_CTX = NumericContext(target_abs_error=1e-45, working_precision=128)
