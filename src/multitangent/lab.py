@@ -8,11 +8,12 @@ mandatory numeric recheck stage that re-evaluates every produced identity at
 sample points off the real axis.  A failed recheck raises instead of
 returning a silently wrong result.
 
-The exact stage does no work twice.  A coefficient is written over the zeta
-basis as the sum of the basis vectors of its monomials, and each monomial's
-vector (stuffle linearization, then table substitution) is kept in a bounded
-cache.  Projections and cleansings at one weight solve against the same
-system; each row set's system is built and factored once, in a bounded
+The exact stage does no work twice.  A slot vector is folded from the
+fragments of the reduction, never from its expanded coefficients: each
+fragment's vector over the zeta basis, and the vector of each product of two
+basis monomials (stuffle linearization, then table substitution), is kept in
+a bounded cache.  Projections and cleansings at one weight solve against the
+same system; each row set's system is built and factored once, in a bounded
 cache, and every right-hand side costs one sparse product.
 """
 
@@ -38,7 +39,7 @@ from .numerics import (
     multitangent_eval_direct,
     multitangent_eval_reduced,
 )
-from .reduction import reduce
+from .reduction import _fold, _monomials, _numerators, _order_terms, delta, reduce
 from .zetasum import certified_sum
 from .verify import sample_points
 from .words import (
@@ -91,12 +92,12 @@ def differentiate_combo(combo: MtCombo) -> MtCombo:
 Slot = tuple[int, MzvMonomial]
 
 
-@lru_cache(maxsize=2048)
-def _basis_vector(mono: MzvMonomial) -> tuple[tuple[MzvMonomial, Fraction], ...]:
-    """One zeta monomial over the basis: its product linearized, then
-    substituted through the shared table."""
-    expr = mzv.linearize(CoeffExpr({mono: 1}))
-    return tuple(MzvBasisTable.shared().substitute(expr).items())
+@lru_cache(maxsize=4096)
+def _basis_product(pair: tuple[MzvMonomial, MzvMonomial]) -> tuple:
+    """The product of two zeta monomials over the basis and one denominator,
+    linearized, then substituted through the table: Ze[2]^2 is 5/2 Ze[4]."""
+    expr = mzv.linearize(CoeffExpr({pair[0] * pair[1]: 1}))
+    return _numerators(MzvBasisTable.shared().substitute(expr))
 
 
 def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
@@ -104,24 +105,31 @@ def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
     sum of the cached basis vectors of its monomials."""
     total: dict[MzvMonomial, Fraction] = {}
     for mono, coef in expr.items():
-        for basis_mono, value in _basis_vector(mono):
-            total[basis_mono] = total.get(basis_mono, 0) + coef * value
+        den, vec = _basis_product((mono, MzvMonomial.one()))
+        for basis_mono, n in vec:
+            total[basis_mono] = total.get(basis_mono, 0) + coef * n / den
     return {(k, mono): coef for mono, coef in CoeffExpr(total).items()}
+
+
+@lru_cache(maxsize=2048)
+def _fragment_vector(parts: tuple[int, ...], a: int) -> tuple:
+    """[X^a] Ze[parts](X) over the basis and one denominator: its product
+    with the empty fragment, folded."""
+    return _numerators(_fold([(1, parts, a, (), 0)], _monomials, _basis_product))
 
 
 @lru_cache(maxsize=4096)
 def _slot_vector_cached(comp: Composition) -> tuple[tuple[Slot, Fraction], ...]:
-    red = reduce(comp)
-    if red.constant:
+    if delta(comp) or not comp:
         raise ValueError(f"Te[{comp}] reduces with a constant term")
     entries: dict[Slot, Fraction] = {}
-    for k, expr in red.coeffs.items():
-        if k != 1:
-            entries.update(_slots(k, expr))
-        elif _slots(1, expr):
+    for k, terms in _order_terms(comp).items():
+        vec = _fold(terms, _fragment_vector, _basis_product)
+        if k == 1 and vec:
             raise NumericRecheckError(
                 f"Te^1 coefficient of {comp} fails exact cancellation"
             )
+        entries.update(((k, mono), c) for mono, c in vec.items())
     return tuple(entries.items())
 
 

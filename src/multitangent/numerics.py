@@ -197,13 +197,14 @@ def _fragment_value(parts: tuple, a: int, target: float, cap: int):
     return hit
 
 
-def _order_coefficient(terms: list, target, cap: int):
-    """(value, bound) of c_k within ``target``: the certified sum of the
-    fragment products of its terms in ``reduction._order_terms``, cached."""
-    key = (tuple(terms), mp.mp.prec, cap)
+def _order_coefficient(s: Composition, k: int, target, cap: int):
+    """(value, bound) of the c_k of s within ``target``: the certified sum of
+    the fragment products of its terms in ``reduction._order_terms``, cached."""
+    key = (s, k, mp.mp.prec, cap)
     hit = cache_lookup(_orders, key, target)
     if hit is not None:
         return hit
+    terms = _order_terms(s)[k]
     # most fragment values are below 1 (a few reach 35 by weight 9);
     # when a first pass misses, certify retries at tighter targets
     first = target / (4 * len(terms))
@@ -237,7 +238,7 @@ def multitangent_eval_reduced(
         raise ValueError("empty sequence")
     with ctx.workprec():
         cot = _cot(check_point(z, ctx.pole_guard))
-        orders = [(terms, _monotangent(k, cot)) for k, terms in sorted(_order_terms(s).items())]
+        orders = [(k, _monotangent(k, cot)) for k in sorted(_order_terms(s))]
         pi = +mp.pi, mp.ldexp(mp.pi, -mp.mp.prec)  # correctly rounded
         constant = [[_coefficient(q), *[pi] * r] for r, q in delta(s).items()]
         target, cap = ctx.target_abs_error, ctx.truncation_cap
@@ -245,8 +246,8 @@ def multitangent_eval_reduced(
 
         def terms_at(scale):
             return constant + [
-                [_order_coefficient(terms, budget * scale, cap), mono]
-                for (terms, mono), budget in zip(orders, budgets)
+                [_order_coefficient(s, k, budget * scale, cap), mono]
+                for (k, mono), budget in zip(orders, budgets)
             ]
 
         return certify(terms_at, target)[0]
@@ -292,9 +293,9 @@ def _fourier_zetas(s: Composition, ctx: NumericContext):
     """(k, (value, bound)) of sum_j Z(j, s_j - k; s), the zeta data of the
     Fourier coefficient formula, for each order k >= 2 of the reduction of s,
     certified to the context target by ``_order_coefficient``."""
-    for k, terms in sorted(_order_terms(s).items()):
+    for k in sorted(_order_terms(s)):
         if k >= 2:
-            yield k, _order_coefficient(terms, ctx.target_abs_error, ctx.truncation_cap)
+            yield k, _order_coefficient(s, k, ctx.target_abs_error, ctx.truncation_cap)
 
 
 def _fourier_from_zetas(zetas, n: int):

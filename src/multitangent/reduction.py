@@ -16,7 +16,9 @@ k_1..k_d >= 0 with sum a of prod_l C(t_l+k_l-1, t_l-1) Ze[t_1+k_1, ..., t_d+k_d]
 and delta(s) = (-1)^(r/2) pi^r / r!  when s = (1,...,1) with r even, else 0.
 
 One private generator, ``_z_terms``, yields the terms of this product for
-each pivot and order.  ``z_coeff`` and ``reduce`` fold them exactly;
+each pivot and order.  ``_fold`` sums them exactly, in integers over one
+denominator: ``z_coeff`` and ``reduce`` fold the fragments' own monomials,
+``lab.slot_vector`` their vectors over the zeta basis.
 ``numerics.multitangent_eval_reduced`` folds the same terms as a certified
 sum of numeric fragment values, so the index formula lives here alone.
 
@@ -53,16 +55,28 @@ def _shifted_words(parts: tuple[int, ...], a: int) -> dict[tuple[int, ...], int]
     return out
 
 
+def _numerators(expr: CoeffExpr) -> tuple:
+    """``expr`` over one denominator: (den, ((monomial, numerator), ...))."""
+    items = list(expr.items())
+    den = math.lcm(*(c.denominator for _, c in items))
+    return den, tuple((key, c.numerator * (den // c.denominator)) for key, c in items)
+
+
 # reducing every sequence up to weight w fills 2^w - 1 entries
 @functools.lru_cache(maxsize=2048)
-def _fragment(parts: tuple[int, ...], a: int) -> CoeffExpr:
-    """[X^a] Ze[parts](X), each symbol through its symmetrel extension."""
+def _monomials(parts: tuple[int, ...], a: int) -> tuple:
+    """[X^a] Ze[parts](X) over one denominator, each symbol through its
+    symmetrel extension."""
     out = CoeffExpr.zero()
     for word, c in _shifted_words(parts, a).items():
-        value = symmetrel_extend(Composition(word))
-        # sharing the unscaled terms saves two thirds of the cache's memory
-        out = out + (value if c == 1 else value.scale(c))
-    return out
+        out = out + symmetrel_extend(Composition(word)).scale(c)
+    return _numerators(out)
+
+
+def _fragment(parts: tuple[int, ...], a: int) -> CoeffExpr:
+    """[X^a] Ze[parts](X), each symbol through its symmetrel extension."""
+    den, vec = _monomials(parts, a)
+    return CoeffExpr._make({mono: Fraction(n, den) for mono, n in vec})
 
 
 def _z_terms(i: int, k: int, s: Composition):
@@ -94,12 +108,28 @@ def _order_terms(s: Composition) -> dict[int, list]:
     return terms
 
 
-def _fold(terms) -> CoeffExpr:
-    """The exact sum of the fragment products of ``_z_terms`` terms."""
-    out = CoeffExpr.zero()
-    for sign, right, a_r, left, a_l in terms:
-        out = out + (_fragment(right, a_r) * _fragment(left, a_l)).scale(sign)
-    return out
+def _fold(terms, fragment=_monomials, product=lambda m: (1, ((m[0] * m[1], 1),))) -> CoeffExpr:
+    """The exact sum of the fragment products of ``_z_terms`` terms, in
+    integers: with each fragment over one denominator, the numerator products
+    of each pair of monomials are summed over a common one, and each distinct
+    pair is mapped through ``product``, by default their product."""
+    frags = [(sign, fragment(r, a_r), fragment(l, a_l)) for sign, r, a_r, l, a_l in terms]
+    den = math.lcm(*(d_r * d_l for _, (d_r, _), (d_l, _) in frags))
+    pairs: dict = {}
+    for sign, (d_r, right), (d_l, left) in frags:
+        scale = sign * (den // (d_r * d_l))
+        for key_r, n_r in right:
+            n_r *= scale
+            for key_l, n_l in left:
+                pairs[key_r, key_l] = pairs.get((key_r, key_l), 0) + n_r * n_l
+    products = [(n, product(pair)) for pair, n in pairs.items() if n]
+    lcd = math.lcm(*(d for _, (d, _) in products))
+    out: dict = {}
+    for n, (d, vec) in products:
+        n *= lcd // d
+        for key, c in vec:
+            out[key] = out.get(key, 0) + n * c
+    return CoeffExpr._make({key: Fraction(c, den * lcd) for key, c in out.items() if c})
 
 
 def z_coeff(i: int, k: int, s: Composition) -> CoeffExpr:

@@ -32,7 +32,7 @@ from multitangent.lab import (
 )
 from multitangent.mzv import NumericContext, even_zeta, mzv_numeric
 from multitangent.numerics import monotangent_eval
-from multitangent.reduction import reduce
+from multitangent.reduction import _order_terms, reduce
 from multitangent.words import Composition, enumerate_compositions
 from multitangent.words import repeat
 
@@ -455,15 +455,63 @@ class TestSlotVector:
         )
         assert slot_vector(s)
 
-        def perturbed(comp):
-            red = reduce(comp)
-            red.coeffs[1] = red.coeffs[1] + CoeffExpr.symbol(C(2), Fraction(5, 10**9))
-            return red
+        fold, order_1 = lab._fold, _order_terms(s)[1]
+
+        def perturbed(terms, fragment, product):
+            vec = fold(terms, fragment, product)
+            if terms == order_1:
+                vec = vec + CoeffExpr.symbol(C(2), Fraction(5, 10**9))
+            return vec
 
         lab._slot_vector_cached.cache_clear()
-        monkeypatch.setattr(lab, "reduce", perturbed)
+        monkeypatch.setattr(lab, "_fold", perturbed)
         with pytest.raises(NumericRecheckError, match="Te\\^1 coefficient of 3,1,2,1,1,2"):
             slot_vector(s)
+
+    def test_matches_the_reduce_route(self):
+        # the fold of fragment basis vectors against the expanded reduction
+        # written over the basis: items, order and errors alike
+        def reduce_route(s):
+            red = reduce(s)
+            if red.constant:
+                raise ValueError(f"Te[{s}] reduces with a constant term")
+            entries = {}
+            for k, expr in red.coeffs.items():
+                slots = lab._slots(k, expr)
+                if k == 1 and slots:
+                    raise NumericRecheckError(f"Te^1 coefficient of {s} fails exact cancellation")
+                entries.update(slots)
+            return entries
+
+        def outcome(route, s):
+            try:
+                return list(route(s).items())
+            except (ValueError, NumericRecheckError) as exc:
+                return type(exc), str(exc)
+
+        errors = []
+        for w in range(1, 11):
+            for s in enumerate_compositions(w, "all"):
+                got = outcome(slot_vector, s)
+                assert got == outcome(reduce_route, s), s
+                if isinstance(got, tuple):
+                    errors.append(got[0])
+        # Te[1^r]: a constant for even r, a multiple of Te^1 for odd r
+        assert len(errors) == 10 and errors.count(ValueError) == 5
+
+    def test_families_lie_on_even_zetas(self):
+        # Te[n^k] is a polynomial in pi^2 and the monotangents (the paper's
+        # generating function), so every slot holds one even zeta: odd zetas,
+        # Ze[3]*Ze[5], Ze[6,2] and Ze[8,2] must cancel exactly
+        families = [(n, k) for n in range(2, 6) for k in range(2, 6) if n * k <= 11]
+        assert len(families) == 8
+        for n, k in families:
+            vec = slot_vector(C(*[n] * k))
+            assert vec, (n, k)
+            for (order, mono), coef in vec.items():
+                (factor,) = mono.factors
+                assert factor.length == 1 and factor.weight % 2 == 0, (n, k, mono)
+                assert order + factor.weight == n * k
 
     def test_values(self):
         vec = slot_vector(C(2, 2))

@@ -339,9 +339,9 @@ class TestFourier:
         calls = []
         certified = numerics._order_coefficient
 
-        def counted(terms, target, cap):
-            calls.append(terms)
-            return certified(terms, target, cap)
+        def counted(seq, k, target, cap):
+            calls.append(k)
+            return certified(seq, k, target, cap)
 
         monkeypatch.setattr(numerics, "_order_coefficient", counted)
         partial = fourier_partial_sum(s, z, n_terms, CTX)

@@ -29,8 +29,8 @@ assert isinstance(MzvBasisTable.__dict__["load"], classmethod)
 assert MzvBasisTable.__dict__["load"].__func__.__name__ == "wrapper"
 assert MzvBasisTable.substitute.__name__ == "wrapper"
 # the nested sums of a direct evaluation, of a zeta value and of the fragment
-# values of a cold reduced evaluation, and the reduction of a cold slot
-# vector, are spans under their caller's span
+# values of a cold reduced evaluation, and the table substitution of a cold
+# slot vector, are spans under their caller's span
 from multitangent import mzv, numerics
 from multitangent.exact import CoeffExpr
 for name, child, call in (
@@ -40,7 +40,7 @@ for name, child, call in (
      lambda: mzv.mzv_numeric(CoeffExpr.symbol(Composition((3, 2))))),
     ("numerics.multitangent_eval_reduced", "zetasum.shifted_nested_sum",
      lambda: numerics.multitangent_eval_reduced(Composition((3, 1, 2)), mp.mpc(0.3, 0.8))),
-    ("lab.slot_vector", "reduction.reduce",
+    ("lab.slot_vector", "basis_table.MzvBasisTable.substitute",
      lambda: lab.slot_vector(Composition((2, 1, 3)))),
 ):
     caller, start = tracer.names.index(name), len(tracer.kind)
