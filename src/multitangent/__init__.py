@@ -8,7 +8,7 @@ The package splits into:
 * :mod:`multitangent.reduction` -- reduction into monotangents;
 * :mod:`multitangent.numerics` -- monotangent, multitangent and Hurwitz
   evaluation, trifactorization, Fourier data, growth bounds;
-* :mod:`multitangent.families` -- closed forms for repeated indices;
+* :mod:`multitangent.families` -- repeated-index families by Newton's recursion;
 * :mod:`multitangent.lab` -- relation kernels, projection, unit cleansing,
   rank matrices, table generation;
 * :mod:`multitangent.cli` -- the ``mtk`` command line.

@@ -1,9 +1,16 @@
-"""Closed forms for repeated-part multitangents and related series identities.
+"""Repeated-part multitangents from the paper's generating function.
 
-Covers the all-ones family Te[1^r], the general repeated family Te[n^k]
-through a 2^n-term trigonometric sum, the closed form for Ze[2^n], and the
-power-series identity tying the even zeta generating function to
-sin(pi X)/(pi X).
+The family Te[n^k] (symmetrel-regularised at n = 1) has the generating
+function G_n(X) = sum_k Te[n^k] X^(nk) = prod_m (1 + X^n (m+z)^-n), which solves
+
+    X G'(X) = G(X) * sum_j (-1)^(j-1) n Te^(nj) X^(nj).
+
+Coefficientwise this is Newton's recursion i e_i = sum_{j=1..i} (-1)^(j-1)
+p_j e_(i-j) for e_k = Te[n^k] from the power sums p_j = Te^(nj) = pi^(nj)
+cot_poly(nj)(cot pi z).  Solved exactly over Q[cot pi z] and written back over
+the monotangents, it gives Te[n^k] = sum_m q_m pi^(nk-m) Te^m, q_m rational,
+for every n and weight, with no zeta table.  On the power sums zeta(2j) the
+same recursion gives Ze[2^k] and the product formula of sin(pi X)/(pi X).
 """
 
 from __future__ import annotations
@@ -13,119 +20,86 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import NumericRecheckError
+from .errors import PrecisionUnreachableError
 from .exact import PiRational
-from .mzv import DEFAULT_CONTEXT, NumericContext, even_zeta
-from .numerics import check_point
+from .mzv import DEFAULT_CONTEXT, NumericContext, _coefficient, even_zeta
+from .numerics import _cot, _monotangent, check_point, cot_poly
+from .zetasum import certified_sum
+
+
+def _elementary(power_sums, k: int) -> dict[int, Fraction]:
+    """e_k from the power sums p_j = power_sums[j-1] by Newton's recursion,
+    over polynomials in Q[c] held as degree -> Fraction.  Every p_j carries
+    its weight's power of pi outside, and the recursion keeps weights apart."""
+    e = [{0: Fraction(1)}]
+    for i in range(1, k + 1):
+        acc: dict[int, Fraction] = {}
+        for j in range(1, i + 1):
+            for a, x in power_sums[j - 1].items():
+                for b, y in e[i - j].items():
+                    acc[a + b] = acc.get(a + b, 0) + (-1) ** (j - 1) * x * y
+        e.append({d: q / i for d, q in acc.items() if q})
+    return e[k]
+
+
+def te_nk_exact(n: int, k: int) -> dict[int, Fraction]:
+    """Te[n^k] = sum_m q_m pi^(nk-m) Te^m exactly, as {m: q_m} with the
+    constant at m = 0: e_k of the power sums cot_poly(nj), written back over
+    the cot_poly(m), which are monic of degree m, from the top degree down."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    e, q = _elementary([cot_poly(n * j) for j in range(1, k + 1)], k), {}
+    for m in range(max(e), 0, -1):
+        q[m] = e.get(m, 0)
+        for d, a in cot_poly(m).items():
+            e[d] = e.get(d, 0) - q[m] * a
+    return {m: c for m, c in [*q.items(), (0, e.get(0, 0))] if c}
 
 
 def te_ones_closed_form(r: int) -> tuple[PiRational, PiRational]:
-    """Te[1^r] = constant + coefficient * Te^1, both exact.
-
-    Even r = 2p gives the constant (-1)^p pi^(2p)/(2p)! and no Te^1 term;
-    odd r = 2p+1 gives no constant and coefficient (-1)^p pi^(2p)/(2p+1)!.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r == 0:
-        return PiRational(1), PiRational(0)
-    p, odd = divmod(r, 2)
-    coef = Fraction((-1) ** p, math.factorial(r))
-    if odd:
-        return PiRational(0), PiRational({2 * p: coef})
-    return PiRational({2 * p: coef}), PiRational(0)
-
-
-def _gray_sign_sequence(n: int):
-    """Iterate over {+1,-1}^n in Gray-code order, yielding (signs, flip_pos);
-    flip_pos is None for the first word."""
-    signs = [1] * n
-    yield tuple(signs), None
-    for g in range(1, 1 << n):
-        flip = (g ^ (g >> 1)) ^ ((g - 1) ^ ((g - 1) >> 1))
-        pos = flip.bit_length() - 1
-        signs[pos] = -signs[pos]
-        yield tuple(signs), pos
+    """Te[1^r] = constant + coefficient * Te^1, both exact, read off
+    ``te_nk_exact(1, r)``: even r gives only the constant, odd r only Te^1."""
+    q = te_nk_exact(1, r)
+    return tuple(PiRational({r - m: q[m]} if m in q else 0) for m in (0, 1))
 
 
 def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
-    """Te[n^k](z) via the trigonometric closed form.
-
-    With eps ranging over {+1,-1}^n, sg = prod eps_i, s = sum eps_i and
-    e = sum eps_i exp((2i-1) i pi / n):
-
-        Te[n^k](z) = (-1)^(n-1+floor((kn+1)/2)) pi^(kn)
-                     / ((kn)! (2 sin(pi z))^n)
-                     * sum_eps sg * e^(kn) * t_{kn,n}(s pi z),
-
-    where t_{m,n}(x) is the (n-1)-st derivative of cos for odd m and of sin
-    for even m, evaluated through a phase shift.  At real z the value is
-    real and its imaginary part is checked against the context tolerance;
-    at complex z the value is genuinely complex and no check applies.
-    """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    if k == 0:
-        return mp.mpc(1)
+    """Te[n^k](z), the certified sum of the terms q_m pi^(nk-m) Te^m(z) of
+    ``te_nk_exact`` laid out as ``multitangent_eval_reduced`` lays out its
+    constant; raises PrecisionUnreachableError if it misses the target."""
+    q = te_nk_exact(n, k)
     with ctx.workprec():
-        z = check_point(z, ctx.pole_guard)
-        kn = k * n
-        roots = [mp.exp((2 * j - 1) * 1j * mp.pi / n) for j in range(1, n + 1)]
-        # phase-shifted derivative: cos^(n-1)(x) = cos(x + (n-1) pi/2), same
-        # for sin; odd kn selects cos, even kn selects sin
-        phase = (n - 1) * mp.pi / 2
-        trig = mp.cos if kn % 2 else mp.sin
-
-        e_val = sum(roots)
-        s_val = n
-        total = mp.mpc(0)
-        for signs, pos in _gray_sign_sequence(n):
-            if pos is not None:
-                e_val += 2 * signs[pos] * roots[pos]
-                s_val += 2 * signs[pos]
-            sg = 1 if signs.count(-1) % 2 == 0 else -1
-            total += sg * e_val**kn * trig(s_val * mp.pi * z + phase)
-        prefactor = (
-            (-1) ** (n - 1 + (kn + 1) // 2)
-            * mp.pi**kn
-            / (mp.factorial(kn) * (2 * mp.sin(mp.pi * z)) ** n)
+        cot = _cot(check_point(z, ctx.pole_guard))
+        pi = +mp.pi, mp.ldexp(mp.pi, -mp.mp.prec)  # correctly rounded
+        value, bound = certified_sum(
+            [[_coefficient(c), *[pi] * (n * k - m), *([_monotangent(m, cot)] if m else [])]
+             for m, c in q.items()]
         )
-        value = prefactor * total
-        if mp.im(z) == 0 and abs(mp.im(value)) > max(
-            ctx.target_abs_error, abs(value) * 1e-12
-        ):
-            raise NumericRecheckError(
-                f"closed form for Te[{n}^{k}] returned imaginary part "
-                f"{mp.im(value)} at real z={z}"
-            )
-        return value
+    if not bound <= ctx.target_abs_error:
+        raise PrecisionUnreachableError(
+            f"Te[{n}^{k}] reached bound {float(bound):.3e}", achieved=float(bound)
+        )
+    return value
 
 
 def zagier_ze2n(n: int) -> PiRational:
-    """Ze[2^n] = pi^(2n) / (2n+1)!, exactly."""
+    """Ze[2^n] = pi^(2n) / (2n+1)!, exactly: e_n of the power sums
+    zeta(2j) = sum_m m^(-2j) from ``even_zeta``."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return PiRational({2 * n: Fraction(1, math.factorial(2 * n + 1))})
+    power_sums = [{0: even_zeta(j)[2 * j]} for j in range(1, n + 1)]
+    return PiRational({2 * n: _elementary(power_sums, n)[0]})
 
 
 def sin_product_series_check(order: int) -> bool:
-    """Coefficientwise check, through X^(2*order), of
+    """Exact coefficientwise check, through X^(2*order), of
 
-        exp(- sum_{n>=1} Ze[2n]/n X^(2n)) = sum_n (-1)^n (pi X)^(2n)/(2n+1)!.
+        exp(- sum_{n>=1} Ze[2n]/n X^(2n)) = sum_n (-1)^n (pi X)^(2n)/(2n+1)!,
 
-    Even zeta values enter through their Bernoulli closed form, so at X^(2m)
-    both sides are a rational times pi^(2m); they are compared exactly.
-    """
+    whose left side prod_m (1 - X^2/m^2) has (-1)^m Ze[2^m] at X^(2m)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    # exponent series a_n = -zeta(2n)/n at X^(2n); the exponential of a series
-    # with zero constant term has e_m = (1/m) sum_j j a_j e_(m-j)
-    a = [PiRational(0)] + [even_zeta(n) / -n for n in range(1, order + 1)]
-    exp_coeffs = [PiRational(1)]
-    for m in range(1, order + 1):
-        acc = sum((a[j] * exp_coeffs[m - j]).scale(j) for j in range(1, m + 1))
-        exp_coeffs.append(acc / m)
     return all(
-        exp_coeffs[m] == PiRational({2 * m: Fraction((-1) ** m, math.factorial(2 * m + 1))})
-        for m in range(order + 1)
+        zagier_ze2n(m) == PiRational({2 * m: Fraction(1, math.factorial(2 * m + 1))})
+        for m in range(1, order + 1)
     )

@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from multitangent.exact import CoeffExpr, PiRational
-from multitangent.families import te_nk_closed_form
+from multitangent.families import te_nk_closed_form, te_nk_exact
 from multitangent.lab import (
     MtCombo,
     kernel_contains,
@@ -132,6 +132,7 @@ def test_criterion_5_closed_family():
     assert coeff == CoeffExpr.symbol(C(2), 2)
     formula = PiRational({2: Fraction(2**3, 24)})
     assert even_zeta(1) * 2 == formula == PiRational({2: Fraction(1, 3)})
+    assert te_nk_exact(2, 2) == {2: Fraction(1, 3)}
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     report(5, "closed family matches direct sums at 1e-6; Te[2,2] = (pi^2/3) Te^2 exactly", elapsed)

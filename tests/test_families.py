@@ -5,11 +5,12 @@ import mpmath as mp
 import pytest
 
 from multitangent import families
-from multitangent.errors import MultitangentError
+from multitangent.errors import PrecisionUnreachableError
 from multitangent.exact import CoeffExpr, PiRational
 from multitangent.families import (
     sin_product_series_check,
     te_nk_closed_form,
+    te_nk_exact,
     te_ones_closed_form,
     zagier_ze2n,
 )
@@ -88,10 +89,25 @@ class TestRepeatedClosedForm:
         v = te_nk_closed_form(2, 2, mp.mpf("0.3"), CTX)
         assert abs(mp.im(v)) < 1e-12
 
-    def test_realness_failure_is_a_multitangent_error(self):
-        # 32 bits leave an imaginary residue far above the target
-        with pytest.raises(MultitangentError):
+    def test_32_bits_raise_precision_unreachable(self):
+        # at 32 bits the rounding alone is far above the default target
+        with pytest.raises(PrecisionUnreachableError):
             te_nk_closed_form(3, 3, mp.mpf("0.3"), NumericContext(working_precision=32))
+
+    def test_certified_at_200_bits(self, user_precision):
+        # a value within the target, kept at 200 bits past the 53-bit ambient
+        # precision: against other certified evaluators, the two targets
+        # added together bound the difference
+        ctx = NumericContext(target_abs_error=1e-30, working_precision=200)
+        allowance = 2 * ctx.target_abs_error
+        for z in points(2, 21):
+            for n in range(1, 9):
+                closed = te_nk_closed_form(n, 1, z, ctx)
+                assert abs(closed - monotangent_eval(n, z, ctx)) <= allowance, (n, z)
+            for n, k in [(2, 2), (2, 3), (3, 2), (4, 2)]:
+                closed = te_nk_closed_form(n, k, z, ctx)
+                direct = multitangent_eval_direct(repeat(n, k), z, ctx)
+                assert abs(closed - direct) <= allowance, (n, k, z)
 
 
 class TestFamilyRelation:
@@ -114,6 +130,15 @@ class TestFamilyRelation:
             signs[k] = 1 if plus < minus else -1
             assert min(plus, minus) < 1e-9 and max(plus, minus) > 1e-3
         assert signs == {1: 1, 2: -1}
+
+    def test_first_two_instances_hold_exactly(self):
+        # 3 q(2,3) + 2 q(3,2) = 0 and 3 q(2,6) - 2 q(3,4) = 0 on the exact
+        # coefficients; the second is at weight 12, past the zeta table
+        def scaled(n, k, a):
+            return {m: a * q for m, q in te_nk_exact(n, k).items()}
+
+        assert scaled(2, 3, 3) == scaled(3, 2, -2)
+        assert scaled(2, 6, 3) == scaled(3, 4, 2)
 
 
 class TestZagier:

@@ -14,7 +14,7 @@ from multitangent.errors import (
     ProjectionUnavailableError,
 )
 from multitangent.exact import CoeffExpr, MzvMonomial, PiRational
-from multitangent.families import zagier_ze2n
+from multitangent.families import te_nk_exact, zagier_ze2n
 from multitangent.lab import (
     MtCombo,
     conjectured_dimension,
@@ -500,18 +500,25 @@ class TestSlotVector:
         assert len(errors) == 10 and errors.count(ValueError) == 5
 
     def test_families_lie_on_even_zetas(self):
-        # Te[n^k] is a polynomial in pi^2 and the monotangents (the paper's
-        # generating function), so every slot holds one even zeta: odd zetas,
-        # Ze[3]*Ze[5], Ze[6,2] and Ze[8,2] must cancel exactly
-        families = [(n, k) for n in range(2, 6) for k in range(2, 6) if n * k <= 11]
-        assert len(families) == 8
+        # Te[n^k] = sum_m q_m pi^(nk-m) Te^m by the paper's generating function
+        # (families.te_nk_exact, which uses no table), so every slot holds one
+        # even zeta and its value is q_m pi^(nk-m): odd zetas, Ze[3]*Ze[5],
+        # Ze[6,2] and Ze[8,2] must cancel exactly
+        families = [(n, k) for n in range(2, 12) for k in range(1, 6) if n * k <= 11]
+        assert len(families) == 18
         for n, k in families:
+            exact = te_nk_exact(n, k)
             vec = slot_vector(C(*[n] * k))
-            assert vec, (n, k)
+            assert {order for order, _ in vec} == set(exact), (n, k)
             for (order, mono), coef in vec.items():
+                if not mono.factors:  # Te[n] = Te^n
+                    assert (order, coef, exact) == (n, 1, {n: 1}), (n, k)
+                    continue
                 (factor,) = mono.factors
                 assert factor.length == 1 and factor.weight % 2 == 0, (n, k, mono)
                 assert order + factor.weight == n * k
+                value = even_zeta(factor.weight // 2) * coef
+                assert value == PiRational({n * k - order: exact[order]}), (n, k, order)
 
     def test_values(self):
         vec = slot_vector(C(2, 2))
