@@ -22,7 +22,7 @@ import mpmath as mp
 
 from .errors import PrecisionUnreachableError
 from .exact import PiRational
-from .mzv import DEFAULT_CONTEXT, NumericContext, _coefficient, even_zeta
+from .mzv import DEFAULT_CONTEXT, NumericContext, even_zeta
 from .numerics import _cot, _monotangent, check_point, cot_poly
 from .zetasum import certified_sum
 
@@ -70,9 +70,9 @@ def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     q = te_nk_exact(n, k)
     with ctx.workprec():
         cot = _cot(check_point(z, ctx.pole_guard))
-        pi = +mp.pi, mp.ldexp(mp.pi, -mp.mp.prec)  # correctly rounded
+        pi = +mp.pi, math.ldexp(2.0, -mp.mp.prec)  # correctly rounded: half an ulp
         value, bound = certified_sum(
-            [[_coefficient(c), *[pi] * (n * k - m), *([_monotangent(m, cot)] if m else [])]
+            [[(c, 0.0), *[pi] * (n * k - m), *([_monotangent(m, cot)] if m else [])]
              for m, c in q.items()]
         )
     if not bound <= ctx.target_abs_error:

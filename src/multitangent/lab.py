@@ -69,11 +69,9 @@ class MtCombo(LinearCombination):
         return weights.pop() if len(weights) == 1 else None
 
     def evaluate(self, z, ctx: NumericContext = DEFAULT_CONTEXT):
-        total = mp.mpc(0)
-        for comp, coef in self.items():
-            scale = mp.mpf(coef.numerator) / coef.denominator
-            total += scale * multitangent_eval_direct(comp, z, ctx)
-        return total
+        """The sum of the terms at z, each coefficient exact (``certified_sum``)."""
+        terms = [[(c, 0.0), (multitangent_eval_direct(s, z, ctx), 0.0)] for s, c in self.items()]
+        return certified_sum(terms)[0]
 
     def _term_str(self, comp: Composition, coef: Fraction) -> str:
         prefix = "" if coef == 1 else ("-" if coef == -1 else f"{coef}·")
@@ -163,7 +161,7 @@ def _require_coverage(weight: int) -> None:
 def _recheck(what: str, lhs, combo: MtCombo, ctx: NumericContext) -> None:
     """Require lhs(z) == combo(z) at the sample points: 0 must lie within the
     certified sum of ``lhs(z, t)`` and -combo(z), every value within the target t."""
-    t, coefs = ctx.target_abs_error, [(s, mzv._coefficient(-c)) for s, c in combo.items()]
+    t, coefs = ctx.target_abs_error, [(s, (-c, 0.0)) for s, c in combo.items()]
     for z in sample_points(2):
         rhs = [[c, (multitangent_eval_direct(s, z, ctx), t)] for s, c in coefs]
         diff, bound = certified_sum(lhs(z, t) + rhs)

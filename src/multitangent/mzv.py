@@ -137,14 +137,6 @@ def even_zeta(n: int) -> PiRational:
     return PiRational({2 * n: coef})
 
 
-def _coefficient(q: Fraction):
-    """``q`` at the current working precision and its bound: five roundings
-    by 2^-prec of |q| (the numerator and the quotient round once each, the
-    rest is slack), counted twice over for the float rounding of |q|."""
-    size = abs(q.numerator) / q.denominator
-    return mp.mpf(q.numerator) / q.denominator, mp.ldexp(size * 5, 1 - mp.mp.prec)
-
-
 def _certified(expr: CoeffExpr, target, cap: int) -> tuple:
     """(value, bound) of an exact expression at the current working
     precision, certified to ``target`` by ``zetasum.certify``, which raises
@@ -154,11 +146,10 @@ def _certified(expr: CoeffExpr, target, cap: int) -> tuple:
     budget = target / max(1, len(expr))
     terms = []  # (symbols, first-pass target of each, coefficient)
     for mono, coef in expr.items():
-        c = _coefficient(coef)
         # convergent factor values sit below zeta(2) < 2, so dividing the
         # term budget by 4*degree*(|c|+1) keeps the product error inside it
-        share = budget / (4 * max(1, mono.degree) * (abs(c[0]) + 1))
-        terms.append((mono.factors, min(1e-6, float(share)), c))
+        share = budget / (4 * max(1, mono.degree) * (abs(coef) + 1))
+        terms.append((mono.factors, min(1e-6, float(share)), (coef, 0.0)))
 
     def terms_at(scale):
         return [

@@ -26,21 +26,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_rational, pi_fixed
 
 from .errors import PoleProximityError, PrecisionUnreachableError
-from .mzv import DEFAULT_CONTEXT, NumericContext, _certified, _coefficient
+from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import (
-    _FRAGMENT_SIZE,
-    _MEMO_SIZE,
-    _dyadic,
-    cache_lookup,
-    cache_store,
-    certified_sum,
-    certify,
-    shifted_nested_sum,
-)
+from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, GUARD, _dyadic, _fixed, cache_lookup
+from .zetasum import cache_store, certified_sum, certify, shifted_nested_sum
 
 _memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
 _fragments: dict = {}  # _fragment_value's (value, bound), least recently used first
@@ -83,30 +76,44 @@ def cot_poly(k: int) -> dict[int, Fraction]:
 
 
 def _cot(z):
-    """(c, x, err): c = cot(pi z) at the working precision, and floats err >=
-    |cot(pi z) - c| and x >= |c| + err.  The one trust placed in mpmath's cot:
-    pi z rounds by a relative 2^(2-prec), which cot' = -(1 + cot^2) carries,
-    and cot adds 2^(2-prec) (1 + |c|); err is twice that."""
+    """(c, x, err): c = cot(pi z) at the working precision, over 2^wp as
+    ``zetasum._fixed`` gives it, and floats err >= |cot(pi z) - c| and x >=
+    |c| + err.  The one trust placed in mpmath's cot: pi z rounds by a
+    relative 2^(2-prec), which cot' = -(1 + cot^2) carries, and cot adds
+    2^(2-prec) (1 + |c|); err is twice that, which covers c's ulps too."""
     c = mp.cot(mp.pi * z)
-    m = float(abs(c)) * (1 + 2.0**-50)
-    err = math.ldexp(4 * float(abs(z)) * (1 + m * m) + 1 + m, max(-1070, 3 - mp.mp.prec))
-    return c, m + err, err
+    m = abs(complex(c)) * (1 + 2.0**-50)
+    err = math.ldexp(4 * abs(complex(z)) * (1 + m * m) + 1 + m, max(-1070, 3 - mp.mp.prec))
+    return _fixed(c, mp.mp.prec + GUARD)[:2], m + err, err
 
 
 def _monotangent(k: int, cot):
-    """(value, bound) of Te^k at the point where ``_cot`` gave ``cot``.  The
-    coefficients are positive, so the error of c moves the polynomial by at
-    most err Q'(x), and it rounds by at most 2^(3-prec) (k + 4) Q(x); pi^k
-    scales both, and 1 + 2^-40 covers the float rounding of the bound."""
-    c, x, err = cot
-    x = x if x < 1e300 ** (1 / (k + 1)) else math.inf  # past it, powers of x overflow
-    total, q, dq = mp.mpc(0), 0.0, 0.0
-    for j, coef in cot_poly(k).items():
-        total += mp.mpf(coef.numerator) / coef.denominator * c**j
-        a = coef.numerator / coef.denominator
-        q, dq = q + a * x**j, dq + j * a * x ** (j - 1)
-    bound = err * dq + math.ldexp(8 * (k + 4) * q, max(-1070, -mp.mp.prec))
-    return mp.pi**k * total, math.pi**k * bound * (1 + 2.0**-40)
+    """(value, bound) of Te^k at the point where ``_cot`` gave ``cot``.  With
+    p = k mod 2, den Q(c) = c^p R(c^2) has integer coefficients; a Horner
+    scheme on Gaussian integers gives it exactly at the scaled c, and times
+    pi^k to pq bits (within q 2^-wp, q = Q(x)) it is rounded once to the
+    working precision.  The coefficients are positive, so the error of c
+    moves Q by at most err Q'(x), and the rounding is at most
+    2^(3-prec) (k + 4) q; pi^k scales both, and 1 + 2^-40 covers the float
+    rounding of the bound."""
+    (cr, ci), x, err = cot
+    prec, poly, p = mp.mp.prec, cot_poly(k), k % 2
+    wp, den = prec + GUARD, math.lcm(*(a.denominator for a in poly.values()))
+    wr, wi, y = cr * cr - ci * ci, 2 * cr * ci, x * x  # c^2 over 2^(2 wp)
+    ar, ai, h, dh = 0, 0, 0.0, 0.0  # the exact sum, and R(x^2), R'(x^2) in floats
+    for j in range(k, p - 1, -2):  # sum of den a_j c^j over 2^(wp j), times 2^(wp k)
+        n = int(poly.get(j, 0) * den)
+        ar, ai = ar * wr - ai * wi + (n << wp * (k - j)), ar * wi + ai * wr
+        h, dh = h * y + n, dh * y + h
+    if p:
+        ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
+    pq = wp + 2 * k + k.bit_length()  # pi to pq bits: its k-th power is within 2^-wp
+    big, d = pi_fixed(pq) ** k, den << (k * (wp + pq))
+    value = mp.make_mpc(tuple(from_rational(a * big, d, prec, "n") for a in (ar, ai)))
+    q, dq = x**p * h / den, (h + 2 * y * dh if p else 2 * x * dh) / den
+    bound = (err * dq + math.ldexp(8 * (k + 4) * q, max(-1070, -prec))) * math.pi**k
+    bound = (bound + q * 2.0 ** -min(wp, 1000)) * (1 + 2.0**-40)
+    return value, bound if bound < math.inf else math.inf
 
 
 def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
@@ -134,12 +141,11 @@ def _splits(s: Composition):
 
 def _one_sided(side: str, parts: tuple, z, target: float, cap: int):
     """(value, error bound) of the one-sided sum He_side[parts](z); the "-"
-    side is (-1)^weight times the "+" side of the reversed parts at -z (the
-    sign's rounding is the one ``zetasum.certified_sum`` counts per factor)."""
+    side is (-1)^weight times the "+" side of the reversed parts at -z."""
     if side == "+":
         return shifted_nested_sum(parts, z, target=target, cap=cap)
     v, e = shifted_nested_sum(tuple(reversed(parts)), -z, target=target, cap=cap)
-    return v * (-1) ** sum(parts), e
+    return (-v if sum(parts) % 2 else v), e
 
 
 def multitangent_eval_direct(
@@ -239,10 +245,10 @@ def multitangent_eval_reduced(
     with ctx.workprec():
         cot = _cot(check_point(z, ctx.pole_guard))
         orders = [(k, _monotangent(k, cot)) for k in sorted(_order_terms(s))]
-        pi = +mp.pi, mp.ldexp(mp.pi, -mp.mp.prec)  # correctly rounded
-        constant = [[_coefficient(q), *[pi] * r] for r, q in delta(s).items()]
+        pi = +mp.pi, math.ldexp(2.0, -mp.mp.prec)  # correctly rounded: half an ulp
+        constant = [[(q, 0.0), *[pi] * r] for r, q in delta(s).items()]
         target, cap = ctx.target_abs_error, ctx.truncation_cap
-        budgets = [target / (2 * len(orders) * (float(abs(mono[0])) + 1)) for _, mono in orders]
+        budgets = [target / (2 * len(orders) * (abs(complex(mono[0])) + 1)) for _, mono in orders]
 
         def terms_at(scale):
             return constant + [
@@ -279,8 +285,10 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
         return _one_sided(side, s.parts, z, ctx.target_abs_error, ctx.truncation_cap)[0]
 
 
-def trifactorization_residual(s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT):
-    """Certified (value, bound) of Te[s](z) - sum over splits He_+ * Ce * He_-,
+def trifactorization_residual(
+    s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
+) -> tuple[mp.mpc, float]:
+    """Certified (value, float bound) of Te[s](z) - sum over splits He_+ * Ce * He_-,
     the reduced evaluation less the direct one, each within the context
     target: the module docstring says why they share no nested-sum value."""
     t = ctx.target_abs_error

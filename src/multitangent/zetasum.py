@@ -79,6 +79,20 @@ target below it: the count grows with the cutoff, whose running sums alone
 add N roundings per level.  The value is returned exactly as the integers
 hold it, so the bound covers the number handed back.
 
+Certified sums
+--------------
+``certified_sum`` adds products of factors (value, bound) in the same
+format.  A value (int, exact Fraction, mpf or mpc) becomes a Gaussian
+integer, and its conversion error verr is counted in ulps.  A running
+product P rounds once per factor v, and its error err becomes
+err |v| + |P| verr + 1 ulps; the sums are exact.  The propagated bound runs
+in floats by a recursion that never cancels, with a_k >= |v_k| and e_k the
+bounds: D_k = D_(k-1) a_k + H_(k-1) e_k, H_k = H_(k-1) (a_k + e_k), D_0 = 0,
+H_0 = 1.  The rounding term adds the ulps and 2^(3-prec) times the sum over
+terms of (factors + terms) H, which covers the rounding of the value to the
+working precision at the end.  Bounds are returned as floats, scaled by
+1 + 2^-20 and rounded up (``math.nextafter``), and the caches hold floats.
+
 Certified results are cached under one rule, ``cache_lookup``: keyed on the
 exact point at the working precision, an entry serves only calls whose target
 and cap it meets.  A pass stores every prefix it evaluated.  Bounded LRUs hold
@@ -98,7 +112,7 @@ from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import fzero, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_pow_int
-from mpmath.libmp import fone, from_float, mpc_abs, mpf_mul_int, mpf_shift, mpf_sub
+from mpmath.libmp import to_fixed
 
 from .errors import PrecisionUnreachableError
 
@@ -372,7 +386,8 @@ def _floor_cutoff(z) -> int:
 
 class _FixedSum(tuple):
     """``(value, bound)``.  ``rounding`` is the part of the bound that covers
-    rounding; for a nested sum it grows with the cutoff."""
+    rounding; for a nested sum it grows with the cutoff.  A nested-sum pass
+    gives an mpf bound, a certified sum a float."""
 
     def __new__(cls, value, bound, rounding):
         self = super().__new__(cls, (value, bound))
@@ -477,7 +492,7 @@ def shifted_nested_sum(
     z=0,
     target: float = 1e-12,
     cap: int = 200_000,
-) -> tuple[mp.mpc, mp.mpf]:
+) -> tuple[mp.mpc, mp.mpf | float]:
     """Evaluate the nested sum to absolute error <= target.
 
     The first pass runs at the floor cutoff ``_floor_cutoff(z)``, 16 unless
@@ -486,7 +501,8 @@ def shifted_nested_sum(
     if the cap is hit first, or at once if the rounding at this working
     precision alone exceeds the target.  The last ``_CACHE_SIZE`` results
     used are cached with their cutoff, which the caller's cap must admit; a
-    certifying pass stores every prefix it evaluated, the full sum last.
+    certifying pass stores every prefix it evaluated, the full sum last,
+    with its bound rounded up to a float, as a hit returns it.
     """
     z = mp.mpc(z)
     key = (exponents, z._mpc_, mp.mp.prec)
@@ -499,8 +515,9 @@ def shifted_nested_sum(
     while n0 <= cap:
         best = shifted_nested_sum_fixed(exponents, z, n0)
         if best[1] <= target:
-            for j, prefix in enumerate(best.prefixes, 1):
-                cache_store(_cache, (exponents[:j], *key[1:]), (*prefix, n0), _CACHE_SIZE)
+            for j, (v, e) in enumerate(best.prefixes, 1):  # bounds rounded up to floats
+                entry = v, math.nextafter(float(e), math.inf), n0
+                cache_store(_cache, (exponents[:j], *key[1:]), entry, _CACHE_SIZE)
             return best[:2]
         if best.rounding > target:
             break
@@ -516,43 +533,50 @@ def shifted_nested_sum(
     )
 
 
-def _magnitude(v):
-    """|v| of an int, mpf or mpc as a raw mpf rounded up to a 53-bit mantissa,
-    for a complex v from the exact sum of squares."""
-    real = v._mpf_ if isinstance(v, mp.mpf) else from_int(v) if isinstance(v, int) else None
-    w = v._mpc_ if real is None else (real, fzero)
-    (_, mr, er, _), (_, mi, ei, _) = w
-    if not (mr and mi):  # a part is zero or not finite
-        return mpc_abs(w, 53, "u")
-    e = min(er, ei)
-    s = (mr << (er - e)) ** 2 + (mi << (ei - e)) ** 2
-    t = (s.bit_length() - 105) >> 1  # s / 4^t has 105 or 106 bits
-    return from_man_exp(math.isqrt(s >> 2 * t if t > 0 else s << -2 * t) + 1, e + t)
+def _fixed(v, wp: int) -> tuple[int, int, float]:
+    """(x, y, err): v (an int, Fraction, mpf or mpc) times 2^wp as the
+    Gaussian integer x + iy, err units away.  A part that is not finite
+    becomes 0; ``certified_sum`` refuses it through |v|."""
+    if isinstance(v, int):
+        return v << wp, 0, 0.0
+    if isinstance(v, Fraction):
+        return (v.numerator << wp) // v.denominator, 0, 1.0
+    re, im = v._mpc_ if isinstance(v, mp.mpc) else mp.mpc(v)._mpc_
+    return to_fixed(re, wp), to_fixed(im, wp), 1.5
 
 
 def certified_sum(terms) -> _FixedSum:
     """Sum over ``terms`` of the products of their factors ``(value, bound)``.
     If each true factor is within its bound of its value, the true sum is
-    within the returned bound of the returned value.  A term's bounds add
-    prod(|v| + e) - prod |v|, which grows with each |v|, so |v| may be rounded
-    up.  Each product (one per factor, from 1) and each sum rounds by a
-    relative 2^-prec; ``rounding`` counts each at 2^(3-prec) prod(|v| + e),
-    which also covers the rounding of the bound arithmetic on raw mpfs, the
-    cancellation in that difference included."""
-    prec, value, propagated, size = mp.mp.prec, mp.mpc(0), fzero, fzero
+    within the returned float bound of the returned value ("Certified sums"
+    above); raises PrecisionUnreachableError if a factor is not finite."""
+    prec = mp.mp.prec
+    wp = prec + GUARD
+    ulp, half, n = 2.0 ** -min(wp, 1000), 1 << (wp - 1), len(terms)
+    sr = si = 0  # the exact sum of the rounded products, times 2^wp
+    propagated = size = ulps = 0.0
     for term in terms:
-        product, mag, hi = 1, fone, fone
+        pr, pi, err, d, h = 1 << wp, 0, 0.0, 0.0, 1.0
         for v, e in term:
-            product *= v
-            a, e = _magnitude(v), e._mpf_ if isinstance(e, mp.mpf) else from_float(e)
-            mag = mpf_mul(mag, a, prec, "n")
-            hi = mpf_mul(hi, mpf_add(a, e, prec, "n"), prec, "n")
-        value += product
-        propagated = mpf_add(propagated, mpf_sub(hi, mag, prec, "n"), prec, "n")
-        size = mpf_add(size, mpf_mul_int(hi, len(term) + len(terms), prec, "n"), prec, "n")
-    rounding = mpf_shift(size, 3 - prec)
-    bound = mpf_add(propagated, rounding, prec, "u")
-    return _FixedSum(value, mp.make_mpf(bound), mp.make_mpf(rounding))
+            x, y, verr = _fixed(v, wp)
+            # |v|, inf or nan if v is not finite; verr ulps cover a part that underflows
+            a = abs(complex(v)) * (1 + 2.0**-50) + verr * ulp
+            e = e if type(e) is float else math.nextafter(float(e), math.inf)
+            pr, pi = (pr * x - pi * y + half) >> wp, (pr * y + pi * x + half) >> wp
+            err = err * a + (h + err * ulp) * verr + 1.0
+            d = d * a + h * e
+            h *= a + e
+        sr += pr
+        si += pi
+        propagated += d
+        ulps += err
+        size += (len(term) + n) * h
+    rounding = (math.ldexp(size, max(3 - prec, -1000)) + ulps * ulp) * (1 + 2.0**-20)
+    bound = math.nextafter(propagated * (1 + 2.0**-20) + rounding, math.inf)
+    if not bound < math.inf:
+        raise PrecisionUnreachableError("a factor or its bound is not finite", achieved=math.inf)
+    value = mp.make_mpc((from_man_exp(sr, -wp, prec, "n"), from_man_exp(si, -wp, prec, "n")))
+    return _FixedSum(value, bound, math.nextafter(rounding, math.inf))
 
 
 def certify(terms_at, target) -> _FixedSum:

@@ -85,9 +85,15 @@ class TestRepeatedClosedForm:
     def test_k_zero_is_unit(self):
         assert te_nk_closed_form(3, 0, points(1, 5)[0], CTX) == mp.mpc(1)
 
-    def test_real_axis_realness_guard(self):
-        v = te_nk_closed_form(2, 2, mp.mpf("0.3"), CTX)
-        assert abs(mp.im(v)) < 1e-12
+    @pytest.mark.parametrize("z", [mp.mpf("0.3"), mp.mpf("-1.7")], ids=["0.3", "-1.7"])
+    def test_real_axis_certificate(self, z):
+        """On the real axis, against the direct evaluation: the two targets
+        added together bound the difference."""
+        allowance = 2 * CTX.target_abs_error
+        for n, k in [(2, 2), (3, 2), (2, 3)]:
+            closed = te_nk_closed_form(n, k, z, CTX)
+            direct = multitangent_eval_direct(repeat(n, k), z, CTX)
+            assert abs(closed - direct) <= allowance, (n, k, z)
 
     def test_32_bits_raise_precision_unreachable(self):
         # at 32 bits the rounding alone is far above the default target

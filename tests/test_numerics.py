@@ -8,7 +8,8 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import fone, from_float, from_int, from_man_exp, fzero, mpc_abs
+from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -900,15 +901,50 @@ def test_certified_sum_covers_every_perturbation(prec, terms):
         assert abs(perturbed - value) <= bound
 
 
+def _mpf_magnitude(v):
+    """|v| of an int, mpf or mpc as a raw mpf rounded up to a 53-bit mantissa,
+    for a complex v from the exact sum of squares."""
+    real = v._mpf_ if isinstance(v, mp.mpf) else from_int(v) if isinstance(v, int) else None
+    w = v._mpc_ if real is None else (real, fzero)
+    (_, mr, er, _), (_, mi, ei, _) = w
+    if not (mr and mi):  # a part is zero or not finite
+        return mpc_abs(w, 53, "u")
+    e = min(er, ei)
+    s = (mr << (er - e)) ** 2 + (mi << (ei - e)) ** 2
+    t = (s.bit_length() - 105) >> 1  # s / 4^t has 105 or 106 bits
+    return from_man_exp(math.isqrt(s >> 2 * t if t > 0 else s << -2 * t) + 1, e + t)
+
+
+def _mpf_certified_sum(terms):
+    """The reference rule: ``certified_sum`` on mpf arithmetic at the working
+    precision, bounds from prod(|v| + e) - prod |v| with each |v| rounded up
+    at 53 bits, and the rounding term 2^(3-prec) sum (factors + terms)
+    prod(|v| + e)."""
+    prec, value, propagated, size = mp.mp.prec, mp.mpc(0), fzero, fzero
+    for term in terms:
+        product, mag, hi = 1, fone, fone
+        for v, e in term:
+            product *= v
+            a, e = _mpf_magnitude(v), e._mpf_ if isinstance(e, mp.mpf) else from_float(e)
+            mag = mpf_mul(mag, a, prec, "n")
+            hi = mpf_mul(hi, mpf_add(a, e, prec, "n"), prec, "n")
+        value += product
+        propagated = mpf_add(propagated, mpf_sub(hi, mag, prec, "n"), prec, "n")
+        size = mpf_add(size, mpf_mul_int(hi, len(term) + len(terms), prec, "n"), prec, "n")
+    rounding = mpf_shift(size, 3 - prec)
+    bound = mpf_add(propagated, rounding, prec, "u")
+    return value, mp.make_mpf(bound), mp.make_mpf(rounding)
+
+
 @pytest.mark.parametrize("prec", [53, 128])
 @given(st.lists(_FACTORS, min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
-def test_magnitudes_at_53_bits_keep_the_value_and_only_raise_the_bound(prec, terms):
-    """certified_sum takes each |v| rounded up at 53 bits: against |v| at
-    the working precision, the value is bit-identical and the bound is no
-    lower, up to the rounding of prod(|v| + e) - prod |v| at the working
-    precision, which moves by ulps either way and which the rounding term
-    covers many times over.  Factors with an odd bound are real."""
+def test_certified_sum_only_raises_the_mpf_bound(prec, terms):
+    """Against the mpf rule, the fixed-point sum moves the value by less than
+    the mpf bound and never lowers the bound, up to the rounding of
+    prod(|v| + e) - prod |v| at the working precision, which moves by ulps
+    either way and which the rounding term covers many times over.  Factors
+    with an odd bound are real."""
     with mp.workprec(prec):
         parts = [
             [
@@ -918,10 +954,62 @@ def test_magnitudes_at_53_bits_keep_the_value_and_only_raise_the_bound(prec, ter
             for term in terms
         ]
         value, bound = certified_sum(parts)
-        with mock.patch.object(zetasum, "_magnitude", lambda v: mp.mpf(abs(v))._mpf_):
-            old = certified_sum(parts)
-        assert value == old[0]
-        assert bound >= old[1] - old.rounding / 4
+        old_value, old_bound, old_rounding = _mpf_certified_sum(parts)
+    with mp.workprec(300):
+        assert abs(value - old_value) <= old_bound
+        assert bound >= old_bound - old_rounding / 4
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [(mp.mpf("nan"), 0.0), (mp.mpc(1, mp.inf), 0.0), (mp.mpf(1), math.inf), (1, mp.inf)],
+    ids=["nan-value", "infinite-value", "infinite-float-bound", "infinite-mpf-bound"],
+)
+def test_certify_refuses_a_factor_that_is_not_finite(factor):
+    """Refused on the first pass, and by certified_sum itself, so that a
+    recheck cannot pass on a bound that says nothing."""
+    with pytest.raises(PrecisionUnreachableError):
+        certified_sum([[factor]])
+    calls = []
+
+    def terms_at(scale):
+        calls.append(scale)
+        return [[(mp.mpf(2), 1e-30), factor], [(Fraction(1, 3), 0.0)]]
+
+    with pytest.raises(PrecisionUnreachableError) as info:
+        zetasum.certify(terms_at, 1e-10)
+    assert calls == [1.0]
+    assert info.value.achieved == math.inf
+
+
+@pytest.mark.parametrize("prec", [24, 53, 128])
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-7, 5), Fraction(10**40, 3)])
+def test_exact_rationals_round_once_within_their_certificate(prec, q):
+    """An exact coefficient enters as (q, 0.0): its one conversion rounding,
+    and the rounding of the value to the working precision, are counted."""
+    with mp.workprec(prec):
+        value, bound = certified_sum([[(q, 0.0)]])
+    assert 0 < bound <= 2.0 ** (6 - prec) * abs(q)
+    with mp.workprec(300):
+        assert abs(value - mp.mpf(q.numerator) / q.denominator) <= bound
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+@pytest.mark.parametrize(
+    "z", [mp.mpc("0.0010001", "0"), mp.mpc("3.0010001", "0.0001"), mp.mpc("0.3", "2")],
+    ids=["real-by-the-guard", "complex-by-the-guard", "im-2"],
+)
+def test_integer_monotangent_within_its_bound(k, z):
+    """The Horner scheme on Gaussian integers against pi^k Q_k(cot pi z) at
+    300 bits, next to the pole guard and far from the real axis."""
+    with mp.workprec(128):
+        value, bound = numerics._monotangent(k, numerics._cot(numerics.check_point(z)))
+    assert 0 < bound < math.inf
+    with mp.workprec(300):
+        c = mp.cot(mp.pi * z)
+        exact = mp.pi**k * mp.fsum(mp.mpf(a.numerator) / a.denominator * c**j
+                                   for j, a in cot_poly(k).items())
+        assert abs(value - exact) <= bound
 
 
 _TIGHT_CTX = NumericContext(target_abs_error=1e-45, working_precision=128)
