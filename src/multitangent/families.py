@@ -20,11 +20,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import PrecisionUnreachableError
 from .exact import PiRational
 from .mzv import DEFAULT_CONTEXT, NumericContext, even_zeta
 from .numerics import _cot, _monotangent, check_point, cot_poly
-from .zetasum import certified_sum
+from .zetasum import certify
 
 
 def _elementary(power_sums, k: int) -> dict[int, Fraction]:
@@ -71,15 +70,9 @@ def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     with ctx.workprec():
         cot = _cot(check_point(z, ctx.pole_guard))
         pi = +mp.pi, math.ldexp(2.0, -mp.mp.prec)  # correctly rounded: half an ulp
-        value, bound = certified_sum(
-            [[(c, 0.0), *[pi] * (n * k - m), *([_monotangent(m, cot)] if m else [])]
-             for m, c in q.items()]
-        )
-    if not bound <= ctx.target_abs_error:
-        raise PrecisionUnreachableError(
-            f"Te[{n}^{k}] reached bound {float(bound):.3e}", achieved=float(bound)
-        )
-    return value
+        terms = [[(c, 0.0), *[pi] * (n * k - m), *([_monotangent(m, cot)] if m else [])]
+                 for m, c in q.items()]
+        return certify(terms, ctx.target_abs_error)[0]
 
 
 def zagier_ze2n(n: int) -> PiRational:

@@ -140,24 +140,15 @@ def even_zeta(n: int) -> PiRational:
 def _certified(expr: CoeffExpr, target, cap: int) -> tuple:
     """(value, bound) of an exact expression at the current working
     precision, certified to ``target`` by ``zetasum.certify``, which raises
-    PrecisionUnreachableError if it cannot be.  Divergent symbols are
-    resolved through the symmetrel extension first."""
+    PrecisionUnreachableError if it cannot be: each monomial is a term, its
+    nested sums pieces and its exact coefficient a fixed factor.  Divergent
+    symbols are resolved through the symmetrel extension first."""
     expr = expr.map_symbols(symmetrel_extend)
-    budget = target / max(1, len(expr))
-    terms = []  # (symbols, first-pass target of each, coefficient)
-    for mono, coef in expr.items():
-        # convergent factor values sit below zeta(2) < 2, so dividing the
-        # term budget by 4*degree*(|c|+1) keeps the product error inside it
-        share = budget / (4 * max(1, mono.degree) * (abs(coef) + 1))
-        terms.append((mono.factors, min(1e-6, float(share)), (coef, 0.0)))
-
-    def terms_at(scale):
-        return [
-            [*(zetasum.shifted_nested_sum(s.parts, 0, t * scale, cap) for s in symbols), c]
-            for symbols, t, c in terms
-        ]
-
-    value, bound = zetasum.certify(terms_at, target)
+    value, bound = zetasum.certify([
+        [*(functools.partial(zetasum.shifted_nested_sum, s.parts, 0, cap=cap)
+           for s in mono.factors), (coef, 0.0)]
+        for mono, coef in expr.items()
+    ], target)
     # zeta expressions are real
     return mp.re(value), bound
 

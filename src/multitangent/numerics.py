@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 from mpmath.libmp import from_rational, pi_fixed
@@ -32,7 +32,7 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, GUARD, _dyadic, _fixed, cache_lookup
+from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, GUARD, _dyadic, _fixed, _size, cache_lookup
 from .zetasum import cache_store, certified_sum, certify, shifted_nested_sum
 
 _memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
@@ -155,9 +155,9 @@ def multitangent_eval_direct(
     split into positive-index, zero-pivot and negative-index chains: the
     trifactorization sum over splits of He_+ * Ce * He_-.
 
-    The split terms are certified by ``zetasum.certify``, which shrinks the
-    piece targets until the bound, rounding included, meets the context
-    target.  The last ``_MEMO_SIZE`` results serve later calls they meet.
+    Each split is a term of ``zetasum.certify``, its one-sided sums pieces
+    and z^-s_mid a fixed factor.  The last ``_MEMO_SIZE`` results serve
+    later calls they meet.
     """
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
@@ -167,26 +167,19 @@ def multitangent_eval_direct(
         hit = cache_lookup(_memo, key, ctx.target_abs_error)
         if hit is not None:
             return hit[0]
-        pieces = list(_splits(s))
-        budget = ctx.target_abs_error / (8 * len(pieces))
-
-        def terms_at(scale):
-            target, cap = budget * scale, ctx.truncation_cap
-            terms = []
-            for left, mid, right in pieces:
-                factors = []
-                if left:
-                    factors.append(_one_sided("+", left, z, target, cap))
-                if mid:
-                    # the exact power rounded at 4 extra bits, then its reciprocal
-                    w = mp.power(z, -mid[0])
-                    factors.append((w, mp.ldexp(abs(w), 1 - mp.mp.prec)))
-                if right:
-                    factors.append(_one_sided("-", right, z, target, cap))
-                terms.append(factors)
-            return terms
-
-        value, bound = certify(terms_at, ctx.target_abs_error)
+        cap, terms = ctx.truncation_cap, []
+        for left, mid, right in _splits(s):
+            factors = []
+            if left:
+                factors.append(partial(_one_sided, "+", left, z, cap=cap))
+            if mid:
+                # the exact power rounded at 4 extra bits, then its reciprocal
+                w = mp.power(z, -mid[0])
+                factors.append((w, math.ldexp(_size(w), 1 - mp.mp.prec)))
+            if right:
+                factors.append(partial(_one_sided, "-", right, z, cap=cap))
+            terms.append(factors)
+        value, bound = certify(terms, ctx.target_abs_error)
         cache_store(_memo, key, (value, bound), _MEMO_SIZE)
         return value
 
@@ -210,19 +203,11 @@ def _order_coefficient(s: Composition, k: int, target, cap: int):
     hit = cache_lookup(_orders, key, target)
     if hit is not None:
         return hit
-    terms = _order_terms(s)[k]
-    # most fragment values are below 1 (a few reach 35 by weight 9);
-    # when a first pass misses, certify retries at tighter targets
-    first = target / (4 * len(terms))
-
-    def terms_at(scale):
-        piece, products = first * scale, []
-        for sign, right, a_r, left, a_l in terms:
-            v, e = _fragment_value(right, a_r, piece, cap)
-            products.append([(sign * v, e), _fragment_value(left, a_l, piece, cap)])
-        return products
-
-    hit = certify(terms_at, target)
+    hit = certify([
+        [(sign, 0.0), partial(_fragment_value, right, a_r, cap=cap),
+         partial(_fragment_value, left, a_l, cap=cap)]
+        for sign, right, a_r, left, a_l in _order_terms(s)[k]
+    ], target)
     cache_store(_orders, key, hit, _FRAGMENT_SIZE)
     return hit
 
@@ -237,26 +222,18 @@ def multitangent_eval_reduced(
     where c_k, the sum over i of Z(i, s_i - k; s), is certified and cached
     as a sum of products of two fragment values (``_order_coefficient``),
     the terms that ``reduction.z_coeff`` folds exactly, and ``certify``
-    certifies the sum.  Monotangent values can be large near the real axis,
-    so each c_k's budget is scaled by the one it multiplies.
+    certifies the sum, each c_k a piece whose target shrinks with its Te^k,
+    which can be large near the real axis.
     """
     if not s:
         raise ValueError("empty sequence")
     with ctx.workprec():
-        cot = _cot(check_point(z, ctx.pole_guard))
-        orders = [(k, _monotangent(k, cot)) for k in sorted(_order_terms(s))]
+        cot, cap = _cot(check_point(z, ctx.pole_guard)), ctx.truncation_cap
         pi = +mp.pi, math.ldexp(2.0, -mp.mp.prec)  # correctly rounded: half an ulp
         constant = [[(q, 0.0), *[pi] * r] for r, q in delta(s).items()]
-        target, cap = ctx.target_abs_error, ctx.truncation_cap
-        budgets = [target / (2 * len(orders) * (abs(complex(mono[0])) + 1)) for _, mono in orders]
-
-        def terms_at(scale):
-            return constant + [
-                [_order_coefficient(s, k, budget * scale, cap), mono]
-                for (k, mono), budget in zip(orders, budgets)
-            ]
-
-        return certify(terms_at, target)[0]
+        orders = [[partial(_order_coefficient, s, k, cap=cap), _monotangent(k, cot)]
+                  for k in sorted(_order_terms(s))]
+        return certify(constant + orders, ctx.target_abs_error)[0]
 
 
 def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT):

@@ -92,6 +92,10 @@ H_0 = 1.  The rounding term adds the ulps and 2^(3-prec) times the sum over
 terms of (factors + terms) H, which covers the rounding of the value to the
 working precision at the end.  Bounds are returned as floats, scaled by
 1 + 2^-20 and rounded up (``math.nextafter``), and the caches hold floats.
+``certify`` holds the one budget rule.  Its pieces are factors it evaluates
+itself: in a term of n with c pieces whose other factors multiply to
+m = prod (|value| + bound), each piece first gets target / (2 n c max(1, m)),
+and all piece targets shrink by target / (4 bound) while the bound misses.
 
 Certified results are cached under one rule, ``cache_lookup``: keyed on the
 exact point at the working precision, an entry serves only calls whose target
@@ -536,13 +540,22 @@ def shifted_nested_sum(
 def _fixed(v, wp: int) -> tuple[int, int, float]:
     """(x, y, err): v (an int, Fraction, mpf or mpc) times 2^wp as the
     Gaussian integer x + iy, err units away.  A part that is not finite
-    becomes 0; ``certified_sum`` refuses it through |v|."""
+    becomes 0; ``certified_sum`` refuses it through ``_size``."""
     if isinstance(v, int):
         return v << wp, 0, 0.0
     if isinstance(v, Fraction):
         return (v.numerator << wp) // v.denominator, 0, 1.0
     re, im = v._mpc_ if isinstance(v, mp.mpc) else mp.mpc(v)._mpc_
     return to_fixed(re, wp), to_fixed(im, wp), 1.5
+
+
+def _size(v) -> float:
+    """|v| in floats, scaled up past their rounding: inf or nan if v is not
+    finite, and inf if it lies beyond the float range."""
+    try:
+        return abs(complex(v)) * (1 + 2.0**-50)
+    except OverflowError:
+        return math.inf
 
 
 def certified_sum(terms) -> _FixedSum:
@@ -559,8 +572,7 @@ def certified_sum(terms) -> _FixedSum:
         pr, pi, err, d, h = 1 << wp, 0, 0.0, 0.0, 1.0
         for v, e in term:
             x, y, verr = _fixed(v, wp)
-            # |v|, inf or nan if v is not finite; verr ulps cover a part that underflows
-            a = abs(complex(v)) * (1 + 2.0**-50) + verr * ulp
+            a = _size(v) + verr * ulp  # verr ulps cover a part that underflows
             e = e if type(e) is float else math.nextafter(float(e), math.inf)
             pr, pi = (pr * x - pi * y + half) >> wp, (pr * y + pi * x + half) >> wp
             err = err * a + (h + err * ulp) * verr + 1.0
@@ -579,19 +591,31 @@ def certified_sum(terms) -> _FixedSum:
     return _FixedSum(value, bound, math.nextafter(rounding, math.inf))
 
 
-def certify(terms_at, target) -> _FixedSum:
-    """``certified_sum(terms_at(scale))`` within ``target``, where
-    ``terms_at`` evaluates the certified pieces to ``scale`` times their
-    first-pass targets.  The scale starts at 1 and shrinks by
-    target / (4 bound) while the bound misses, until a piece refuses its
-    target.  Raises PrecisionUnreachableError at once when the rounding alone
-    exceeds half the target, which no scale can shrink."""
-    scale = 1.0
+def certify(terms, target) -> _FixedSum:
+    """``certified_sum`` of ``terms`` within ``target``.  A factor is a
+    certified ``(value, bound)`` or a piece, a callable t -> (value, bound)
+    within t.  In a term of n with c pieces whose other factors multiply to
+    m = prod (|value| + bound), each piece first gets
+    target / (2 n c max(1, m)); the piece targets shrink by target / (4 bound)
+    while the bound misses, until a piece refuses.  Raises
+    PrecisionUnreachableError when the bound misses with no piece target to
+    shrink, or when the rounding alone exceeds half the target."""
+    n, firsts, scale = len(terms), [], 1.0
+    for term in terms:
+        c, m = 0, 1.0
+        for f in term:
+            if callable(f):
+                c += 1
+            else:
+                m *= _size(f[0]) + float(f[1])
+        firsts.append(c and target / (2 * n * c * max(1.0, m)))
     while True:
-        result = certified_sum(terms_at(scale))
+        result = certified_sum([
+            [f(t * scale) if callable(f) else f for f in term] for term, t in zip(terms, firsts)
+        ])
         if result[1] <= target:
             return result
-        if result.rounding > target / 2:
+        if result.rounding > target / 2 or not any(firsts):
             raise PrecisionUnreachableError(
                 f"sum reached bound {float(result[1]):.3e} > {float(target):.3e}: rounding "
                 f"at {mp.mp.prec} bits alone is {float(result.rounding):.3e}",

@@ -4,7 +4,6 @@ Tolerances and runtime budgets are pinned here; run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion report.
 """
 
-import random
 import time
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from multitangent.numerics import (
     trifactorization_residual,
 )
 from multitangent.reduction import reduce
-from multitangent.verify import run_suite
+from multitangent.verify import run_suite, sample_points
 from multitangent.words import Composition, repeat, stuffle
 
 C = Composition.of
@@ -43,9 +42,7 @@ def report(number: int, description: str, elapsed: float | None = None):
     print(f"[PASS] criterion {number}: {description}{suffix}")
 
 
-def rand_points(count, seed, lo=0.4, hi=1.2):
-    rng = random.Random(seed)
-    return [mp.mpc(rng.uniform(0.05, 0.95), rng.uniform(lo, hi)) for _ in range(count)]
+IM = (0.4, 1.2)  # the Im z range of the sample points
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -76,7 +73,7 @@ def test_criterion_2_weight6_relation_both_pipelines():
     t0 = time.monotonic()
     ctx = NumericContext(target_abs_error=1e-9)
     a, b = repeat(2, 3), repeat(3, 2)
-    for z in rand_points(5, seed=206):
+    for z in sample_points(5, 206, IM):
         direct = 3 * multitangent_eval_direct(a, z, ctx) + 2 * multitangent_eval_direct(b, z, ctx)
         reduced = 3 * multitangent_eval_reduced(a, z, ctx) + 2 * multitangent_eval_reduced(b, z, ctx)
         assert abs(direct) <= 1e-7
@@ -109,7 +106,7 @@ def test_criterion_4_divergent_regularization():
     expansion = stuffle(C(2), C(1))
     assert expansion[C(2, 1)] == 1 and expansion[C(1, 2)] == 1 and expansion[C(3)] == 1
     ctx = NumericContext(target_abs_error=1e-9)
-    for z in rand_points(3, seed=204):
+    for z in sample_points(3, 204, IM):
         lhs = monotangent_eval(2, z, ctx) * monotangent_eval(1, z, ctx)
         rhs = monotangent_eval(3, z, ctx)
         assert abs(lhs - rhs) <= 1e-7
@@ -121,7 +118,7 @@ def test_criterion_5_closed_family():
     ctx = NumericContext(target_abs_error=1e-8)
     cases = [(2, 1), (2, 2), (2, 3), (3, 2)]
     for n, k in cases:
-        for z in rand_points(2, seed=500 + 10 * n + k):
+        for z in sample_points(2, 500 + 10 * n + k, IM):
             closed = te_nk_closed_form(n, k, z, ctx)
             direct = multitangent_eval_direct(repeat(n, k), z, ctx)
             assert abs(closed - direct) <= 1e-6
@@ -141,7 +138,7 @@ def test_criterion_5_closed_family():
 def test_criterion_6_trifactorization():
     ctx = NumericContext(target_abs_error=1e-9)
     for parts in [(2,), (3,), (2, 2), (3, 2), (2, 3)]:
-        for z in rand_points(3, seed=600 + sum(parts)):
+        for z in sample_points(3, 600 + sum(parts), IM):
             value, bound = trifactorization_residual(Composition(parts), z, ctx)
             assert abs(value) <= bound and abs(value) <= 1e-7
     report(
@@ -232,7 +229,7 @@ def test_criterion_10_projections():
         diff = got - expected
         if diff:
             assert kernel_contains(sigma.weight + 2, diff)
-        for z in rand_points(2, seed=1000 + sum(parts)):
+        for z in sample_points(2, 1000 + sum(parts), IM):
             lhs = zeta(parts) * monotangent_eval(2, z, ctx)
             assert abs(lhs - got.evaluate(z, ctx)) <= 1e-7
     report(10, "projections of Ze[2], Ze[3], Ze[5] match the tables mod kernel, rechecked at 1e-7")

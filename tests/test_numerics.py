@@ -45,9 +45,7 @@ C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
 
 
-def points(n, seed, lo=0.3, hi=1.2):
-    rng = random.Random(seed)
-    return [mp.mpc(rng.uniform(0.05, 0.95), rng.uniform(lo, hi)) for _ in range(n)]
+IM = (0.3, 1.2)  # the Im z range of the sample points
 
 
 class TestMonotangent:
@@ -104,7 +102,7 @@ class TestMultitangent:
         assert abs(multitangent_eval_direct(C(2, 1, 2), z, NumericContext(target_abs_error=1e-7))) < 1e-7
 
     def test_factor_of_monotangent(self):
-        z = points(1, 3)[0]
+        z = sample_points(1, 3, IM)[0]
         lhs = multitangent_eval_direct(C(2, 2), z, NumericContext(target_abs_error=1e-7))
         rhs = 2 * mp.zeta(2) * monotangent_eval(2, z, CTX)
         assert abs(lhs - rhs) < 1e-7
@@ -120,12 +118,12 @@ class TestMultitangent:
 
     def test_reduced_constant_family(self):
         # Te[1,1] is the constant -pi^2/2
-        for z in points(2, 5):
+        for z in sample_points(2, 5, IM):
             v = multitangent_eval_reduced(C(1, 1), z, CTX)
             assert abs(v + mp.pi**2 / 2) < 1e-9
 
     def test_reduced_divergent_null(self):
-        for z in points(2, 6):
+        for z in sample_points(2, 6, IM):
             assert abs(multitangent_eval_reduced(C(1, 2), z, CTX)) < 1e-12
 
     def test_cross_oracle_direct_vs_reduced(self):
@@ -137,13 +135,13 @@ class TestMultitangent:
         ]
         rng = random.Random(99)
         for s in seqs:
-            for z in points(3, rng.randrange(10**6)):
+            for z in sample_points(3, rng.randrange(10**6), IM):
                 d = multitangent_eval_direct(s, z, ctx)
                 r = multitangent_eval_reduced(s, z, ctx)
                 assert abs(d - r) < 2e-8, (s, z)
 
     def test_periodicity(self):
-        z = points(1, 8)[0]
+        z = sample_points(1, 8, IM)[0]
         a = multitangent_eval_direct(C(3, 2), z, CTX)
         b = multitangent_eval_direct(C(3, 2), z + 1, CTX)
         assert abs(a - b) < 1e-9
@@ -244,7 +242,7 @@ class TestHurwitz:
         assert abs(hurwitz_eval("+", C(2), 0, CTX) - mp.zeta(2)) < 1e-9
 
     def test_reflection_parity(self):
-        z = points(1, 9)[0]
+        z = sample_points(1, 9, IM)[0]
         lhs = hurwitz_eval("-", C(3, 2), z, CTX)
         rhs = (-1) ** 5 * hurwitz_eval("+", C(2, 3), -z, CTX)
         assert abs(lhs - rhs) < 1e-9
@@ -273,7 +271,7 @@ class TestHurwitz:
 class TestTrifactorization:
     @pytest.mark.parametrize("parts", [(2,), (3,), (2, 2), (3, 2), (2, 3)])
     def test_residuals(self, parts):
-        for z in points(3, sum(parts)):
+        for z in sample_points(3, sum(parts), IM):
             value, bound = trifactorization_residual(Composition(parts), z, CTX)
             assert abs(value) <= bound and abs(value) < 1e-7
 
@@ -839,14 +837,14 @@ class TestBounds:
     def test_parity_property(self):
         for parts in [(2, 3), (2, 1, 3)]:
             s = Composition(parts)
-            z = points(1, 31)[0]
+            z = sample_points(1, 31, IM)[0]
             lhs = multitangent_eval_direct(s, -z, CTX)
             rhs = (-1) ** s.weight * multitangent_eval_direct(s.reverse(), z, CTX)
             assert abs(lhs - rhs) < 1e-9
 
     def test_differentiation_property(self):
         s = C(2, 2)
-        z = points(1, 37)[0]
+        z = sample_points(1, 37, IM)[0]
         h = mp.mpf("1e-5")
         fd = (
             multitangent_eval_direct(s, z + h, CTX)
@@ -972,14 +970,92 @@ def test_certify_refuses_a_factor_that_is_not_finite(factor):
         certified_sum([[factor]])
     calls = []
 
-    def terms_at(scale):
-        calls.append(scale)
-        return [[(mp.mpf(2), 1e-30), factor], [(Fraction(1, 3), 0.0)]]
+    def piece(target):
+        calls.append(target)
+        return mp.mpf(2), 1e-30
 
     with pytest.raises(PrecisionUnreachableError) as info:
-        zetasum.certify(terms_at, 1e-10)
-    assert calls == [1.0]
+        zetasum.certify([[piece, factor], [(Fraction(1, 3), 0.0)]], 1e-10)
+    assert len(calls) == 1
     assert info.value.achieved == math.inf
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative-int", "fraction"]
+)
+def test_factor_beyond_the_float_range_is_refused(value):
+    """Its size is infinite, so it is refused like a factor that is not
+    finite, by certified_sum and by certify's first-pass budget alike."""
+    assert zetasum._size(value) == math.inf
+    with pytest.raises(PrecisionUnreachableError):
+        certified_sum([[(value, 0.0)]])
+    with pytest.raises(PrecisionUnreachableError) as info:
+        zetasum.certify([[(value, 0.0), lambda t: (mp.mpf(1), t)]], 1e-10)
+    assert info.value.achieved == math.inf
+
+
+def _recording_sums(passes, limit=8):
+    """A stand-in for ``zetasum.certified_sum`` that keeps every result, and
+    fails a certify loop that runs past ``limit`` passes instead of hanging."""
+
+    def recording(terms):
+        assert len(passes) < limit, "certify did not stop"
+        passes.append(certified_sum(terms))
+        return passes[-1]
+
+    return mock.patch.object(zetasum, "certified_sum", side_effect=recording)
+
+
+def test_certify_without_a_piece_raises_after_one_sum():
+    """Nothing can tighten a sum of fixed factors, so a bound that misses
+    is refused after the one certified sum."""
+    passes = []
+    with _recording_sums(passes), pytest.raises(PrecisionUnreachableError) as info:
+        zetasum.certify([[(mp.mpf(1), 1e-3)], [(Fraction(1, 3), 0.0)]], 1e-10)
+    assert len(passes) == 1
+    assert info.value.achieved == passes[0][1]
+
+
+def test_certify_first_pass_targets():
+    """Each piece first gets target / (2 n c max(1, m)): n terms, c pieces
+    in its term, and m the product of |value| + bound of the other factors."""
+    calls = {}
+
+    def piece(name):
+        def evaluate(target):
+            calls[name] = target
+            return mp.mpf(1), 0.0
+
+        return evaluate
+
+    target = 1e-8
+    terms = [
+        [piece("a"), (mp.mpf(3), 2.0**-30), piece("b")],
+        [(Fraction(1, 3), 0.0)],
+        [(mp.mpc("0.25", "0"), 0.0), piece("c")],
+        [(-2, 0.0), (mp.mpf(5), 0.0), piece("d")],
+    ]
+    zetasum.certify(terms, target)
+    n = len(terms)
+    assert calls["a"] == pytest.approx(target / (2 * n * 2 * (3 + 2.0**-30)), rel=1e-12, abs=0)
+    assert calls["b"] == calls["a"]
+    assert calls["c"] == target / (2 * n)  # m = 1/4 is below 1
+    assert calls["d"] == pytest.approx(target / (2 * n * 10), rel=1e-12, abs=0)
+
+
+def test_piece_next_to_a_large_factor_certifies_on_the_first_pass():
+    """A piece that uses all of its target, times a fixed 10^6, still meets
+    the sum's target at once: the budget is divided by the factor's size."""
+    calls, passes = [], []
+
+    def piece(target):
+        calls.append(target)
+        return mp.mpf(1) / 3, target
+
+    with _recording_sums(passes), mp.workprec(128):
+        value, bound = zetasum.certify([[(mp.mpf(10) ** 6, 0.0), piece]], 1e-10)
+    assert len(calls) == len(passes) == 1
+    assert bound <= 1e-10
 
 
 @pytest.mark.parametrize("prec", [24, 53, 128])
