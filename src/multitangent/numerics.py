@@ -3,10 +3,16 @@ plus the analytic cross-checks (trifactorization, Fourier data, growth
 bounds, exponential flatness).
 
 Monotangents are evaluated through exact cotangent polynomials, with an
-error bound.  Bilateral multitangent sums are evaluated by splitting the
-summation range into a positive part, the n = 0 pivot and a negative part;
-each one-sided piece is an absolutely convergent shifted nested sum handled
-by :mod:`multitangent.zetasum` with a certified error bound, and
+error bound.  cot(pi z) and each Te^k(z) are computed once per point and
+working precision, in a bounded LRU of 256 entries (``_points``, keyed on the
+point after ``check_point``, the precision and k) that every evaluator
+reducing into monotangents reads: ``monotangent_eval``, the reduced
+evaluator below and ``families.te_nk_closed_form``.
+
+Bilateral multitangent sums are evaluated by splitting the summation range
+into a positive part, the n = 0 pivot and a negative part; each one-sided
+piece is an absolutely convergent shifted nested sum handled by
+:mod:`multitangent.zetasum` with a certified error bound, and
 ``zetasum.certify`` certifies the sum over splits.  This direct bilateral
 evaluation is the right side of the trifactorization check.
 
@@ -32,12 +38,13 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, GUARD, _dyadic, _fixed, _size, cache_lookup
-from .zetasum import cache_store, certified_sum, certify, shifted_nested_sum
+from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, _POINT_SIZE, GUARD, _dyadic, _fixed, _size
+from .zetasum import cache_lookup, cache_store, certified_sum, certify, shifted_nested_sum
 
 _memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
 _fragments: dict = {}  # _fragment_value's (value, bound), least recently used first
 _orders: dict = {}  # _order_coefficient's (value, bound), least recently used first
+_points: dict = {}  # _monotangent_at's cotangents and (value, bound), least recently used first
 
 
 def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
@@ -116,12 +123,30 @@ def _monotangent(k: int, cot):
     return value, bound if bound < math.inf else math.inf
 
 
+def _monotangent_at(k: int, z):
+    """(value, bound) of Te^k at the checked point z: ``_cot`` and
+    ``_monotangent``, each computed once per point and working precision.
+    Neither depends on a target, so an entry serves every caller, which
+    compares the bound with its own target."""
+    point = (z._mpc_, mp.mp.prec)
+    hit = cache_lookup(_points, (*point, k), math.inf)
+    if hit is None:
+        cot = cache_lookup(_points, point, math.inf)
+        if cot is None:
+            c = _cot(z)
+            cot = c, c[2]  # an entry (value, bound): c and its error
+            cache_store(_points, point, cot, _POINT_SIZE)
+        hit = _monotangent(k, cot[0])
+        cache_store(_points, (*point, k), hit, _POINT_SIZE)
+    return hit
+
+
 def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     """Te^k(z) through the exact cotangent polynomial, so the derivative
     relation Te^(k+1) = -(1/k) d/dz Te^k holds by construction; raises
     PrecisionUnreachableError if its bound misses the context target."""
     with ctx.workprec():
-        value, bound = _monotangent(k, _cot(check_point(z, ctx.pole_guard)))
+        value, bound = _monotangent_at(k, check_point(z, ctx.pole_guard))
     if not bound <= ctx.target_abs_error:
         raise PrecisionUnreachableError(f"Te^{k} reached bound {bound:.3e}", achieved=bound)
     return value
@@ -196,9 +221,10 @@ def _fragment_value(parts: tuple, a: int, target: float, cap: int):
     return hit
 
 
-def _order_coefficient(s: Composition, k: int, target, cap: int):
+def _order_coefficient(s: Composition, k: int, terms: list, target, cap: int):
     """(value, bound) of the c_k of s within ``target``: the certified sum of
-    the fragment products of its terms in ``reduction._order_terms``, cached."""
+    the fragment products of its ``terms``, ``reduction._order_terms(s)[k]``,
+    cached."""
     key = (s, k, mp.mp.prec, cap)
     hit = cache_lookup(_orders, key, target)
     if hit is not None:
@@ -206,7 +232,7 @@ def _order_coefficient(s: Composition, k: int, target, cap: int):
     hit = certify([
         [(sign, 0.0), partial(_fragment_value, right, a_r, cap=cap),
          partial(_fragment_value, left, a_l, cap=cap)]
-        for sign, right, a_r, left, a_l in _order_terms(s)[k]
+        for sign, right, a_r, left, a_l in terms
     ], target)
     cache_store(_orders, key, hit, _FRAGMENT_SIZE)
     return hit
@@ -228,11 +254,11 @@ def multitangent_eval_reduced(
     if not s:
         raise ValueError("empty sequence")
     with ctx.workprec():
-        cot, cap = _cot(check_point(z, ctx.pole_guard)), ctx.truncation_cap
+        z, cap = check_point(z, ctx.pole_guard), ctx.truncation_cap
         pi = +mp.pi, math.ldexp(2.0, -mp.mp.prec)  # correctly rounded: half an ulp
         constant = [[(q, 0.0), *[pi] * r] for r, q in delta(s).items()]
-        orders = [[partial(_order_coefficient, s, k, cap=cap), _monotangent(k, cot)]
-                  for k in sorted(_order_terms(s))]
+        orders = [[partial(_order_coefficient, s, k, terms, cap=cap), _monotangent_at(k, z)]
+                  for k, terms in sorted(_order_terms(s).items())]
         return certify(constant + orders, ctx.target_abs_error)[0]
 
 
@@ -278,9 +304,9 @@ def _fourier_zetas(s: Composition, ctx: NumericContext):
     """(k, (value, bound)) of sum_j Z(j, s_j - k; s), the zeta data of the
     Fourier coefficient formula, for each order k >= 2 of the reduction of s,
     certified to the context target by ``_order_coefficient``."""
-    for k in sorted(_order_terms(s)):
+    for k, terms in sorted(_order_terms(s).items()):
         if k >= 2:
-            yield k, _order_coefficient(s, k, ctx.target_abs_error, ctx.truncation_cap)
+            yield k, _order_coefficient(s, k, terms, ctx.target_abs_error, ctx.truncation_cap)
 
 
 def _fourier_from_zetas(zetas, n: int):

@@ -95,14 +95,18 @@ working precision at the end.  Bounds are returned as floats, scaled by
 ``certify`` holds the one budget rule.  Its pieces are factors it evaluates
 itself: in a term of n with c pieces whose other factors multiply to
 m = prod (|value| + bound), each piece first gets target / (2 n c max(1, m)),
-and all piece targets shrink by target / (4 bound) while the bound misses.
+and all piece targets shrink by target / (4 bound) while the bound misses.  A
+pass that misses is summed again with every piece at its value and bound 0:
+if that misses too, no piece target can help, and the sum is refused.
 
 Certified results are cached under one rule, ``cache_lookup``: keyed on the
 exact point at the working precision, an entry serves only calls whose target
 and cap it meets.  A pass stores every prefix it evaluated.  Bounded LRUs hold
 1024 nested sums (``_CACHE_SIZE``), 256 ``multitangent_eval_direct``
-values (``_MEMO_SIZE``) and 1024 fragment values of
-``multitangent_eval_reduced``, which have no point (``_FRAGMENT_SIZE``).
+values (``_MEMO_SIZE``), 1024 fragment values of
+``multitangent_eval_reduced``, which have no point (``_FRAGMENT_SIZE``), and
+256 cotangents cot(pi z) and monotangents Te^k(z) (``_POINT_SIZE``), keyed on
+the point and the precision alone, so an entry serves every target.
 
 Convergence requires s_1 >= 2; later parts may equal 1.
 """
@@ -116,7 +120,7 @@ from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import fzero, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_pow_int
-from mpmath.libmp import to_fixed
+from mpmath.libmp import to_fixed, to_float
 
 from .errors import PrecisionUnreachableError
 
@@ -137,6 +141,9 @@ _MEMO_SIZE = 256  # certified values kept by numerics.multitangent_eval_direct
 # fragment values kept by numerics._fragment_value; the sequences up to
 # weight w need 2^w - w per precision and cap
 _FRAGMENT_SIZE = 1024
+# cot(pi z) and the Te^k(z) kept by numerics._monotangent_at; the workbench
+# rechecks need one cotangent and up to 11 orders per sample point
+_POINT_SIZE = 256
 
 
 def _up(op, x, y):
@@ -551,7 +558,13 @@ def _fixed(v, wp: int) -> tuple[int, int, float]:
 
 def _size(v) -> float:
     """|v| in floats, scaled up past their rounding: inf or nan if v is not
-    finite, and inf if it lies beyond the float range."""
+    finite, and inf if it lies beyond the float range.  An mpf or mpc is read
+    from its raw parts, rounded to nearest as ``complex(v)`` rounds them."""
+    if isinstance(v, mp.mpc):
+        re, im = v._mpc_
+        return abs(complex(to_float(re, rnd="n"), to_float(im, rnd="n"))) * (1 + 2.0**-50)
+    if isinstance(v, mp.mpf):
+        return abs(to_float(v._mpf_, rnd="n")) * (1 + 2.0**-50)
     try:
         return abs(complex(v)) * (1 + 2.0**-50)
     except OverflowError:
@@ -597,9 +610,11 @@ def certify(terms, target) -> _FixedSum:
     within t.  In a term of n with c pieces whose other factors multiply to
     m = prod (|value| + bound), each piece first gets
     target / (2 n c max(1, m)); the piece targets shrink by target / (4 bound)
-    while the bound misses, until a piece refuses.  Raises
-    PrecisionUnreachableError when the bound misses with no piece target to
-    shrink, or when the rounding alone exceeds half the target."""
+    while the bound misses.  Raises PrecisionUnreachableError when the bound
+    misses with no piece target to shrink, when the rounding alone exceeds
+    half the target, or when the sum with every piece at its value and bound
+    0 misses too, since no piece target can then help; the error carries
+    that sum's bound."""
     n, firsts, scale = len(terms), [], 1.0
     for term in terms:
         c, m = 0, 1.0
@@ -610,15 +625,22 @@ def certify(terms, target) -> _FixedSum:
                 m *= _size(f[0]) + float(f[1])
         firsts.append(c and target / (2 * n * c * max(1.0, m)))
     while True:
-        result = certified_sum([
-            [f(t * scale) if callable(f) else f for f in term] for term, t in zip(terms, firsts)
-        ])
+        factors = [[f(t * scale) if callable(f) else f for f in term]
+                   for term, t in zip(terms, firsts)]
+        result = certified_sum(factors)
         if result[1] <= target:
             return result
-        if result.rounding > target / 2 or not any(firsts):
-            raise PrecisionUnreachableError(
-                f"sum reached bound {float(result[1]):.3e} > {float(target):.3e}: rounding "
-                f"at {mp.mp.prec} bits alone is {float(result.rounding):.3e}",
-                achieved=float(result[1]),
-            )
-        scale *= float(target / (4 * result[1]))
+        why = f": rounding at {mp.mp.prec} bits alone is {float(result.rounding):.3e}"
+        if result.rounding <= target / 2 and any(firsts):
+            exact = certified_sum([
+                [(got[0], 0.0) if callable(f) else got for f, got in zip(term, row)]
+                for term, row in zip(terms, factors)
+            ])
+            if exact[1] <= target:
+                scale *= float(target / (4 * result[1]))
+                continue
+            result, why = exact, " with every piece exact"
+        raise PrecisionUnreachableError(
+            f"sum reached bound {float(result[1]):.3e} > {float(target):.3e}{why}",
+            achieved=float(result[1]),
+        )

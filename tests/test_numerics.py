@@ -13,7 +13,8 @@ from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitangent import numerics
+from multitangent import lab, numerics
+from multitangent.families import te_nk_closed_form
 from multitangent.errors import PoleProximityError
 from multitangent.errors import MultitangentError
 from multitangent.errors import PrecisionUnreachableError
@@ -198,16 +199,22 @@ class TestReducedFromFragments:
         multitangent_eval_reduced(s, mp.mpc("0.1", "1.3"), CTX)
         assert passes == []
 
-    def test_one_cotangent_per_point(self):
+    def test_one_cotangent_per_point(self, monkeypatch):
         """The point is checked and cot(pi z) computed once, whatever the
-        number of orders; each Te^k is the value monotangent_eval returns."""
+        number of orders, and not again at the same point and precision;
+        each Te^k is the value monotangent_eval returns."""
+        monkeypatch.setattr(numerics, "_points", {})
         s, z = C(3, 1, 2, 1), mp.mpc("0.1", "0.6")
         assert len(_order_terms(s)) > 1
         with mock.patch.object(mp, "cot", wraps=mp.cot) as cot, mock.patch.object(
             numerics, "check_point", wraps=numerics.check_point
         ) as check:
             multitangent_eval_reduced(s, z, CTX)
-        assert cot.call_count == check.call_count == 1
+            assert cot.call_count == check.call_count == 1
+            multitangent_eval_reduced(s, z, CTX)
+            assert cot.call_count == 1
+            multitangent_eval_reduced(s, z, replace(CTX, working_precision=160))
+            assert cot.call_count == 2
         with CTX.workprec():
             at_z = numerics._cot(z)
             for k in _order_terms(s):
@@ -235,6 +242,97 @@ class TestReducedFromFragments:
         for s in enumerate_compositions(9):
             multitangent_eval_reduced(s, mp.mpc("0.3", "0.7"), ctx)
         assert len(numerics._fragments) == 100
+
+
+class TestPointCache:
+    """cot(pi z) and Te^k(z) are computed once per point and precision, and
+    an entry serves every target without changing a value or a refusal."""
+
+    @pytest.fixture(autouse=True)
+    def empty(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_points", {})
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """Route ``_cot`` and ``_monotangent`` through a recorder of their
+        keys: (point, precision) and (k, point, precision)."""
+        seen, cot, mono = [], numerics._cot, numerics._monotangent
+
+        def counted_cot(z):
+            seen.append(("cot", z._mpc_, mp.mp.prec))
+            return cot(z)
+
+        def counted_mono(k, c):
+            seen.append((k, c[0], mp.mp.prec))
+            return mono(k, c)
+
+        monkeypatch.setattr(numerics, "_cot", counted_cot)
+        monkeypatch.setattr(numerics, "_monotangent", counted_mono)
+        return seen
+
+    def test_cold_and_warm_calls_agree(self):
+        """Every (value, bound), and every evaluator's value, is the same
+        from an empty cache and from a warm one."""
+        evaluators = [
+            lambda z, ctx: monotangent_eval(3, z, ctx),
+            lambda z, ctx: multitangent_eval_reduced(C(3, 1, 2), z, ctx),
+            lambda z, ctx: te_nk_closed_form(2, 3, z, ctx),
+        ]
+        for z in sample_points(2, 11, IM):
+            for prec in (64, 128):
+                ctx = replace(CTX, working_precision=prec)
+                numerics._points.clear()
+                with ctx.workprec():
+                    point = numerics.check_point(z)
+                    cold = [numerics._monotangent_at(k, point) for k in range(1, 7)]
+                    warm = [numerics._monotangent_at(k, point) for k in range(1, 7)]
+                    alone = [numerics._monotangent(k, numerics._cot(point)) for k in range(1, 7)]
+                assert cold == warm == alone
+                numerics._points.clear()
+                cold = [evaluate(z, ctx) for evaluate in evaluators]
+                assert [evaluate(z, ctx) for evaluate in evaluators] == cold
+
+    def test_a_200_bit_point_never_serves_a_128_bit_call(self, monkeypatch):
+        seen = self._counted(monkeypatch)
+        with mp.workprec(200):
+            z = mp.mpc(1, 3) / 7
+        at_200 = monotangent_eval(2, z, replace(CTX, working_precision=200))
+        assert len(seen) == 2
+        at_128 = monotangent_eval(2, z, CTX)
+        assert len(seen) == 4 and seen[2][2] == 128
+        assert at_128 != at_200
+        numerics._points.clear()
+        assert monotangent_eval(2, z, CTX) == at_128
+
+    def test_a_cached_bound_still_refuses_a_tighter_target(self):
+        ctx = NumericContext(target_abs_error=1e-8, working_precision=53)
+        z = mp.mpc("0.3", "0.4")
+        monotangent_eval(4, z, ctx)
+        with ctx.workprec():
+            (_, bound), = [v for key, v in numerics._points.items() if len(key) == 3]
+        assert bound > 0
+        with pytest.raises(PrecisionUnreachableError) as info:
+            monotangent_eval(4, z, replace(ctx, target_abs_error=bound / 2))
+        assert info.value.achieved == bound
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_POINT_SIZE", 16)
+        for z in sample_points(20, 12, IM):
+            monotangent_eval(2, z, CTX)
+        assert len(numerics._points) == 16
+
+    def test_recheck_computes_each_monotangent_once(self, monkeypatch):
+        """Cleansing two sequences of weight 5 that are not convergent
+        evaluates them through the reduction at the sample points: one
+        cotangent per point and precision, one Te^k per order, point and
+        precision, shared by both."""
+        seen = self._counted(monkeypatch)
+        for parts in [(1, 2, 2), (1, 4)]:
+            lab.unit_cleanse(Composition(parts), CTX, recheck=True)
+        cots = [key for key in seen if key[0] == "cot"]
+        assert len(cots) == len(set(cots)) == len(sample_points(2))
+        monos = [key for key in seen if key[0] != "cot"]
+        assert len(monos) == len(set(monos)) >= 4
 
 
 class TestHurwitz:
@@ -288,6 +386,8 @@ class TestTrifactorization:
             return poly
 
         monkeypatch.setattr(numerics, "cot_poly", scaled)
+        # a Te^2 cached under the exact cot_poly would hide the change
+        monkeypatch.setattr(numerics, "_points", {})
         assert not run_suite("trifact").ok
 
 
@@ -338,9 +438,9 @@ class TestFourier:
         calls = []
         certified = numerics._order_coefficient
 
-        def counted(seq, k, target, cap):
+        def counted(seq, k, terms, target, cap):
             calls.append(k)
-            return certified(seq, k, target, cap)
+            return certified(seq, k, terms, target, cap)
 
         monkeypatch.setattr(numerics, "_order_coefficient", counted)
         partial = fourier_partial_sum(s, z, n_terms, CTX)
@@ -1014,6 +1114,17 @@ def test_certify_without_a_piece_raises_after_one_sum():
         zetasum.certify([[(mp.mpf(1), 1e-3)], [(Fraction(1, 3), 0.0)]], 1e-10)
     assert len(passes) == 1
     assert info.value.achieved == passes[0][1]
+
+
+def test_certify_refuses_when_the_fixed_factors_alone_miss():
+    """A piece that meets every target next to a fixed factor whose bound
+    alone misses: no piece target helps, so the sum is refused at once with
+    the bound of the sum with the piece exact."""
+    passes = []
+    with _recording_sums(passes), pytest.raises(PrecisionUnreachableError) as info:
+        zetasum.certify([[lambda t: (1, 0.0), (mp.mpf(3), 0.5)]], 1e-8)
+    assert len(passes) <= 2
+    assert info.value.achieved == passes[-1][1] >= 0.5
 
 
 def test_certify_first_pass_targets():
