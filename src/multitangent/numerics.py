@@ -32,13 +32,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 import mpmath as mp
-from mpmath.libmp import from_rational, pi_fixed
+from mpmath.libmp import from_man_exp, from_rational, pi_fixed
 
 from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, _POINT_SIZE, GUARD, _dyadic, _fixed, _size
+from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, _POINT_SIZE, GUARD, _fixed, _inverse_powers, _point
 from .zetasum import cache_lookup, cache_store, certified_sum, certify, shifted_nested_sum
 
 _memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
@@ -47,20 +47,26 @@ _orders: dict = {}  # _order_coefficient's (value, bound), least recently used f
 _points: dict = {}  # _monotangent_at's cotangents and (value, bound), least recently used first
 
 
-def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
-    """The point rounded at the working precision; raises ValueError if it
-    is not finite and PoleProximityError within ``guard`` of an integer pole."""
+def _checked(z, guard):
+    """(z, point): z rounded at the working precision and its exact dyadic
+    ``zetasum._Point``, after the checks of ``check_point``."""
     z = mp.mpc(z)
     if not mp.isfinite(z):
         raise ValueError(f"evaluation point {z} is not finite")
     # exactly, in integers: z = (zr + i zi) / 2^k and guard = p / q
-    zr, zi, k = _dyadic(z)
+    zr, zi, k, _ = point = _point(z)
     exact = guard.man * Fraction(2) ** guard.exp if isinstance(guard, mp.mpf) else guard
     p, q = exact.as_integer_ratio()
     dr = zr - ((zr + (1 << k >> 1)) >> k << k)  # 2^k (Re z - nearest integer)
     if (dr * dr + zi * zi) * q * q < (p << k) ** 2:
         raise PoleProximityError(f"{z} is within {guard} of an integer")
-    return z
+    return z, point
+
+
+def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
+    """The point rounded at the working precision; raises ValueError if it
+    is not finite and PoleProximityError within ``guard`` of an integer pole."""
+    return _checked(z, guard)[0]
 
 
 @lru_cache(maxsize=64)
@@ -181,26 +187,26 @@ def multitangent_eval_direct(
     trifactorization sum over splits of He_+ * Ce * He_-.
 
     Each split is a term of ``zetasum.certify``, its one-sided sums pieces
-    and z^-s_mid a fixed factor.  The last ``_MEMO_SIZE`` results serve
-    later calls they meet.
+    and z^-s_mid a fixed factor, all at the exact dyadic of the point.  The
+    last ``_MEMO_SIZE`` results serve later calls they meet.
     """
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
     with ctx.workprec():
-        z = check_point(z, ctx.pole_guard)
-        key = (s, z._mpc_, mp.mp.prec, ctx.truncation_cap)
+        z = _checked(z, ctx.pole_guard)[1]
+        key = (s, z, mp.mp.prec, ctx.truncation_cap)
         hit = cache_lookup(_memo, key, ctx.target_abs_error)
         if hit is not None:
             return hit[0]
-        cap, terms = ctx.truncation_cap, []
+        cap, terms, wp = ctx.truncation_cap, [], mp.mp.prec + GUARD
         for left, mid, right in _splits(s):
             factors = []
             if left:
                 factors.append(partial(_one_sided, "+", left, z, cap=cap))
-            if mid:
-                # the exact power rounded at 4 extra bits, then its reciprocal
-                w = mp.power(z, -mid[0])
-                factors.append((w, math.ldexp(_size(w), 1 - mp.mp.prec)))
+            if mid:  # z^-s, within 1 ulp
+                (x, y), = _inverse_powers(z.re, z.im, z.k, mid, wp)
+                w = mp.make_mpc((from_man_exp(x, -wp), from_man_exp(y, -wp)))
+                factors.append((w, 2.0 ** -min(wp, 1000)))
             if right:
                 factors.append(partial(_one_sided, "-", right, z, cap=cap))
             terms.append(factors)

@@ -48,11 +48,12 @@ over common denominators, and the result is divided by its gcd, so each is
 kept over its least denominator in a bounded cache (``_tail``).  The bound
 rounds upward: |z| is bounded from above through the integer square root of
 the exact dyadic |z|^2, x by a 64-bit fraction, the sum over k by a ceiling
-Horner scheme on integers, and every other step by mpmath's upward rounding
-at 53 bits.
+Horner scheme on integers, and every other step in floats, each result
+moved up one ulp (``math.nextafter``), so a bound that underflows becomes
+the least positive float, never 0.
 
 The cutoff N starts at the floor the tail bounds allow, N > 4 (1 + |z|)
-and N >= 16 (``_floor_cutoff``, exact on the dyadic z), so pf < 4/3.  K = 9
+and N >= 16 (``_Point.floor``, exact on the dyadic z), so pf < 4/3.  K = 9
 certifies the targets of the direct evaluations at the floor almost always;
 a pass that misses is retried at three times the cutoff.
 
@@ -77,7 +78,8 @@ their own rounding.  The total, times 2^-wp, is the rounding term.  It is
 added to the returned bound, and ``shifted_nested_sum`` refuses at once a
 target below it: the count grows with the cutoff, whose running sums alone
 add N roundings per level.  The value is returned exactly as the integers
-hold it, so the bound covers the number handed back.
+hold it, so the bound covers the number handed back.  The point enters as
+its exact dyadic (``_Point``), and every bound is a float rounded up.
 
 Certified sums
 --------------
@@ -91,13 +93,15 @@ bounds: D_k = D_(k-1) a_k + H_(k-1) e_k, H_k = H_(k-1) (a_k + e_k), D_0 = 0,
 H_0 = 1.  The rounding term adds the ulps and 2^(3-prec) times the sum over
 terms of (factors + terms) H, which covers the rounding of the value to the
 working precision at the end.  Bounds are returned as floats, scaled by
-1 + 2^-20 and rounded up (``math.nextafter``), and the caches hold floats.
+1 + 2^-20 and rounded up (``math.nextafter``), as the nested-sum pass
+returns them: bounds are upward-rounded floats from pass to certificate.
 ``certify`` holds the one budget rule.  Its pieces are factors it evaluates
 itself: in a term of n with c pieces whose other factors multiply to
 m = prod (|value| + bound), each piece first gets target / (2 n c max(1, m)),
 and all piece targets shrink by target / (4 bound) while the bound misses.  A
 pass that misses is summed again with every piece at its value and bound 0:
-if that misses too, no piece target can help, and the sum is refused.
+if that misses too, no piece target can help, and the sum is refused.  A
+piece that refuses its own target is refused under the sum's target.
 
 Certified results are cached under one rule, ``cache_lookup``: keyed on the
 exact point at the working precision, an entry serves only calls whose target
@@ -117,10 +121,10 @@ import functools
 import math
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import fzero, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_pow_int
-from mpmath.libmp import to_fixed, to_float
+from mpmath.libmp import from_man_exp, fzero, to_fixed, to_float
 
 from .errors import PrecisionUnreachableError
 
@@ -135,7 +139,6 @@ _EM_KERNEL = abs(Fraction(*mp.bernfrac(2 * _EM_ORDER + 2))) / math.factorial(2 *
 _TAIL_MARGIN = 4
 
 GUARD = 48  # fixed-point bits carried beyond the working precision
-_BOUND_PREC = 53  # bits of the upward-rounded truncation bound
 _CACHE_SIZE = 1024  # nested sums kept by shifted_nested_sum
 _MEMO_SIZE = 256  # certified values kept by numerics.multitangent_eval_direct
 # fragment values kept by numerics._fragment_value; the sequences up to
@@ -146,16 +149,16 @@ _FRAGMENT_SIZE = 1024
 _POINT_SIZE = 256
 
 
-def _up(op, x, y):
-    """``op`` (mpf_add, mpf_mul or mpf_div) of raw mpfs, rounded upward."""
-    return op(x, y, _BOUND_PREC, "u")
+def _upward(x: float) -> float:
+    """The float above x, the result of one rounded operation: it bounds the
+    exact result from above, also where that underflowed to 0."""
+    return math.nextafter(x, math.inf)
 
 
-def _ulps_up(x, wp: int) -> int:
-    """The raw mpf x >= 0 in units of 2^-wp, rounded up."""
-    _, man, exp, _ = x
-    exp += wp
-    return man << exp if exp >= 0 else -(-man >> -exp)
+def _ulps(x: float, wp: int) -> int:
+    """The float x >= 0 in units of 2^-wp, rounded up."""
+    n, d = x.as_integer_ratio()
+    return -((-n << wp) // d)
 
 
 def _rising(b: int, k: int) -> int:
@@ -166,7 +169,7 @@ def _rising(b: int, k: int) -> int:
 def _em_template(b: int) -> tuple:
     """The completion G_b of sum over n > m of (n+z)^(-b), b >= 2, as pairs
     (k, e_k): the sum is e_k u^(-k) summed over k at u = m+z, up to the
-    remainder ``_remainder_weight(b)`` (1 + pf) x^(b+2K+1)."""
+    remainder kappa (b)_(2K+1) (1 + pf) x^(b+2K+1)."""
     if b < 2:
         raise ValueError(f"the tail of (n+z)^-{b} diverges")
     terms = [(b - 1, Fraction(1, b - 1)), (b, Fraction(-1, 2))]
@@ -176,20 +179,15 @@ def _em_template(b: int) -> tuple:
     return tuple(terms)
 
 
-def _remainder_weight(b: int) -> Fraction:
-    """kappa (b)_(2K+1): the remainder of G_b at m >= N is at most this times
-    (1 + pf) pf^(b+2K+1) m^(-b-2K-1)."""
-    return _EM_KERNEL * _rising(b, 2 * _EM_ORDER + 1)
-
-
 @functools.lru_cache(maxsize=256)
 def _em_integers(b: int) -> tuple:
     """``_em_template(b)`` over one common denominator, with the remainder
     weight: (den, ((k, num), ...), rho_num, rho_den), e_k = num / den and
-    ``_remainder_weight(b)`` = rho_num / rho_den."""
+    kappa (b)_(2K+1) = rho_num / rho_den, the remainder of G_b at m >= N
+    being at most that times (1 + pf) pf^(b+2K+1) m^(-b-2K-1)."""
     terms = _em_template(b)
     den = math.lcm(*(e.denominator for _, e in terms))
-    rho = _remainder_weight(b)
+    rho = _EM_KERNEL * _rising(b, 2 * _EM_ORDER + 1)
     nums = tuple((k, e.numerator * (den // e.denominator)) for k, e in terms)
     return den, nums, rho.numerator, rho.denominator
 
@@ -262,17 +260,44 @@ def _tail(prefix: tuple[int, ...]) -> _Tail:
     )
 
 
-def _man_exp(x) -> tuple[int, int]:
-    """(m, e) with the mpf x = m 2^e exactly; m carries the sign."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+class _Point(NamedTuple):
+    """The point z = (re + i im) / 2^k exactly, k >= 0 least, and ``floor``,
+    the least cutoff the tail bounds allow at z: n0 > 4 (1 + |z|) and
+    n0 >= 16, where floor(4 |z|) = floor(isqrt(16 |2^k z|^2) / 2^k)."""
+
+    re: int
+    im: int
+    k: int
+    floor: int
+
+    def __neg__(self):
+        return _Point(-self.re, -self.im, self.k, self.floor)
 
 
-def _dyadic(z) -> tuple[int, int, int]:
-    """(zr, zi, k) with z = (zr + i zi) / 2^k exactly, k >= 0."""
-    (mr, er), (mi, ei) = _man_exp(z.real), _man_exp(z.imag)
-    k = max(0, -er, -ei)
-    return mr << (er + k), mi << (ei + k), k
+def _point(z) -> _Point:
+    """z as a ``_Point``, rounded at the working precision unless an int or mpc."""
+    if type(z) is _Point:
+        return z
+    if type(z) is int:
+        zr, zi, k = z, 0, 0
+    else:
+        (sr, mr, er, _), (si, mi, ei, _) = (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
+        k = max(0, -er, -ei)
+        zr, zi = (-mr if sr else mr) << (er + k), (-mi if si else mi) << (ei + k)
+    return _Point(zr, zi, k, max(16, 5 + (math.isqrt(16 * (zr * zr + zi * zi)) >> k)))
+
+
+def _inverse_powers(ur: int, ui: int, k: int, exponents, wp: int) -> list:
+    """u^(-s) 2^wp at u = (ur + i ui) / 2^k for each s of the ascending
+    ``exponents``: conj(2^k u)^s 2^(k s) / |2^k u|^(2 s), each exact
+    Gaussian rational rounded once (error <= 1 ulp)."""
+    out, vr, vi, den, norm, t = [], 1, 0, 1, ur * ur + ui * ui, 0
+    for s in exponents:
+        for t in range(t, s):
+            vr, vi, den = vr * ur + vi * ui, vi * ur - vr * ui, den * norm
+        t, shift, half = s, wp + k * s, den >> 1
+        out.append((((vr << shift) + half) // den, ((vi << shift) + half) // den))
+    return out
 
 
 class _Cutoff:
@@ -284,13 +309,13 @@ class _Cutoff:
     counted in ulps of 2^-wp, magnitudes are real floats.  ``ulp`` is an
     upper bound on 2^-wp that does not underflow."""
 
-    def __init__(self, z, n0: int, top: int):
+    def __init__(self, z: _Point, n0: int, top: int):
         self.n0 = n0
         self.wp = wp = mp.mp.prec + GUARD
         self.one = 1 << wp
         self.half = 1 << (wp - 1)
         self.ulp = 2.0 ** -min(wp, 1000)
-        self.shift = zr, zi, k = _dyadic(z)
+        self.shift = zr, zi, k = z.re, z.im, z.k
         # x = 1/(n0 - |z|) <= 2^k / (n0 2^k - root) <= X 2^-64, with root the
         # ceiling of the square root of |2^k z|^2
         norm = zr * zr + zi * zi
@@ -299,7 +324,6 @@ class _Cutoff:
         if rest <= 0:
             raise ValueError("cutoff too small for the tail bounds")
         self.X = -(-1 << (64 + k)) // rest
-        self.x = from_man_exp(self.X, -64)
         self._xpow: dict = {}
 
         # r = n0/u rounded once and its powers by rounded products, scaled by
@@ -330,25 +354,15 @@ class _Cutoff:
         return (abs(x) + abs(y)) / self.one
 
     def rows(self, exponents) -> dict:
-        """s -> (row, weights): the powers (m+z)^(-s) for m = n0-1 down to 1,
-        each one rounding of an exact Gaussian rational (error <= 1 ulp), and
-        integers with |(m+z)^(-s)| <= weight 2^-64."""
+        """s -> (row, weights): the powers (m+z)^(-s) for m = n0-1 down to 1
+        (``_inverse_powers``), and integers with |(m+z)^(-s)| <= weight 2^-64."""
         zr, zi, k = self.shift
-        wp = self.wp
-        rows = {s: [] for s in exponents}
-        for m in range(self.n0 - 1, 0, -1):
-            ur, ui = (m << k) + zr, -zi  # 2^k conj(m + z)
-            norm = ur * ur + ui * ui
-            vr, vi, den = 1, 0, 1
-            for s in range(1, max(rows) + 1):
-                vr, vi, den = vr * ur - vi * ui, vr * ui + vi * ur, den * norm
-                if s in rows:
-                    shift = wp + k * s
-                    half = den >> 1
-                    rows[s].append((((vr << shift) + half) // den, ((vi << shift) + half) // den))
+        wp, wanted = self.wp, sorted(set(exponents))
+        columns = [_inverse_powers((m << k) + zr, zi, k, wanted, wp)
+                   for m in range(self.n0 - 1, 0, -1)]
         return {
             s: (row, [(((abs(x) + abs(y) + 1) << 64) >> wp) + 1 for x, y in row])
-            for s, row in rows.items()
+            for s, row in zip(wanted, zip(*columns))
         }
 
     def tail_value(self, tail: _Tail) -> tuple[int, int, float]:
@@ -363,18 +377,18 @@ class _Cutoff:
         h = d >> 1
         return (x + h) // d, (y + h) // d, size * self.power_err + 1.0
 
-    def xpow(self, n: int):
-        """The upper bound on x to the n, rounded upward."""
+    def xpow(self, n: int) -> float:
+        """An upper bound on x to the n: X^n 2^(-64 n), rounded once upward."""
         p = self._xpow.get(n)
         if p is None:
-            p = self._xpow[n] = mpf_pow_int(self.x, n, _BOUND_PREC, "u")
+            p = self._xpow[n] = _upward(self.X**n / (1 << 64 * n))
         return p
 
-    def envelope(self, tail: _Tail, carried):
+    def envelope(self, tail: _Tail, carried: float) -> float:
         """c_j = (1 + n0 x) sum_k W_k x^k + n0 carried / beta_j, upward,
         with carried = c_(j-1) x^(s_j) and W the w_b and the dropped |e_k|.
         The sum over k runs as a Horner scheme on integers with 64 fraction
-        bits that rounds every product up."""
+        bits that rounds every product up; the rest runs in floats."""
         den, lo, nums = tail.W
         X = self.X
         acc = nums[-1] << 64
@@ -382,23 +396,14 @@ class _Cutoff:
             acc = -((-acc * X) >> 64) + (n << 64)
         # times 1 + n0 x >= 1 + pf (x = X 2^-64), rounded up
         acc = -((-acc * ((1 << 64) + self.n0 * X)) >> 64)
-        total = _up(mpf_mul, _up(mpf_div, from_man_exp(acc, -64), from_int(den)), self.xpow(lo))
-        carried = _up(mpf_mul, _up(mpf_div, carried, from_int(tail.beta)), from_int(self.n0))
-        return _up(mpf_add, total, carried)
-
-
-def _floor_cutoff(z) -> int:
-    """The least cutoff the tail bounds allow at z: n0 > 4 (1 + |z|) and
-    n0 >= 16, decided exactly on the dyadic z = (zr + i zi) / 2^k, where
-    floor(4 |z|) = floor(isqrt(16 |2^k z|^2) / 2^k)."""
-    zr, zi, k = _dyadic(mp.mpc(z))
-    return max(16, 5 + (math.isqrt(16 * (zr * zr + zi * zi)) >> k))
+        total = _upward(_upward(acc / (den << 64)) * self.xpow(lo))
+        return _upward(total + _upward(_upward(carried * self.n0) / tail.beta))
 
 
 class _FixedSum(tuple):
-    """``(value, bound)``.  ``rounding`` is the part of the bound that covers
-    rounding; for a nested sum it grows with the cutoff.  A nested-sum pass
-    gives an mpf bound, a certified sum a float."""
+    """``(value, bound)``, the bound a float rounded up.  ``rounding`` is the
+    part of the bound that covers rounding; for a nested sum it grows with
+    the cutoff."""
 
     def __new__(cls, value, bound, rounding):
         self = super().__new__(cls, (value, bound))
@@ -406,74 +411,62 @@ class _FixedSum(tuple):
         return self
 
 
-def shifted_nested_sum_fixed(
-    exponents: tuple[int, ...], z, n0: int
-) -> tuple[mp.mpc, mp.mpf]:
-    """One pass with cutoff n0; returns (value, error bound) of the full
-    sum, with ``prefixes`` holding (value, error bound) of every prefix
-    S(s_1, ..., s_a; z), a = 1..r."""
+def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSum:
+    """One pass with cutoff n0 at z (a number or ``_Point``); returns
+    (value, error bound) of the full sum, with ``prefixes`` holding
+    (value, error bound) of every prefix S(s_1, ..., s_a; z), a = 1..r."""
     if not exponents:
-        result = _FixedSum(mp.mpc(1), mp.mpf(0), mp.mpf(0))
+        result = _FixedSum(mp.mpc(1), 0.0, 0.0)
         result.prefixes = ()
         return result
     if exponents[0] < 2:
         raise ValueError(f"divergent nested sum: leading exponent {exponents[0]} < 2")
     if any(s < 1 for s in exponents):
         raise ValueError("exponents must be positive")
-    z = mp.mpc(z)
-    if n0 < _floor_cutoff(z):
+    z = _point(z)
+    if n0 < z.floor:
         raise ValueError("cutoff too small for the tail bounds")
 
     tails = [_tail(exponents[:j]) for j in range(1, len(exponents) + 1)]
     cut = _Cutoff(z, n0, max(t.top for t in tails))
     rows = cut.rows(exponents)
     wp, half = cut.wp, cut.half
-    # P_(j-1)(m) and delta_(j-1)(m) for m = n0-1 down to 1; None for P_0 = 1
-    below = deltas = None
+    # P_(j-1)(m) and delta_(j-1)(m) for m = n0-1 down to 1, from P_0 = 1
+    below, deltas = [(cut.one, 0)] * (n0 - 1), [0] * (n0 - 1)
     err, size = 0.0, 1.0  # rounding (ulps) and magnitude bound of P_(j-1)
-    env = fzero  # c_(j-1)
+    env = 0.0  # c_(j-1)
     prefixes = []
     for j, (s, tail) in enumerate(zip(exponents, tails), 1):
         row, weights = rows[s]
         total = sum(weights) / 2**64
         tr, ti, terr = cut.tail_value(tail)
         tmag = cut._mag(tr, ti) + terr * cut.ulp
-        carried = _up(mpf_mul, env, cut.xpow(s))
+        carried = _upward(env * cut.xpow(s))
         env = cut.envelope(tail, carried)
-        delta = _ulps_up(_up(mpf_add, env, carried), wp)  # eps_j
+        delta = _ulps(_upward(env + carried), wp)  # eps_j
         keep = j < len(exponents)  # the last level's sums feed nothing
         sums, next_deltas = [], []
-        if below is None:  # exact sums of the rounded powers
-            for pr, pi in row:
-                if keep:
-                    sums.append((tr, ti))
-                tr += pr
-                ti += pi
-            next_deltas = [delta] * len(row)
-            err = terr + (n0 - 1)
-        else:
-            ar, ai = tr << wp, ti << wp
-            for (pr, pi), (cr, ci), w, d in zip(row, below, weights, deltas):
-                if keep:
-                    sums.append(((ar + half) >> wp, (ai + half) >> wp))
-                    next_deltas.append(delta)
-                ar += pr * cr - pi * ci
-                ai += pr * ci + pi * cr
-                delta -= (-w * d) >> 64  # plus w d 2^-64, rounded up
-            tr, ti = (ar + half) >> wp, (ai + half) >> wp
-            err = terr + total * err + (n0 - 1) * size + 1.0
+        ar, ai = tr << wp, ti << wp
+        for (pr, pi), (cr, ci), w, d in zip(row, below, weights, deltas):
+            if keep:
+                sums.append(((ar + half) >> wp, (ai + half) >> wp))
+                next_deltas.append(delta)
+            ar += pr * cr - pi * ci
+            ai += pr * ci + pi * cr
+            delta -= (-w * d) >> 64  # plus w d 2^-64, rounded up
+        tr, ti = (ar + half) >> wp, (ai + half) >> wp  # exact at the first level
+        err = terr + total * err + (n0 - 1) * size + (j > 1)
         size = tmag + total * size
         below, deltas = sums, next_deltas
 
         value = mp.make_mpc((from_man_exp(tr, -wp), from_man_exp(ti, -wp)))
         # the float accounting rounds by at most 2^-53 relative per operation
-        rounding = mp.ldexp(mp.mpf(err * (1 + 2.0**-20)), -wp)
-        truncation = mp.make_mpf(from_man_exp(delta, -wp))
-        prefixes.append(_FixedSum(value, mp.fadd(truncation, rounding, rounding="u"), rounding))
+        rounding = _upward(math.ldexp(err * (1 + 2.0**-20), -wp))
+        bound = _upward(_upward(delta / cut.one) + rounding)
+        prefixes.append(_FixedSum(value, bound, rounding))
     result = prefixes[-1]
     result.prefixes = tuple(p[:2] for p in prefixes)
     return result
-
 
 
 def cache_lookup(cache: dict, key, target, cap=math.inf):
@@ -503,41 +496,39 @@ def shifted_nested_sum(
     z=0,
     target: float = 1e-12,
     cap: int = 200_000,
-) -> tuple[mp.mpc, mp.mpf | float]:
-    """Evaluate the nested sum to absolute error <= target.
+) -> tuple[mp.mpc, float]:
+    """Evaluate the nested sum at z (a number or ``_Point``) to absolute
+    error <= target.
 
-    The first pass runs at the floor cutoff ``_floor_cutoff(z)``, 16 unless
+    The first pass runs at the floor cutoff ``_Point.floor``, 16 unless
     |z| >= 3, and the cutoff triples while the certified bound misses the
     target; raises PrecisionUnreachableError (carrying the achieved bound)
     if the cap is hit first, or at once if the rounding at this working
     precision alone exceeds the target.  The last ``_CACHE_SIZE`` results
     used are cached with their cutoff, which the caller's cap must admit; a
     certifying pass stores every prefix it evaluated, the full sum last,
-    with its bound rounded up to a float, as a hit returns it.
+    and a hit returns the float bound the pass returned.
     """
-    z = mp.mpc(z)
-    key = (exponents, z._mpc_, mp.mp.prec)
+    z = _point(z)
+    key = (exponents, z, mp.mp.prec)
     hit = cache_lookup(_cache, key, target, cap)
     if hit is not None:
         return hit[:2]
 
-    n0 = _floor_cutoff(z)
+    n0 = z.floor
     best = None
     while n0 <= cap:
         best = shifted_nested_sum_fixed(exponents, z, n0)
         if best[1] <= target:
-            for j, (v, e) in enumerate(best.prefixes, 1):  # bounds rounded up to floats
-                entry = v, math.nextafter(float(e), math.inf), n0
-                cache_store(_cache, (exponents[:j], *key[1:]), entry, _CACHE_SIZE)
+            for j, (v, e) in enumerate(best.prefixes, 1):
+                cache_store(_cache, (exponents[:j], *key[1:]), (v, e, n0), _CACHE_SIZE)
             return best[:2]
         if best.rounding > target:
             break
         n0 *= 3
-    achieved = float(best[1]) if best else math.inf
-    if best is not None and best.rounding > target:
-        why = f"rounding at {mp.mp.prec} bits alone is {float(best.rounding):.3e}"
-    else:
-        why = f"within cutoff cap {cap}"
+    achieved = best[1] if best else math.inf
+    why = (f"rounding at {mp.mp.prec} bits alone is {best.rounding:.3e}"
+           if best is not None and best.rounding > target else f"within cutoff cap {cap}")
     raise PrecisionUnreachableError(
         f"nested sum for {exponents} reached bound {achieved:.3e} > {target:.3e} {why}",
         achieved=achieved,
@@ -560,11 +551,9 @@ def _size(v) -> float:
     """|v| in floats, scaled up past their rounding: inf or nan if v is not
     finite, and inf if it lies beyond the float range.  An mpf or mpc is read
     from its raw parts, rounded to nearest as ``complex(v)`` rounds them."""
-    if isinstance(v, mp.mpc):
-        re, im = v._mpc_
+    if isinstance(v, (mp.mpc, mp.mpf)):
+        re, im = v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, fzero)
         return abs(complex(to_float(re, rnd="n"), to_float(im, rnd="n"))) * (1 + 2.0**-50)
-    if isinstance(v, mp.mpf):
-        return abs(to_float(v._mpf_, rnd="n")) * (1 + 2.0**-50)
     try:
         return abs(complex(v)) * (1 + 2.0**-50)
     except OverflowError:
@@ -614,7 +603,8 @@ def certify(terms, target) -> _FixedSum:
     misses with no piece target to shrink, when the rounding alone exceeds
     half the target, or when the sum with every piece at its value and bound
     0 misses too, since no piece target can then help; the error carries
-    that sum's bound."""
+    that sum's bound.  A piece that refuses is refused under this target,
+    with an achieved bound above it."""
     n, firsts, scale = len(terms), [], 1.0
     for term in terms:
         c, m = 0, 1.0
@@ -625,8 +615,12 @@ def certify(terms, target) -> _FixedSum:
                 m *= _size(f[0]) + float(f[1])
         firsts.append(c and target / (2 * n * c * max(1.0, m)))
     while True:
-        factors = [[f(t * scale) if callable(f) else f for f in term]
-                   for term, t in zip(terms, firsts)]
+        try:
+            factors = [[f(t * scale) if callable(f) else f for f in term]
+                       for term, t in zip(terms, firsts)]
+        except PrecisionUnreachableError as exc:
+            why = f"{exc}; refused at the sum's target {float(target):.3e}"
+            raise PrecisionUnreachableError(why, max(_upward(float(target)), exc.achieved)) from exc
         result = certified_sum(factors)
         if result[1] <= target:
             return result

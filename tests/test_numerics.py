@@ -551,6 +551,24 @@ def test_bound_covers_rounding_below_working_precision(monkeypatch):
         assert abs(v - mp.zeta(3)) <= e
 
 
+def test_miss_and_hit_return_one_float_bound(monkeypatch):
+    """The pass that certifies and the cache hits after it return the same
+    (value, bound), the bound a float both times, for the full sum and for
+    a stored prefix."""
+    monkeypatch.setattr(zetasum, "_cache", {})
+    z = mp.mpc("0.3", "0.7")
+    with mp.workprec(128):
+        miss = shifted_nested_sum((3, 1, 2), z, target=1e-20)
+        calls = _counting_fixed(monkeypatch)
+        hit = shifted_nested_sum((3, 1, 2), z, target=1e-20)
+        prefix = shifted_nested_sum((3, 1), z, target=1e-20)
+        assert calls == []
+        expected = shifted_nested_sum_fixed((3, 1, 2), z, 16)
+    assert type(miss[1]) is type(hit[1]) is type(prefix[1]) is float
+    assert hit == miss == tuple(expected)
+    assert prefix == expected.prefixes[1]
+
+
 # convergent sequences of depth 1..6 over parts 1..4; shifts on a 1/16 grid,
 # 0 or with either sign of Im z
 _SEQUENCES = st.tuples(st.integers(2, 4), st.lists(st.integers(1, 4), max_size=5)).map(
@@ -586,6 +604,53 @@ def test_certificate_covers_reference(parts, shift, prec, below):
             assert results[-1][1] <= target
     with mp.workprec(400):
         for v, e in results:
+            assert abs(v - ref) <= e + ref_bound
+
+
+# sequences of weight <= 7 with a leading part >= 2; dyadic points with
+# |Re z| <= 3 and |Im z| in [0.1, 2] on a 2^-10 grid, or 0
+_WEIGHT_7 = [tuple(c) for w in range(2, 8) for c in enumerate_compositions(w, "mzv")]
+_DYADIC_POINTS = st.one_of(
+    st.just((0, 0)),
+    st.tuples(
+        st.integers(-3 * 2**10, 3 * 2**10), st.integers(103, 2**11), st.sampled_from((-1, 1))
+    ).map(lambda t: (t[0], t[1] * t[2])),
+)
+
+
+@given(
+    st.sampled_from(_WEIGHT_7), _DYADIC_POINTS, st.integers(8, 20), st.sampled_from((64, 128, 200))
+)
+@settings(max_examples=40, deadline=None)
+def test_every_prefix_bound_covers_reference(parts, point, digits, prec):
+    """The pass that certifies a target from 1e-8 to 1e-20: the sum returns
+    its full (value, bound), and every prefix's float bound covers a 400-bit
+    reference at n0 = 144."""
+    z = mp.mpc(*point) / 2**10
+    target = 10.0**-digits
+    with mp.workprec(prec), mock.patch.dict(zetasum._cache, clear=True):
+        value, bound = shifted_nested_sum(parts, z, target=target)
+        n0 = zetasum._cache[(parts, zetasum._point(z), prec)][2]
+        result = shifted_nested_sum_fixed(parts, z, n0)
+    assert (value, bound) == tuple(result) and bound <= target
+    with mp.workprec(400):
+        reference = shifted_nested_sum_fixed(parts, z, 144).prefixes
+        for (v, e), (ref, ref_bound) in zip(result.prefixes, reference):
+            assert type(e) is float and e > 0
+            assert abs(v - ref) <= e + ref_bound
+
+
+def test_bound_stays_positive_where_the_ulp_underflows():
+    """At 1100 bits 2^-wp lies below the least positive float: the rounding
+    term rounds up to that float, not to 0, and every prefix's bound covers
+    a 1400-bit reference."""
+    z = mp.mpc(3, -5) / 8
+    with mp.workprec(1100):
+        result = shifted_nested_sum_fixed((3, 1, 2), z, 16)
+    assert 2.0 ** -(1100 + zetasum.GUARD) == 0 < result.rounding <= result[1]
+    with mp.workprec(1400):
+        reference = shifted_nested_sum_fixed((3, 1, 2), z, 144).prefixes
+        for (v, e), (ref, ref_bound) in zip(result.prefixes, reference):
             assert abs(v - ref) <= e + ref_bound
 
 
@@ -657,7 +722,7 @@ def test_near_pole_certifies_by_48():
             direct = multitangent_eval_direct(C(5, 2), z, ctx)
     with ctx.workprec():
         minus = [n0 for parts, point, n0 in (c.args for c in fixed.call_args_list)
-                 if parts == (2, 5) and point == -z]
+                 if parts == (2, 5) and point == zetasum._point(-z)]
     assert 1 <= len(minus) <= 2 and max(minus) <= 48
     assert abs(direct - multitangent_eval_reduced(C(5, 2), z, ctx)) <= 2 * ctx.target_abs_error
 
@@ -672,7 +737,7 @@ def test_direct_evaluations_certify_at_the_floor(monkeypatch):
 
     def counted_fixed(exponents, z, n0):
         result = fixed(exponents, z, n0)
-        passes.append((n0, zetasum._floor_cutoff(z), result[1]))
+        passes.append((n0, zetasum._point(z).floor, result[1]))
         return result
 
     def counted_nested(exponents, z=0, target=1e-12, cap=200_000):
@@ -736,7 +801,7 @@ def test_deep_certificate_covers_reference(parts, z):
     """Depth 10 at the floor cutoff and at three times it: |value - ref| is
     within the bound plus the reference's."""
     with mp.workprec(128):
-        floor = zetasum._floor_cutoff(mp.mpc(*z))
+        floor = zetasum._point(mp.mpc(*z)).floor
     ref, ref_bound = _deep_pass(parts, z, 144, 400)
     for n0 in (floor, 3 * floor):
         v, e = _deep_pass(parts, z, n0, 128)
@@ -747,9 +812,9 @@ def test_deep_certificate_covers_reference(parts, z):
 def test_floor_cutoff_is_exact():
     """n0 > 4 (1 + |z|) decided exactly at integer edges: 4 (1 + 3) = 16 and
     4 (1 + |3 + 4i|) = 24 are refused."""
-    assert zetasum._floor_cutoff(3) == 17
-    assert zetasum._floor_cutoff(3 + 4j) == 25
-    assert zetasum._floor_cutoff(mp.mpc("0.3", "0.7")) == 16
+    assert zetasum._point(3).floor == 17
+    assert zetasum._point(3 + 4j).floor == 25
+    assert zetasum._point(mp.mpc("0.3", "0.7")).floor == 16
     with pytest.raises(ValueError):
         shifted_nested_sum_fixed((2,), 3, 16)
 
@@ -775,14 +840,15 @@ class TestEulerMaclaurinEngine:
                     mp.mpf(e.numerator) / e.denominator * mp.power(N + z, -k)
                     for k, e in zetasum._em_template(a + b)
                 )
-                rho = zetasum._Cutoff(z, N, 1).envelope(zetasum._tail((a + b,)), fzero)
-                assert abs(mp.zeta(a + b, N + 1 + z) - G) <= mp.make_mpf(rho), N
+                cut = zetasum._Cutoff(zetasum._point(z), N, 1)
+                rho = cut.envelope(zetasum._tail((a + b,)), 0.0)
+                assert abs(mp.zeta(a + b, N + 1 + z) - G) <= rho, N
 
     def test_caches_do_not_leak_precision(self):
         def run():
             with mp.workprec(200):
                 result = shifted_nested_sum_fixed((3, 1, 2), 0.3 + 0.7j, 48)
-                return [(v.real._mpf_, v.imag._mpf_, e._mpf_) for v, e in result.prefixes]
+                return [(v.real._mpf_, v.imag._mpf_, e) for v, e in result.prefixes]
 
         caches = (zetasum._em_template, zetasum._em_integers, zetasum._tail)
         with mp.workprec(64):
@@ -864,42 +930,42 @@ class TestEulerMaclaurinEngine:
             ("0", "0"),
             "1.64493406684822643647244133544876039787085",
             "0.0",
-            "5.47101643706426952746403936603e-23",
+            "5.47101643706427775592449512202e-23",
         ),
         (
             (3, 1, 2),
             ("0", "0"),
             "0.0792213975652071659990979077047088458269818",
             "0.0",
-            "1.6982594257789093188403696805e-22",
+            "1.69825942577891107604728703771e-22",
         ),
         (
             (2, 1, 1, 1, 1, 1, 1),
             ("0", "0"),
             "1.00407735619794433937895609019675833410721",
             "0.0",
-            "1.81548242739920411319340834893e-21",
+            "1.81548242739920627819490777152e-21",
         ),
         (
             (4, 1),
             ("0.3", "0.7"),
             "0.00648879408786032986777609825882482853134012",
             "-0.0349082607773008532814825819154697200735751",
-            "2.07682175715312051752880361031e-22",
+            "2.07682175715312195190302087983e-22",
         ),
         (
             (2, 2, 1),
             ("0.3", "0.7"),
             "0.0669311576546047760975278126707952895615961",
             "-0.0917892136696148919190131893009098598734703",
-            "7.2013911830819944379141774466e-22",
+            "7.20139118308199828683973321828e-22",
         ),
         (
             (3,),
             ("-1.6", "-0.4"),
             "-3.06086468680552691564205182915030921033231",
             "6.8115738990661130565832799636541042858772",
-            "4.15714651032323632189271005678e-22",
+            "4.15714651032323914307915203027e-22",
         ),
     ]
 
@@ -1094,6 +1160,44 @@ def test_factor_beyond_the_float_range_is_refused(value):
     assert info.value.achieved == math.inf
 
 
+def test_certify_refuses_a_failing_piece_under_its_own_target():
+    """The piece's refusal is re-raised with the sum's target, carrying the
+    piece's achieved bound, or more than the target where that is less."""
+
+    def piece(achieved):
+        def evaluate(target):
+            raise PrecisionUnreachableError("piece missed", achieved=achieved)
+
+        return evaluate
+
+    with pytest.raises(PrecisionUnreachableError) as info:
+        zetasum.certify([[(mp.mpf(3), 0.0), piece(1e-6)]], 1e-8)
+    assert str(info.value) == "piece missed; refused at the sum's target 1.000e-08"
+    assert info.value.achieved == 1e-6
+    with pytest.raises(PrecisionUnreachableError) as info:
+        zetasum.certify([[(mp.mpf(1), 0.0), piece(1e-12)]], 1e-8)
+    assert info.value.achieved > 1e-8
+
+
+def test_reduced_refusal_names_its_own_sum(monkeypatch):
+    """Te[9] at 0.0011 + 0.00001i, 128 bits, target 1e-10: the c_9 sum
+    refuses its own target near 1e-37, and the evaluation refuses under
+    1e-10 with an achieved bound no smaller.  Te^9 alone reaches 3.3e-10
+    there, so the refusal is right."""
+    for cache in ("_fragments", "_orders", "_points"):
+        monkeypatch.setattr(numerics, cache, {})
+    monkeypatch.setattr(zetasum, "_cache", {})
+    ctx = NumericContext(target_abs_error=1e-10, working_precision=128)
+    z = mp.mpc(0.0011, 0.00001)
+    with pytest.raises(PrecisionUnreachableError) as info:
+        multitangent_eval_reduced(C(9), z, ctx)
+    assert str(info.value).endswith("target 1.000e-10")
+    assert info.value.achieved >= 1e-10
+    with pytest.raises(PrecisionUnreachableError) as mono:
+        monotangent_eval(9, z, ctx)
+    assert mono.value.achieved > 3e-10
+
+
 def _recording_sums(passes, limit=8):
     """A stand-in for ``zetasum.certified_sum`` that keeps every result, and
     fails a certify loop that runs past ``limit`` passes instead of hanging."""
@@ -1241,7 +1345,7 @@ def test_nested_sum_cache_key_is_the_exact_point(monkeypatch):
     monkeypatch.setattr(zetasum, "_cache", {})
     with mp.workprec(128):
         a = mp.mpc("0.3", "0.7")
-        man, exp = zetasum._man_exp(a.real)
+        man, exp = a.real.man, a.real.exp
         b = mp.mpc(mp.mpf(from_man_exp(man + 1, exp)), a.imag)
         assert a != b and str(a) == str(b)
         shifted_nested_sum((3,), a, target=1e-42)
