@@ -2,12 +2,13 @@
 plus the analytic cross-checks (trifactorization, Fourier data, growth
 bounds, exponential flatness).
 
-Monotangents are evaluated through exact cotangent polynomials, with an
-error bound.  cot(pi z) and each Te^k(z) are computed once per point and
-working precision, in a bounded LRU of 256 entries (``_points``, keyed on the
-point after ``check_point``, the precision and k) that every evaluator
-reducing into monotangents reads: ``monotangent_eval``, the reduced
-evaluator below and ``families.te_nk_closed_form``.
+Monotangents are evaluated through exact cotangent polynomials, with an error
+bound.  cot(pi z) and each Te^k(z) are computed once per point and working
+precision and kept in ``_points``, keyed on the point after ``check_point``,
+the precision and k, which every evaluator reducing into monotangents reads:
+``monotangent_eval``, the reduced evaluator below and
+``families.te_nk_closed_form``.  This module's four caches are
+``zetasum.CertifiedCache``s, each sized where it is made.
 
 Bilateral multitangent sums are evaluated by splitting the summation range
 into a positive part, the n = 0 pivot and a negative part; each one-sided
@@ -38,21 +39,14 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import _FRAGMENT_SIZE, _MEMO_SIZE, _POINT_SIZE, GUARD, _fixed, _inverse_powers, _point
-from .zetasum import cache_lookup, cache_store, certified_sum, certify, shifted_nested_sum
-
-_memo: dict = {}  # multitangent_eval_direct's (value, bound), least recently used first
-_fragments: dict = {}  # _fragment_value's (value, bound), least recently used first
-_orders: dict = {}  # _order_coefficient's (value, bound), least recently used first
-_points: dict = {}  # _monotangent_at's cotangents and (value, bound), least recently used first
+from .zetasum import GUARD, CertifiedCache, _fixed, _inverse_powers, _point
+from .zetasum import certified_sum, certify, shifted_nested_sum
 
 
 def _checked(z, guard):
     """(z, point): z rounded at the working precision and its exact dyadic
     ``zetasum._Point``, after the checks of ``check_point``."""
     z = mp.mpc(z)
-    if not mp.isfinite(z):
-        raise ValueError(f"evaluation point {z} is not finite")
     # exactly, in integers: z = (zr + i zi) / 2^k and guard = p / q
     zr, zi, k, _ = point = _point(z)
     exact = guard.man * Fraction(2) ** guard.exp if isinstance(guard, mp.mpf) else guard
@@ -129,21 +123,22 @@ def _monotangent(k: int, cot):
     return value, bound if bound < math.inf else math.inf
 
 
+_points = CertifiedCache(256)  # the rechecks: a cotangent and up to 11 orders per point
+
+
 def _monotangent_at(k: int, z):
     """(value, bound) of Te^k at the checked point z: ``_cot`` and
     ``_monotangent``, each computed once per point and working precision.
     Neither depends on a target, so an entry serves every caller, which
     compares the bound with its own target."""
     point = (z._mpc_, mp.mp.prec)
-    hit = cache_lookup(_points, (*point, k), math.inf)
+    hit = _points.get((*point, k))
     if hit is None:
-        cot = cache_lookup(_points, point, math.inf)
+        cot = _points.get(point)
         if cot is None:
             c = _cot(z)
-            cot = c, c[2]  # an entry (value, bound): c and its error
-            cache_store(_points, point, cot, _POINT_SIZE)
-        hit = _monotangent(k, cot[0])
-        cache_store(_points, (*point, k), hit, _POINT_SIZE)
+            cot = _points.put(point, (c, c[2]))  # an entry (value, bound): c and its error
+        hit = _points.put((*point, k), _monotangent(k, cot[0]))
     return hit
 
 
@@ -179,6 +174,9 @@ def _one_sided(side: str, parts: tuple, z, target: float, cap: int):
     return (-v if sum(parts) % 2 else v), e
 
 
+_memo = CertifiedCache(256)  # the rechecks to weight 8 keep about 210 values
+
+
 def multitangent_eval_direct(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
@@ -188,14 +186,14 @@ def multitangent_eval_direct(
 
     Each split is a term of ``zetasum.certify``, its one-sided sums pieces
     and z^-s_mid a fixed factor, all at the exact dyadic of the point.  The
-    last ``_MEMO_SIZE`` results serve later calls they meet.
+    last 256 results (``_memo``) serve later calls they meet.
     """
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
     with ctx.workprec():
         z = _checked(z, ctx.pole_guard)[1]
         key = (s, z, mp.mp.prec, ctx.truncation_cap)
-        hit = cache_lookup(_memo, key, ctx.target_abs_error)
+        hit = _memo.get(key, ctx.target_abs_error)
         if hit is not None:
             return hit[0]
         cap, terms, wp = ctx.truncation_cap, [], mp.mp.prec + GUARD
@@ -210,9 +208,10 @@ def multitangent_eval_direct(
             if right:
                 factors.append(partial(_one_sided, "-", right, z, cap=cap))
             terms.append(factors)
-        value, bound = certify(terms, ctx.target_abs_error)
-        cache_store(_memo, key, (value, bound), _MEMO_SIZE)
-        return value
+        return _memo.put(key, certify(terms, ctx.target_abs_error)[:2])[0]
+
+
+_fragments = CertifiedCache(1024)  # weight <= w needs 2^w - w per precision and cap
 
 
 def _fragment_value(parts: tuple, a: int, target: float, cap: int):
@@ -220,11 +219,11 @@ def _fragment_value(parts: tuple, a: int, target: float, cap: int):
     working precision, within ``target``.  It does not depend on the point,
     so one entry serves every point and every sequence that shares it."""
     key = (parts, a, mp.mp.prec, cap)
-    hit = cache_lookup(_fragments, key, target)
-    if hit is None:
-        hit = _certified(_fragment(parts, a), target, cap)
-        cache_store(_fragments, key, hit, _FRAGMENT_SIZE)
-    return hit
+    hit = _fragments.get(key, target)
+    return hit or _fragments.put(key, _certified(_fragment(parts, a), target, cap))
+
+
+_orders = CertifiedCache(1024)  # one c_k per order: the rechecks to weight 8 need about 570
 
 
 def _order_coefficient(s: Composition, k: int, terms: list, target, cap: int):
@@ -232,16 +231,11 @@ def _order_coefficient(s: Composition, k: int, terms: list, target, cap: int):
     the fragment products of its ``terms``, ``reduction._order_terms(s)[k]``,
     cached."""
     key = (s, k, mp.mp.prec, cap)
-    hit = cache_lookup(_orders, key, target)
-    if hit is not None:
-        return hit
-    hit = certify([
+    return _orders.get(key, target) or _orders.put(key, certify([
         [(sign, 0.0), partial(_fragment_value, right, a_r, cap=cap),
          partial(_fragment_value, left, a_l, cap=cap)]
         for sign, right, a_r, left, a_l in terms
-    ], target)
-    cache_store(_orders, key, hit, _FRAGMENT_SIZE)
-    return hit
+    ], target))
 
 
 def multitangent_eval_reduced(

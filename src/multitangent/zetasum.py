@@ -103,14 +103,11 @@ pass that misses is summed again with every piece at its value and bound 0:
 if that misses too, no piece target can help, and the sum is refused.  A
 piece that refuses its own target is refused under the sum's target.
 
-Certified results are cached under one rule, ``cache_lookup``: keyed on the
+Certified results are cached under one rule, ``CertifiedCache``: keyed on the
 exact point at the working precision, an entry serves only calls whose target
-and cap it meets.  A pass stores every prefix it evaluated.  Bounded LRUs hold
-1024 nested sums (``_CACHE_SIZE``), 256 ``multitangent_eval_direct``
-values (``_MEMO_SIZE``), 1024 fragment values of
-``multitangent_eval_reduced``, which have no point (``_FRAGMENT_SIZE``), and
-256 cotangents cot(pi z) and monotangents Te^k(z) (``_POINT_SIZE``), keyed on
-the point and the precision alone, so an entry serves every target.
+and cap it meets, only a tighter entry replaces it, and past its size the
+least recently used goes.  Each cache counts hits, misses and evictions and is
+sized where it is made; ``_cache`` keeps every prefix a pass evaluated.
 
 Convergence requires s_1 >= 2; later parts may equal 1.
 """
@@ -139,14 +136,6 @@ _EM_KERNEL = abs(Fraction(*mp.bernfrac(2 * _EM_ORDER + 2))) / math.factorial(2 *
 _TAIL_MARGIN = 4
 
 GUARD = 48  # fixed-point bits carried beyond the working precision
-_CACHE_SIZE = 1024  # nested sums kept by shifted_nested_sum
-_MEMO_SIZE = 256  # certified values kept by numerics.multitangent_eval_direct
-# fragment values kept by numerics._fragment_value; the sequences up to
-# weight w need 2^w - w per precision and cap
-_FRAGMENT_SIZE = 1024
-# cot(pi z) and the Te^k(z) kept by numerics._monotangent_at; the workbench
-# rechecks need one cotangent and up to 11 orders per sample point
-_POINT_SIZE = 256
 
 
 def _upward(x: float) -> float:
@@ -282,6 +271,8 @@ def _point(z) -> _Point:
         zr, zi, k = z, 0, 0
     else:
         (sr, mr, er, _), (si, mi, ei, _) = (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
+        if not mr and er or not mi and ei:  # mpmath's inf and nan: mantissa 0
+            raise ValueError(f"evaluation point {mp.mpc(z)} is not finite")
         k = max(0, -er, -ei)
         zr, zi = (-mr if sr else mr) << (er + k), (-mi if si else mi) << (ei + k)
     return _Point(zr, zi, k, max(16, 5 + (math.isqrt(16 * (zr * zr + zi * zi)) >> k)))
@@ -324,7 +315,6 @@ class _Cutoff:
         if rest <= 0:
             raise ValueError("cutoff too small for the tail bounds")
         self.X = -(-1 << (64 + k)) // rest
-        self._xpow: dict = {}
 
         # r = n0/u rounded once and its powers by rounded products, scaled by
         # n0^(top-k) for the exact dot products of ``tail_value``
@@ -379,10 +369,7 @@ class _Cutoff:
 
     def xpow(self, n: int) -> float:
         """An upper bound on x to the n: X^n 2^(-64 n), rounded once upward."""
-        p = self._xpow.get(n)
-        if p is None:
-            p = self._xpow[n] = _upward(self.X**n / (1 << 64 * n))
-        return p
+        return _upward(self.X**n / (1 << 64 * n))
 
     def envelope(self, tail: _Tail, carried: float) -> float:
         """c_j = (1 + n0 x) sum_k W_k x^k + n0 carried / beta_j, upward,
@@ -469,26 +456,44 @@ def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSu
     return result
 
 
-def cache_lookup(cache: dict, key, target, cap=math.inf):
-    """The entry ``(value, bound)`` or ``(value, bound, cutoff)`` under
-    ``key`` if it meets ``target`` and ``cap``, made the most recently used."""
-    entry = cache.get(key)
-    if entry is not None and entry[1] <= target and (len(entry) < 3 or entry[2] <= cap):
-        cache[key] = cache.pop(key)
+class CertifiedCache:
+    """A bounded LRU of certified entries ``(value, bound[, cutoff])``, under
+    the rule above; ``put`` returns the new entry, and ``cache_info()`` reads
+    as an lru_cache's."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize, self._entries = maxsize, {}  # least recently used first
+        self.clear()
+
+    def get(self, key, target=math.inf, cap=math.inf):
+        entry = self._entries.get(key)
+        if entry is not None and entry[1] <= target and (len(entry) < 3 or entry[2] <= cap):
+            self._entries[key] = self._entries.pop(key)
+            self.hits += 1
+            return entry
+        self.misses += 1
+        return None
+
+    def put(self, key, entry: tuple) -> tuple:
+        old = self._entries.pop(key, None)
+        self._entries[key] = entry if old is None or entry[1] < old[1] else old
+        if len(self._entries) > self.maxsize:
+            del self._entries[next(iter(self._entries))]
+            self.evictions += 1
         return entry
-    return None
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def cache_info(self):
+        return functools._CacheInfo(self.hits, self.misses, self.maxsize, len(self))
 
 
-def cache_store(cache: dict, key, entry: tuple, size: int) -> None:
-    """Keep ``entry`` under ``key`` as the most recently used, unless the one
-    there is at least as tight; past ``size`` the oldest goes."""
-    old = cache.pop(key, None)
-    cache[key] = entry if old is None or entry[1] < old[1] else old
-    if len(cache) > size:
-        del cache[next(iter(cache))]
-
-
-_cache: dict = {}  # least recently used first
+_cache = CertifiedCache(1024)  # certified prefixes: the table and rechecks keep about 660
 
 
 def shifted_nested_sum(
@@ -504,14 +509,14 @@ def shifted_nested_sum(
     |z| >= 3, and the cutoff triples while the certified bound misses the
     target; raises PrecisionUnreachableError (carrying the achieved bound)
     if the cap is hit first, or at once if the rounding at this working
-    precision alone exceeds the target.  The last ``_CACHE_SIZE`` results
-    used are cached with their cutoff, which the caller's cap must admit; a
-    certifying pass stores every prefix it evaluated, the full sum last,
-    and a hit returns the float bound the pass returned.
+    precision alone exceeds the target.  The last 1024 results used are
+    cached in ``_cache`` with their cutoff, which the caller's cap must
+    admit; a certifying pass stores every prefix it evaluated, the full sum
+    last, and a hit returns the float bound the pass returned.
     """
     z = _point(z)
     key = (exponents, z, mp.mp.prec)
-    hit = cache_lookup(_cache, key, target, cap)
+    hit = _cache.get(key, target, cap)
     if hit is not None:
         return hit[:2]
 
@@ -521,7 +526,7 @@ def shifted_nested_sum(
         best = shifted_nested_sum_fixed(exponents, z, n0)
         if best[1] <= target:
             for j, (v, e) in enumerate(best.prefixes, 1):
-                cache_store(_cache, (exponents[:j], *key[1:]), (v, e, n0), _CACHE_SIZE)
+                _cache.put((exponents[:j], *key[1:]), (v, e, n0))
             return best[:2]
         if best.rounding > target:
             break

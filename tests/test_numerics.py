@@ -37,6 +37,7 @@ from multitangent.verify import run_suite, sample_points
 from multitangent.words import Composition, enumerate_compositions
 from multitangent import zetasum
 from multitangent.zetasum import (
+    CertifiedCache,
     certified_sum,
     shifted_nested_sum,
     shifted_nested_sum_fixed,
@@ -44,6 +45,18 @@ from multitangent.zetasum import (
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
+
+
+def _fresh(monkeypatch, module, *names, size=None):
+    """Swap each named cache of ``module`` for an empty one of its size, or
+    of ``size``."""
+    for name in names:
+        monkeypatch.setattr(module, name, CertifiedCache(size or getattr(module, name).maxsize))
+
+
+def _fresh_nested_sums():
+    """A context in which ``zetasum._cache`` is an empty cache of its size."""
+    return mock.patch.object(zetasum, "_cache", CertifiedCache(zetasum._cache.maxsize))
 
 
 IM = (0.3, 1.2)  # the Im z range of the sample points
@@ -168,8 +181,8 @@ class TestReducedFromFragments:
         """Every composition of weight 1..7, divergent ones included, at the
         recheck points and near the real axis.  Its tight nested sums stay
         out of the shared cache, which later tests read."""
-        monkeypatch.setattr(numerics, "_fragments", {})
-        monkeypatch.setattr(zetasum, "_cache", {})
+        _fresh(monkeypatch, numerics, "_fragments")
+        _fresh(monkeypatch, zetasum, "_cache")
         with mp.workprec(53):
             for z in [*sample_points(2), mp.mpc(0.5, 1e-3)]:
                 for w in range(1, 8):
@@ -181,9 +194,8 @@ class TestReducedFromFragments:
     def test_second_point_makes_no_nested_sum_pass(self, monkeypatch):
         """Fragment values do not depend on the point.  Every monotangent is
         smaller at the second point, so no coefficient budget is tighter."""
-        monkeypatch.setattr(numerics, "_fragments", {})
-        monkeypatch.setattr(numerics, "_orders", {})
-        monkeypatch.setattr(zetasum, "_cache", {})
+        _fresh(monkeypatch, numerics, "_fragments", "_orders")
+        _fresh(monkeypatch, zetasum, "_cache")
         passes = []
         fixed = zetasum.shifted_nested_sum_fixed
 
@@ -203,7 +215,7 @@ class TestReducedFromFragments:
         """The point is checked and cot(pi z) computed once, whatever the
         number of orders, and not again at the same point and precision;
         each Te^k is the value monotangent_eval returns."""
-        monkeypatch.setattr(numerics, "_points", {})
+        _fresh(monkeypatch, numerics, "_points")
         s, z = C(3, 1, 2, 1), mp.mpc("0.1", "0.6")
         assert len(_order_terms(s)) > 1
         with mock.patch.object(mp, "cot", wraps=mp.cot) as cot, mock.patch.object(
@@ -221,23 +233,23 @@ class TestReducedFromFragments:
                 assert numerics._monotangent(k, at_z)[0] == monotangent_eval(k, z, CTX)
 
     def test_tighter_target_replaces_the_entry(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_fragments", {})
-        monkeypatch.setattr(zetasum, "_cache", {})
+        _fresh(monkeypatch, numerics, "_fragments")
+        _fresh(monkeypatch, zetasum, "_cache")
         cap = CTX.truncation_cap
         with CTX.workprec():
+            key = ((2, 1), 2, mp.mp.prec, cap)
             _, loose = numerics._fragment_value((2, 1), 2, 1e-8, cap)
-            (key,) = numerics._fragments
+            assert len(numerics._fragments) == 1
             assert numerics._fragment_value((2, 1), 2, 1e-8, cap)[1] == loose
             _, tight = numerics._fragment_value((2, 1), 2, float(loose) / 1e6, cap)
         assert tight <= loose / 1e6
-        assert list(numerics._fragments) == [key]
-        assert numerics._fragments[key][1] == tight
+        assert len(numerics._fragments) == 1
+        assert numerics._fragments.get(key)[1] == tight
 
     def test_fragment_cache_is_bounded(self, monkeypatch):
         """The fragments of the weight-9 sequences, 2^9 - 9 of them at one
         precision, overflow a cache of 100."""
-        monkeypatch.setattr(numerics, "_fragments", {})
-        monkeypatch.setattr(numerics, "_FRAGMENT_SIZE", 100)
+        _fresh(monkeypatch, numerics, "_fragments", size=100)
         ctx = NumericContext(target_abs_error=1e-8, working_precision=64)
         for s in enumerate_compositions(9):
             multitangent_eval_reduced(s, mp.mpc("0.3", "0.7"), ctx)
@@ -250,7 +262,7 @@ class TestPointCache:
 
     @pytest.fixture(autouse=True)
     def empty(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_points", {})
+        _fresh(monkeypatch, numerics, "_points")
 
     @staticmethod
     def _counted(monkeypatch) -> list:
@@ -309,14 +321,14 @@ class TestPointCache:
         z = mp.mpc("0.3", "0.4")
         monotangent_eval(4, z, ctx)
         with ctx.workprec():
-            (_, bound), = [v for key, v in numerics._points.items() if len(key) == 3]
+            _, bound = numerics._points.get((numerics.check_point(z)._mpc_, mp.mp.prec, 4))
         assert bound > 0
         with pytest.raises(PrecisionUnreachableError) as info:
             monotangent_eval(4, z, replace(ctx, target_abs_error=bound / 2))
         assert info.value.achieved == bound
 
     def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_POINT_SIZE", 16)
+        _fresh(monkeypatch, numerics, "_points", size=16)
         for z in sample_points(20, 12, IM):
             monotangent_eval(2, z, CTX)
         assert len(numerics._points) == 16
@@ -387,7 +399,7 @@ class TestTrifactorization:
 
         monkeypatch.setattr(numerics, "cot_poly", scaled)
         # a Te^2 cached under the exact cot_poly would hide the change
-        monkeypatch.setattr(numerics, "_points", {})
+        _fresh(monkeypatch, numerics, "_points")
         assert not run_suite("trifact").ok
 
 
@@ -511,9 +523,59 @@ def _counting_fixed(monkeypatch) -> list:
     return calls
 
 
+def test_certified_cache_counts_each_step():
+    """One scripted sequence: (hits, misses, evictions, currsize) after each
+    call of a cache of two entries ``(value, bound[, cutoff])``."""
+    cache = CertifiedCache(2)
+
+    def counts():
+        hits, misses, maxsize, currsize = cache.cache_info()
+        assert maxsize == 2 and currsize == len(cache)
+        return hits, misses, cache.evictions, currsize
+
+    assert cache.get("a", 1e-8) is None  # a miss
+    assert counts() == (0, 1, 0, 0)
+    cache.put("a", (1, 1e-10, 16))  # a store
+    assert counts() == (0, 1, 0, 1)
+    assert cache.get("a", 1e-8, 48) == (1, 1e-10, 16)  # a hit
+    assert counts() == (1, 1, 0, 1)
+    assert cache.get("a", 1e-12) is None  # a miss on a tighter target
+    assert counts() == (1, 2, 0, 1)
+    assert cache.get("a", 1e-8, 15) is None  # a miss on a smaller cap
+    assert counts() == (1, 3, 0, 1)
+    cache.put("a", (2, 1e-13, 48))  # a tighter store replaces the entry
+    assert cache.get("a", 1e-12) == (2, 1e-13, 48)
+    assert counts() == (2, 3, 0, 1)
+    cache.put("a", (3, 1e-9, 16))  # a looser store is ignored
+    assert cache.get("a", 1e-12) == (2, 1e-13, 48)
+    assert counts() == (3, 3, 0, 1)
+    cache.put("b", (4, 1e-10))
+    cache.put("c", (5, 1e-10))  # an overflow evicts "a", the least recently used
+    assert counts() == (3, 3, 1, 2)
+    assert cache.get("a") is None
+    assert counts() == (3, 4, 1, 2)
+    assert cache.get("b") == (4, 1e-10)  # a hit refreshes "b" first
+    cache.put("d", (6, 1e-10))  # so the overflow evicts "c"
+    assert counts() == (4, 4, 2, 2)
+    assert cache.get("c") is None and cache.get("b") == (4, 1e-10)
+    assert counts() == (5, 5, 2, 2)
+    cache.clear()
+    assert counts() == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("z", [mp.inf, mp.mpc(mp.nan, 1), mp.mpc(1, mp.inf)], ids=str)
+def test_nested_sums_refuse_a_point_that_is_not_finite(z):
+    """mpmath keeps inf and nan as a zero mantissa with a nonzero exponent,
+    which the exact dyadic of the point would read as 0."""
+    with pytest.raises(ValueError, match="is not finite"):
+        shifted_nested_sum((2,), z, target=1e-10)
+    with pytest.raises(ValueError, match="is not finite"):
+        shifted_nested_sum_fixed((2,), z, 16)
+
+
 def test_nested_sum_cache_is_a_bounded_lru(monkeypatch):
-    monkeypatch.setattr(zetasum, "_cache", {})
-    size = zetasum._CACHE_SIZE
+    _fresh(monkeypatch, zetasum, "_cache")
+    size = zetasum._cache.maxsize
     points = [mp.mpf(i) / 1024 for i in range(size + 40)]
     with mp.workprec(64):
         for z in points[:size]:
@@ -533,7 +595,7 @@ def test_nested_sum_cache_is_a_bounded_lru(monkeypatch):
 def test_unreachable_target_is_refused_at_once(monkeypatch):
     """Below the rounding of the working precision no cutoff helps, so the
     first fixed-cutoff sum decides."""
-    monkeypatch.setattr(zetasum, "_cache", {})
+    _fresh(monkeypatch, zetasum, "_cache")
     calls = _counting_fixed(monkeypatch)
     with mp.workprec(128):
         with pytest.raises(PrecisionUnreachableError) as info:
@@ -543,7 +605,7 @@ def test_unreachable_target_is_refused_at_once(monkeypatch):
 
 
 def test_bound_covers_rounding_below_working_precision(monkeypatch):
-    monkeypatch.setattr(zetasum, "_cache", {})
+    _fresh(monkeypatch, zetasum, "_cache")
     with mp.workprec(128):
         v, e = shifted_nested_sum((3,), 0, target=1e-45)
     assert e <= 1e-45
@@ -555,7 +617,7 @@ def test_miss_and_hit_return_one_float_bound(monkeypatch):
     """The pass that certifies and the cache hits after it return the same
     (value, bound), the bound a float both times, for the full sum and for
     a stored prefix."""
-    monkeypatch.setattr(zetasum, "_cache", {})
+    _fresh(monkeypatch, zetasum, "_cache")
     z = mp.mpc("0.3", "0.7")
     with mp.workprec(128):
         miss = shifted_nested_sum((3, 1, 2), z, target=1e-20)
@@ -593,7 +655,7 @@ def test_certificate_covers_reference(parts, shift, prec, below):
         ref, ref_bound = shifted_nested_sum_fixed(parts, z, 144)
     results = []
     # a fresh cache: these sums must not serve later tests at their targets
-    with mp.workprec(prec), mock.patch.dict(zetasum._cache, clear=True):
+    with mp.workprec(prec), _fresh_nested_sums():
         results += [shifted_nested_sum_fixed(parts, z, n0) for n0 in (16, 48)]
         target = 2.0 ** -(prec + below)
         try:
@@ -628,9 +690,9 @@ def test_every_prefix_bound_covers_reference(parts, point, digits, prec):
     reference at n0 = 144."""
     z = mp.mpc(*point) / 2**10
     target = 10.0**-digits
-    with mp.workprec(prec), mock.patch.dict(zetasum._cache, clear=True):
+    with mp.workprec(prec), _fresh_nested_sums():
         value, bound = shifted_nested_sum(parts, z, target=target)
-        n0 = zetasum._cache[(parts, zetasum._point(z), prec)][2]
+        n0 = zetasum._cache.get((parts, zetasum._point(z), prec))[2]
         result = shifted_nested_sum_fixed(parts, z, n0)
     assert (value, bound) == tuple(result) and bound <= target
     with mp.workprec(400):
@@ -699,8 +761,8 @@ def _convergent(depth: int):
 def test_direct_evaluation_makes_two_passes(monkeypatch, depth):
     """On a cold cache Te[s](z) costs one pass for s at z and one for the
     reversed s at -z; every shorter split piece is a stored prefix."""
-    monkeypatch.setattr(numerics, "_memo", {})
-    monkeypatch.setattr(zetasum, "_cache", {})
+    _fresh(monkeypatch, numerics, "_memo")
+    _fresh(monkeypatch, zetasum, "_cache")
     calls = _counting_fixed(monkeypatch)
     for parts in _convergent(depth):
         zetasum._cache.clear()
@@ -715,7 +777,8 @@ def test_near_pole_certifies_by_48():
     48, never at 144."""
     z = mp.mpc("2.039", "0.053")
     ctx = NumericContext(target_abs_error=1e-16)
-    with mock.patch.dict(zetasum._cache, clear=True), mock.patch.dict(numerics._memo, clear=True):
+    memo = CertifiedCache(numerics._memo.maxsize)
+    with _fresh_nested_sums(), mock.patch.object(numerics, "_memo", memo):
         with mock.patch.object(
             zetasum, "shifted_nested_sum_fixed", wraps=shifted_nested_sum_fixed
         ) as fixed:
@@ -730,8 +793,8 @@ def test_near_pole_certifies_by_48():
 def test_direct_evaluations_certify_at_the_floor(monkeypatch):
     """A seeded sample like the benchmark's direct evaluations: every sum
     starts at the floor cutoff, and at least 95% certify there."""
-    monkeypatch.setattr(numerics, "_memo", {})
-    monkeypatch.setattr(zetasum, "_cache", {})
+    _fresh(monkeypatch, numerics, "_memo")
+    _fresh(monkeypatch, zetasum, "_cache")
     passes, requests = [], []
     fixed, nested = zetasum.shifted_nested_sum_fixed, zetasum.shifted_nested_sum
 
@@ -977,7 +1040,7 @@ class TestEulerMaclaurinEngine:
     def test_golden_values(self, parts, z, re, im, bound, monkeypatch):
         # an entry cached by an earlier test to a tighter target would be
         # served at its longer cutoff, with a different value and bound
-        monkeypatch.setattr(zetasum, "_cache", {})
+        _fresh(monkeypatch, zetasum, "_cache")
         with mp.workprec(128):
             v, e = shifted_nested_sum(parts, mp.mpc(*z))
             bound = mp.mpf(bound)
@@ -1184,9 +1247,8 @@ def test_reduced_refusal_names_its_own_sum(monkeypatch):
     refuses its own target near 1e-37, and the evaluation refuses under
     1e-10 with an achieved bound no smaller.  Te^9 alone reaches 3.3e-10
     there, so the refusal is right."""
-    for cache in ("_fragments", "_orders", "_points"):
-        monkeypatch.setattr(numerics, cache, {})
-    monkeypatch.setattr(zetasum, "_cache", {})
+    _fresh(monkeypatch, numerics, "_fragments", "_orders", "_points")
+    _fresh(monkeypatch, zetasum, "_cache")
     ctx = NumericContext(target_abs_error=1e-10, working_precision=128)
     z = mp.mpc(0.0011, 0.00001)
     with pytest.raises(PrecisionUnreachableError) as info:
@@ -1342,7 +1404,7 @@ def test_products_never_claim_below_their_rounding(evaluate):
 def test_nested_sum_cache_key_is_the_exact_point(monkeypatch):
     """Two points one ulp apart print alike at 128 bits; each keeps its own
     sum, so neither is served the other's value under its bound."""
-    monkeypatch.setattr(zetasum, "_cache", {})
+    _fresh(monkeypatch, zetasum, "_cache")
     with mp.workprec(128):
         a = mp.mpc("0.3", "0.7")
         man, exp = a.real.man, a.real.exp
@@ -1387,7 +1449,7 @@ def test_point_keeps_the_working_precision(evaluate):
 
 def _counting_certify(monkeypatch) -> list:
     """A fresh memo, and a counter of the certify calls behind it."""
-    monkeypatch.setattr(numerics, "_memo", {})
+    _fresh(monkeypatch, numerics, "_memo")
     calls = []
     certify = numerics.certify
 
@@ -1436,7 +1498,7 @@ class TestDirectMemo:
         calls = _counting_certify(monkeypatch)
         with pytest.raises(PrecisionUnreachableError):
             multitangent_eval_direct(C(2, 2), _MEMO_Z, _TIGHT_CTX)
-        assert numerics._memo == {}
+        assert len(numerics._memo) == 0
         with pytest.raises(PrecisionUnreachableError):
             multitangent_eval_direct(C(2, 2), _MEMO_Z, _TIGHT_CTX)
         assert len(calls) == 2
@@ -1444,7 +1506,7 @@ class TestDirectMemo:
     def test_memo_is_a_bounded_lru(self, monkeypatch):
         calls = _counting_certify(monkeypatch)
         ctx = NumericContext(target_abs_error=1e-6, working_precision=64)
-        size = zetasum._MEMO_SIZE
+        size = numerics._memo.maxsize
         points = [mp.mpc(mp.mpf(i) / 1024 + 0.25, 0.5) for i in range(size + 8)]
         for z in points[:size]:
             multitangent_eval_direct(C(2), z, ctx)

@@ -262,11 +262,18 @@ class TestEnumeration:
 
 
 def test_every_cache_is_bounded():
-    """An unbounded lru_cache grows for the life of the process."""
-    unbounded = []
+    """An unbounded cache grows for the life of the process: every
+    lru_cache and every certified cache reports its bound through
+    cache_info()."""
+    seen, unbounded = set(), []
     for info in pkgutil.iter_modules(multitangent.__path__):
         module = importlib.import_module(f"multitangent.{info.name}")
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info") and obj.cache_info().maxsize is None:
-                unbounded.append(f"{info.name}.{name}")
+            if hasattr(obj, "cache_info") and not isinstance(obj, type):
+                seen.add(f"{info.name}.{name}")
+                if obj.cache_info().maxsize in (None, math.inf):
+                    unbounded.append(f"{info.name}.{name}")
+    certified = {"zetasum._cache", "numerics._memo", "numerics._fragments",
+                 "numerics._orders", "numerics._points"}
+    assert certified <= seen
     assert not unbounded
