@@ -69,9 +69,10 @@ class MtCombo(LinearCombination):
         return weights.pop() if len(weights) == 1 else None
 
     def evaluate(self, z, ctx: NumericContext = DEFAULT_CONTEXT):
-        """The sum of the terms at z, each coefficient exact (``certified_sum``)."""
+        """The sum of the terms at z, coefficients exact, at the context's precision."""
         terms = [[(c, 0.0), (multitangent_eval_direct(s, z, ctx), 0.0)] for s, c in self.items()]
-        return certified_sum(terms)[0]
+        with ctx.workprec():
+            return certified_sum(terms)[0]
 
     def _term_str(self, comp: Composition, coef: Fraction) -> str:
         prefix = "" if coef == 1 else ("-" if coef == -1 else f"{coef}·")
@@ -160,16 +161,17 @@ def _require_coverage(weight: int) -> None:
 
 def _recheck(what: str, lhs, combo: MtCombo, ctx: NumericContext) -> None:
     """Require lhs(z) == combo(z) at the sample points: 0 must lie within the
-    certified sum of ``lhs(z, t)`` and -combo(z), every value within the target t."""
+    certified sum at ``ctx`` of ``lhs(z, t)`` and -combo(z), each within t."""
     t, coefs = ctx.target_abs_error, [(s, (-c, 0.0)) for s, c in combo.items()]
     for z in sample_points(2):
         rhs = [[c, (multitangent_eval_direct(s, z, ctx), t)] for s, c in coefs]
-        diff, bound = certified_sum(lhs(z, t) + rhs)
-        if abs(diff) > bound:
-            raise NumericRecheckError(
-                f"{what} fails recheck at {z}: |diff| = {float(abs(diff)):.3e} "
-                f"> certified bound {float(bound):.3e}"
-            )
+        with ctx.workprec():
+            diff, bound = certified_sum(lhs(z, t) + rhs)
+            if abs(diff) > bound:
+                raise NumericRecheckError(
+                    f"{what} fails recheck at {z}: |diff| = {float(abs(diff)):.3e} "
+                    f"> certified bound {float(bound):.3e}"
+                )
 
 
 def relation_kernel(

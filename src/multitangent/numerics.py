@@ -39,7 +39,7 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import GUARD, CertifiedCache, _fixed, _inverse_powers, _point
+from .zetasum import GUARD, CertifiedCache, _inverse_powers, _point, _read
 from .zetasum import certified_sum, certify, shifted_nested_sum
 
 
@@ -84,14 +84,13 @@ def cot_poly(k: int) -> dict[int, Fraction]:
 
 def _cot(z):
     """(c, x, err): c = cot(pi z) at the working precision, over 2^wp as
-    ``zetasum._fixed`` gives it, and floats err >= |cot(pi z) - c| and x >=
+    ``zetasum._read`` reads it, and floats err >= |cot(pi z) - c| and x >=
     |c| + err.  The one trust placed in mpmath's cot: pi z rounds by a
     relative 2^(2-prec), which cot' = -(1 + cot^2) carries, and cot adds
     2^(2-prec) (1 + |c|); err is twice that, which covers c's ulps too."""
-    c = mp.cot(mp.pi * z)
-    m = abs(complex(c)) * (1 + 2.0**-50)
+    cr, ci, _, m, _ = _read((mp.cot(mp.pi * z), 0.0), mp.mp.prec + GUARD)
     err = math.ldexp(4 * abs(complex(z)) * (1 + m * m) + 1 + m, max(-1070, 3 - mp.mp.prec))
-    return _fixed(c, mp.mp.prec + GUARD)[:2], m + err, err
+    return (cr, ci), m + err, err
 
 
 def _monotangent(k: int, cot):
@@ -275,6 +274,7 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
     with ctx.workprec():
         # poles sit at z = -1, -2, ... for the + side and 1, 2, ... for the - side
         z = mp.mpc(z)
+        point = _point(z)  # raises ValueError if z is not finite
         if (-1 if side == "+" else 1) * mp.nint(z.real) >= 1:
             check_point(z, ctx.pole_guard)
         if not s:
@@ -285,7 +285,7 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
             return mp.digamma(1 - z) + mp.euler
         if s.parts[0 if side == "+" else -1] < 2:
             raise ValueError(f"He_{side}[{s}] diverges")
-        return _one_sided(side, s.parts, z, ctx.target_abs_error, ctx.truncation_cap)[0]
+        return _one_sided(side, s.parts, point, ctx.target_abs_error, ctx.truncation_cap)[0]
 
 
 def trifactorization_residual(
@@ -350,6 +350,7 @@ def fourier_partial_sum(
     """-sum_{n=1}^{N} T_hat_n q^n, valid for Im z > 0."""
     with ctx.workprec():
         z = mp.mpc(z)
+        _point(z)  # raises ValueError if z is not finite; a Fourier sum has no poles
         _check_fourier_sum(s, n_terms, mp.im(z))
         q = mp.exp(2j * mp.pi * z)
         zetas = list(_fourier_zetas(s, ctx))

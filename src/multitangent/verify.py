@@ -34,13 +34,14 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, label: str, terms) -> None:
-        """Check that 0 lies within the ``zetasum.certified_sum`` of ``terms``."""
-        value, bound = certified_sum(terms)
-        self.checks += 1
-        self.worst = max(self.worst, float(abs(value)))
-        if abs(value) > bound:
-            self.failures.append((label, float(abs(value))))
+    def record(self, label: str, terms, ctx: NumericContext) -> None:
+        """Check that 0 lies within the ``certified_sum`` of ``terms`` at ``ctx``."""
+        with ctx.workprec():
+            value, bound = certified_sum(terms)
+            self.checks += 1
+            self.worst = max(self.worst, float(abs(value)))
+            if abs(value) > bound:
+                self.failures.append((label, float(abs(value))))
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAIL"
@@ -88,7 +89,7 @@ def suite_symmetrel(
                         pairs.append((a, b))
     for (a, b), z in zip(pairs, sample_points(len(pairs), seed, _SUITE_IM_RANGE)):
         rhs = [[(-mult, 0), _te(word, z, ctx)] for word, mult in stuffle(a, b).items()]
-        result.record(f"Te[{a}]*Te[{b}]", [[_te(a, z, ctx), _te(b, z, ctx)], *rhs])
+        result.record(f"Te[{a}]*Te[{b}]", [[_te(a, z, ctx), _te(b, z, ctx)], *rhs], ctx)
     return result
 
 
@@ -104,7 +105,7 @@ def suite_parity(
     ]
     for s, z in zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE)):
         rhs = [(-((-1) ** s.weight), 0), _te(s.reverse(), z, ctx)]
-        result.record(f"parity Te[{s}]", [[_te(s, -z, ctx)], rhs])
+        result.record(f"parity Te[{s}]", [[_te(s, -z, ctx)], rhs], ctx)
     return result
 
 
@@ -126,7 +127,7 @@ def suite_diff(
             quotient = [(1 / (2 * h), mp.ldexp(1 / h, -mp.mp.prec))]
             terms = [[_te(s, z + h, ctx), *quotient], [_te(s, z - h, ctx), (-1, 0), *quotient]]
         terms += [[(part, 0), _te(s.bump(i), z, ctx)] for i, part in enumerate(s.parts)]
-        result.record(f"diff Te[{s}]", [*terms, [(0, DIFF_TRUNCATION)]])
+        result.record(f"diff Te[{s}]", [*terms, [(0, DIFF_TRUNCATION)]], ctx)
     return result
 
 
@@ -152,7 +153,7 @@ def suite_trifact(ctx: NumericContext = DEFAULT_CONTEXT, seed: int = 17) -> Suit
     ]
     for s in seqs:
         for z in sample_points(3, seed + s.weight, _SUITE_IM_RANGE):
-            result.record(f"trifact Te[{s}]", [[trifactorization_residual(s, z, ctx)]])
+            result.record(f"trifact Te[{s}]", [[trifactorization_residual(s, z, ctx)]], ctx)
     return result
 
 

@@ -84,8 +84,10 @@ its exact dyadic (``_Point``), and every bound is a float rounded up.
 Certified sums
 --------------
 ``certified_sum`` adds products of factors (value, bound) in the same
-format.  A value (int, exact Fraction, mpf or mpc) becomes a Gaussian
-integer, and its conversion error verr is counted in ulps.  A running
+format, at the working precision: a sum made outside an evaluator runs at
+its context's.  One reader, ``_read``, reads each factor once: its value
+(int, exact Fraction, mpf or mpc) with its own bits as a Gaussian integer,
+verr ulps away, and its size and bound as upward floats.  A running
 product P rounds once per factor v, and its error err becomes
 err |v| + |P| verr + 1 ulps; the sums are exact.  The propagated bound runs
 in floats by a recursion that never cancels, with a_k >= |v_k| and e_k the
@@ -97,7 +99,7 @@ working precision at the end.  Bounds are returned as floats, scaled by
 returns them: bounds are upward-rounded floats from pass to certificate.
 ``certify`` holds the one budget rule.  Its pieces are factors it evaluates
 itself: in a term of n with c pieces whose other factors multiply to
-m = prod (|value| + bound), each piece first gets target / (2 n c max(1, m)),
+m = prod (size + bound), each piece first gets target / (2 n c max(1, m)),
 and all piece targets shrink by target / (4 bound) while the bound misses.  A
 pass that misses is summed again with every piece at its value and bound 0:
 if that misses too, no piece target can help, and the sum is refused.  A
@@ -154,7 +156,6 @@ def _rising(b: int, k: int) -> int:
     return math.prod(range(b, b + k))
 
 
-@functools.lru_cache(maxsize=256)
 def _em_template(b: int) -> tuple:
     """The completion G_b of sum over n > m of (n+z)^(-b), b >= 2, as pairs
     (k, e_k): the sum is e_k u^(-k) summed over k at u = m+z, up to the
@@ -540,29 +541,27 @@ def shifted_nested_sum(
     )
 
 
-def _fixed(v, wp: int) -> tuple[int, int, float]:
-    """(x, y, err): v (an int, Fraction, mpf or mpc) times 2^wp as the
-    Gaussian integer x + iy, err units away.  A part that is not finite
-    becomes 0; ``certified_sum`` refuses it through ``_size``."""
+def _read(factor, wp: int) -> tuple[int, int, float, float, float]:
+    """(x, y, err, size, bound) of a factor (value, bound): the value (an
+    int, Fraction, mpf or mpc with its own bits, or what ``mp.mpc`` takes)
+    times 2^wp is x + iy within err units, a part that is not finite becoming
+    0; size >= |value| is a float, inf beyond the float range and inf or nan
+    if the value is not finite; the bound is a float rounded up."""
+    v, e = factor
     if isinstance(v, int):
-        return v << wp, 0, 0.0
-    if isinstance(v, Fraction):
-        return (v.numerator << wp) // v.denominator, 0, 1.0
-    re, im = v._mpc_ if isinstance(v, mp.mpc) else mp.mpc(v)._mpc_
-    return to_fixed(re, wp), to_fixed(im, wp), 1.5
-
-
-def _size(v) -> float:
-    """|v| in floats, scaled up past their rounding: inf or nan if v is not
-    finite, and inf if it lies beyond the float range.  An mpf or mpc is read
-    from its raw parts, rounded to nearest as ``complex(v)`` rounds them."""
-    if isinstance(v, (mp.mpc, mp.mpf)):
-        re, im = v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, fzero)
-        return abs(complex(to_float(re, rnd="n"), to_float(im, rnd="n"))) * (1 + 2.0**-50)
+        x, y, err = v << wp, 0, 0.0
+    elif isinstance(v, Fraction):
+        x, y, err = (v.numerator << wp) // v.denominator, 0, 1.0
+    else:
+        re, im = v._mpc_ if isinstance(v, mp.mpc) else (
+            (v._mpf_, fzero) if isinstance(v, mp.mpf) else mp.mpc(v)._mpc_)
+        x, y, err = to_fixed(re, wp), to_fixed(im, wp), 1.5
+        v = complex(to_float(re, rnd="n"), to_float(im, rnd="n"))
     try:
-        return abs(complex(v)) * (1 + 2.0**-50)
+        size = abs(complex(v)) * (1 + 2.0**-50)
     except OverflowError:
-        return math.inf
+        size = math.inf
+    return x, y, err, size, e if type(e) is float else _upward(float(e))
 
 
 def certified_sum(terms) -> _FixedSum:
@@ -577,10 +576,9 @@ def certified_sum(terms) -> _FixedSum:
     propagated = size = ulps = 0.0
     for term in terms:
         pr, pi, err, d, h = 1 << wp, 0, 0.0, 0.0, 1.0
-        for v, e in term:
-            x, y, verr = _fixed(v, wp)
-            a = _size(v) + verr * ulp  # verr ulps cover a part that underflows
-            e = e if type(e) is float else math.nextafter(float(e), math.inf)
+        for factor in term:
+            x, y, verr, a, e = _read(factor, wp)
+            a += verr * ulp  # verr ulps cover a part that underflows
             pr, pi = (pr * x - pi * y + half) >> wp, (pr * y + pi * x + half) >> wp
             err = err * a + (h + err * ulp) * verr + 1.0
             d = d * a + h * e
@@ -602,7 +600,7 @@ def certify(terms, target) -> _FixedSum:
     """``certified_sum`` of ``terms`` within ``target``.  A factor is a
     certified ``(value, bound)`` or a piece, a callable t -> (value, bound)
     within t.  In a term of n with c pieces whose other factors multiply to
-    m = prod (|value| + bound), each piece first gets
+    m = prod (size + bound) as ``_read`` reads them, each piece first gets
     target / (2 n c max(1, m)); the piece targets shrink by target / (4 bound)
     while the bound misses.  Raises PrecisionUnreachableError when the bound
     misses with no piece target to shrink, when the rounding alone exceeds
@@ -610,14 +608,10 @@ def certify(terms, target) -> _FixedSum:
     0 misses too, since no piece target can then help; the error carries
     that sum's bound.  A piece that refuses is refused under this target,
     with an achieved bound above it."""
-    n, firsts, scale = len(terms), [], 1.0
+    n, firsts, scale, wp = len(terms), [], 1.0, mp.mp.prec + GUARD
     for term in terms:
-        c, m = 0, 1.0
-        for f in term:
-            if callable(f):
-                c += 1
-            else:
-                m *= _size(f[0]) + float(f[1])
+        c = sum(map(callable, term))
+        m = math.prod(sum(_read(f, wp)[3:]) for f in term if not callable(f))  # size + bound
         firsts.append(c and target / (2 * n * c * max(1.0, m)))
     while True:
         try:

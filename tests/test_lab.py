@@ -169,6 +169,18 @@ class TestRelationKernel:
         with pytest.raises(NumericRecheckError, match="kernel relation"):
             relation_kernel(6)
 
+    def test_recheck_sums_at_the_context_precision(self, user_precision):
+        """A left side 1e-20 off a weight-6 relation fails at target 1e-40
+        and 200 bits: the recheck sum runs at 200 bits, not at the caller's
+        53, where its certified bounds are 9.2e-15 and 2.6e-15."""
+        ctx = NumericContext(target_abs_error=1e-40, working_precision=200)
+        rel = MtCombo({C(2, 4): Fraction(1, 4), C(3, 3): Fraction(-1, 6),
+                       C(4, 2): Fraction(-1, 4), C(2, 1, 3): 1})
+        assert kernel_contains(6, rel)
+        lab._recheck("relation", lambda z, t: [], rel, ctx)
+        with pytest.raises(NumericRecheckError):
+            lab._recheck("relation", lambda z, t: [[(Fraction(1, 10**20), 0.0)]], rel, ctx)
+
     def test_weight6_all_tabulated_relations(self):
         relations = [
             {C(3, 1, 2): 1, C(2, 1, 3): 1, C(2, 1, 1, 2): 1},
@@ -218,6 +230,17 @@ class TestRelationKernel:
         for stray in (C(3), C(1, 4, 1)):
             with pytest.raises(ValueError, match=rf"Te\[{stray}\]"):
                 kernel_contains(6, relation + MtCombo({stray: 5}))
+
+
+def test_evaluate_sums_at_the_context_precision(user_precision):
+    """At target 1e-40 and 200 bits a one-term combination is the direct
+    value, not that value rounded to the caller's 53 bits."""
+    ctx = NumericContext(target_abs_error=1e-40, working_precision=200)
+    z = mp.mpc(0.3, 0.7)
+    got = MtCombo({C(2, 3): 1}).evaluate(z, ctx)
+    direct = lab.multitangent_eval_direct(C(2, 3), z, ctx)
+    with mp.workprec(300):
+        assert abs(got - direct) <= 1e-39
 
 
 class TestDifferentiate:

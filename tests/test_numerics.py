@@ -13,7 +13,7 @@ from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitangent import lab, numerics
+from multitangent import lab, numerics, verify
 from multitangent.families import te_nk_closed_form
 from multitangent.errors import PoleProximityError
 from multitangent.errors import MultitangentError
@@ -377,6 +377,17 @@ class TestHurwitz:
         with pytest.raises(ValueError):
             hurwitz_eval("-", C(2, 1), 0.5, CTX)
 
+    @pytest.mark.parametrize(
+        "side, parts, z",
+        [("+", (1,), mp.inf), ("-", (1,), mp.mpc(mp.nan, 1)), ("+", (2, 3), mp.mpc(mp.inf, 0.5))],
+        ids=["digamma-inf", "digamma-nan", "nested-inf"],
+    )
+    def test_refuses_a_point_that_is_not_finite(self, side, parts, z):
+        """Before any branch: the digamma branch of (1) would return -inf or
+        fail inside mpmath."""
+        with pytest.raises(ValueError, match="is not finite"):
+            hurwitz_eval(side, Composition(parts), z, CTX)
+
 
 class TestTrifactorization:
     @pytest.mark.parametrize("parts", [(2,), (3,), (2, 2), (3, 2), (2, 3)])
@@ -401,6 +412,23 @@ class TestTrifactorization:
         # a Te^2 cached under the exact cot_poly would hide the change
         _fresh(monkeypatch, numerics, "_points")
         assert not run_suite("trifact").ok
+
+
+def test_suite_sums_at_the_context_precision(monkeypatch, user_precision):
+    """Te[4] 1e-20 off fails Te[2] Te[2] = 2 Te[2,2] + Te[4] at target 1e-40
+    and 200 bits: the check is summed at 200 bits, not at the caller's 53,
+    where its bound is 1.5e-13."""
+    ctx = NumericContext(target_abs_error=1e-40, working_precision=200)
+    assert verify.suite_symmetrel(ctx, max_weight=4).ok
+    direct = verify.multitangent_eval_direct
+
+    def off(s, z, ctx):
+        with ctx.workprec():
+            return direct(s, z, ctx) + (mp.mpf(10) ** -20 if s == C(4) else 0)
+
+    monkeypatch.setattr(verify, "multitangent_eval_direct", off)
+    result = verify.suite_symmetrel(ctx, max_weight=4)
+    assert result.checks == 1 and not result.ok
 
 
 class TestFourier:
@@ -500,6 +528,12 @@ class TestFourier:
     def test_partial_sum_rejects_invalid_input(self, s, n_terms, z):
         with pytest.raises(ValueError):
             fourier_partial_sum(s, z, n_terms, CTX)
+
+    @pytest.mark.parametrize("z", [mp.mpc(0.3, mp.inf), mp.mpc(mp.nan, 1)], ids=str)
+    def test_partial_sum_refuses_a_point_that_is_not_finite(self, z):
+        """Not nan + nan i: both points pass the Im z > 0 check."""
+        with pytest.raises(ValueError, match="is not finite"):
+            fourier_partial_sum(C(2, 3), z, 3, CTX)
 
 
 def test_cached_nested_sum_respects_cap():
@@ -913,7 +947,7 @@ class TestEulerMaclaurinEngine:
                 result = shifted_nested_sum_fixed((3, 1, 2), 0.3 + 0.7j, 48)
                 return [(v.real._mpf_, v.imag._mpf_, e) for v, e in result.prefixes]
 
-        caches = (zetasum._em_template, zetasum._em_integers, zetasum._tail)
+        caches = (zetasum._em_integers, zetasum._tail)
         with mp.workprec(64):
             shifted_nested_sum_fixed((3, 1, 2), 0.3 + 0.7j, 48)
         warm = run()
@@ -1215,12 +1249,31 @@ def test_certify_refuses_a_factor_that_is_not_finite(factor):
 def test_factor_beyond_the_float_range_is_refused(value):
     """Its size is infinite, so it is refused like a factor that is not
     finite, by certified_sum and by certify's first-pass budget alike."""
-    assert zetasum._size(value) == math.inf
+    assert zetasum._read((value, 0.0), 64)[3] == math.inf
     with pytest.raises(PrecisionUnreachableError):
         certified_sum([[(value, 0.0)]])
     with pytest.raises(PrecisionUnreachableError) as info:
         zetasum.certify([[(value, 0.0), lambda t: (mp.mpf(1), t)]], 1e-10)
     assert info.value.achieved == math.inf
+
+
+def test_certified_sum_reads_each_factor_once():
+    """One ``_read`` per factor, whatever its type."""
+    read = zetasum._read
+    terms = [[(2, 0.0), (Fraction(1, 3), 1e-9)], [(mp.mpf(1) / 7, 0.0), (mp.mpc(1, 2), 1e-20)],
+             [(0.5 + 1j, mp.mpf(2) ** -60)]]
+    with mock.patch.object(zetasum, "_read", side_effect=read) as reader:
+        certified_sum(terms)
+    assert reader.call_count == 5
+
+
+def test_factor_enters_with_its_own_bits(user_precision):
+    """1/3 made at 200 bits less 1/3 is summed from the factor's own bits,
+    not from the factor rounded to the 53 working bits (1.85e-17 away)."""
+    with mp.workprec(200):
+        third = mp.mpf(1) / 3
+    value, bound = certified_sum([[(third, 0.0)], [(-Fraction(1, 3), 0.0)]])
+    assert abs(value) < 1e-28 and abs(value) <= bound
 
 
 def test_certify_refuses_a_failing_piece_under_its_own_target():
