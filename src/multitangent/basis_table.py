@@ -50,9 +50,9 @@ BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
 MAX_WEIGHT = max(BASES)
 
 # Weights past this one are derived on first use: deriving and certifying
-# 9 and 10 takes about 2.5 s on a 2-vCPU host, which every process would pay
-# at load (the benchmark's setup_s), though only workbench calls past weight
-# 9 need them.
+# 9 and 10 takes 0.7-1.2 s (weight 10 0.57-0.94 s of it) on a 2-vCPU Intel
+# Xeon host, which every process would pay at load (the benchmark's
+# setup_s), though only workbench calls past weight 9 need them.
 EAGER_WEIGHT = 8
 
 _VERIFY_CONTEXT = NumericContext(target_abs_error=5e-11)  # an entry off by 1e-10 fails
@@ -86,9 +86,9 @@ def _shuffle_xy(a: Composition, b: Composition) -> WordPoly:
 def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExpr]:
     """Every convergent symbol of ``weight`` over ``basis``, in canonical order.
 
-    Unknowns are the convergent words, then one column per basis monomial.
-    After one rref every word column must hold a pivot, and the word equals
-    minus the basis part of its row.
+    Unknowns are the convergent words, deepest first (the least fill-in),
+    then one column per basis monomial.  After one rref every word column
+    must hold a pivot, and the word equals minus the basis part of its row.
     """
     words = enumerate_compositions(weight, "mzv")
     relations = [
@@ -107,7 +107,8 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
     for mono in basis:
         expansion = linearize(CoeffExpr({mono: 1}))
         relations.append({mono: -1, **{m.factors[0]: c for m, c in expansion.items()}})
-    column = {key: i for i, key in enumerate(words + basis)}
+    deepest = sorted(words, key=lambda w: -w.length)
+    column = {key: i for i, key in enumerate(deepest + basis)}
     matrix = []
     for relation in relations:
         row = [Fraction(0)] * len(column)
@@ -120,9 +121,10 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
         raise CoverageError(
             f"double shuffle does not reduce weight {weight} to its basis", weight=weight
         )
+    rows = dict(zip(deepest, red))
     return {
-        w: CoeffExpr({mono: -red[i][n + j] for j, mono in enumerate(basis)})
-        for i, w in enumerate(words)
+        w: CoeffExpr({mono: -rows[w][n + j] for j, mono in enumerate(basis)})
+        for w in words
     }
 
 

@@ -13,7 +13,7 @@ fragments of the reduction, never from its expanded coefficients: each
 fragment's vector over the zeta basis, and the vector of each product of two
 basis monomials (stuffle linearization, then table substitution), is kept in
 a bounded cache.  Projections and cleansings at one weight solve against the
-same system; each row set's system is built and factored once, in a bounded
+same system; each weight's system is built and factored once, in a bounded
 cache, and every right-hand side costs one sparse product.
 """
 
@@ -219,18 +219,17 @@ def kernel_contains(p: int, combo: MtCombo) -> bool:
 
 
 @lru_cache(maxsize=32)
-def _factored_system(
-    rows: tuple[Composition, ...],
-) -> tuple[tuple[Slot, ...], Factorization]:
-    """The slots and the factorization of the system of ``rows``."""
-    slots, system = _system(list(rows))
-    return tuple(slots), factor(system)
+def _factored_system(w: int) -> tuple[list[Composition], tuple[Slot, ...], Factorization]:
+    """The rows, the multitangents of weight w with every part >= 2, and the
+    slots and factorization of their system."""
+    rows = enumerate_compositions(w, "val2")
+    slots, system = _system(rows)
+    return rows, tuple(slots), factor(system)
 
 
-def _solve_for_combo(
-    rows: list[Composition], target: dict[Slot, Fraction]
-) -> MtCombo | None:
-    slots, system = _factored_system(tuple(rows))
+def _solve_for_combo(w: int, target: dict[Slot, Fraction]) -> MtCombo | None:
+    """The combination of the weight-w rows whose slot vector is ``target``, or None."""
+    rows, slots, system = _factored_system(w)
     if not target.keys() <= set(slots):
         return None
     x = system.solve([target.get(slot, Fraction(0)) for slot in slots])
@@ -252,8 +251,7 @@ def projection(
         raise ValueError("sigma must index a convergent zeta value")
     w = sigma.weight + 2
     _require_coverage(w)
-    rows = enumerate_compositions(w, "val2")
-    combo = _solve_for_combo(rows, _slots(2, CoeffExpr.symbol(sigma)))
+    combo = _solve_for_combo(w, _slots(2, CoeffExpr.symbol(sigma)))
     if combo is None:
         raise ProjectionUnavailableError(
             f"projection of Ze[{sigma}] not found at weight {w}"
@@ -287,9 +285,7 @@ def unit_cleanse(
         raise ProjectionUnavailableError(f"Te[{s}] has no unit-free form")
     if all(p >= 2 for p in s.parts):
         return MtCombo({s: 1})
-    target = slot_vector(s)
-    rows = enumerate_compositions(w, "val2")
-    combo = _solve_for_combo(rows, target)
+    combo = _solve_for_combo(w, slot_vector(s))
     if combo is None:
         raise ProjectionUnavailableError(f"no unit-free form found for Te[{s}]")
     if recheck:

@@ -10,8 +10,12 @@ the precision and k, which every evaluator reducing into monotangents reads:
 ``families.te_nk_closed_form``.  This module's four caches are
 ``zetasum.CertifiedCache``s, each sized where it is made.
 
-Bilateral multitangent sums are evaluated by splitting the summation range
-into a positive part, the n = 0 pivot and a negative part; each one-sided
+Bilateral multitangent sums are evaluated by splitting each chain once,
+where its indices change sign: n_1 > ... > n_a >= 0 sums to
+S(s_1, ..., s_a; z - 1) and 0 > n_(a+1) > ... > n_r to
+(-1)^(s_(a+1) + ... + s_r) S(s_r, ..., s_(a+1); -z).  This is the paper's
+trifactorization sum of He_+ * Ce * He_- with each pivot folded into its
+positive side, He_+[s_1..s_a] + He_+[s_1..s_(a-1)] z^(-s_a).  Each one-sided
 piece is an absolutely convergent shifted nested sum handled by
 :mod:`multitangent.zetasum` with a certified error bound, and
 ``zetasum.certify`` certifies the sum over splits.  This direct bilateral
@@ -22,7 +26,7 @@ expanding its coefficients: each is a certified sum of products of two
 fragment values, zeta values at 0 that do not depend on the point, cached
 like them; the sum over orders is certified too.  The two sides share no
 nested-sum value: zeta values at 0 times cotangent polynomials on the left,
-shifted sums at +-z on the right.
+shifted sums at z - 1 and -z on the right.
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, pi_fixed
+from mpmath.libmp import from_rational, pi_fixed
 
 from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import GUARD, CertifiedCache, _inverse_powers, _point, _read
+from .zetasum import GUARD, CertifiedCache, _point, _read
 from .zetasum import certified_sum, certify, shifted_nested_sum
 
 
@@ -48,7 +52,7 @@ def _checked(z, guard):
     ``zetasum._Point``, after the checks of ``check_point``."""
     z = mp.mpc(z)
     # exactly, in integers: z = (zr + i zi) / 2^k and guard = p / q
-    zr, zi, k, _ = point = _point(z)
+    zr, zi, k = point = _point(z)
     exact = guard.man * Fraction(2) ** guard.exp if isinstance(guard, mp.mpf) else guard
     p, q = exact.as_integer_ratio()
     dr = zr - ((zr + (1 << k >> 1)) >> k << k)  # 2^k (Re z - nearest integer)
@@ -153,15 +157,13 @@ def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
 
 
 def _splits(s: Composition):
-    """Deconcatenations s1 . s2 . s3 with the middle of length <= 1.  The
-    two with an empty side come first: their one-sided sums run over all of
-    s, and each pass stores every prefix, so the shorter pieces are cache
+    """The r + 1 deconcatenations (s[:a], s[a:]), one per sign boundary.
+    The two with an empty side come first: their one-sided sums run over all
+    of s, and each pass stores every prefix, so the shorter pieces are cache
     hits."""
     r = s.length
     for a in (r, *range(r)):
-        yield s.parts[:a], (), s.parts[a:]
-    for a in range(r):
-        yield s.parts[:a], (s.parts[a],), s.parts[a + 1 :]
+        yield s.parts[:a], s.parts[a:]
 
 
 def _one_sided(side: str, parts: tuple, z, target: float, cap: int):
@@ -179,13 +181,11 @@ _memo = CertifiedCache(256)  # the rechecks to weight 8 keep about 210 values
 def multitangent_eval_direct(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
-    """Bilateral nested sum for a convergent sequence, via the three-way
-    split into positive-index, zero-pivot and negative-index chains: the
-    trifactorization sum over splits of He_+ * Ce * He_-.
-
-    Each split is a term of ``zetasum.certify``, its one-sided sums pieces
-    and z^-s_mid a fixed factor, all at the exact dyadic of the point.  The
-    last 256 results (``_memo``) serve later calls they meet.
+    """Bilateral nested sum for a convergent sequence: the trifactorization
+    with each pivot folded into its positive side (module docstring).  Each
+    of the r + 1 splits is a term of ``zetasum.certify``, its one-sided sums
+    pieces at the exact dyadics of z - 1 ("+") and z ("-").  The last 256
+    results (``_memo``) serve later calls they meet.
     """
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
@@ -195,18 +195,10 @@ def multitangent_eval_direct(
         hit = _memo.get(key, ctx.target_abs_error)
         if hit is not None:
             return hit[0]
-        cap, terms, wp = ctx.truncation_cap, [], mp.mp.prec + GUARD
-        for left, mid, right in _splits(s):
-            factors = []
-            if left:
-                factors.append(partial(_one_sided, "+", left, z, cap=cap))
-            if mid:  # z^-s, within 1 ulp
-                (x, y), = _inverse_powers(z.re, z.im, z.k, mid, wp)
-                w = mp.make_mpc((from_man_exp(x, -wp), from_man_exp(y, -wp)))
-                factors.append((w, 2.0 ** -min(wp, 1000)))
-            if right:
-                factors.append(partial(_one_sided, "-", right, z, cap=cap))
-            terms.append(factors)
+        sides, cap = (("+", z.shift(-1)), ("-", z)), ctx.truncation_cap
+        terms = [[partial(_one_sided, side, parts, point, cap=cap)
+                  for (side, point), parts in zip(sides, split) if parts]
+                 for split in _splits(s)]
         return _memo.put(key, certify(terms, ctx.target_abs_error)[:2])[0]
 
 
@@ -292,8 +284,9 @@ def trifactorization_residual(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ) -> tuple[mp.mpc, float]:
     """Certified (value, float bound) of Te[s](z) - sum over splits He_+ * Ce * He_-,
-    the reduced evaluation less the direct one, each within the context
-    target: the module docstring says why they share no nested-sum value."""
+    the reduced evaluation less the direct one (each pivot Ce folded into its
+    positive side), each within the context target: the module docstring
+    says why they share no nested-sum value."""
     t = ctx.target_abs_error
     with ctx.workprec():
         rhs = multitangent_eval_direct(s, z, ctx)

@@ -69,6 +69,12 @@ _SUITE_IM_RANGE = (0.3, 1.2)
 DIFF_TRUNCATION = 1e-4
 
 
+def _convergent_cases(max_weight: int, seed: int):
+    """(s, z) for each convergent s of weight 2..max_weight, a point each."""
+    seqs = [s for w in range(2, max_weight + 1) for s in enumerate_compositions(w, "convergent")]
+    return zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE))
+
+
 def _te(s: Composition, z, ctx: NumericContext):
     """Te[s](z) as a certified factor: within the context target."""
     return multitangent_eval_direct(s, z, ctx), ctx.target_abs_error
@@ -98,12 +104,7 @@ def suite_parity(
 ) -> SuiteResult:
     """Te[s](-z) = (-1)^||s|| Te[reverse(s)](z)."""
     result = SuiteResult("parity")
-    seqs = [
-        s
-        for w in range(2, max_weight + 1)
-        for s in enumerate_compositions(w, "convergent")
-    ]
-    for s, z in zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE)):
+    for s, z in _convergent_cases(max_weight, seed):
         rhs = [(-((-1) ** s.weight), 0), _te(s.reverse(), z, ctx)]
         result.record(f"parity Te[{s}]", [[_te(s, -z, ctx)], rhs], ctx)
     return result
@@ -116,12 +117,7 @@ def suite_diff(
     with ``DIFF_TRUNCATION`` as one more term, of value 0.
     """
     result = SuiteResult("diff")
-    seqs = [
-        s
-        for w in range(2, max_weight + 1)
-        for s in enumerate_compositions(w, "convergent")
-    ]
-    for s, z in zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE)):
+    for s, z in _convergent_cases(max_weight, seed):
         with ctx.workprec():  # z +- h exact, 1/(2h) rounded once
             h = mp.mpf("1e-5")
             quotient = [(1 / (2 * h), mp.ldexp(1 / h, -mp.mp.prec))]

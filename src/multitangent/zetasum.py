@@ -251,17 +251,24 @@ def _tail(prefix: tuple[int, ...]) -> _Tail:
 
 
 class _Point(NamedTuple):
-    """The point z = (re + i im) / 2^k exactly, k >= 0 least, and ``floor``,
+    """The point z = (re + i im) / 2^k exactly, k >= 0 least.  ``floor`` is
     the least cutoff the tail bounds allow at z: n0 > 4 (1 + |z|) and
     n0 >= 16, where floor(4 |z|) = floor(isqrt(16 |2^k z|^2) / 2^k)."""
 
     re: int
     im: int
     k: int
-    floor: int
 
     def __neg__(self):
-        return _Point(-self.re, -self.im, self.k, self.floor)
+        return _Point(-self.re, -self.im, self.k)
+
+    def shift(self, n: int) -> _Point:
+        """z + n exactly: k stays least, as re keeps its parity when k > 0."""
+        return _Point(self.re + (n << self.k), self.im, self.k)
+
+    @property
+    def floor(self) -> int:
+        return max(16, 5 + (math.isqrt(16 * (self.re**2 + self.im**2)) >> self.k))
 
 
 def _point(z) -> _Point:
@@ -269,14 +276,12 @@ def _point(z) -> _Point:
     if type(z) is _Point:
         return z
     if type(z) is int:
-        zr, zi, k = z, 0, 0
-    else:
-        (sr, mr, er, _), (si, mi, ei, _) = (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
-        if not mr and er or not mi and ei:  # mpmath's inf and nan: mantissa 0
-            raise ValueError(f"evaluation point {mp.mpc(z)} is not finite")
-        k = max(0, -er, -ei)
-        zr, zi = (-mr if sr else mr) << (er + k), (-mi if si else mi) << (ei + k)
-    return _Point(zr, zi, k, max(16, 5 + (math.isqrt(16 * (zr * zr + zi * zi)) >> k)))
+        return _Point(z, 0, 0)
+    (sr, mr, er, _), (si, mi, ei, _) = (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
+    if not mr and er or not mi and ei:  # mpmath's inf and nan: mantissa 0
+        raise ValueError(f"evaluation point {mp.mpc(z)} is not finite")
+    k = max(0, -er, -ei)
+    return _Point((-mr if sr else mr) << (er + k), (-mi if si else mi) << (ei + k), k)
 
 
 def _inverse_powers(ur: int, ui: int, k: int, exponents, wp: int) -> list:
@@ -607,24 +612,29 @@ def certify(terms, target) -> _FixedSum:
     half the target, or when the sum with every piece at its value and bound
     0 misses too, since no piece target can then help; the error carries
     that sum's bound.  A piece that refuses is refused under this target,
-    with an achieved bound above it."""
-    n, firsts, scale, wp = len(terms), [], 1.0, mp.mp.prec + GUARD
-    for term in terms:
+    with an achieved bound above it, naming its piece target and m."""
+    n, budgets, scale, wp = len(terms), [], 1.0, mp.mp.prec + GUARD
+    for term in terms:  # each term's first piece target and its m
         c = sum(map(callable, term))
         m = math.prod(sum(_read(f, wp)[3:]) for f in term if not callable(f))  # size + bound
-        firsts.append(c and target / (2 * n * c * max(1.0, m)))
-    while True:
+        budgets.append((c and target / (2 * n * c * max(1.0, m)), m))
+
+    def evaluate(piece, t, m):
         try:
-            factors = [[f(t * scale) if callable(f) else f for f in term]
-                       for term, t in zip(terms, firsts)]
+            return piece(t)
         except PrecisionUnreachableError as exc:
-            why = f"{exc}; refused at the sum's target {float(target):.3e}"
+            why = (f"{exc}; refused at the piece target {float(t):.3e}, set by m = {m:.3e}"
+                   f" of its term's other factors, under the sum's target {float(target):.3e}")
             raise PrecisionUnreachableError(why, max(_upward(float(target)), exc.achieved)) from exc
+
+    while True:
+        factors = [[evaluate(f, t * scale, m) if callable(f) else f for f in term]
+                   for term, (t, m) in zip(terms, budgets)]
         result = certified_sum(factors)
         if result[1] <= target:
             return result
         why = f": rounding at {mp.mp.prec} bits alone is {float(result.rounding):.3e}"
-        if result.rounding <= target / 2 and any(firsts):
+        if result.rounding <= target / 2 and any(t for t, _ in budgets):
             exact = certified_sum([
                 [(got[0], 0.0) if callable(f) else got for f, got in zip(term, row)]
                 for term, row in zip(terms, factors)

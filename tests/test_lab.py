@@ -660,3 +660,20 @@ class TestWorkbenchParity:
                     self._check(
                         lambda: unit_cleanse(s, recheck=False), rows, slot_vector(s)
                     )
+
+
+def test_one_row_enumeration_per_weight(monkeypatch):
+    """A projection and a cleansing at weight 6 share one system, keyed on
+    the weight: its rows are enumerated once, when it is built, and calls
+    after that enumerate nothing."""
+    fresh = lru_cache(maxsize=32)(lab._factored_system.__wrapped__)
+    monkeypatch.setattr(lab, "_factored_system", fresh)
+    calls, enumerate_rows = [], lab.enumerate_compositions
+    monkeypatch.setattr(
+        lab, "enumerate_compositions", lambda *args: calls.append(args) or enumerate_rows(*args)
+    )
+    for _ in range(2):
+        projection(C(2, 2), recheck=False)
+        unit_cleanse(C(2, 1, 3), recheck=False)
+    assert calls == [(6, "val2")]
+    assert fresh.cache_info().misses == 1

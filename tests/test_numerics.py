@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -793,16 +794,68 @@ def _convergent(depth: int):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_direct_evaluation_makes_two_passes(monkeypatch, depth):
-    """On a cold cache Te[s](z) costs one pass for s at z and one for the
-    reversed s at -z; every shorter split piece is a stored prefix."""
+    """On a cold cache Te[s](z) costs one pass for s at z - 1 and one for
+    the reversed s at -z; every shorter split piece is a stored prefix."""
     _fresh(monkeypatch, numerics, "_memo")
     _fresh(monkeypatch, zetasum, "_cache")
     calls = _counting_fixed(monkeypatch)
+    z = mp.mpc("0.3", "0.7")  # exact at the working precision
+    point = zetasum._point(z)
     for parts in _convergent(depth):
         zetasum._cache.clear()
         del calls[:]
-        multitangent_eval_direct(Composition(parts), mp.mpc("0.3", "0.7"), CTX)
-        assert [args[0] for args in calls] == [parts, parts[::-1]]
+        multitangent_eval_direct(Composition(parts), z, CTX)
+        assert [args[:2] for args in calls] == [(parts, point.shift(-1)), (parts[::-1], -point)]
+
+
+def test_shift_is_the_exact_dyadic():
+    """z = 2^-200 + 0.5i at 128 bits: z - 1 is the exact dyadic, which the
+    point rounded at 128 bits after subtracting 1 would lose."""
+    z = mp.mpc(mp.ldexp(1, -200), 0.5)
+    with mp.workprec(128):
+        shifted = zetasum._point(z).shift(-1)
+        rounded = zetasum._point(mp.mpc(z) - 1)
+    with mp.workprec(400):
+        exact = zetasum._point(z - 1)
+    assert shifted == exact == (1 - 2**200, 2**199, 200) and shifted.floor == 16
+    assert rounded != exact
+
+
+def _trifactorization_terms(s: Composition, z, target: float, cap: int) -> list:
+    """The paper's (2r+1)-term trifactorization of Te[s](z) as
+    ``certified_sum`` terms: He_+[s_1..s_a](z) He_-[s_(a+1)..s_r](z) for
+    a = 0..r, and He_+[s_1..s_(a-1)](z) z^(-s_a) He_-[s_(a+1)..s_r](z) for
+    a = 1..r.  Each one-sided sum is within ``target``; z^(-s_a) is rounded
+    at the working precision, with a bound of 2^8 ulps of its size."""
+    point, parts = zetasum._point(z), s.parts
+
+    def sides(left, right):
+        return [numerics._one_sided(side, p, point, target, cap)
+                for side, p in (("+", left), ("-", right)) if p]
+
+    terms = [sides(parts[:a], parts[a:]) for a in range(s.length + 1)]
+    for a, pivot in enumerate(parts):
+        w = mp.power(z, -pivot)
+        terms.append([(w, float(abs(w)) * 2.0 ** (8 - mp.mp.prec)), *sides(parts[:a], parts[a + 1 :])])
+    return terms
+
+
+@pytest.mark.parametrize(
+    "z", [mp.mpc("0.3", "0.7"), mp.mpc("-1.2", "0.4"), mp.mpc("2.039", "-0.053"),
+          mp.mpc("1.006", "0.005")],  # the last within 0.01 of the pole 1
+    ids=str,
+)
+def test_direct_evaluation_matches_the_trifactorization(z):
+    """Every convergent s of weight <= 7: 0 lies within the certificate of
+    the paper's (2r+1)-term trifactorization less the direct evaluation,
+    which folds each pivot into its positive side."""
+    ctx = NumericContext(target_abs_error=1e-12)
+    with ctx.workprec():
+        for s in (s for w in range(2, 8) for s in enumerate_compositions(w, "convergent")):
+            direct = multitangent_eval_direct(s, z, ctx)
+            terms = _trifactorization_terms(s, z, 1e-20, ctx.truncation_cap)
+            value, bound = certified_sum([*terms, [(-direct, ctx.target_abs_error)]])
+            assert abs(value) <= bound, s
 
 
 def test_near_pole_certifies_by_48():
@@ -1288,7 +1341,10 @@ def test_certify_refuses_a_failing_piece_under_its_own_target():
 
     with pytest.raises(PrecisionUnreachableError) as info:
         zetasum.certify([[(mp.mpf(3), 0.0), piece(1e-6)]], 1e-8)
-    assert str(info.value) == "piece missed; refused at the sum's target 1.000e-08"
+    assert str(info.value) == (
+        "piece missed; refused at the piece target 1.667e-09, set by m = 3.000e+00 "
+        "of its term's other factors, under the sum's target 1.000e-08"
+    )
     assert info.value.achieved == 1e-6
     with pytest.raises(PrecisionUnreachableError) as info:
         zetasum.certify([[(mp.mpf(1), 0.0), piece(1e-12)]], 1e-8)
@@ -1298,8 +1354,9 @@ def test_certify_refuses_a_failing_piece_under_its_own_target():
 def test_reduced_refusal_names_its_own_sum(monkeypatch):
     """Te[9] at 0.0011 + 0.00001i, 128 bits, target 1e-10: the c_9 sum
     refuses its own target near 1e-37, and the evaluation refuses under
-    1e-10 with an achieved bound no smaller.  Te^9 alone reaches 3.3e-10
-    there, so the refusal is right."""
+    1e-10 with an achieved bound no smaller.  The message names that piece
+    target and the m = |Te^9| + bound that set it.  Te^9 alone reaches
+    3.3e-10 there, so the refusal is right."""
     _fresh(monkeypatch, numerics, "_fragments", "_orders", "_points")
     _fresh(monkeypatch, zetasum, "_cache")
     ctx = NumericContext(target_abs_error=1e-10, working_precision=128)
@@ -1308,6 +1365,14 @@ def test_reduced_refusal_names_its_own_sum(monkeypatch):
         multitangent_eval_reduced(C(9), z, ctx)
     assert str(info.value).endswith("target 1.000e-10")
     assert info.value.achieved >= 1e-10
+    last = str(info.value).rsplit("; ", 1)[1]
+    piece, m = map(float, re.fullmatch(
+        r"refused at the piece target (\S+), set by m = (\S+) of its term's other "
+        r"factors, under the sum's target 1.000e-10", last).groups())
+    with ctx.workprec():
+        te9, bound = numerics._monotangent_at(9, numerics.check_point(z))
+    assert m == pytest.approx(float(abs(te9)) + bound, rel=1e-3) and m > 1e26
+    assert 1e-38 < piece < 1e-10 / m
     with pytest.raises(PrecisionUnreachableError) as mono:
         monotangent_eval(9, z, ctx)
     assert mono.value.achieved > 3e-10
