@@ -18,11 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
 from .exact import PiRational
 from .mzv import DEFAULT_CONTEXT, NumericContext, even_zeta
-from .numerics import _monotangent_at, check_point, cot_poly
+from .numerics import _checked, _monotangent_at, _pi, cot_poly
 from .zetasum import certify
 
 
@@ -68,8 +66,7 @@ def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     constant; raises PrecisionUnreachableError if it misses the target."""
     q = te_nk_exact(n, k)
     with ctx.workprec():
-        z = check_point(z, ctx.pole_guard)
-        pi = +mp.pi, math.ldexp(2.0, -mp.mp.prec)  # correctly rounded: half an ulp
+        z, pi = _checked(z, ctx.pole_guard), _pi()
         terms = [[(c, 0.0), *[pi] * (n * k - m), *([_monotangent_at(m, z)] if m else [])]
                  for m, c in q.items()]
         return certify(terms, ctx.target_abs_error)[0]

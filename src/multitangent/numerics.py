@@ -2,11 +2,12 @@
 plus the analytic cross-checks (trifactorization, Fourier data, growth
 bounds, exponential flatness).
 
-Monotangents are evaluated through exact cotangent polynomials, with an error
-bound.  cot(pi z) and each Te^k(z) are computed once per point and working
-precision and kept in ``_points``, keyed on the point after ``check_point``,
-the precision and k, which every evaluator reducing into monotangents reads:
-``monotangent_eval``, the reduced evaluator below and
+Te[s] and Te^k are 1-periodic, and each evaluator of them reads its point
+once, through ``_checked``: the exact dyadic ``zetasum._Point`` shifted by
+the nearest integer to |Re z| <= 1/2.  Monotangents are evaluated through
+exact cotangent polynomials, with an error bound.  cot(pi z) and each
+Te^k(z) are kept in ``_points``, keyed on that point, the working precision
+and k, for ``monotangent_eval``, the reduced evaluator below and
 ``families.te_nk_closed_form``.  This module's four caches are
 ``zetasum.CertifiedCache``s, each sized where it is made.
 
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 import mpmath as mp
-from mpmath.libmp import from_rational, pi_fixed
+from mpmath.libmp import from_man_exp, from_rational, pi_fixed
 
 from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
@@ -48,23 +49,24 @@ from .zetasum import certified_sum, certify, shifted_nested_sum
 
 
 def _checked(z, guard):
-    """(z, point): z rounded at the working precision and its exact dyadic
-    ``zetasum._Point``, after the checks of ``check_point``."""
-    z = mp.mpc(z)
-    # exactly, in integers: z = (zr + i zi) / 2^k and guard = p / q
+    """The exact dyadic ``zetasum._Point`` every periodic evaluator reads: z
+    rounded at the working precision and shifted by the nearest integer, ties
+    toward 0, to |Re z| <= 1/2, so z + n shares z's cache entries.  Raises
+    ValueError if z is not finite, PoleProximityError within ``guard`` of 0."""
     zr, zi, k = point = _point(z)
+    n = -(((1 << k) - 2 * abs(zr)) >> (k + 1))  # the integer nearest |Re z|
+    point = point.shift(-n if zr > 0 else n)
+    # exactly, in integers: guard = p / q against |z| = |re + i zi| / 2^k
     exact = guard.man * Fraction(2) ** guard.exp if isinstance(guard, mp.mpf) else guard
     p, q = exact.as_integer_ratio()
-    dr = zr - ((zr + (1 << k >> 1)) >> k << k)  # 2^k (Re z - nearest integer)
-    if (dr * dr + zi * zi) * q * q < (p << k) ** 2:
-        raise PoleProximityError(f"{z} is within {guard} of an integer")
-    return z, point
+    if (point.re**2 + zi * zi) * q * q < (p << k) ** 2:
+        raise PoleProximityError(f"{mp.mpc(z)} is within {guard} of an integer")
+    return point
 
 
-def check_point(z, guard: float = DEFAULT_CONTEXT.pole_guard):
-    """The point rounded at the working precision; raises ValueError if it
-    is not finite and PoleProximityError within ``guard`` of an integer pole."""
-    return _checked(z, guard)[0]
+def _pi():
+    """pi as a certified factor: correctly rounded, so within half an ulp."""
+    return +mp.pi, math.ldexp(2.0, -mp.mp.prec)
 
 
 @lru_cache(maxsize=64)
@@ -87,11 +89,13 @@ def cot_poly(k: int) -> dict[int, Fraction]:
 
 
 def _cot(z):
-    """(c, x, err): c = cot(pi z) at the working precision, over 2^wp as
-    ``zetasum._read`` reads it, and floats err >= |cot(pi z) - c| and x >=
-    |c| + err.  The one trust placed in mpmath's cot: pi z rounds by a
-    relative 2^(2-prec), which cot' = -(1 + cot^2) carries, and cot adds
-    2^(2-prec) (1 + |c|); err is twice that, which covers c's ulps too."""
+    """(c, x, err): c = cot(pi z) at the point z of ``_checked`` at the
+    working precision, over 2^wp as ``zetasum._read`` reads it, and floats
+    err >= |cot(pi z) - c| and x >= |c| + err.  The one trust placed in
+    mpmath's cot: pi z rounds by a relative 2^(2-prec), which cot' =
+    -(1 + cot^2) carries, and cot adds 2^(2-prec) (1 + |c|); err is twice
+    that, which covers c's ulps too.  Its |z| <= sqrt(1/4 + (Im z)^2)."""
+    z = mp.make_mpc(tuple(from_man_exp(x, -z.k) for x in (z.re, z.im)))
     cr, ci, _, m, _ = _read((mp.cot(mp.pi * z), 0.0), mp.mp.prec + GUARD)
     err = math.ldexp(4 * abs(complex(z)) * (1 + m * m) + 1 + m, max(-1070, 3 - mp.mp.prec))
     return (cr, ci), m + err, err
@@ -130,11 +134,11 @@ _points = CertifiedCache(256)  # the rechecks: a cotangent and up to 11 orders p
 
 
 def _monotangent_at(k: int, z):
-    """(value, bound) of Te^k at the checked point z: ``_cot`` and
+    """(value, bound) of Te^k at the point z of ``_checked``: ``_cot`` and
     ``_monotangent``, each computed once per point and working precision.
     Neither depends on a target, so an entry serves every caller, which
     compares the bound with its own target."""
-    point = (z._mpc_, mp.mp.prec)
+    point = (z, mp.mp.prec)
     hit = _points.get((*point, k))
     if hit is None:
         cot = _points.get(point)
@@ -150,7 +154,7 @@ def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     relation Te^(k+1) = -(1/k) d/dz Te^k holds by construction; raises
     PrecisionUnreachableError if its bound misses the context target."""
     with ctx.workprec():
-        value, bound = _monotangent_at(k, check_point(z, ctx.pole_guard))
+        value, bound = _monotangent_at(k, _checked(z, ctx.pole_guard))
     if not bound <= ctx.target_abs_error:
         raise PrecisionUnreachableError(f"Te^{k} reached bound {bound:.3e}", achieved=bound)
     return value
@@ -190,7 +194,7 @@ def multitangent_eval_direct(
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
     with ctx.workprec():
-        z = _checked(z, ctx.pole_guard)[1]
+        z = _checked(z, ctx.pole_guard)
         key = (s, z, mp.mp.prec, ctx.truncation_cap)
         hit = _memo.get(key, ctx.target_abs_error)
         if hit is not None:
@@ -245,8 +249,7 @@ def multitangent_eval_reduced(
     if not s:
         raise ValueError("empty sequence")
     with ctx.workprec():
-        z, cap = check_point(z, ctx.pole_guard), ctx.truncation_cap
-        pi = +mp.pi, math.ldexp(2.0, -mp.mp.prec)  # correctly rounded: half an ulp
+        z, cap, pi = _checked(z, ctx.pole_guard), ctx.truncation_cap, _pi()
         constant = [[(q, 0.0), *[pi] * r] for r, q in delta(s).items()]
         orders = [[partial(_order_coefficient, s, k, terms, cap=cap), _monotangent_at(k, z)]
                   for k, terms in sorted(_order_terms(s).items())]
@@ -266,9 +269,9 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
     with ctx.workprec():
         # poles sit at z = -1, -2, ... for the + side and 1, 2, ... for the - side
         z = mp.mpc(z)
-        point = _point(z)  # raises ValueError if z is not finite
+        point = _point(z)  # raises ValueError if z is not finite; not shifted
         if (-1 if side == "+" else 1) * mp.nint(z.real) >= 1:
-            check_point(z, ctx.pole_guard)
+            _checked(z, ctx.pole_guard)
         if not s:
             return mp.mpc(1)
         if s.parts == (1,):

@@ -19,7 +19,7 @@ from multitangent.families import te_nk_closed_form
 from multitangent.errors import PoleProximityError
 from multitangent.errors import MultitangentError
 from multitangent.errors import PrecisionUnreachableError
-from multitangent.mzv import NumericContext, mzv_numeric
+from multitangent.mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
 from multitangent.numerics import (
     cot_poly,
     flatness_and_bounds_check,
@@ -104,11 +104,13 @@ class TestMonotangent:
     @pytest.mark.parametrize("guard", [1e-3, Fraction(1, 1000), mp.mpf("1e-3")])
     def test_pole_guard_edge(self, guard):
         """The distance to the nearest integer against the guard, exactly,
-        for a float, rational or mpf guard."""
+        for a float, rational or mpf guard; the point comes back shifted by
+        that integer, ties toward 0."""
         with pytest.raises(PoleProximityError):
-            numerics.check_point(1 + 0.000999j, guard)
-        assert numerics.check_point(1 + 0.001001j, guard) == mp.mpc(1 + 0.001001j)
-        assert numerics.check_point(-2.5, 0.5) == -2.5
+            numerics._checked(1 + 0.000999j, guard)
+        point = zetasum._point(mp.mpc(1 + 0.001001j))
+        assert numerics._checked(1 + 0.001001j, guard) == point.shift(-1)
+        assert numerics._checked(-2.5, 0.5) == zetasum._point(-0.5)
 
 
 class TestMultitangent:
@@ -220,7 +222,7 @@ class TestReducedFromFragments:
         s, z = C(3, 1, 2, 1), mp.mpc("0.1", "0.6")
         assert len(_order_terms(s)) > 1
         with mock.patch.object(mp, "cot", wraps=mp.cot) as cot, mock.patch.object(
-            numerics, "check_point", wraps=numerics.check_point
+            numerics, "_checked", wraps=numerics._checked
         ) as check:
             multitangent_eval_reduced(s, z, CTX)
             assert cot.call_count == check.call_count == 1
@@ -229,7 +231,7 @@ class TestReducedFromFragments:
             multitangent_eval_reduced(s, z, replace(CTX, working_precision=160))
             assert cot.call_count == 2
         with CTX.workprec():
-            at_z = numerics._cot(z)
+            at_z = numerics._cot(numerics._checked(z, CTX.pole_guard))
             for k in _order_terms(s):
                 assert numerics._monotangent(k, at_z)[0] == monotangent_eval(k, z, CTX)
 
@@ -272,7 +274,7 @@ class TestPointCache:
         seen, cot, mono = [], numerics._cot, numerics._monotangent
 
         def counted_cot(z):
-            seen.append(("cot", z._mpc_, mp.mp.prec))
+            seen.append(("cot", z, mp.mp.prec))
             return cot(z)
 
         def counted_mono(k, c):
@@ -296,7 +298,7 @@ class TestPointCache:
                 ctx = replace(CTX, working_precision=prec)
                 numerics._points.clear()
                 with ctx.workprec():
-                    point = numerics.check_point(z)
+                    point = numerics._checked(z, ctx.pole_guard)
                     cold = [numerics._monotangent_at(k, point) for k in range(1, 7)]
                     warm = [numerics._monotangent_at(k, point) for k in range(1, 7)]
                     alone = [numerics._monotangent(k, numerics._cot(point)) for k in range(1, 7)]
@@ -322,7 +324,7 @@ class TestPointCache:
         z = mp.mpc("0.3", "0.4")
         monotangent_eval(4, z, ctx)
         with ctx.workprec():
-            _, bound = numerics._points.get((numerics.check_point(z)._mpc_, mp.mp.prec, 4))
+            _, bound = numerics._points.get((numerics._checked(z, ctx.pole_guard), mp.mp.prec, 4))
         assert bound > 0
         with pytest.raises(PrecisionUnreachableError) as info:
             monotangent_eval(4, z, replace(ctx, target_abs_error=bound / 2))
@@ -346,6 +348,57 @@ class TestPointCache:
         assert len(cots) == len(set(cots)) == len(sample_points(2))
         monos = [key for key in seen if key[0] != "cot"]
         assert len(monos) == len(set(monos)) >= 4
+
+
+class TestPeriodicPoint:
+    """Te[s] and Te^k are read at z shifted exactly by the nearest integer,
+    so their cutoffs and errors do not grow with Re z; He_+ is not periodic
+    and is read where it is."""
+
+    def test_direct_far_from_the_origin(self):
+        """Te[2,2] at 50000.3 + 0.5i: the unshifted floor cutoff, 200006,
+        is past the default cap."""
+        z, t = mp.mpc("50000.3", "0.5"), DEFAULT_CONTEXT.target_abs_error
+        direct = multitangent_eval_direct(C(2, 2), z)
+        reduced = multitangent_eval_reduced(C(2, 2), z)
+        with DEFAULT_CONTEXT.workprec():
+            value, bound = certified_sum([[(direct, t)], [(-reduced, t)]])
+        assert abs(value) <= bound
+
+    def test_monotangent_far_from_the_origin(self):
+        """Te^2 at 10^8 + 0.3 + 0.5i, 128 bits, target 1e-30: the error of
+        cot(pi z) no longer grows with |z|.  Te^2 = pi^2 / sin^2(pi z) at the
+        rounded point, at 400 bits, is within the target."""
+        ctx = NumericContext(target_abs_error=1e-30, working_precision=128)
+        with ctx.workprec():
+            z = mp.mpf("100000000.3") + 0.5j
+        value = monotangent_eval(2, z, ctx)
+        with mp.workprec(400):
+            assert abs(value - mp.pi**2 / mp.sin(mp.pi * z) ** 2) <= 1e-30
+
+    def test_z_and_z_plus_3_share_an_entry(self, monkeypatch):
+        _fresh(monkeypatch, numerics, "_memo", "_points")
+        z = mp.mpc("0.375", "0.625")
+        for cache, evaluate in [
+            (numerics._memo, lambda z: multitangent_eval_direct(C(2, 2), z, CTX)),
+            (numerics._points, lambda z: monotangent_eval(2, z, CTX)),
+        ]:
+            first = evaluate(z)
+            hits, misses = cache.cache_info()[:2]
+            assert evaluate(z + 3) == first
+            assert cache.cache_info()[:2] == (hits + 1, misses)
+
+    def test_hurwitz_is_not_shifted(self):
+        """He_+[2](z) - He_+[2](z + 1) = (1 + z)^-2: a shifted He_+ would
+        read both at the same point and leave the difference at -(1 + z)^-2."""
+        z, t = mp.mpc("0.3", "0.7"), CTX.target_abs_error
+        with mp.workprec(300):
+            step = (1 + z) ** -2
+        terms = [[(hurwitz_eval("+", C(2), z, CTX), t)],
+                 [(-hurwitz_eval("+", C(2), z + 1, CTX), t)], [(-step, 1e-80)]]
+        with CTX.workprec():
+            value, bound = certified_sum(terms)
+        assert abs(value) <= bound < 1e-8
 
 
 class TestHurwitz:
@@ -859,9 +912,10 @@ def test_direct_evaluation_matches_the_trifactorization(z):
 
 
 def test_near_pole_certifies_by_48():
-    """The "-" side of Te[5,2] at 2.039+0.053i is S(2,5) at -z, whose
-    (n+z)^-5 at n = 2 is about 1e6: it certifies at the floor cutoff or at
-    48, never at 144."""
+    """Te[5,2] at 2.039+0.053i is read at 0.039+0.053i, so the pole at 0
+    falls in the "+" side, S(5,2) at z - 1, whose prefix (5) has (n+z-1)^-5
+    at n = 1 of about 1e6: it certifies at the floor cutoff or at 48, never
+    at 144."""
     z = mp.mpc("2.039", "0.053")
     ctx = NumericContext(target_abs_error=1e-16)
     memo = CertifiedCache(numerics._memo.maxsize)
@@ -871,9 +925,9 @@ def test_near_pole_certifies_by_48():
         ) as fixed:
             direct = multitangent_eval_direct(C(5, 2), z, ctx)
     with ctx.workprec():
-        minus = [n0 for parts, point, n0 in (c.args for c in fixed.call_args_list)
-                 if parts == (2, 5) and point == zetasum._point(-z)]
-    assert 1 <= len(minus) <= 2 and max(minus) <= 48
+        near = [n0 for parts, point, n0 in (c.args for c in fixed.call_args_list)
+                if parts == (5, 2) and point == numerics._checked(z, ctx.pole_guard).shift(-1)]
+    assert 1 <= len(near) <= 2 and max(near) <= 48
     assert abs(direct - multitangent_eval_reduced(C(5, 2), z, ctx)) <= 2 * ctx.target_abs_error
 
 
@@ -1370,7 +1424,7 @@ def test_reduced_refusal_names_its_own_sum(monkeypatch):
         r"refused at the piece target (\S+), set by m = (\S+) of its term's other "
         r"factors, under the sum's target 1.000e-10", last).groups())
     with ctx.workprec():
-        te9, bound = numerics._monotangent_at(9, numerics.check_point(z))
+        te9, bound = numerics._monotangent_at(9, numerics._checked(z, ctx.pole_guard))
     assert m == pytest.approx(float(abs(te9)) + bound, rel=1e-3) and m > 1e26
     assert 1e-38 < piece < 1e-10 / m
     with pytest.raises(PrecisionUnreachableError) as mono:
@@ -1474,7 +1528,7 @@ def test_integer_monotangent_within_its_bound(k, z):
     """The Horner scheme on Gaussian integers against pi^k Q_k(cot pi z) at
     300 bits, next to the pole guard and far from the real axis."""
     with mp.workprec(128):
-        value, bound = numerics._monotangent(k, numerics._cot(numerics.check_point(z)))
+        value, bound = numerics._monotangent(k, numerics._cot(numerics._checked(z, CTX.pole_guard)))
     assert 0 < bound < math.inf
     with mp.workprec(300):
         c = mp.cot(mp.pi * z)
