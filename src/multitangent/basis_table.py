@@ -5,14 +5,14 @@ dimensions 1,1,1,2,2,3,4,5,7 for w = 2..10) and expresses every convergent
 zeta symbol of that weight as an exact rational combination of the basis.
 
 The entries are derived, not stored.  Per weight, the double shuffle
-relations (stuffle minus shuffle of two convergent words), Hoffman's
-relations (stuffle minus shuffle of Ze[1] with a convergent word, whose
-divergent word cancels) and the stuffle expansion of each basis monomial
-form one exact rational system, and its reduced row echelon form solves
-every convergent word for the basis.  These relations suffice at weights
-2..10 (Ihara-Kaneko-Zagier, Compositio 142, 2006; Bluemlein-Broadhurst-
-Vermaseren, "The MZV Data Mine", arXiv:0907.2557); a word they leave
-unsolved raises CoverageError.
+relations (stuffle minus shuffle of two convergent words, one of them of
+depth 1), Hoffman's relations (stuffle minus shuffle of Ze[1] with a
+convergent word, whose divergent word cancels) and the stuffle expansion of
+each basis monomial form one exact rational system, and its reduced row
+echelon form solves every convergent word for the basis.  These relations
+suffice at weights 2..10 (Ihara-Kaneko-Zagier, Compositio 142, 2006;
+Bluemlein-Broadhurst-Vermaseren, "The MZV Data Mine", arXiv:0907.2557); a
+word they leave unsolved raises CoverageError.
 
 The derivation is not trusted blindly: each weight's entries are stored
 only after the difference of each symbol and its entry is certified, as one
@@ -50,7 +50,7 @@ BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
 MAX_WEIGHT = max(BASES)
 
 # Weights past this one are derived on first use: deriving and certifying
-# 9 and 10 takes 0.7-1.2 s (weight 10 0.57-0.94 s of it) on a 2-vCPU Intel
+# 9 and 10 takes 0.45-0.7 s (weight 10 0.33-0.52 s of it) on a 2-vCPU Intel
 # Xeon host, which every process would pay at load (the benchmark's
 # setup_s), though only workbench calls past weight 9 need them.
 EAGER_WEIGHT = 8
@@ -96,7 +96,8 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
         for left in range(2, weight - 1)
         for a in enumerate_compositions(left, "mzv")
         for b in enumerate_compositions(weight - left, "mzv")
-        if a <= b  # both products commute: one row per unordered pair
+        # both products commute: one row per unordered pair, one side of depth 1
+        if a <= b and 1 in (a.length, b.length)
     ]
     one = Composition((1,))
     # Hoffman's relations: the divergent word (1, k) cancels

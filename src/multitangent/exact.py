@@ -7,11 +7,14 @@ PiRational: the corrective constant delta(s), the even zeta values and the
 closed-form families.
 
 Everything here is symbolic and exact.  Numeric evaluation lives in
-:mod:`multitangent.mzv`.
+:mod:`multitangent.mzv`.  Sums of many expressions run in integers over one
+denominator (``_numerators``, ``_combine``), and ``_expression`` builds the
+Fractions once, where a coefficient is handed out.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -230,3 +233,31 @@ class CoeffExpr(LinearCombination):
     def text(self, sep: str) -> str:
         """``str(self)`` with the zeta factors joined by ``sep``."""
         return " + ".join(self._term_str(m, c, sep) for m, c in self.items()) or "0"
+
+
+def _numerators(expr: CoeffExpr) -> tuple:
+    """``expr`` over one denominator: (den, ((monomial, numerator), ...))."""
+    terms = expr._terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, tuple((key, c.numerator * (den // c.denominator)) for key, c in terms.items())
+
+
+def _combine(terms) -> tuple:
+    """The sum of n/d times vec over the (n, d, vec) of ``terms``, each vec
+    ((key, int), ...), in integers: (den, ((key, numerator), ...)) over its
+    nonzero numerators, with their content common to den divided out."""
+    terms = list(terms)
+    den = math.lcm(*(d for _, d, _ in terms))
+    out: dict = {}
+    for n, d, vec in terms:
+        n *= den // d
+        for key, c in vec:
+            out[key] = out.get(key, 0) + n * c
+    out = {key: c for key, c in out.items() if c}
+    g = math.gcd(den, *out.values())
+    return den // g, tuple((key, c // g) for key, c in out.items())
+
+
+def _expression(den: int, vec: tuple) -> CoeffExpr:
+    """(den, ((monomial, numerator), ...)) with Fraction coefficients."""
+    return CoeffExpr._make({key: Fraction(n, den) for key, n in vec})

@@ -15,7 +15,6 @@ same recursion gives Ze[2^k] and the product formula of sin(pi X)/(pi X).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exact import PiRational
@@ -79,17 +78,3 @@ def zagier_ze2n(n: int) -> PiRational:
         raise ValueError("need n >= 1")
     power_sums = [{0: even_zeta(j)[2 * j]} for j in range(1, n + 1)]
     return PiRational({2 * n: _elementary(power_sums, n)[0]})
-
-
-def sin_product_series_check(order: int) -> bool:
-    """Exact coefficientwise check, through X^(2*order), of
-
-        exp(- sum_{n>=1} Ze[2n]/n X^(2n)) = sum_n (-1)^n (pi X)^(2n)/(2n+1)!,
-
-    whose left side prod_m (1 - X^2/m^2) has (-1)^m Ze[2^m] at X^(2m)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return all(
-        zagier_ze2n(m) == PiRational({2 * m: Fraction(1, math.factorial(2 * m + 1))})
-        for m in range(1, order + 1)
-    )

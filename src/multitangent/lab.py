@@ -14,7 +14,7 @@ fragment's vector over the zeta basis, and the vector of each product of two
 basis monomials (stuffle linearization, then table substitution), is kept in
 a bounded cache.  Projections and cleansings at one weight solve against the
 same system; each weight's system is built and factored once, in a bounded
-cache, and every right-hand side costs one sparse product.
+cache, and every right-hand side costs one sparse integer product.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import mpmath as mp
 from . import mzv
 from .basis_table import MzvBasisTable
 from .errors import CoverageError, NumericRecheckError, ProjectionUnavailableError
-from .exact import CoeffExpr, MzvMonomial
+from .exact import CoeffExpr, MzvMonomial, _combine, _expression, _numerators
 from .linalg import Factorization, Matrix, factor, nullspace, rank
 from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
 from .numerics import (
@@ -39,7 +39,7 @@ from .numerics import (
     multitangent_eval_direct,
     multitangent_eval_reduced,
 )
-from .reduction import _fold, _monomials, _numerators, _order_terms, delta, reduce
+from .reduction import _fold, _fold_sum, _monomials, _order_terms, delta, reduce
 from .zetasum import certified_sum
 from .verify import sample_points
 from .words import (
@@ -102,19 +102,19 @@ def _basis_product(pair: tuple[MzvMonomial, MzvMonomial]) -> tuple:
 def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
     """The Te^k coefficient ``expr`` over the zeta basis, keyed by slot: the
     sum of the cached basis vectors of its monomials."""
-    total: dict[MzvMonomial, Fraction] = {}
-    for mono, coef in expr.items():
-        den, vec = _basis_product((mono, MzvMonomial.one()))
-        for basis_mono, n in vec:
-            total[basis_mono] = total.get(basis_mono, 0) + coef * n / den
-    return {(k, mono): coef for mono, coef in CoeffExpr(total).items()}
+    total = _expression(*_combine(
+        (c.numerator, c.denominator * den, vec)
+        for mono, c in expr.items()
+        for den, vec in [_basis_product((mono, MzvMonomial.one()))]
+    ))
+    return {(k, mono): coef for mono, coef in total.items()}
 
 
 @lru_cache(maxsize=2048)
 def _fragment_vector(parts: tuple[int, ...], a: int) -> tuple:
     """[X^a] Ze[parts](X) over the basis and one denominator: its product
     with the empty fragment, folded."""
-    return _numerators(_fold([(1, parts, a, (), 0)], _monomials, _basis_product))
+    return _fold_sum([(1, parts, a, (), 0)], _monomials, _basis_product)
 
 
 @lru_cache(maxsize=4096)
@@ -146,7 +146,7 @@ def _system(rows: list[Composition]) -> tuple[list[Slot], Matrix]:
         {slot for vec in vectors for slot in vec},
         key=lambda sl: (sl[0], sl[1].sort_key()),
     )
-    return slots, [[vec.get(slot, Fraction(0)) for vec in vectors] for slot in slots]
+    return slots, [[vec.get(slot, MtCombo._zero) for vec in vectors] for slot in slots]
 
 
 def _require_coverage(weight: int) -> None:
@@ -184,7 +184,8 @@ def relation_kernel(
         raise ValueError("relation kernels start at weight 4")
     _require_coverage(p)
     rows = enumerate_compositions(p, "convergent")
-    combos = [MtCombo(dict(zip(rows, vec))) for vec in nullspace(_system(rows)[1])]
+    combos = [MtCombo._make({s: c for s, c in zip(rows, vec) if c})
+              for vec in nullspace(_system(rows)[1])]
     if recheck:
         for combo in combos:
             _recheck(f"kernel relation {combo}", lambda z, t: [], combo, ctx)
@@ -232,10 +233,10 @@ def _solve_for_combo(w: int, target: dict[Slot, Fraction]) -> MtCombo | None:
     rows, slots, system = _factored_system(w)
     if not target.keys() <= set(slots):
         return None
-    x = system.solve([target.get(slot, Fraction(0)) for slot in slots])
+    x = system.solve([target.get(slot, 0) for slot in slots])
     if x is None:
         return None
-    return MtCombo(dict(zip(rows, x)))
+    return MtCombo._make({row: c for row, c in zip(rows, x) if c})
 
 
 def projection(
@@ -334,7 +335,7 @@ def te2_basis_coefficient(s: Composition) -> list[Fraction]:
     table = MzvBasisTable.shared()
     basis = table.basis(s.weight - 2)
     vec = slot_vector(s)
-    return [vec.get((2, mono), Fraction(0)) for mono in basis]
+    return [vec.get((2, mono), MtCombo._zero) for mono in basis]
 
 
 CONJECTURED_DIMS_FROM_WEIGHT_2 = [1, 1, 2, 3]  # d_{n+4} = d_{n+3} + d_{n+2} - d_n

@@ -3,10 +3,13 @@
 Routines on lists of Fraction rows: reduced row echelon form, rank, null
 space, and a deterministic linear solve that factors a matrix once and
 answers each right-hand side by one product.  Rows go in and come out as
-Fractions; inside, ``rref`` eliminates on sparse integer rows, fraction-free,
-and divides by the pivots once at the end.  No floating point enters
-anywhere.  The reduced row echelon form is unique, so the result does not
-depend on the order in which pivots are taken.
+Fractions; inside, every row is sparse integers over one denominator.
+``rref`` eliminates on such rows, fraction-free, and divides by the pivots
+once at the end; a factorization keeps its transform in that form and
+answers a right-hand side with integer dot products, building one Fraction
+per pivot variable.  No floating point enters anywhere.  The reduced row
+echelon form is unique, so the result does not depend on the order in
+which pivots are taken.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _integer_row(row: list[Fraction]) -> dict[int, int]:
-    """{column: int} for the nonzero entries of ``row``, times the lcm of
-    their denominators, with the content divided out."""
+def _integers(row: list[Fraction]) -> tuple[int, dict[int, int]]:
+    """``row`` over one denominator: (den, {column: numerator}) for its
+    nonzero entries, den the lcm of their denominators."""
     nonzero = [(j, x) for j, x in enumerate(row) if x]
     den = math.lcm(*(x.denominator for _, x in nonzero))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero})
+    return den, {j: x.numerator * (den // x.denominator) for j, x in nonzero}
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
@@ -60,7 +63,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     if not m:
         return [], []
     cols = len(m[0])
-    rest = [row for row in map(_integer_row, m) if row]
+    rest = [row for row in (_primitive(_integers(row)[1]) for row in m) if row]
     done: list[tuple[int, dict[int, int]]] = []  # (pivot column, row)
     for c in range(cols):
         holding = [row for row in rest if c in row]
@@ -119,11 +122,13 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
 @dataclass(frozen=True)
 class Factorization:
     """A matrix M reduced once, for many right-hand sides: the pivot columns
-    of rref(M) and the invertible row transform T with T M = rref(M)."""
+    of rref(M) and the invertible row transform T with T M = rref(M), each
+    row of T held as (den, ((column, numerator), ...)), sparse integers over
+    one denominator."""
 
     cols: int
     pivots: tuple[int, ...]
-    transform: tuple[tuple[Fraction, ...], ...]
+    transform: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def solve(self, rhs: list[Fraction]) -> list[Fraction] | None:
         """One solution of M x = rhs with free variables set to zero, or
@@ -131,15 +136,17 @@ class Factorization:
 
         RREF is unique, so [rref(M) | T rhs] is rref([M | rhs]): the system
         is inconsistent iff T rhs is nonzero past the rank, and otherwise
-        the pivot variables read T rhs off row by row.
+        the pivot variables read T rhs off row by row.  With rhs over one
+        denominator, each row of T rhs is one integer dot product over the
+        entries nonzero in both.
         """
-        nonzero = [(j, b) for j, b in enumerate(rhs) if b]
-        y = [sum((row[j] * b for j, b in nonzero), Fraction(0)) for row in self.transform]
+        den, b = _integers(rhs)
+        y = [sum(v * b[j] for j, v in row if j in b) for _, row in self.transform]
         if any(y[len(self.pivots) :]):
             return None
-        x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(self.pivots):
-            x[pc] = y[r]
+        x = [_ZERO] * self.cols
+        for pc, n, (d, _) in zip(self.pivots, y, self.transform):
+            x[pc] = Fraction(n, d * den)
         return x
 
 
@@ -156,5 +163,5 @@ def factor(m: Matrix) -> Factorization:
     return Factorization(
         cols=cols,
         pivots=tuple(c for c in pivots if c < cols),
-        transform=tuple(tuple(row[cols:]) for row in red),
+        transform=tuple((d, tuple(t.items())) for d, t in (_integers(r[cols:]) for r in red)),
     )

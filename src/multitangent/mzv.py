@@ -19,7 +19,7 @@ from numbers import Integral, Real
 import mpmath as mp
 
 from .errors import NumericRecheckError
-from .exact import CoeffExpr, PiRational
+from .exact import CoeffExpr, PiRational, _combine, _expression, _numerators
 from .words import Composition, WordPoly, stuffle
 from . import zetasum
 
@@ -91,13 +91,12 @@ def symmetrel_extend(s: Composition) -> CoeffExpr:
     tail = Composition(s.parts[1:])
     expansion = stuffle(Composition((1,)), tail)
     mult_s = expansion[s]
-    acc = CoeffExpr.zero()
-    for word, mult in expansion.items():
-        if word == s:
-            continue
-        acc = acc + symmetrel_extend(word).scale(mult)
-    # Ze[1] * Ze[tail] = 0 under the chosen normalization
-    return acc.scale(Fraction(-1, mult_s))
+    # Ze[1] * Ze[tail] = 0 under the chosen normalization; summed in integers
+    return _expression(*_combine(
+        (-mult, mult_s * den, vec)
+        for word, mult in expansion.items() if word != s
+        for den, vec in [_numerators(symmetrel_extend(word))]
+    ))
 
 
 def ze_minus(s: Composition) -> CoeffExpr:

@@ -18,7 +18,8 @@ and delta(s) = (-1)^(r/2) pi^r / r!  when s = (1,...,1) with r even, else 0.
 One private generator, ``_z_terms``, yields the terms of this product for
 each pivot and order.  ``_fold`` sums them exactly, in integers over one
 denominator: ``z_coeff`` and ``reduce`` fold the fragments' own monomials,
-``lab.slot_vector`` their vectors over the zeta basis.
+each distinct product of two formed once, ``lab.slot_vector`` their vectors
+over the zeta basis.
 ``numerics.multitangent_eval_reduced`` folds the same terms as a certified
 sum of numeric fragment values, so the index formula lives here alone.
 
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import CoeffExpr, PiRational
+from .exact import CoeffExpr, MzvMonomial, PiRational, _combine, _expression, _numerators
 from .mzv import DEFAULT_CONTEXT, NumericContext, _check_zero, symmetrel_extend
 from .words import Composition, is_multitangent_convergent
 
@@ -55,28 +56,20 @@ def _shifted_words(parts: tuple[int, ...], a: int) -> dict[tuple[int, ...], int]
     return out
 
 
-def _numerators(expr: CoeffExpr) -> tuple:
-    """``expr`` over one denominator: (den, ((monomial, numerator), ...))."""
-    items = list(expr.items())
-    den = math.lcm(*(c.denominator for _, c in items))
-    return den, tuple((key, c.numerator * (den // c.denominator)) for key, c in items)
-
-
 # reducing every sequence up to weight w fills 2^w - 1 entries
 @functools.lru_cache(maxsize=2048)
 def _monomials(parts: tuple[int, ...], a: int) -> tuple:
     """[X^a] Ze[parts](X) over one denominator, each symbol through its
-    symmetrel extension."""
-    out = CoeffExpr.zero()
-    for word, c in _shifted_words(parts, a).items():
-        out = out + symmetrel_extend(Composition(word)).scale(c)
-    return _numerators(out)
+    symmetrel extension, summed in integers."""
+    return _combine(
+        (c, *_numerators(symmetrel_extend(Composition(word))))
+        for word, c in _shifted_words(parts, a).items()
+    )
 
 
 def _fragment(parts: tuple[int, ...], a: int) -> CoeffExpr:
     """[X^a] Ze[parts](X), each symbol through its symmetrel extension."""
-    den, vec = _monomials(parts, a)
-    return CoeffExpr._make({mono: Fraction(n, den) for mono, n in vec})
+    return _expression(*_monomials(parts, a))
 
 
 def _z_terms(i: int, k: int, s: Composition):
@@ -108,11 +101,19 @@ def _order_terms(s: Composition) -> dict[int, list]:
     return terms
 
 
-def _fold(terms, fragment=_monomials, product=lambda m: (1, ((m[0] * m[1], 1),))) -> CoeffExpr:
+# reducing every sequence up to weight 11 forms 1792 distinct products
+@functools.lru_cache(maxsize=2048)
+def _product(pair: tuple[MzvMonomial, MzvMonomial]) -> tuple:
+    """The product of two monomials over one denominator: (1, ((m, 1),))."""
+    return 1, ((pair[0] * pair[1], 1),)
+
+
+def _fold_sum(terms, fragment=_monomials, product=_product) -> tuple:
     """The exact sum of the fragment products of ``_z_terms`` terms, in
-    integers: with each fragment over one denominator, the numerator products
-    of each pair of monomials are summed over a common one, and each distinct
-    pair is mapped through ``product``, by default their product."""
+    integers, over one denominator: with each fragment over one denominator,
+    the numerator products of each pair of monomials are summed over a
+    common one, and each distinct pair is mapped through ``product``, by
+    default their product."""
     frags = [(sign, fragment(r, a_r), fragment(l, a_l)) for sign, r, a_r, l, a_l in terms]
     den = math.lcm(*(d_r * d_l for _, (d_r, _), (d_l, _) in frags))
     pairs: dict = {}
@@ -122,14 +123,13 @@ def _fold(terms, fragment=_monomials, product=lambda m: (1, ((m[0] * m[1], 1),))
             n_r *= scale
             for key_l, n_l in left:
                 pairs[key_r, key_l] = pairs.get((key_r, key_l), 0) + n_r * n_l
-    products = [(n, product(pair)) for pair, n in pairs.items() if n]
-    lcd = math.lcm(*(d for _, (d, _) in products))
-    out: dict = {}
-    for n, (d, vec) in products:
-        n *= lcd // d
-        for key, c in vec:
-            out[key] = out.get(key, 0) + n * c
-    return CoeffExpr._make({key: Fraction(c, den * lcd) for key, c in out.items() if c})
+    products = [(n, *product(pair)) for pair, n in pairs.items() if n]
+    return _combine((n, den * d, vec) for n, d, vec in products)
+
+
+def _fold(terms, fragment=_monomials, product=_product) -> CoeffExpr:
+    """``_fold_sum`` with Fraction coefficients."""
+    return _expression(*_fold_sum(terms, fragment, product))
 
 
 def z_coeff(i: int, k: int, s: Composition) -> CoeffExpr:

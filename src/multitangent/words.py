@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -270,9 +269,6 @@ class WordPoly(LinearCombination):
             {Composition((letter,) + w.parts): m for w, m in self._terms.items()}
         )
 
-    def total_multiplicity(self) -> int:
-        return sum(self._terms.values())
-
     def _term_str(self, word: Composition, mult: int) -> str:
         return f"{mult}*({word})"
 
@@ -311,35 +307,6 @@ def shuffle(a: Composition, b: Composition) -> WordPoly:
     p1, a_rest = a.parts[0], Composition(a.parts[1:])
     q1, b_rest = b.parts[0], Composition(b.parts[1:])
     return shuffle(a_rest, b).prepend(p1) + shuffle(a, b_rest).prepend(q1)
-
-
-def stuffle_poly(p: WordPoly, q: WordPoly) -> WordPoly:
-    """Bilinear extension of the stuffle to formal combinations."""
-    out = WordPoly()
-    for wa, ma in p.items():
-        for wb, mb in q.items():
-            out = out + (ma * mb) * stuffle(wa, wb)
-    return out
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def stuffle_count(la: int, lb: int) -> int:
-    """Number of distinct monomials in a stuffle of words with all-distinct letters.
-
-    Equals sum over k of 2^k C(la, la-k) C(lb, lb-k), k the number of
-    contracted pairs.
-    """
-    if la < 0 or lb < 0:
-        raise ValueError("lengths must be nonnegative")
-    return sum(
-        (1 << k) * _binom(la, la - k) * _binom(lb, lb - k)
-        for k in range(min(la, lb) + 1)
-    )
 
 
 def compositions_of(weight: int, min_part: int = 1) -> Iterator[Composition]:

@@ -272,12 +272,13 @@ class _Point(NamedTuple):
 
 
 def _point(z) -> _Point:
-    """z as a ``_Point``, rounded at the working precision unless an int or mpc."""
+    """z as a ``_Point``: an int as it is, any other number, an mpc too,
+    rounded at the working precision."""
     if type(z) is _Point:
         return z
     if type(z) is int:
         return _Point(z, 0, 0)
-    (sr, mr, er, _), (si, mi, ei, _) = (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
+    (sr, mr, er, _), (si, mi, ei, _) = mp.mpc(z)._mpc_
     if not mr and er or not mi and ei:  # mpmath's inf and nan: mantissa 0
         raise ValueError(f"evaluation point {mp.mpc(z)} is not finite")
     k = max(0, -er, -ei)

@@ -238,7 +238,8 @@ def test_criterion_10_projections():
 def test_criterion_11_property_suites():
     t0 = time.monotonic()
     # exhaustive word algebra
-    from multitangent.words import compositions_of, stuffle_poly, WordPoly
+    from multitangent.words import compositions_of, WordPoly
+    from test_words import stuffle_poly
 
     seqs5 = [s for w in range(0, 6) for s in compositions_of(w)]
     for a in seqs5:

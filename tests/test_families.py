@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from multitangent import families
 from multitangent.errors import PrecisionUnreachableError
 from multitangent.exact import CoeffExpr, PiRational
 from multitangent.families import (
-    sin_product_series_check,
     te_nk_closed_form,
     te_nk_exact,
     te_ones_closed_form,
@@ -159,6 +159,20 @@ class TestZagier:
         numeric = mzv_numeric(CoeffExpr.symbol(repeat(2, n)), CTX)
         with CTX.workprec():
             assert abs(numeric - exact.to_mpf()) < 1e-9
+
+
+def sin_product_series_check(order: int) -> bool:
+    """Exact coefficientwise check, through X^(2*order), of
+
+        exp(- sum_{n>=1} Ze[2n]/n X^(2n)) = sum_n (-1)^n (pi X)^(2n)/(2n+1)!,
+
+    whose left side prod_m (1 - X^2/m^2) has (-1)^m Ze[2^m] at X^(2m)."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return all(
+        zagier_ze2n(m) == PiRational({2 * m: Fraction(1, math.factorial(2 * m + 1))})
+        for m in range(1, order + 1)
+    )
 
 
 class TestSinProduct:

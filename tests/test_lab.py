@@ -662,6 +662,37 @@ class TestWorkbenchParity:
                     )
 
 
+def _lab_exact_outputs():
+    """(operation, exact output) of each operation of the benchmark's
+    lab-exact list: reductions of weight 1..9, relation kernels 4..9, rank
+    matrices 2..7, projections 2..7 and cleansings 3..9, rechecks off."""
+    for w in range(1, 10):
+        for s in enumerate_compositions(w):
+            yield f"reduce {s}", reduce(s).to_json()
+    for p in range(4, 10):
+        yield f"kernel {p}", [str(combo) for combo in relation_kernel(p, recheck=False)]
+    for p in range(2, 8):
+        yield f"rank {p}", rank_matrix(p)
+    for w in range(2, 8):
+        for s in enumerate_compositions(w, "mzv"):
+            yield f"projection {s}", str(projection(s, recheck=False))
+    for w in range(3, 10):
+        for s in enumerate_compositions(w):
+            if 1 in s.parts and max(s.parts) >= 2:
+                yield f"cleanse {s}", str(unit_cleanse(s, recheck=False))
+
+
+def test_lab_exact_outputs_are_pinned():
+    """The exact workbench in integers returns what it returned in
+    Fractions: one digest over every output of the lab-exact list."""
+    import hashlib
+
+    text = "\n".join(f"{op}: {out!r}" for op, out in _lab_exact_outputs())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "705b3205987fc698b15934a6ef5a82702332f60c58d92fb085a93c8d28db98b0"
+    )
+
+
 def test_one_row_enumeration_per_weight(monkeypatch):
     """A projection and a cleansing at weight 6 share one system, keyed on
     the weight: its rows are enumerated once, when it is built, and calls

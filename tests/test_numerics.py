@@ -388,6 +388,21 @@ class TestPeriodicPoint:
             assert evaluate(z + 3) == first
             assert cache.cache_info()[:2] == (hits + 1, misses)
 
+    def test_an_mpc_is_rounded_at_the_working_precision(self, monkeypatch):
+        """An mpc made at 200 bits is read at the 53 bits of the context,
+        like the same point as a Python complex: one point, one memo entry."""
+        _fresh(monkeypatch, numerics, "_memo")
+        ctx = NumericContext(target_abs_error=1e-8, working_precision=53)
+        with mp.workprec(200):
+            z = mp.mpc(1, 3) / 7
+        with ctx.workprec():
+            assert zetasum._point(z) == zetasum._point(complex(z))
+            assert zetasum._point(z).k == 54
+        assert multitangent_eval_direct(C(2, 3), z, ctx) == multitangent_eval_direct(
+            C(2, 3), complex(z), ctx
+        )
+        assert numerics._memo.cache_info().misses == 1
+
     def test_hurwitz_is_not_shifted(self):
         """He_+[2](z) - He_+[2](z + 1) = (1 + z)^-2: a shifted He_+ would
         read both at the same point and leave the difference at -(1 + z)^-2."""

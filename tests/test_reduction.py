@@ -5,7 +5,8 @@ import mpmath as mp
 import pytest
 
 from multitangent.errors import NumericRecheckError
-from multitangent.exact import CoeffExpr, PiRational
+from multitangent import reduction
+from multitangent.exact import CoeffExpr, MzvMonomial, PiRational
 from multitangent.mzv import NumericContext, mzv_numeric, symmetrel_extend
 from multitangent.reduction import (
     ReductionResult,
@@ -214,6 +215,19 @@ def test_reduce_matches_the_shift_vector_formula_to_weight_eight():
             coeffs = {k: e for k, e in coeffs.items() if e}
             expected = ReductionResult(s, delta(s), coeffs)
             assert reduce(s).to_json() == expected.to_json(), s
+
+
+def test_each_monomial_product_is_built_once(monkeypatch):
+    """Reducing every composition of weight 8 multiplies each distinct pair
+    of fragment monomials once; every other product is looked up."""
+    built, mul = [], MzvMonomial.__mul__
+    monkeypatch.setattr(MzvMonomial, "__mul__", lambda a, b: built.append((a, b)) or mul(a, b))
+    reduction._product.cache_clear()
+    for s in enumerate_compositions(8):
+        reduce(s)
+    info = reduction._product.cache_info()
+    assert len(built) == len(set(built)) == info.misses == info.currsize
+    assert info.hits > 10 * info.misses
 
 
 class TestTe1Residual:
