@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath as mp
+
 from .exact import PiRational
 from .mzv import DEFAULT_CONTEXT, NumericContext, even_zeta
 from .numerics import _checked, _monotangent_at, _pi, cot_poly
@@ -65,10 +67,10 @@ def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     constant; raises PrecisionUnreachableError if it misses the target."""
     q = te_nk_exact(n, k)
     with ctx.workprec():
-        z, pi = _checked(z, ctx.pole_guard), _pi()
+        z, pi = _checked(z, ctx.pole_guard), _pi(mp.mp.prec)
         terms = [[(c, 0.0), *[pi] * (n * k - m), *([_monotangent_at(m, z)] if m else [])]
                  for m, c in q.items()]
-        return certify(terms, ctx.target_abs_error)[0]
+        return certify(terms, ctx.target_abs_error).value
 
 
 def zagier_ze2n(n: int) -> PiRational:

@@ -34,13 +34,10 @@ from .errors import CoverageError, NumericRecheckError, ProjectionUnavailableErr
 from .exact import CoeffExpr, MzvMonomial, _combine, _expression, _numerators
 from .linalg import Factorization, Matrix, factor, nullspace, rank
 from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
-from .numerics import (
-    monotangent_eval,
-    multitangent_eval_direct,
-    multitangent_eval_reduced,
-)
+from .numerics import _checked, _direct, monotangent_eval
+from .numerics import multitangent_eval_direct, multitangent_eval_reduced
 from .reduction import _fold, _fold_sum, _monomials, _order_terms, delta, reduce
-from .zetasum import certified_sum
+from .zetasum import GUARD, _entry, certified_sum
 from .verify import sample_points
 from .words import (
     Composition,
@@ -161,16 +158,19 @@ def _require_coverage(weight: int) -> None:
 
 def _recheck(what: str, lhs, combo: MtCombo, ctx: NumericContext) -> None:
     """Require lhs(z) == combo(z) at the sample points: 0 must lie within the
-    certified sum at ``ctx`` of ``lhs(z, t)`` and -combo(z), each within t."""
-    t, coefs = ctx.target_abs_error, [(s, (-c, 0.0)) for s, c in combo.items()]
-    for z in sample_points(2):
-        rhs = [[c, (multitangent_eval_direct(s, z, ctx), t)] for s, c in coefs]
-        with ctx.workprec():
-            diff, bound = certified_sum(lhs(z, t) + rhs)
-            if abs(diff) > bound:
+    certified sum at ``ctx`` of ``lhs(z, t)``, each within t, and -combo(z),
+    read once per point and coefficient, each term a ``numerics._direct`` entry."""
+    t = ctx.target_abs_error
+    with ctx.workprec():
+        coefs = [(s, _entry((-c, 0.0), mp.mp.prec + GUARD)) for s, c in combo.items()]
+        for z in sample_points(2):
+            point = _checked(z, ctx.pole_guard)
+            rhs = [[c, _direct(s, point, ctx)] for s, c in coefs]
+            diff = certified_sum(lhs(z, t) + rhs)
+            if not diff.contains_zero():
                 raise NumericRecheckError(
-                    f"{what} fails recheck at {z}: |diff| = {float(abs(diff)):.3e} "
-                    f"> certified bound {float(bound):.3e}"
+                    f"{what} fails recheck at {z}: |diff| = {float(abs(diff.value)):.3e} "
+                    f"> certified bound {diff[1]:.3e}"
                 )
 
 
@@ -385,8 +385,8 @@ def _numeric(expr: CoeffExpr, ctx: NumericContext) -> str:
     """A coefficient to 12 digits, or 0 where 0 lies within its certificate
     (its digits would be truncation noise)."""
     with ctx.workprec():
-        value, bound = mzv._certified(expr, ctx.target_abs_error, ctx.truncation_cap)
-    return "0" if abs(value) <= bound else mp.nstr(value, 12)
+        result = mzv._certified(expr, ctx.target_abs_error, ctx.truncation_cap)
+    return "0" if result.contains_zero() else mp.nstr(result.value, 12)
 
 
 def table_emit(

@@ -136,20 +136,19 @@ def even_zeta(n: int) -> PiRational:
     return PiRational({2 * n: coef})
 
 
-def _certified(expr: CoeffExpr, target, cap: int) -> tuple:
-    """(value, bound) of an exact expression at the current working
+def _certified(expr: CoeffExpr, target, cap: int) -> zetasum._FixedSum:
+    """The real entry of an exact expression at the current working
     precision, certified to ``target`` by ``zetasum.certify``, which raises
     PrecisionUnreachableError if it cannot be: each monomial is a term, its
     nested sums pieces and its exact coefficient a fixed factor.  Divergent
     symbols are resolved through the symmetrel extension first."""
     expr = expr.map_symbols(symmetrel_extend)
-    value, bound = zetasum.certify([
+    result = zetasum.certify([
         [*(functools.partial(zetasum.shifted_nested_sum, s.parts, 0, cap=cap)
            for s in mono.factors), (coef, 0.0)]
         for mono, coef in expr.items()
     ], target)
-    # zeta expressions are real
-    return mp.re(value), bound
+    return zetasum._FixedSum.exact(result.read[0], 0, result.wp, result[1], result.rounding, True)
 
 
 def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CONTEXT):
@@ -168,11 +167,10 @@ def _check_zero(what: str, expr: CoeffExpr, ctx: NumericContext) -> None:
     """Check an exact expression that should vanish: raise
     NumericRecheckError unless 0 lies within its certificate at ``ctx``."""
     with ctx.workprec():
-        value, bound = _certified(expr, ctx.target_abs_error, ctx.truncation_cap)
-    if abs(value) > bound:
-        raise NumericRecheckError(
-            f"{what} is {mp.nstr(value, 15)}, outside its certified bound {mp.nstr(bound, 3)}"
-        )
+        result = _certified(expr, ctx.target_abs_error, ctx.truncation_cap)
+    if not result.contains_zero():
+        raise NumericRecheckError(f"{what} is {mp.nstr(result.value, 15)}, "
+                                  f"outside its certified bound {mp.nstr(result[1], 3)}")
 
 
 def newton_relation_check(omega: int, p: int) -> bool:

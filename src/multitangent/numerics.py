@@ -9,7 +9,7 @@ exact cotangent polynomials, with an error bound.  cot(pi z) and each
 Te^k(z) are kept in ``_points``, keyed on that point, the working precision
 and k, for ``monotangent_eval``, the reduced evaluator below and
 ``families.te_nk_closed_form``.  This module's four caches are
-``zetasum.CertifiedCache``s, each sized where it is made.
+``zetasum.CertifiedCache``s of entries, each sized where it is made.
 
 Bilateral multitangent sums are evaluated by splitting each chain once,
 where its indices change sign: n_1 > ... > n_a >= 0 sums to
@@ -44,7 +44,7 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, is_multitangent_convergent
-from .zetasum import GUARD, CertifiedCache, _point, _read
+from .zetasum import GUARD, CertifiedCache, _FixedSum, _entry, _point, _read
 from .zetasum import certified_sum, certify, shifted_nested_sum
 
 
@@ -56,17 +56,20 @@ def _checked(z, guard):
     zr, zi, k = point = _point(z)
     n = -(((1 << k) - 2 * abs(zr)) >> (k + 1))  # the integer nearest |Re z|
     point = point.shift(-n if zr > 0 else n)
-    # exactly, in integers: guard = p / q against |z| = |re + i zi| / 2^k
-    exact = guard.man * Fraction(2) ** guard.exp if isinstance(guard, mp.mpf) else guard
-    p, q = exact.as_integer_ratio()
-    if (point.re**2 + zi * zi) * q * q < (p << k) ** 2:
+    # exactly, in integers: guard = 2^e p / q against |z| = |re + i zi| / 2^k
+    man, e = guard.man_exp if isinstance(guard, mp.mpf) else (guard, 0)
+    p, q = man.as_integer_ratio()
+    norm, shift = (point.re**2 + zi * zi) * q * q, 2 * (k + e)
+    if (norm << -shift if shift < 0 else norm) < (p * p << shift if shift > 0 else p * p):
         raise PoleProximityError(f"{mp.mpc(z)} is within {guard} of an integer")
     return point
 
 
-def _pi():
-    """pi as a certified factor: correctly rounded, so within half an ulp."""
-    return +mp.pi, math.ldexp(2.0, -mp.mp.prec)
+@lru_cache(maxsize=16)
+def _pi(prec: int):
+    """pi as an entry at prec bits: correctly rounded, so within half an ulp."""
+    with mp.workprec(prec):
+        return _entry((+mp.pi, math.ldexp(2.0, -prec)), prec + GUARD)
 
 
 @lru_cache(maxsize=64)
@@ -89,29 +92,31 @@ def cot_poly(k: int) -> dict[int, Fraction]:
 
 
 def _cot(z):
-    """(c, x, err): c = cot(pi z) at the point z of ``_checked`` at the
-    working precision, over 2^wp as ``zetasum._read`` reads it, and floats
-    err >= |cot(pi z) - c| and x >= |c| + err.  The one trust placed in
+    """cot(pi z) at the point z of ``_checked`` at the working precision, as
+    an entry: its integers c as ``zetasum._read`` reads them, its size m >=
+    |c| and its bound err >= |cot(pi z) - c|.  The one trust placed in
     mpmath's cot: pi z rounds by a relative 2^(2-prec), which cot' =
     -(1 + cot^2) carries, and cot adds 2^(2-prec) (1 + |c|); err is twice
     that, which covers c's ulps too.  Its |z| <= sqrt(1/4 + (Im z)^2)."""
     z = mp.make_mpc(tuple(from_man_exp(x, -z.k) for x in (z.re, z.im)))
-    cr, ci, _, m, _ = _read((mp.cot(mp.pi * z), 0.0), mp.mp.prec + GUARD)
+    wp, c = mp.mp.prec + GUARD, mp.cot(mp.pi * z)
+    cr, ci, verr, m, _ = _read((c, 0.0), wp)
     err = math.ldexp(4 * abs(complex(z)) * (1 + m * m) + 1 + m, max(-1070, 3 - mp.mp.prec))
-    return (cr, ci), m + err, err
+    return _FixedSum((cr, ci, verr, m, err), wp, value=c)
 
 
 def _monotangent(k: int, cot):
-    """(value, bound) of Te^k at the point where ``_cot`` gave ``cot``.  With
-    p = k mod 2, den Q(c) = c^p R(c^2) has integer coefficients; a Horner
-    scheme on Gaussian integers gives it exactly at the scaled c, and times
+    """The entry of Te^k at the point where ``_cot`` gave ``cot``, c within
+    err, so x = m + err >= |cot(pi z)|.  With p = k mod 2, den Q(c) =
+    c^p R(c^2) has integer coefficients; a Horner scheme on Gaussian
+    integers gives it exactly at the scaled c, and times
     pi^k to pq bits (within q 2^-wp, q = Q(x)) it is rounded once to the
     working precision.  The coefficients are positive, so the error of c
     moves Q by at most err Q'(x), and the rounding is at most
     2^(3-prec) (k + 4) q; pi^k scales both, and 1 + 2^-40 covers the float
     rounding of the bound."""
-    (cr, ci), x, err = cot
-    prec, poly, p = mp.mp.prec, cot_poly(k), k % 2
+    cr, ci, _, m, err = cot.read
+    x, prec, poly, p = m + err, mp.mp.prec, cot_poly(k), k % 2
     wp, den = prec + GUARD, math.lcm(*(a.denominator for a in poly.values()))
     wr, wi, y = cr * cr - ci * ci, 2 * cr * ci, x * x  # c^2 over 2^(2 wp)
     ar, ai, h, dh = 0, 0, 0.0, 0.0  # the exact sum, and R(x^2), R'(x^2) in floats
@@ -127,25 +132,22 @@ def _monotangent(k: int, cot):
     q, dq = x**p * h / den, (h + 2 * y * dh if p else 2 * x * dh) / den
     bound = (err * dq + math.ldexp(8 * (k + 4) * q, max(-1070, -prec))) * math.pi**k
     bound = (bound + q * 2.0 ** -min(wp, 1000)) * (1 + 2.0**-40)
-    return value, bound if bound < math.inf else math.inf
+    return _entry((value, bound if bound < math.inf else math.inf), wp)
 
 
 _points = CertifiedCache(256)  # the rechecks: a cotangent and up to 11 orders per point
 
 
 def _monotangent_at(k: int, z):
-    """(value, bound) of Te^k at the point z of ``_checked``: ``_cot`` and
+    """The entry of Te^k at the point z of ``_checked``: ``_cot`` and
     ``_monotangent``, each computed once per point and working precision.
     Neither depends on a target, so an entry serves every caller, which
     compares the bound with its own target."""
     point = (z, mp.mp.prec)
     hit = _points.get((*point, k))
     if hit is None:
-        cot = _points.get(point)
-        if cot is None:
-            c = _cot(z)
-            cot = _points.put(point, (c, c[2]))  # an entry (value, bound): c and its error
-        hit = _points.put((*point, k), _monotangent(k, cot[0]))
+        cot = _points.get(point) or _points.put(point, _cot(z))
+        hit = _points.put((*point, k), _monotangent(k, cot))
     return hit
 
 
@@ -171,12 +173,12 @@ def _splits(s: Composition):
 
 
 def _one_sided(side: str, parts: tuple, z, target: float, cap: int):
-    """(value, error bound) of the one-sided sum He_side[parts](z); the "-"
-    side is (-1)^weight times the "+" side of the reversed parts at -z."""
+    """The entry of the one-sided sum He_side[parts](z); the "-" side is
+    (-1)^weight times the "+" side of the reversed parts at -z."""
     if side == "+":
         return shifted_nested_sum(parts, z, target=target, cap=cap)
-    v, e = shifted_nested_sum(tuple(reversed(parts)), -z, target=target, cap=cap)
-    return (-v if sum(parts) % 2 else v), e
+    entry = shifted_nested_sum(tuple(reversed(parts)), -z, target=target, cap=cap)
+    return -entry if sum(parts) % 2 else entry
 
 
 _memo = CertifiedCache(256)  # the rechecks to weight 8 keep about 210 values
@@ -186,24 +188,29 @@ def multitangent_eval_direct(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
     """Bilateral nested sum for a convergent sequence: the trifactorization
-    with each pivot folded into its positive side (module docstring).  Each
-    of the r + 1 splits is a term of ``zetasum.certify``, its one-sided sums
-    pieces at the exact dyadics of z - 1 ("+") and z ("-").  The last 256
-    results (``_memo``) serve later calls they meet.
-    """
+    with each pivot folded into its positive side (module docstring), the
+    value of ``_direct`` at z read once through ``_checked``."""
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not a convergent multitangent index")
     with ctx.workprec():
-        z = _checked(z, ctx.pole_guard)
-        key = (s, z, mp.mp.prec, ctx.truncation_cap)
-        hit = _memo.get(key, ctx.target_abs_error)
-        if hit is not None:
-            return hit[0]
-        sides, cap = (("+", z.shift(-1)), ("-", z)), ctx.truncation_cap
-        terms = [[partial(_one_sided, side, parts, point, cap=cap)
-                  for (side, point), parts in zip(sides, split) if parts]
-                 for split in _splits(s)]
-        return _memo.put(key, certify(terms, ctx.target_abs_error)[:2])[0]
+        return _direct(s, _checked(z, ctx.pole_guard), ctx).value
+
+
+def _direct(s: Composition, z, ctx: NumericContext):
+    """The entry of Te[s] for a convergent s at the point z of ``_checked``,
+    at the working precision, within the context target.  Each of the r + 1
+    splits is a term of ``zetasum.certify``, its one-sided sums pieces at the
+    exact dyadics of z - 1 ("+") and z ("-").  The last 256 entries
+    (``_memo``) serve later calls they meet."""
+    key = (s, z, mp.mp.prec, ctx.truncation_cap)
+    hit = _memo.get(key, ctx.target_abs_error)
+    if hit is not None:
+        return hit
+    sides, cap = (("+", z.shift(-1)), ("-", z)), ctx.truncation_cap
+    terms = [[partial(_one_sided, side, parts, point, cap=cap)
+              for (side, point), parts in zip(sides, split) if parts]
+             for split in _splits(s)]
+    return _memo.put(key, certify(terms, ctx.target_abs_error))
 
 
 _fragments = CertifiedCache(1024)  # weight <= w needs 2^w - w per precision and cap
@@ -249,11 +256,12 @@ def multitangent_eval_reduced(
     if not s:
         raise ValueError("empty sequence")
     with ctx.workprec():
-        z, cap, pi = _checked(z, ctx.pole_guard), ctx.truncation_cap, _pi()
+        z, cap, pi = _checked(z, ctx.pole_guard), ctx.truncation_cap, _pi(mp.mp.prec)
         constant = [[(q, 0.0), *[pi] * r] for r, q in delta(s).items()]
-        orders = [[partial(_order_coefficient, s, k, terms, cap=cap), _monotangent_at(k, z)]
-                  for k, terms in sorted(_order_terms(s).items())]
-        return certify(constant + orders, ctx.target_abs_error)[0]
+        # Te[s] = Te^s for one part s: its one coefficient is exactly 1
+        orders = [[(1, 0.0) if s.length == 1 else partial(_order_coefficient, s, k, terms, cap=cap),
+                   _monotangent_at(k, z)] for k, terms in sorted(_order_terms(s).items())]
+        return certify(constant + orders, ctx.target_abs_error).value
 
 
 def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT):
@@ -285,7 +293,7 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
 
 def trifactorization_residual(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
-) -> tuple[mp.mpc, float]:
+) -> _FixedSum:
     """Certified (value, float bound) of Te[s](z) - sum over splits He_+ * Ce * He_-,
     the reduced evaluation less the direct one (each pivot Ce folded into its
     positive side), each within the context target: the module docstring
@@ -328,64 +336,6 @@ def fourier_coefficient(
         raise ValueError("n must be nonzero")
     with ctx.workprec():
         return _fourier_from_zetas(_fourier_zetas(s, ctx), n)
-
-
-def _check_fourier_sum(s: Composition, n_terms: int, y) -> None:
-    """Fourier sums of N >= 0 terms hold for convergent s at Im z = y > 0."""
-    if not is_multitangent_convergent(s):
-        raise ValueError(f"{s} is not convergent")
-    if n_terms < 0:
-        raise ValueError("the number of Fourier terms must be >= 0")
-    if not y > 0:
-        raise ValueError("Fourier sums require Im z > 0")
-
-
-def fourier_partial_sum(
-    s: Composition, z, n_terms: int, ctx: NumericContext = DEFAULT_CONTEXT
-):
-    """-sum_{n=1}^{N} T_hat_n q^n, valid for Im z > 0."""
-    with ctx.workprec():
-        z = mp.mpc(z)
-        _point(z)  # raises ValueError if z is not finite; a Fourier sum has no poles
-        _check_fourier_sum(s, n_terms, mp.im(z))
-        q = mp.exp(2j * mp.pi * z)
-        zetas = list(_fourier_zetas(s, ctx))
-        total = mp.mpc(0)
-        for n in range(1, n_terms + 1):
-            total -= _fourier_from_zetas(zetas, n) * q**n
-        return total
-
-
-def fourier_tail_envelope(s: Composition, n_terms: int, y: float,
-                          ctx: NumericContext = DEFAULT_CONTEXT) -> float:
-    """Upper bound C with |Te[s](z) - partial sum| <= C * e^(-2 pi (N+1) y).
-
-    Uses |T_hat_n| <= A * n^(M-1) with M = max part and A read off the
-    coefficient formula, then sums the dominated geometric tail.
-    """
-    _check_fourier_sum(s, n_terms, y)
-    with ctx.workprec():
-        big_m = max(s.parts)
-        amp = mp.mpf(0)
-        for k, (zval, bound) in _fourier_zetas(s, ctx):
-            amp += 2 * mp.pi * (2 * mp.pi) ** (k - 1) / mp.factorial(k - 1) * (abs(zval) + bound)
-        x = mp.exp(-2 * mp.pi * y)
-        # sum_{n > N} n^(M-1) x^n <= x^(N+1) * sum_{m>=0} (N+1+m)^(M-1) x^m
-        tail = mp.mpf(0)
-        m = 0
-        while True:
-            term = mp.mpf(n_terms + 1 + m) ** (big_m - 1) * x**m
-            tail += term
-            ratio = x * ((n_terms + 2 + m) / (n_terms + 1 + m)) ** (big_m - 1)
-            if ratio < 0.5 and term < tail * mp.mpf("1e-30"):
-                tail += term * ratio / (1 - ratio)
-                break
-            m += 1
-            if m > 10_000:
-                raise PrecisionUnreachableError(
-                    "tail envelope failed to converge", achieved=math.inf
-                )
-        return float(amp * tail)
 
 
 @dataclass

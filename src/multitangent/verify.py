@@ -2,8 +2,10 @@
 
 Each suite draws deterministic sample points, evaluates both sides of an
 identity through independent code paths, and passes a check when 0 lies
-within the certificate of the difference, as the workbench rechecks do.
-It reports the worst deviation; ``mtk verify --suite <name>`` runs it.
+within the certificate of the difference, as the workbench rechecks do: each
+point is read once through ``numerics._checked``, and each multitangent is
+the certified entry ``numerics._direct`` keeps for it.  It reports the worst
+deviation; ``mtk verify --suite <name>`` runs it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .mzv import DEFAULT_CONTEXT, NumericContext
-from .numerics import (
-    flatness_and_bounds_check,
-    multitangent_eval_direct,
-    trifactorization_residual,
-)
+from .numerics import _checked, _direct, flatness_and_bounds_check, trifactorization_residual
 from .words import Composition, enumerate_compositions, stuffle
 from .zetasum import certified_sum
 
@@ -75,11 +73,6 @@ def _convergent_cases(max_weight: int, seed: int):
     return zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE))
 
 
-def _te(s: Composition, z, ctx: NumericContext):
-    """Te[s](z) as a certified factor: within the context target."""
-    return multitangent_eval_direct(s, z, ctx), ctx.target_abs_error
-
-
 def suite_symmetrel(
     ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 8, seed: int = 7
 ) -> SuiteResult:
@@ -94,8 +87,10 @@ def suite_symmetrel(
                     if a.sort_key() <= b.sort_key():
                         pairs.append((a, b))
     for (a, b), z in zip(pairs, sample_points(len(pairs), seed, _SUITE_IM_RANGE)):
-        rhs = [[(-mult, 0), _te(word, z, ctx)] for word, mult in stuffle(a, b).items()]
-        result.record(f"Te[{a}]*Te[{b}]", [[_te(a, z, ctx), _te(b, z, ctx)], *rhs], ctx)
+        with ctx.workprec():
+            z = _checked(z, ctx.pole_guard)
+            rhs = [[(-mult, 0), _direct(word, z, ctx)] for word, mult in stuffle(a, b).items()]
+            result.record(f"Te[{a}]*Te[{b}]", [[_direct(a, z, ctx), _direct(b, z, ctx)], *rhs], ctx)
     return result
 
 
@@ -105,8 +100,10 @@ def suite_parity(
     """Te[s](-z) = (-1)^||s|| Te[reverse(s)](z)."""
     result = SuiteResult("parity")
     for s, z in _convergent_cases(max_weight, seed):
-        rhs = [(-((-1) ** s.weight), 0), _te(s.reverse(), z, ctx)]
-        result.record(f"parity Te[{s}]", [[_te(s, -z, ctx)], rhs], ctx)
+        with ctx.workprec():  # -z is read as the negated point
+            z = _checked(z, ctx.pole_guard)
+            rhs = [(-((-1) ** s.weight), 0), _direct(s.reverse(), z, ctx)]
+            result.record(f"parity Te[{s}]", [[_direct(s, -z, ctx)], rhs], ctx)
     return result
 
 
@@ -121,9 +118,10 @@ def suite_diff(
         with ctx.workprec():  # z +- h exact, 1/(2h) rounded once
             h = mp.mpf("1e-5")
             quotient = [(1 / (2 * h), mp.ldexp(1 / h, -mp.mp.prec))]
-            terms = [[_te(s, z + h, ctx), *quotient], [_te(s, z - h, ctx), (-1, 0), *quotient]]
-        terms += [[(part, 0), _te(s.bump(i), z, ctx)] for i, part in enumerate(s.parts)]
-        result.record(f"diff Te[{s}]", [*terms, [(0, DIFF_TRUNCATION)]], ctx)
+            up, down, z = (_checked(w, ctx.pole_guard) for w in (z + h, z - h, z))
+            terms = [[_direct(s, up, ctx), *quotient], [_direct(s, down, ctx), (-1, 0), *quotient]]
+            terms += [[(part, 0), _direct(s.bump(i), z, ctx)] for i, part in enumerate(s.parts)]
+            result.record(f"diff Te[{s}]", [*terms, [(0, DIFF_TRUNCATION)]], ctx)
     return result
 
 

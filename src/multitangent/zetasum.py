@@ -83,24 +83,29 @@ its exact dyadic (``_Point``), and every bound is a float rounded up.
 
 Certified sums
 --------------
-``certified_sum`` adds products of factors (value, bound) in the same
-format, at the working precision: a sum made outside an evaluator runs at
-its context's.  One reader, ``_read``, reads each factor once: its value
-(int, exact Fraction, mpf or mpc) with its own bits as a Gaussian integer,
-verr ulps away, and its size and bound as upward floats.  A running
-product P rounds once per factor v, and its error err becomes
-err |v| + |P| verr + 1 ulps; the sums are exact.  The propagated bound runs
-in floats by a recursion that never cancels, with a_k >= |v_k| and e_k the
-bounds: D_k = D_(k-1) a_k + H_(k-1) e_k, H_k = H_(k-1) (a_k + e_k), D_0 = 0,
-H_0 = 1.  The rounding term adds the ulps and 2^(3-prec) times the sum over
-terms of (factors + terms) H, which covers the rounding of the value to the
-working precision at the end.  Bounds are returned as floats, scaled by
-1 + 2^-20 and rounded up (``math.nextafter``), as the nested-sum pass
-returns them: bounds are upward-rounded floats from pass to certificate.
+Values travel in one format from pass to certificate, the entry
+``_FixedSum``: the Gaussian integer at wp that the pass or ``certified_sum``
+holds, its float size and bound.  Every certified cache stores entries; an
+mpc is built from one only where a public function returns a value.
+``certified_sum`` adds products of factors (value, bound) at the working
+precision (a sum made outside an evaluator runs at its context's) and
+rounds the sum to it in integers, as mpmath rounds.  One reader, ``_read``,
+reads each factor once: an entry made at wp as it is, any other value (int,
+exact Fraction, mpf or mpc) with its own bits, verr ulps away, and its size
+and bound as upward floats.  A running product P rounds once per factor v,
+and its error becomes err |v| + |P| verr + 1 ulps; the sums are exact.  The
+propagated bound runs in floats by a recursion that never cancels, with
+a_k >= |v_k| and e_k the bounds: D_k = D_(k-1) a_k + H_(k-1) e_k,
+H_k = H_(k-1) (a_k + e_k), D_0 = 0, H_0 = 1.  The rounding term adds the
+ulps and 2^(3-prec) times the sum over terms of (factors + terms) H, which
+covers rounding each factor and the value to the working precision.  Bounds
+are floats scaled by 1 + 2^-20 and rounded up (``math.nextafter``), as the
+nested-sum pass returns them: upward-rounded floats from pass to certificate.
 ``certify`` holds the one budget rule.  Its pieces are factors it evaluates
 itself: in a term of n with c pieces whose other factors multiply to
 m = prod (size + bound), each piece first gets target / (2 n c max(1, m)),
-and all piece targets shrink by target / (4 bound) while the bound misses.  A
+and all piece targets shrink by target / (4 bound) while the bound misses.
+Terms without a piece meet the target before any piece is evaluated.  A
 pass that misses is summed again with every piece at its value and bound 0:
 if that misses too, no piece target can help, and the sum is refused.  A
 piece that refuses its own target is refused under the sum's target.
@@ -394,15 +399,67 @@ class _Cutoff:
         return _upward(total + _upward(_upward(carried * self.n0) / tail.beta))
 
 
-class _FixedSum(tuple):
-    """``(value, bound)``, the bound a float rounded up.  ``rounding`` is the
-    part of the bound that covers rounding; for a nested sum it grows with
-    the cutoff."""
+def _round(n: int, prec: int) -> int:
+    """n to prec significant bits, to nearest with ties to even, as mpmath
+    rounds a mantissa."""
+    shift = abs(n).bit_length() - prec
+    if shift <= 0:
+        return n
+    q, r = divmod(n, 1 << shift)
+    return (q + (r > 1 << (shift - 1) or r == 1 << (shift - 1) and q & 1)) << shift
 
-    def __new__(cls, value, bound, rounding):
-        self = super().__new__(cls, (value, bound))
-        self.rounding = rounding
-        return self
+
+class _FixedSum:
+    """A certified value as the numeric core hands it on: ``read`` is what
+    ``_read`` returns for it at ``wp``, (x, y, err, size, bound).  ``rounding``
+    is the part of the bound that covers rounding; for a nested sum it grows
+    with the cutoff.  It reads as the pair (value, bound), the value an mpc
+    (an mpf if ``real``) built from x + iy on first use."""
+
+    __slots__ = ("read", "wp", "rounding", "real", "prefixes", "_value")
+
+    def __init__(self, read: tuple, wp: int, rounding: float = 0.0, value=None, real=False):
+        self.read, self.wp, self.rounding, self._value, self.real = read, wp, rounding, value, real
+
+    @classmethod
+    def exact(cls, x: int, y: int, wp: int, bound: float, rounding: float, real=False):
+        """The entry whose value is exactly (x + iy) / 2^wp."""
+        try:
+            size = abs(complex(x / (1 << wp), y / (1 << wp))) * (1 + 2.0**-50)
+        except OverflowError:
+            size = math.inf
+        return cls((x, y, 0.0, size, bound), wp, rounding, real=real)
+
+    @property
+    def value(self):
+        if self._value is None:
+            re, im = (from_man_exp(x, -self.wp) for x in self.read[:2])
+            self._value = mp.make_mpf(re) if self.real else mp.make_mpc((re, im))
+        return self._value
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, i):
+        return self.read[4] if i == 1 else (self.value, self.read[4])[i]
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, (tuple, _FixedSum)) else other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __neg__(self) -> _FixedSum:
+        """-value of an entry that holds its value (err 0), rounded to the
+        working precision as mpmath negates."""
+        x, y, _, _, bound = self.read
+        x, y = (-_round(v, mp.mp.prec) for v in (x, y))
+        return _FixedSum.exact(x, y, self.wp, bound, self.rounding, self.real)
+
+    def contains_zero(self) -> bool:
+        """|value| <= bound, exactly, for an entry that holds its value (err 0)."""
+        n, d = self.read[4].as_integer_ratio()
+        return (self.read[0] ** 2 + self.read[1] ** 2) * d * d <= (n << self.wp) ** 2
 
 
 def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSum:
@@ -410,7 +467,7 @@ def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSu
     (value, error bound) of the full sum, with ``prefixes`` holding
     (value, error bound) of every prefix S(s_1, ..., s_a; z), a = 1..r."""
     if not exponents:
-        result = _FixedSum(mp.mpc(1), 0.0, 0.0)
+        result = _FixedSum.exact(1, 0, 0, 0.0, 0.0)  # exact at any precision
         result.prefixes = ()
         return result
     if exponents[0] < 2:
@@ -453,13 +510,12 @@ def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSu
         size = tmag + total * size
         below, deltas = sums, next_deltas
 
-        value = mp.make_mpc((from_man_exp(tr, -wp), from_man_exp(ti, -wp)))
         # the float accounting rounds by at most 2^-53 relative per operation
         rounding = _upward(math.ldexp(err * (1 + 2.0**-20), -wp))
         bound = _upward(_upward(delta / cut.one) + rounding)
-        prefixes.append(_FixedSum(value, bound, rounding))
-    result = prefixes[-1]
-    result.prefixes = tuple(p[:2] for p in prefixes)
+        prefixes.append(_FixedSum.exact(tr, ti, wp, bound, rounding))
+    result = _FixedSum(prefixes[-1].read, wp, rounding)  # no cycle through prefixes
+    result.prefixes = tuple(prefixes)
     return result
 
 
@@ -508,7 +564,7 @@ def shifted_nested_sum(
     z=0,
     target: float = 1e-12,
     cap: int = 200_000,
-) -> tuple[mp.mpc, float]:
+) -> _FixedSum:
     """Evaluate the nested sum at z (a number or ``_Point``) to absolute
     error <= target.
 
@@ -525,16 +581,16 @@ def shifted_nested_sum(
     key = (exponents, z, mp.mp.prec)
     hit = _cache.get(key, target, cap)
     if hit is not None:
-        return hit[:2]
+        return hit[0]
 
     n0 = z.floor
     best = None
     while n0 <= cap:
         best = shifted_nested_sum_fixed(exponents, z, n0)
         if best[1] <= target:
-            for j, (v, e) in enumerate(best.prefixes, 1):
-                _cache.put((exponents[:j], *key[1:]), (v, e, n0))
-            return best[:2]
+            for j, prefix in enumerate(best.prefixes, 1):
+                _cache.put((exponents[:j], *key[1:]), (prefix, prefix.read[4], n0))
+            return prefix
         if best.rounding > target:
             break
         n0 *= 3
@@ -552,7 +608,12 @@ def _read(factor, wp: int) -> tuple[int, int, float, float, float]:
     int, Fraction, mpf or mpc with its own bits, or what ``mp.mpc`` takes)
     times 2^wp is x + iy within err units, a part that is not finite becoming
     0; size >= |value| is a float, inf beyond the float range and inf or nan
-    if the value is not finite; the bound is a float rounded up."""
+    if the value is not finite; the bound is a float rounded up.  A
+    ``_FixedSum`` made at wp is read as it holds itself."""
+    if type(factor) is _FixedSum:
+        if factor.wp == wp:
+            return factor.read
+        factor = factor.value, factor.read[4]
     v, e = factor
     if isinstance(v, int):
         x, y, err = v << wp, 0, 0.0
@@ -568,6 +629,13 @@ def _read(factor, wp: int) -> tuple[int, int, float, float, float]:
     except OverflowError:
         size = math.inf
     return x, y, err, size, e if type(e) is float else _upward(float(e))
+
+
+def _entry(factor, wp: int) -> _FixedSum:
+    """The factor (value, bound) as a ``_FixedSum`` at wp, read once."""
+    if type(factor) is _FixedSum and factor.wp == wp:
+        return factor
+    return _FixedSum(_read(factor, wp), wp, value=factor[0])
 
 
 def certified_sum(terms) -> _FixedSum:
@@ -598,27 +666,38 @@ def certified_sum(terms) -> _FixedSum:
     bound = math.nextafter(propagated * (1 + 2.0**-20) + rounding, math.inf)
     if not bound < math.inf:
         raise PrecisionUnreachableError("a factor or its bound is not finite", achieved=math.inf)
-    value = mp.make_mpc((from_man_exp(sr, -wp, prec, "n"), from_man_exp(si, -wp, prec, "n")))
-    return _FixedSum(value, bound, math.nextafter(rounding, math.inf))
+    return _FixedSum.exact(_round(sr, prec), _round(si, prec), wp, bound, _upward(rounding))
 
 
 def certify(terms, target) -> _FixedSum:
     """``certified_sum`` of ``terms`` within ``target``.  A factor is a
     certified ``(value, bound)`` or a piece, a callable t -> (value, bound)
-    within t.  In a term of n with c pieces whose other factors multiply to
-    m = prod (size + bound) as ``_read`` reads them, each piece first gets
-    target / (2 n c max(1, m)); the piece targets shrink by target / (4 bound)
-    while the bound misses.  Raises PrecisionUnreachableError when the bound
-    misses with no piece target to shrink, when the rounding alone exceeds
-    half the target, or when the sum with every piece at its value and bound
-    0 misses too, since no piece target can then help; the error carries
-    that sum's bound.  A piece that refuses is refused under this target,
-    with an achieved bound above it, naming its piece target and m."""
+    within t; each fixed factor is read once, as a ``_FixedSum``.  In a term
+    of n with c pieces whose other factors multiply to m = prod (size +
+    bound), each piece first gets target / (2 n c max(1, m)); the piece
+    targets shrink by target / (4 bound) while the bound misses.  Raises
+    PrecisionUnreachableError before any piece is evaluated when the terms
+    without a piece carry a propagated bound above the target, which every
+    sum's bound holds (a term with a piece is judged with its pieces' values,
+    which may be small); when the bound misses with no piece target to
+    shrink, when the rounding alone exceeds half the target, or when the sum
+    with every piece at its value and bound 0 misses too, since no piece
+    target can then help; the error carries that sum's bound.  A piece that
+    refuses is refused under this target, with an achieved bound above it,
+    naming its piece target and m."""
     n, budgets, scale, wp = len(terms), [], 1.0, mp.mp.prec + GUARD
+    terms = [[f if callable(f) else _entry(f, wp) for f in term] for term in terms]
+    fixed = 0.0  # the propagated bound of the terms without a piece
     for term in terms:  # each term's first piece target and its m
-        c = sum(map(callable, term))
-        m = math.prod(sum(_read(f, wp)[3:]) for f in term if not callable(f))  # size + bound
+        c, d, m = sum(map(callable, term)), 0.0, 1.0
+        for _, _, _, a, e in (f.read for f in term if not callable(f)):
+            d, m = d * a + m * e, m * (a + e)
         budgets.append((c and target / (2 * n * c * max(1.0, m)), m))
+        fixed += 0.0 if c else d
+    pieces = any(t for t, _ in budgets)
+    if pieces and fixed > target:
+        raise PrecisionUnreachableError(f"the fixed factors alone of the terms without a piece"
+                                        f" reach bound {fixed:.3e} > {float(target):.3e}", fixed)
 
     def evaluate(piece, t, m):
         try:
@@ -634,8 +713,9 @@ def certify(terms, target) -> _FixedSum:
         result = certified_sum(factors)
         if result[1] <= target:
             return result
-        why = f": rounding at {mp.mp.prec} bits alone is {float(result.rounding):.3e}"
-        if result.rounding <= target / 2 and any(t for t, _ in budgets):
+        why = f": rounding at {mp.mp.prec} bits alone is {result.rounding:.3e}" if pieces else (
+            f" with no piece: its fixed factors' bounds carry {result[1] - result.rounding:.3e}")
+        if result.rounding <= target / 2 and pieces:
             exact = certified_sum([
                 [(got[0], 0.0) if callable(f) else got for f, got in zip(term, row)]
                 for term, row in zip(terms, factors)

@@ -23,8 +23,6 @@ from multitangent.lab import (
 from multitangent.mzv import NumericContext, even_zeta, mzv_numeric
 from multitangent.numerics import (
     fourier_coefficient,
-    fourier_partial_sum,
-    fourier_tail_envelope,
     monotangent_eval,
     multitangent_eval_direct,
     multitangent_eval_reduced,
@@ -33,6 +31,8 @@ from multitangent.numerics import (
 from multitangent.reduction import reduce
 from multitangent.verify import run_suite, sample_points
 from multitangent.words import Composition, repeat, stuffle
+
+from fourier_sums import fourier_partial_sum, fourier_tail_envelope
 
 C = Composition.of
 

@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import random
-import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -24,8 +23,6 @@ from multitangent.numerics import (
     cot_poly,
     flatness_and_bounds_check,
     fourier_coefficient,
-    fourier_partial_sum,
-    fourier_tail_envelope,
     hurwitz_eval,
     monotangent_eval,
     multitangent_eval_direct,
@@ -43,6 +40,8 @@ from multitangent.zetasum import (
     shifted_nested_sum,
     shifted_nested_sum_fixed,
 )
+
+from fourier_sums import fourier_partial_sum, fourier_tail_envelope
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
@@ -111,6 +110,30 @@ class TestMonotangent:
         point = zetasum._point(mp.mpc(1 + 0.001001j))
         assert numerics._checked(1 + 0.001001j, guard) == point.shift(-1)
         assert numerics._checked(-2.5, 0.5) == zetasum._point(-0.5)
+
+    @pytest.mark.parametrize("guard", [5 / 4096, Fraction(5, 4096), mp.mpf(5) / 4096],
+                             ids=["float", "fraction", "mpf"])
+    def test_pole_guard_is_compared_exactly(self, guard):
+        """1 + (3 + 4i)/4096 lies exactly 5/4096 from 1: at the guard it
+        passes, 2^-40 inside it is refused and 2^-40 outside it passes, for a
+        float, rational or mpf guard of that value."""
+        at, inside, outside = (complex(1 + 3 / 4096 + d, 4 / 4096) for d in (0, -(2**-40), 2**-40))
+        assert numerics._checked(at, guard) == zetasum._point(at).shift(-1)
+        with pytest.raises(PoleProximityError):
+            numerics._checked(inside, guard)
+        assert numerics._checked(outside, guard) == zetasum._point(outside).shift(-1)
+
+    def test_pole_guard_finer_or_coarser_than_the_point(self):
+        """An mpf guard with more fraction bits than the point (5/4096 +
+        2^-80 refuses the point at 5/4096) and one with a positive exponent
+        (2 against 2i, 1.999i and 2.001i)."""
+        fine = mp.mpf(5) / 4096 + mp.mpf(2) ** -80
+        with mp.workprec(200), pytest.raises(PoleProximityError):
+            numerics._checked(complex(1 + 3 / 4096, 4 / 4096), fine)
+        with pytest.raises(PoleProximityError):
+            numerics._checked(1.999j, mp.mpf(2))
+        for z in (2j, 2.001j):
+            assert numerics._checked(z, mp.mpf(2)) == zetasum._point(z)
 
 
 class TestMultitangent:
@@ -489,13 +512,13 @@ def test_suite_sums_at_the_context_precision(monkeypatch, user_precision):
     where its bound is 1.5e-13."""
     ctx = NumericContext(target_abs_error=1e-40, working_precision=200)
     assert verify.suite_symmetrel(ctx, max_weight=4).ok
-    direct = verify.multitangent_eval_direct
+    direct = verify._direct
 
     def off(s, z, ctx):
-        with ctx.workprec():
-            return direct(s, z, ctx) + (mp.mpf(10) ** -20 if s == C(4) else 0)
+        value, bound = direct(s, z, ctx)
+        return value + (mp.mpf(10) ** -20 if s == C(4) else 0), bound
 
-    monkeypatch.setattr(verify, "multitangent_eval_direct", off)
+    monkeypatch.setattr(verify, "_direct", off)
     result = verify.suite_symmetrel(ctx, max_weight=4)
     assert result.checks == 1 and not result.ok
 
@@ -1420,31 +1443,48 @@ def test_certify_refuses_a_failing_piece_under_its_own_target():
     assert info.value.achieved > 1e-8
 
 
-def test_reduced_refusal_names_its_own_sum(monkeypatch):
-    """Te[9] at 0.0011 + 0.00001i, 128 bits, target 1e-10: the c_9 sum
-    refuses its own target near 1e-37, and the evaluation refuses under
-    1e-10 with an achieved bound no smaller.  The message names that piece
-    target and the m = |Te^9| + bound that set it.  Te^9 alone reaches
-    3.3e-10 there, so the refusal is right."""
+def test_reduced_refusal_names_the_fixed_factor(monkeypatch):
+    """Te[9] at 0.0011 + 0.00001i, 128 bits, target 1e-10: Te^9's own bound
+    of 3.338e-10 misses the target, and its coefficient is exactly 1, so the
+    refusal names that bound and evaluates no piece: no c_k sum, no fragment
+    and no nested-sum pass.  Te^9 alone refuses the same target."""
     _fresh(monkeypatch, numerics, "_fragments", "_orders", "_points")
     _fresh(monkeypatch, zetasum, "_cache")
+    calls = _counting_fixed(monkeypatch)
     ctx = NumericContext(target_abs_error=1e-10, working_precision=128)
     z = mp.mpc(0.0011, 0.00001)
     with pytest.raises(PrecisionUnreachableError) as info:
         multitangent_eval_reduced(C(9), z, ctx)
-    assert str(info.value).endswith("target 1.000e-10")
-    assert info.value.achieved >= 1e-10
-    last = str(info.value).rsplit("; ", 1)[1]
-    piece, m = map(float, re.fullmatch(
-        r"refused at the piece target (\S+), set by m = (\S+) of its term's other "
-        r"factors, under the sum's target 1.000e-10", last).groups())
     with ctx.workprec():
-        te9, bound = numerics._monotangent_at(9, numerics._checked(z, ctx.pole_guard))
-    assert m == pytest.approx(float(abs(te9)) + bound, rel=1e-3) and m > 1e26
-    assert 1e-38 < piece < 1e-10 / m
+        _, bound = numerics._monotangent_at(9, numerics._checked(z, ctx.pole_guard))
+    assert bound == pytest.approx(3.338e-10, rel=1e-3)
+    assert f"its fixed factors' bounds carry {bound:.3e}" in str(info.value)
+    assert info.value.achieved >= bound >= 3.3e-10
+    assert calls == [] and len(numerics._orders) == len(numerics._fragments) == 0
     with pytest.raises(PrecisionUnreachableError) as mono:
         monotangent_eval(9, z, ctx)
-    assert mono.value.achieved > 3e-10
+    assert mono.value.achieved == bound
+
+
+def test_certify_compares_the_fixed_terms_before_any_piece():
+    """A term without a piece whose fixed factor's bound alone misses the
+    target refuses the sum before the piece is evaluated, naming that bound.
+    A fixed factor as loose next to a piece is not judged early: the piece
+    may be small, and here the sum certifies."""
+    calls = []
+
+    def piece(value):
+        def evaluate(target):
+            calls.append(target)
+            return mp.mpf(value), 0.0
+
+        return evaluate
+
+    with pytest.raises(PrecisionUnreachableError, match="fixed factors alone") as info:
+        zetasum.certify([[piece(1)], [(mp.mpf(1), 1e-3)]], 1e-10)
+    assert calls == [] and info.value.achieved >= 1e-3
+    value, bound = zetasum.certify([[piece("1e-9"), (mp.mpf(1), 1e-3)]], 1e-10)
+    assert len(calls) == 1 and bound <= 1e-10
 
 
 def _recording_sums(passes, limit=8):
@@ -1707,3 +1747,87 @@ class TestDirectMemo:
         assert calls == []
         multitangent_eval_direct(C(2), points[1], ctx)  # evicted
         assert len(calls) == 1
+
+
+def _golden_sums(prec: int):
+    """``certified_sum`` over int, Fraction, mpf, mpc and nested-sum entry
+    factors at prec bits."""
+    with mp.workprec(prec):
+        entry = shifted_nested_sum((3, 1, 2), mp.mpc("0.3", "0.7"), target=1e-20)
+        third = mp.mpf(1) / 3
+        return certified_sum([[(7, 0.0), (Fraction(-5, 3), 0.0)],
+                              [(third, 1e-30), (mp.mpc("0.25", "-1.5"), 2e-31)],
+                              [entry, (Fraction(1, 7), 0.0)], [(-2, 0.0), entry, entry]])
+
+
+def _golden_ctx(prec: int, target: float) -> NumericContext:
+    return NumericContext(target_abs_error=target, working_precision=prec)
+
+
+_GOLDEN_CASES = [
+    lambda: multitangent_eval_direct(C(2, 3), mp.mpc("0.3", "0.7"), _golden_ctx(128, 1e-10)),
+    lambda: multitangent_eval_direct(C(3, 1, 2), mp.mpc("-1.2", "0.4"), _golden_ctx(128, 1e-16)),
+    lambda: multitangent_eval_direct(C(2, 1, 2), mp.mpc("2.039", "0.053"), _golden_ctx(100, 1e-12)),
+    lambda: multitangent_eval_direct(C(5), mp.mpc("0.37", "1.1"), _golden_ctx(200, 1e-30)),
+    lambda: multitangent_eval_reduced(C(1, 2, 2), mp.mpc("0.3", "0.7"), _golden_ctx(128, 1e-10)),
+    lambda: multitangent_eval_reduced(C(3, 1, 2, 1), mp.mpc("0.1", "0.6"), _golden_ctx(128, 1e-12)),
+    lambda: multitangent_eval_reduced(C(4), mp.mpc("0.25", "0.5"), _golden_ctx(128, 1e-10)),
+    lambda: multitangent_eval_reduced(C(2, 2), mp.mpc("50000.3", "0.5"), _golden_ctx(128, 1e-10)),
+    lambda: monotangent_eval(1, mp.mpf("0.25"), _golden_ctx(128, 1e-10)),
+    lambda: monotangent_eval(3, mp.mpc("0.1", "0.6"), _golden_ctx(128, 1e-12)),
+    lambda: monotangent_eval(7, mp.mpc("3.0010001", "0.0001"), _golden_ctx(200, 1e-10)),
+    lambda: mzv_numeric(C(2, 1), _golden_ctx(128, 1e-20)),
+    lambda: mzv_numeric(CoeffExpr.symbol(C(2, 2), 3) - CoeffExpr.symbol(C(3, 1)), _golden_ctx(200, 1e-40)),
+    lambda: mzv_numeric(C(1, 2), _golden_ctx(64, 1e-12)),
+    lambda: te_nk_closed_form(2, 3, mp.mpc("0.3", "0.7"), _golden_ctx(128, 1e-10)),
+    lambda: hurwitz_eval("-", C(2, 3), mp.mpc("0.3", "0.7"), _golden_ctx(128, 1e-14)),
+    lambda: shifted_nested_sum((2,), 0, target=1e-20),
+    lambda: shifted_nested_sum((4, 1), mp.mpc("0.3", "0.7"), target=1e-25),
+    lambda: _golden_sums(128),
+    lambda: _golden_sums(53),
+]
+# (kind, mantissas and exponents of the value, bound or None), computed from
+# cold caches at the session's ambient precision by the code before values
+# travelled as fixed-point entries
+_GOLDEN = [
+    ('direct', (245611767461294307932664326934862968811, -126, 32626364100499645002533770868628792425, -125), None),
+    ('direct', (270226818095510860679140695722958332081, -124, 153495286203380125697480289746346609771, -125), None),
+    ('direct', (2290555915048905523941617, -146, 5149073282781658303177377, -146), None),
+    ('direct', (465818278476790817612241134843258270386473359838975909543845, -200, 27985820978157393896426860687180577936431730359247874152881, -196), None),
+    ('reduced', (261009410689477162123890173182392596347, -129, 46491135900332232115797284563624227523, -125), None),
+    ('reduced', (88558288283800717829544764722246020505, -123, 132086506685452821665565992311702671849, -124), None),
+    ('reduced', (81307232386907372899116715822813787367, -124, 113399402126448930166009354348796074805, -123), None),
+    ('reduced', (178726318140524937566732730445148599205, -126, 26775887066605660037532254305985469741, -122), None),
+    ('mono', (267257146016241686964920093290467695825, -126, 0, 0), None),
+    ('mono', (330882548180176629085741699284002147989, -127, 203318021937768963547646068819821594869, -126), None),
+    ('mono', (1006739636114906191931380421421377757879385371854239055610413, -130, 843862405400593671896554205856907523497923022764065724366213, -130), None),
+    ('mzv', (204519384090400028213639061487325115543, -127), None),
+    ('mzv', (869613190217921229506369744965953984293451750730191765856987, -198), None),
+    ('mzv', (5543509013655225569, -61), None),
+    ('te_nk', (117505481089927668301804208210925810651, -127, 10465069584952690949084881208563155309, -122), None),
+    ('hurwitz', (259957054280200437315949890875834393907, -130, 117942006442374643855571478356007745255, -129), None),
+    ('nested', (2347728351562562353929573074544529323574836335, -150, 0, 0), 5.471016437064278e-23),
+    ('nested', (9261116390342729324611763836519764714033793, -150, 99645469301561200923802994940532200162993907, -151), 1.2552105174852423e-33),
+    ('sum', (61577567409397441394452697361758080463, -122, 1338281136194690403426692964843267477, -121), 9.966908777604136e-23),
+    ('sum', (6519778550941533, -49, 4534272860183289, -53), 6.490302104204823e-14),
+]
+
+
+@pytest.mark.parametrize("case, pinned", list(zip(_GOLDEN_CASES, _GOLDEN)),
+                         ids=[f"{i}-{g[0]}" for i, g in enumerate(_GOLDEN)])
+def test_public_values_are_pinned(case, pinned, monkeypatch):
+    """Each public evaluator returns an mpmath number equal bit for bit to
+    the pinned value, and a (value, bound) pair a bound no larger than the
+    pinned one; a second call, a cache hit, returns the same value and
+    bound."""
+    _fresh(monkeypatch, numerics, "_memo", "_fragments", "_orders", "_points")
+    _fresh(monkeypatch, zetasum, "_cache")
+    kind, mantissas, pinned_bound = pinned
+    first, again = case(), case()
+    value, bound = first if pinned_bound is not None else (first, None)
+    assert isinstance(value, mp.mpf if len(mantissas) == 2 else mp.mpc)
+    parts = [value] if isinstance(value, mp.mpf) else [value.real, value.imag]
+    assert tuple(x for part in parts for x in part.man_exp) == mantissas
+    if pinned_bound is not None:
+        assert type(bound) is float and bound <= pinned_bound
+    assert again == first
