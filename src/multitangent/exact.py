@@ -7,13 +7,15 @@ PiRational: the corrective constant delta(s), the even zeta values and the
 closed-form families.
 
 Everything here is symbolic and exact.  Numeric evaluation lives in
-:mod:`multitangent.mzv`.  Sums of many expressions run in integers over one
-denominator (``_numerators``, ``_combine``), and ``_expression`` builds the
+:mod:`multitangent.mzv`.  Combinations add through ``words._accumulate``.
+``_combine``, the integer path kept for the hot fold, sums many expressions
+over one denominator (with ``_numerators``), and ``_expression`` builds the
 Fractions once, where a coefficient is handed out.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -193,13 +195,13 @@ class CoeffExpr(LinearCombination):
         Used for basis substitution; products of factors are substituted
         factor by factor and multiplied formally.
         """
-        out = CoeffExpr.zero()
-        for mono, coef in self._terms.items():
-            term = CoeffExpr.scalar(coef)
-            for factor in mono.factors:
-                term = term * fn(factor)
-            out = out + term
-        return out
+        return CoeffExpr._sum(
+            pair
+            for mono, coef in self._terms.items()
+            for pair in functools.reduce(
+                operator.mul, map(fn, mono.factors), CoeffExpr.scalar(coef)
+            )._terms.items()
+        )
 
     def to_json(self) -> dict:
         # "pi2" stays in the wire format; a coefficient carries no pi power
@@ -216,13 +218,11 @@ class CoeffExpr(LinearCombination):
 
     @classmethod
     def from_json(cls, data: dict) -> "CoeffExpr":
-        out = cls()
         for term in data["terms"]:
             if int(term["pi2"]) != 0:
                 raise ValueError(f"pi power in term {term}: coefficients are rational")
-            mono = MzvMonomial(Composition(tuple(p)) for p in term["mzv"])
-            out = out + cls({mono: Fraction(term["coef"])})
-        return out
+        return cls._sum((MzvMonomial(Composition(tuple(p)) for p in term["mzv"]),
+                         Fraction(term["coef"])) for term in data["terms"])
 
     def _term_str(self, mono: MzvMonomial, coef: Fraction, sep: str = "*") -> str:
         factors = sep.join(f"Ze[{f}]" for f in mono.factors)

@@ -22,6 +22,7 @@ import mpmath as mp
 from .exact import PiRational
 from .mzv import DEFAULT_CONTEXT, NumericContext, even_zeta
 from .numerics import _checked, _monotangent_at, _pi, cot_poly
+from .words import _accumulate
 from .zetasum import certify
 
 
@@ -31,12 +32,13 @@ def _elementary(power_sums, k: int) -> dict[int, Fraction]:
     its weight's power of pi outside, and the recursion keeps weights apart."""
     e = [{0: Fraction(1)}]
     for i in range(1, k + 1):
-        acc: dict[int, Fraction] = {}
-        for j in range(1, i + 1):
-            for a, x in power_sums[j - 1].items():
-                for b, y in e[i - j].items():
-                    acc[a + b] = acc.get(a + b, 0) + (-1) ** (j - 1) * x * y
-        e.append({d: q / i for d, q in acc.items() if q})
+        acc = _accumulate(
+            (a + b, (-1) ** (j - 1) * x * y)
+            for j in range(1, i + 1)
+            for a, x in power_sums[j - 1].items()
+            for b, y in e[i - j].items()
+        )
+        e.append({d: q / i for d, q in acc.items()})
     return e[k]
 
 

@@ -42,6 +42,7 @@ from .verify import sample_points
 from .words import (
     Composition,
     LinearCombination,
+    _accumulate,
     enumerate_compositions,
     is_multitangent_convergent,
 )
@@ -78,11 +79,11 @@ class MtCombo(LinearCombination):
 
 def differentiate_combo(combo: MtCombo) -> MtCombo:
     """d/dz of a combination: Te[s] maps to -sum_i s_i Te[s + e_i]."""
-    out = MtCombo()
-    for comp, coef in combo.items():
-        for i, part in enumerate(comp.parts):
-            out = out + MtCombo({comp.bump(i): -coef * part})
-    return out
+    return MtCombo._sum(
+        (comp.bump(i), -coef * part)
+        for comp, coef in combo.items()
+        for i, part in enumerate(comp.parts)
+    )
 
 
 Slot = tuple[int, MzvMonomial]
@@ -212,11 +213,11 @@ def kernel_contains(p: int, combo: MtCombo) -> bool:
             f"terms outside the weight-{p} convergent multitangents: "
             + ", ".join(f"Te[{s}]" for s in stray)
         )
-    image: dict[Slot, Fraction] = {}
-    for s, coef in combo.items():
-        for slot, value in slot_vector(s).items():
-            image[slot] = image.get(slot, Fraction(0)) + coef * value
-    return not any(image.values())
+    return not _accumulate(
+        (slot, coef * value)
+        for s, coef in combo.items()
+        for slot, value in slot_vector(s).items()
+    )
 
 
 @lru_cache(maxsize=32)

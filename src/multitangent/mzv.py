@@ -19,8 +19,8 @@ from numbers import Integral, Real
 import mpmath as mp
 
 from .errors import NumericRecheckError
-from .exact import CoeffExpr, PiRational, _combine, _expression, _numerators
-from .words import Composition, WordPoly, stuffle
+from .exact import CoeffExpr, MzvMonomial, PiRational, _combine, _expression, _numerators
+from .words import EMPTY, Composition, WordPoly, stuffle
 from . import zetasum
 
 
@@ -65,10 +65,7 @@ DEFAULT_CONTEXT = NumericContext()
 
 def mzv_product(a: Composition, b: Composition) -> CoeffExpr:
     """Stuffle linearization of Ze[a]*Ze[b] as a sum of single symbols."""
-    out = CoeffExpr.zero()
-    for word, mult in stuffle(a, b).items():
-        out = out + CoeffExpr.symbol(word, mult)
-    return out
+    return CoeffExpr._sum((MzvMonomial.symbol(w), Fraction(m)) for w, m in stuffle(a, b).items())
 
 
 @functools.lru_cache(maxsize=4096)
@@ -109,22 +106,23 @@ def ze_minus(s: Composition) -> CoeffExpr:
 
 
 def linearize(expr: CoeffExpr) -> CoeffExpr:
-    """Rewrite every product of zeta symbols as a sum of single symbols."""
-    out = CoeffExpr.zero()
-    for mono, coef in expr.items():
-        term = CoeffExpr.scalar(coef)
-        for factor in mono.factors:
-            linered = CoeffExpr.zero()
-            for m2, c2 in term.items():
-                if m2.degree == 0:
-                    linered = linered + CoeffExpr.symbol(factor, c2)
-                else:
-                    (prev,) = m2.factors
-                    for word, mult in stuffle(prev, factor).items():
-                        linered = linered + CoeffExpr.symbol(word, c2 * mult)
-            term = linered
-        out = out + term
-    return out
+    """Rewrite every product of zeta symbols as a sum of single symbols: each
+    monomial's factors stuffled in turn onto the empty word, the scalar one."""
+    return CoeffExpr._sum(
+        (MzvMonomial((word,) if word else ()), coef * mult)
+        for mono, coef in expr.items()
+        for words in [functools.reduce(_stuffle_onto, mono.factors, WordPoly.single(EMPTY))]
+        for word, mult in words._terms.items()
+    )
+
+
+def _stuffle_onto(poly: WordPoly, factor: Composition) -> WordPoly:
+    """The stuffle of each word of ``poly`` with ``factor``, summed."""
+    return WordPoly._sum(
+        (word, m * n)
+        for w, m in poly.items()
+        for word, n in stuffle(w, factor).items()
+    )
 
 
 def even_zeta(n: int) -> PiRational:
@@ -183,8 +181,6 @@ def newton_relation_check(omega: int, p: int) -> bool:
     if omega < 1 or p < 0:
         raise ValueError("need omega >= 1 and p >= 0")
     left = stuffle(Composition((omega,) * p), Composition((omega,)))
-    expected = WordPoly.single(Composition((omega,) * (p + 1)), p + 1)
-    for k in range(p):
-        word = Composition((omega,) * k + (2 * omega,) + (omega,) * (p - k - 1))
-        expected = expected + WordPoly.single(word)
+    expected = WordPoly._sum([(Composition((omega,) * (p + 1)), p + 1)] + [
+        (Composition((omega,) * k + (2 * omega,) + (omega,) * (p - k - 1)), 1) for k in range(p)])
     return left == expected

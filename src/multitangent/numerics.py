@@ -43,7 +43,7 @@ from mpmath.libmp import from_man_exp, from_rational, pi_fixed
 from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
-from .words import Composition, is_multitangent_convergent
+from .words import Composition, _accumulate, is_multitangent_convergent
 from .zetasum import GUARD, CertifiedCache, _FixedSum, _entry, _point, _read
 from .zetasum import certified_sum, certify, shifted_nested_sum
 
@@ -84,11 +84,8 @@ def cot_poly(k: int) -> dict[int, Fraction]:
         raise ValueError("monotangent order must be >= 1")
     if k == 1:
         return {1: Fraction(1)}
-    nxt: dict[int, Fraction] = {}
-    for j, a in cot_poly(k - 1).items():
-        for jj in (j - 1, j + 1):
-            nxt[jj] = nxt.get(jj, Fraction(0)) + a * j
-    return {j: a / (k - 1) for j, a in nxt.items() if a}
+    nxt = _accumulate((jj, a * j) for j, a in cot_poly(k - 1).items() for jj in (j - 1, j + 1))
+    return {j: a / (k - 1) for j, a in nxt.items()}
 
 
 def _cot(z):

@@ -35,11 +35,11 @@ class SuiteResult:
     def record(self, label: str, terms, ctx: NumericContext) -> None:
         """Check that 0 lies within the ``certified_sum`` of ``terms`` at ``ctx``."""
         with ctx.workprec():
-            value, bound = certified_sum(terms)
+            result = certified_sum(terms)
             self.checks += 1
-            self.worst = max(self.worst, float(abs(value)))
-            if abs(value) > bound:
-                self.failures.append((label, float(abs(value))))
+            self.worst = max(self.worst, float(abs(result.value)))
+            if not result.contains_zero():
+                self.failures.append((label, float(abs(result.value))))
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAIL"

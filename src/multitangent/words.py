@@ -5,7 +5,8 @@ formal sums of compositions: the shuffle (interleavings only) and the stuffle
 (interleavings plus part-adding contractions over the additive semigroup of
 positive integers).  Both are commutative and associative, with the empty
 composition as unit.  Formal sums of compositions, like the other formal
-sums of the package, are sparse linear combinations (LinearCombination).
+sums of the package, are sparse linear combinations (LinearCombination); every
+sparse sum of the package goes through the one accumulator, ``_accumulate``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class Composition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any((not isinstance(p, int)) or p < 1 for p in self.parts):
+        if any(type(p) is not int or p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive integers, got {self.parts!r}")
         object.__setattr__(self, "parts", tuple(self.parts))
 
@@ -126,6 +127,15 @@ def is_multitangent_convergent(s: Composition) -> bool:
     return bool(s) and s.parts[0] >= 2 and s.parts[-1] >= 2
 
 
+def _accumulate(pairs) -> dict:
+    """The (key, coefficient) ``pairs`` summed as a dict: the coefficients of
+    equal keys added, each key in its first place, zero sums dropped."""
+    out: dict = {}
+    for key, coef in pairs:
+        out[key] = out[key] + coef if key in out else coef
+    return {key: coef for key, coef in out.items() if coef}
+
+
 class LinearCombination:
     """Sparse formal linear combination: a map from keys to nonzero
     coefficients.
@@ -134,7 +144,8 @@ class LinearCombination:
     lab.MtCombo.  Zero coefficients are never stored.  The public
     constructor coerces and prunes input from outside; every arithmetic
     result is built by ``_make``, which takes a dict the operation has
-    already pruned.  Subclasses set the class attributes below and
+    already pruned, and every sum of terms by ``_sum``, which adds them
+    through ``_accumulate``.  Subclasses set the class attributes below and
     ``_term_str``, which renders one term.
     """
 
@@ -149,12 +160,7 @@ class LinearCombination:
     _scalars: tuple[type, ...] = (int,)
 
     def __init__(self, terms=None):
-        self._terms = {}
-        if terms:
-            for key, coef in dict(terms).items():
-                coef = self._coef(coef)
-                if coef:
-                    self._terms[key] = coef
+        self._terms = _accumulate((key, self._coef(c)) for key, c in dict(terms or {}).items())
 
     @staticmethod
     def _coef(value):
@@ -167,6 +173,11 @@ class LinearCombination:
         out = object.__new__(cls)
         out._terms = terms
         return out
+
+    @classmethod
+    def _sum(cls, pairs):
+        """The combination of the (key, coefficient) ``pairs``, added."""
+        return cls._make(_accumulate(pairs))
 
     def _lift(self, other):
         """``other``, not of this class, as a combination of it, or None."""
@@ -200,15 +211,7 @@ class LinearCombination:
             other = self._lift(other)
             if other is None:
                 return NotImplemented
-        out = dict(self._terms)
-        for key, coef in other._terms.items():
-            if key in out:
-                coef = out[key] + coef
-                if not coef:
-                    del out[key]
-                    continue
-            out[key] = coef
-        return self._make(out)
+        return self._sum([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -236,13 +239,11 @@ class LinearCombination:
         coefficients multiply."""
         if type(other) is not type(self):
             return NotImplemented
-        out = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                key = key_product(k1, k2)
-                coef = c1 * c2
-                out[key] = out[key] + coef if key in out else coef
-        return self._make({key: coef for key, coef in out.items() if coef})
+        return self._sum(
+            (key_product(k1, k2), c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()
+        )
 
     def __str__(self) -> str:
         return " + ".join(self._term_str(key, coef) for key, coef in self.items()) or "0"
@@ -251,11 +252,8 @@ class LinearCombination:
 
 
 class WordPoly(LinearCombination):
-    """Integer-coefficient formal combination of compositions.
-
-    A LinearCombination keyed by Composition; adds the prefix helper used
-    by the product recursions.
-    """
+    """Integer-coefficient formal combination of compositions: a
+    LinearCombination keyed by Composition."""
 
     __slots__ = ()
     _order = staticmethod(Composition.sort_key)
@@ -264,11 +262,6 @@ class WordPoly(LinearCombination):
     def single(cls, word: Composition, mult: int = 1) -> "WordPoly":
         return cls._make({word: mult} if mult else {})
 
-    def prepend(self, letter: int) -> "WordPoly":
-        return self._make(
-            {Composition((letter,) + w.parts): m for w, m in self._terms.items()}
-        )
-
     def _term_str(self, word: Composition, mult: int) -> str:
         return f"{mult}*({word})"
 
@@ -276,6 +269,16 @@ class WordPoly(LinearCombination):
         return f"WordPoly({super().__str__()})"
 
     __str__ = __repr__
+
+
+def _prefixed(*pieces) -> WordPoly:
+    """The sum over the (letter, poly) ``pieces`` of the words of poly, each
+    with letter put in front."""
+    return WordPoly._sum(
+        (Composition((letter,) + w.parts), m)
+        for letter, poly in pieces
+        for w, m in poly._terms.items()
+    )
 
 
 @functools.lru_cache(maxsize=4096)
@@ -291,10 +294,8 @@ def stuffle(a: Composition, b: Composition) -> WordPoly:
         return WordPoly.single(a)
     p1, a_rest = a.parts[0], Composition(a.parts[1:])
     q1, b_rest = b.parts[0], Composition(b.parts[1:])
-    out = stuffle(a_rest, b).prepend(p1)
-    out = out + stuffle(a, b_rest).prepend(q1)
-    out = out + stuffle(a_rest, b_rest).prepend(p1 + q1)
-    return out
+    return _prefixed((p1, stuffle(a_rest, b)), (q1, stuffle(a, b_rest)),
+                     (p1 + q1, stuffle(a_rest, b_rest)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -306,7 +307,7 @@ def shuffle(a: Composition, b: Composition) -> WordPoly:
         return WordPoly.single(a)
     p1, a_rest = a.parts[0], Composition(a.parts[1:])
     q1, b_rest = b.parts[0], Composition(b.parts[1:])
-    return shuffle(a_rest, b).prepend(p1) + shuffle(a, b_rest).prepend(q1)
+    return _prefixed((p1, shuffle(a_rest, b)), (q1, shuffle(a, b_rest)))
 
 
 def compositions_of(weight: int, min_part: int = 1) -> Iterator[Composition]:

@@ -135,3 +135,26 @@ def test_linear_combination_laws(cls, keys, coefs, order, data):
     listed = [key for key, _ in a.items()]
     assert listed == sorted(listed, key=order) and len(listed) == len(a)
     assert all(coef for _, coef in a.items())
+
+
+@pytest.mark.parametrize(
+    "cls, keys, coefs, order", COMBINATIONS, ids=[c[0].__name__ for c in COMBINATIONS]
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sums_share_one_accumulator(cls, keys, coefs, order, data):
+    """``_sum`` of (key, coefficient) pairs is ``+`` folded over them, and
+    no sum, difference, scaling or product stores a zero coefficient."""
+    pairs = data.draw(st.lists(st.tuples(keys, coefs), max_size=8))
+    folded = cls()
+    for key, coef in pairs:
+        folded = folded + cls({key: coef})
+    assert cls._sum(pairs) == folded
+
+    combos = st.dictionaries(keys, coefs, max_size=4).map(cls)
+    a, b, k = data.draw(combos), data.draw(combos), data.draw(coefs)
+    results = [cls._sum(pairs), a + b, a - b, a + (b - a), a.scale(k), k * a]
+    if hasattr(cls, "__mul__"):
+        results += [a * b, a * (b - b)]
+    for result in results:
+        assert type(result) is cls and all(result._terms.values())

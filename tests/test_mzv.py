@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multitangent.basis_table import BASES
 from multitangent.errors import PrecisionUnreachableError
-from multitangent.exact import CoeffExpr, PiRational
+from multitangent.exact import CoeffExpr, MzvMonomial, PiRational
 from multitangent.mzv import (
     NumericContext,
     even_zeta,
@@ -19,6 +21,7 @@ from multitangent.mzv import (
 )
 from multitangent.words import Composition, stuffle
 from multitangent.zetasum import shifted_nested_sum
+from test_words import brute_stuffle
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-10)
@@ -105,6 +108,35 @@ class TestProducts:
     def test_linearize_formal_square(self):
         e = sym(2) * sym(2)
         assert linearize(e) == sym(4) + sym(2, 2).scale(2)
+
+    def test_linearize_degrees_zero_and_one(self):
+        assert linearize(CoeffExpr.scalar(Fraction(3, 7))) == CoeffExpr.scalar(Fraction(3, 7))
+        assert linearize(sym(2, 1).scale(5)) == sym(2, 1).scale(5)
+        assert linearize(CoeffExpr.zero()) == CoeffExpr.zero()
+
+    @pytest.mark.parametrize(
+        "mono", [m for monos in BASES.values() for m in monos], ids=str
+    )
+    def test_linearize_basis_monomials(self, mono):
+        """Every table basis monomial, Ze[2]Ze[3]Ze[3] of degree 3 included,
+        against iterated ``mzv_product`` and a brute-force stuffle."""
+        factors = [Composition(f) for f in mono]
+        got = linearize(CoeffExpr({MzvMonomial(factors): Fraction(2, 3)}))
+        iterated = CoeffExpr.symbol(factors[0], Fraction(2, 3))
+        words = Counter({factors[0].parts: 1})
+        for factor in factors[1:]:
+            iterated = sum(
+                (mzv_product(m.factors[0], factor).scale(c) for m, c in iterated.items()),
+                CoeffExpr.zero(),
+            )
+            words = sum(
+                (Counter({w: n * m for w, n in brute_stuffle(v, factor.parts).items()})
+                 for v, m in words.items()),
+                Counter(),
+            )
+        assert got == iterated
+        assert got == CoeffExpr({MzvMonomial.symbol(Composition(w)): Fraction(2, 3) * m
+                                 for w, m in words.items()})
 
     @given(st.integers(2, 4), st.integers(2, 4))
     @settings(max_examples=10, deadline=None)

@@ -523,6 +523,22 @@ def test_suite_sums_at_the_context_precision(monkeypatch, user_precision):
     assert result.checks == 1 and not result.ok
 
 
+def test_suite_record_decides_by_the_certificate():
+    """A suite check fails exactly when 0 lies outside the certificate of
+    its sum: on values of |sum| a few 2^-100 inside and outside the bound."""
+    ctx = NumericContext(working_precision=128)
+    with ctx.workprec():
+        edge = mp.mpf(zetasum.certified_sum([[(mp.mpf(1), 1.0)]])[1])
+        cases = [[[(edge + k * mp.mpf(2) ** -100, 1.0)]] for k in range(-3, 4)]
+        held = [zetasum.certified_sum(terms).contains_zero() for terms in cases]
+    verdicts = []
+    for terms in cases:
+        result = verify.SuiteResult("edge")
+        result.record("edge", terms, ctx)
+        verdicts.append(result.ok)
+    assert verdicts == held and held == [True] * 3 + [held[3]] + [False] * 3
+
+
 class TestFourier:
     def test_first_coefficient_of_te2(self):
         got = fourier_coefficient(C(2), 1, CTX)

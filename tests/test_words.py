@@ -111,6 +111,12 @@ class TestComposition:
         with pytest.raises(ValueError):
             Composition((-1,))
 
+    def test_rejects_bool_parts(self):
+        # True == 1, but a bool part would print and serialize as a bool
+        for parts in ((True, 2), (2, False), (2, True, 2)):
+            with pytest.raises(ValueError, match="positive integers"):
+                Composition(parts)
+
     def test_text_forms(self):
         assert str(C(2, 1, 3)) == "2,1,3"
         assert str(EMPTY) == "()"
