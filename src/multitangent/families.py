@@ -65,8 +65,8 @@ def te_ones_closed_form(r: int) -> tuple[PiRational, PiRational]:
 
 def te_nk_closed_form(n: int, k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
     """Te[n^k](z), the certified sum of the terms q_m pi^(nk-m) Te^m(z) of
-    ``te_nk_exact`` laid out as ``multitangent_eval_reduced`` lays out its
-    constant; raises PrecisionUnreachableError if it misses the target."""
+    ``te_nk_exact`` laid out as ``numerics._reduced`` lays out its constant;
+    raises PrecisionUnreachableError if it misses the target."""
     q = te_nk_exact(n, k)
     with ctx.workprec():
         z, pi = _checked(z, ctx.pole_guard), _pi(mp.mp.prec)

@@ -31,13 +31,12 @@ import mpmath as mp
 from . import mzv
 from .basis_table import MzvBasisTable
 from .errors import CoverageError, NumericRecheckError, ProjectionUnavailableError
-from .exact import CoeffExpr, MzvMonomial, _combine, _expression, _numerators
+from .exact import CoeffExpr, MzvMonomial, _expression, _numerators
 from .linalg import Factorization, Matrix, factor, nullspace, rank
-from .mzv import DEFAULT_CONTEXT, NumericContext, mzv_numeric
-from .numerics import _checked, _direct, monotangent_eval
-from .numerics import multitangent_eval_direct, multitangent_eval_reduced
+from .mzv import DEFAULT_CONTEXT, NumericContext
+from .numerics import _checked, _direct, _monotangent_at, _reduced
 from .reduction import _fold, _fold_sum, _monomials, _order_terms, delta, reduce
-from .zetasum import GUARD, _entry, certified_sum
+from .zetasum import certified_sum, certify
 from .verify import sample_points
 from .words import (
     Composition,
@@ -67,10 +66,12 @@ class MtCombo(LinearCombination):
         return weights.pop() if len(weights) == 1 else None
 
     def evaluate(self, z, ctx: NumericContext = DEFAULT_CONTEXT):
-        """The sum of the terms at z, coefficients exact, at the context's precision."""
-        terms = [[(c, 0.0), (multitangent_eval_direct(s, z, ctx), 0.0)] for s, c in self.items()]
+        """The sum of the terms at z, read once through ``numerics._checked``,
+        coefficients exact, each term's multitangent a ``numerics._direct``
+        entry, at the context's precision."""
         with ctx.workprec():
-            return certified_sum(terms)[0]
+            z = _checked(z, ctx.pole_guard)
+            return certified_sum([[(c, 0.0), _direct(s, z, ctx)] for s, c in self.items()]).value
 
     def _term_str(self, comp: Composition, coef: Fraction) -> str:
         prefix = "" if coef == 1 else ("-" if coef == -1 else f"{coef}·")
@@ -95,17 +96,6 @@ def _basis_product(pair: tuple[MzvMonomial, MzvMonomial]) -> tuple:
     linearized, then substituted through the table: Ze[2]^2 is 5/2 Ze[4]."""
     expr = mzv.linearize(CoeffExpr({pair[0] * pair[1]: 1}))
     return _numerators(MzvBasisTable.shared().substitute(expr))
-
-
-def _slots(k: int, expr: CoeffExpr) -> dict[Slot, Fraction]:
-    """The Te^k coefficient ``expr`` over the zeta basis, keyed by slot: the
-    sum of the cached basis vectors of its monomials."""
-    total = _expression(*_combine(
-        (c.numerator, c.denominator * den, vec)
-        for mono, c in expr.items()
-        for den, vec in [_basis_product((mono, MzvMonomial.one()))]
-    ))
-    return {(k, mono): coef for mono, coef in total.items()}
 
 
 @lru_cache(maxsize=2048)
@@ -158,16 +148,15 @@ def _require_coverage(weight: int) -> None:
 
 
 def _recheck(what: str, lhs, combo: MtCombo, ctx: NumericContext) -> None:
-    """Require lhs(z) == combo(z) at the sample points: 0 must lie within the
-    certified sum at ``ctx`` of ``lhs(z, t)``, each within t, and -combo(z),
-    read once per point and coefficient, each term a ``numerics._direct`` entry."""
-    t = ctx.target_abs_error
+    """Require lhs(z) == combo(z) at the sample points, each read once through
+    ``numerics._checked``: ``lhs(z)``, terms of entries, is certified within
+    the context target, or refused, and 0 must lie within the certified sum
+    at ``ctx`` of it and -combo(z), each term a ``numerics._direct`` entry."""
     with ctx.workprec():
-        coefs = [(s, _entry((-c, 0.0), mp.mp.prec + GUARD)) for s, c in combo.items()]
         for z in sample_points(2):
             point = _checked(z, ctx.pole_guard)
-            rhs = [[c, _direct(s, point, ctx)] for s, c in coefs]
-            diff = certified_sum(lhs(z, t) + rhs)
+            rhs = [[(-c, 0.0), _direct(s, point, ctx)] for s, c in combo.items()]
+            diff = certified_sum([[certify(lhs(point), ctx.target_abs_error)], *rhs])
             if not diff.contains_zero():
                 raise NumericRecheckError(
                     f"{what} fails recheck at {z}: |diff| = {float(abs(diff.value)):.3e} "
@@ -189,7 +178,7 @@ def relation_kernel(
               for vec in nullspace(_system(rows)[1])]
     if recheck:
         for combo in combos:
-            _recheck(f"kernel relation {combo}", lambda z, t: [], combo, ctx)
+            _recheck(f"kernel relation {combo}", lambda z: [], combo, ctx)
     return combos
 
 
@@ -253,19 +242,17 @@ def projection(
         raise ValueError("sigma must index a convergent zeta value")
     w = sigma.weight + 2
     _require_coverage(w)
-    combo = _solve_for_combo(w, _slots(2, CoeffExpr.symbol(sigma)))
+    target = _expression(*_fragment_vector(sigma.parts, 0))
+    combo = _solve_for_combo(w, {(2, mono): c for mono, c in target.items()})
     if combo is None:
         raise ProjectionUnavailableError(
             f"projection of Ze[{sigma}] not found at weight {w}"
         )
     if recheck:
-        zeta_val = mzv_numeric(CoeffExpr.symbol(sigma), ctx)
-        _recheck(
-            f"projection of Ze[{sigma}]",
-            lambda z, t: [[(zeta_val, t), (monotangent_eval(2, z, ctx), t)]],
-            combo,
-            ctx,
-        )
+        with ctx.workprec():
+            zeta = mzv._certified(CoeffExpr.symbol(sigma), ctx.target_abs_error, ctx.truncation_cap)
+        _recheck(f"projection of Ze[{sigma}]", lambda z: [[zeta, _monotangent_at(2, z)]],
+                 combo, ctx)
     return combo
 
 
@@ -291,12 +278,8 @@ def unit_cleanse(
     if combo is None:
         raise ProjectionUnavailableError(f"no unit-free form found for Te[{s}]")
     if recheck:
-        te = (
-            multitangent_eval_direct
-            if is_multitangent_convergent(s)
-            else multitangent_eval_reduced
-        )
-        _recheck(f"cleansing of Te[{s}]", lambda z, t: [[(te(s, z, ctx), t)]], combo, ctx)
+        te = _direct if is_multitangent_convergent(s) else _reduced
+        _recheck(f"cleansing of Te[{s}]", lambda z: [[te(s, z, ctx)]], combo, ctx)
     return combo
 
 

@@ -7,7 +7,7 @@ once, through ``_checked``: the exact dyadic ``zetasum._Point`` shifted by
 the nearest integer to |Re z| <= 1/2.  Monotangents are evaluated through
 exact cotangent polynomials, with an error bound.  cot(pi z) and each
 Te^k(z) are kept in ``_points``, keyed on that point, the working precision
-and k, for ``monotangent_eval``, the reduced evaluator below and
+and k, for ``monotangent_eval``, the reduced evaluator ``_reduced`` and
 ``families.te_nk_closed_form``.  This module's four caches are
 ``zetasum.CertifiedCache``s of entries, each sized where it is made.
 
@@ -240,7 +240,17 @@ def _order_coefficient(s: Composition, k: int, terms: list, target, cap: int):
 def multitangent_eval_reduced(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ):
-    """Evaluate Te[s](z) from its reduction into monotangents,
+    """Evaluate Te[s](z) from its reduction into monotangents, the value of
+    ``_reduced`` at z read once through ``_checked``."""
+    if not s:
+        raise ValueError("empty sequence")
+    with ctx.workprec():
+        return _reduced(s, _checked(z, ctx.pole_guard), ctx).value
+
+
+def _reduced(s: Composition, z, ctx: NumericContext):
+    """The entry of Te[s] at the point z of ``_checked``, at the working
+    precision, within the context target, from
 
         Te[s](z) = delta(s) + sum_k c_k Te^k(z),
 
@@ -250,15 +260,12 @@ def multitangent_eval_reduced(
     certifies the sum, each c_k a piece whose target shrinks with its Te^k,
     which can be large near the real axis.
     """
-    if not s:
-        raise ValueError("empty sequence")
-    with ctx.workprec():
-        z, cap, pi = _checked(z, ctx.pole_guard), ctx.truncation_cap, _pi(mp.mp.prec)
-        constant = [[(q, 0.0), *[pi] * r] for r, q in delta(s).items()]
-        # Te[s] = Te^s for one part s: its one coefficient is exactly 1
-        orders = [[(1, 0.0) if s.length == 1 else partial(_order_coefficient, s, k, terms, cap=cap),
-                   _monotangent_at(k, z)] for k, terms in sorted(_order_terms(s).items())]
-        return certify(constant + orders, ctx.target_abs_error).value
+    cap, pi = ctx.truncation_cap, _pi(mp.mp.prec)
+    constant = [[(q, 0.0), *[pi] * r] for r, q in delta(s).items()]
+    # Te[s] = Te^s for one part s: its one coefficient is exactly 1
+    orders = [[(1, 0.0) if s.length == 1 else partial(_order_coefficient, s, k, terms, cap=cap),
+               _monotangent_at(k, z)] for k, terms in sorted(_order_terms(s).items())]
+    return certify(constant + orders, ctx.target_abs_error)
 
 
 def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT):
@@ -292,13 +299,14 @@ def trifactorization_residual(
     s: Composition, z, ctx: NumericContext = DEFAULT_CONTEXT
 ) -> _FixedSum:
     """Certified (value, float bound) of Te[s](z) - sum over splits He_+ * Ce * He_-,
-    the reduced evaluation less the direct one (each pivot Ce folded into its
-    positive side), each within the context target: the module docstring
-    says why they share no nested-sum value."""
-    t = ctx.target_abs_error
+    the ``_reduced`` entry less the ``_direct`` one (each pivot Ce folded into
+    its positive side) at z read once, each with its own bound: the module
+    docstring says why they share no nested-sum value."""
+    if not is_multitangent_convergent(s):
+        raise ValueError(f"{s} is not a convergent multitangent index")
     with ctx.workprec():
-        rhs = multitangent_eval_direct(s, z, ctx)
-        return certified_sum([[(multitangent_eval_reduced(s, z, ctx), t)], [(-rhs, t)]])
+        z = _checked(z, ctx.pole_guard)
+        return certified_sum([[_reduced(s, z, ctx)], [(-1, 0.0), _direct(s, z, ctx)]])
 
 
 def _fourier_zetas(s: Composition, ctx: NumericContext):

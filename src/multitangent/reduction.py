@@ -19,9 +19,9 @@ One private generator, ``_z_terms``, yields the terms of this product for
 each pivot and order.  ``_fold`` sums them exactly, in integers over one
 denominator: ``z_coeff`` and ``reduce`` fold the fragments' own monomials,
 each distinct product of two formed once, ``lab.slot_vector`` their vectors
-over the zeta basis.
-``numerics.multitangent_eval_reduced`` folds the same terms as a certified
-sum of numeric fragment values, so the index formula lives here alone.
+over the zeta basis.  ``numerics._reduced`` folds the same terms as a
+certified sum of numeric fragment values, so the index formula lives here
+alone.
 
 Divergent zeta symbols arising for sequences with end ones are resolved by
 the symmetrel extension with Ze[1] = 0, which is what makes the same formula

@@ -130,7 +130,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero, to_fixed, to_float
 
-from .errors import PrecisionUnreachableError
+from .errors import PoleProximityError, PrecisionUnreachableError
 
 _EM_ORDER = 9  # K: Bernoulli corrections B_2..B_{2K}
 # |B_(2K+2)| / (2K+2)!: the size of the first omitted Euler-Maclaurin term and
@@ -465,7 +465,8 @@ class _FixedSum:
 def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSum:
     """One pass with cutoff n0 at z (a number or ``_Point``); returns
     (value, error bound) of the full sum, with ``prefixes`` holding
-    (value, error bound) of every prefix S(s_1, ..., s_a; z), a = 1..r."""
+    (value, error bound) of every prefix S(s_1, ..., s_a; z), a = 1..r.
+    Raises PoleProximityError at a negative integer z, where a term has a pole."""
     if not exponents:
         result = _FixedSum.exact(1, 0, 0, 0.0, 0.0)  # exact at any precision
         result.prefixes = ()
@@ -475,6 +476,8 @@ def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSu
     if any(s < 1 for s in exponents):
         raise ValueError("exponents must be positive")
     z = _point(z)
+    if z.k == 0 and z.im == 0 and z.re <= -1:
+        raise PoleProximityError(f"the term n = {-z.re} of the nested sum at z = {z.re} has a pole")
     if n0 < z.floor:
         raise ValueError("cutoff too small for the tail bounds")
 

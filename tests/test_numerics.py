@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import fone, from_float, from_int, from_man_exp, fzero, mpc_abs
 from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multitangent import lab, numerics, verify
@@ -488,6 +488,18 @@ class TestTrifactorization:
             value, bound = trifactorization_residual(Composition(parts), z, CTX)
             assert abs(value) <= bound and abs(value) < 1e-7
 
+    def test_residual_carries_its_two_sides_certificates(self):
+        """At the trifact suite's points the residual's bound is the sum of
+        its two sides' own bounds, each within the target, not the target
+        counted twice; a divergent sequence is refused."""
+        ctx = DEFAULT_CONTEXT
+        for parts in [(2,), (3,), (2, 2), (3, 2), (2, 3)]:
+            s = Composition(parts)
+            for z in sample_points(3, 17 + s.weight, verify._SUITE_IM_RANGE):
+                assert trifactorization_residual(s, z, ctx)[1] < ctx.target_abs_error
+        with pytest.raises(ValueError, match="not a convergent"):
+            trifactorization_residual(C(1, 2), mp.mpc(0.3, 0.7), ctx)
+
     def test_suite_rejects_a_cot_poly_coefficient_off_by_1e_9(self, monkeypatch, user_precision):
         """The c^2 coefficient of Te^2 = pi^2 (1 + c^2) scaled by 1 + 1e-9
         moves the reduced side by about 1e-8 at the suite's points: below a
@@ -642,6 +654,14 @@ class TestFourier:
         """Not nan + nan i: both points pass the Im z > 0 check."""
         with pytest.raises(ValueError, match="is not finite"):
             fourier_partial_sum(C(2, 3), z, 3, CTX)
+
+
+@pytest.mark.parametrize("z", [-1, mp.mpc(-2, 0)], ids=["int", "mpc"])
+def test_nested_sum_refuses_a_negative_integer_shift(z):
+    """m + z = 0 for a row m below the cutoff: a PoleProximityError, not a
+    ZeroDivisionError from inside the pass."""
+    with pytest.raises(PoleProximityError, match="has a pole"):
+        shifted_nested_sum((2,), z)
 
 
 def test_cached_nested_sum_respects_cap():
@@ -1360,10 +1380,14 @@ def _mpf_certified_sum(terms):
 
 @pytest.mark.parametrize("prec", [53, 128])
 @given(st.lists(_FACTORS, min_size=1, max_size=4))
+@example(terms=[[(0, 1, 0, (0, 2**10))] * 3])  # i 2^-114 lies below the quantum 2^-101
 @settings(max_examples=100, deadline=None)
 def test_certified_sum_only_raises_the_mpf_bound(prec, terms):
     """Against the mpf rule, the fixed-point sum moves the value by less than
-    the mpf bound and never lowers the bound, up to the rounding of
+    the mpf bound plus one fixed-point ulp, 2^-(prec + GUARD), per factor:
+    each product is rounded to that quantum, which no relative bound covers
+    when the product lies below it, and later factors, at most 2^2.5, carry
+    earlier roundings.  It never lowers the bound, up to the rounding of
     prod(|v| + e) - prod |v| at the working precision, which moves by ulps
     either way and which the rounding term covers many times over.  Factors
     with an odd bound are real."""
@@ -1378,7 +1402,8 @@ def test_certified_sum_only_raises_the_mpf_bound(prec, terms):
         value, bound = certified_sum(parts)
         old_value, old_bound, old_rounding = _mpf_certified_sum(parts)
     with mp.workprec(300):
-        assert abs(value - old_value) <= old_bound
+        ulps = sum(map(len, parts)) * mp.ldexp(1, -(prec + zetasum.GUARD))
+        assert abs(value - old_value) <= old_bound + ulps
         assert bound >= old_bound - old_rounding / 4
 
 
