@@ -44,7 +44,7 @@ from .errors import PoleProximityError, PrecisionUnreachableError
 from .mzv import DEFAULT_CONTEXT, NumericContext, _certified
 from .reduction import _fragment, _order_terms, delta
 from .words import Composition, _accumulate, is_multitangent_convergent
-from .zetasum import GUARD, CertifiedCache, _FixedSum, _entry, _point, _read
+from .zetasum import GUARD, CertifiedCache, _FixedSum, _entry, _point, _ratio, _read
 from .zetasum import certified_sum, certify, shifted_nested_sum
 
 
@@ -78,14 +78,17 @@ def cot_poly(k: int) -> dict[int, Fraction]:
 
     Te^1 = pi c, and Te^(k+1) = -(1/k) d/dz Te^k with c' = -pi (1 + c^2),
     so the recurrence stays polynomial and every Te^k carries pi^k overall;
-    the caller multiplies pi^k back in.
+    the caller multiplies pi^k back in.  The loop runs on the integers
+    (k-1)! Te^k / pi^k, which the recurrence keeps integral, and divides
+    once at the end.
     """
     if k < 1:
         raise ValueError("monotangent order must be >= 1")
-    if k == 1:
-        return {1: Fraction(1)}
-    nxt = _accumulate((jj, a * j) for j, a in cot_poly(k - 1).items() for jj in (j - 1, j + 1))
-    return {j: a / (k - 1) for j, a in nxt.items()}
+    poly = {1: 1}
+    for _ in range(1, k):
+        poly = _accumulate((jj, a * j) for j, a in poly.items() for jj in (j - 1, j + 1))
+    scale = math.factorial(k - 1)
+    return {j: Fraction(a, scale) for j, a in poly.items()}
 
 
 def _cot(z):
@@ -120,15 +123,18 @@ def _monotangent(k: int, cot):
     for j in range(k, p - 1, -2):  # sum of den a_j c^j over 2^(wp j), times 2^(wp k)
         n = int(poly.get(j, 0) * den)
         ar, ai = ar * wr - ai * wi + (n << wp * (k - j)), ar * wi + ai * wr
-        h, dh = h * y + n, dh * y + h
+        h, dh = h * y + _ratio(n, 1), dh * y + h
     if p:
         ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
     pq = wp + 2 * k + k.bit_length()  # pi to pq bits: its k-th power is within 2^-wp
     big, d = pi_fixed(pq) ** k, den << (k * (wp + pq))
     value = mp.make_mpc(tuple(from_rational(a * big, d, prec, "n") for a in (ar, ai)))
-    q, dq = x**p * h / den, (h + 2 * y * dh if p else 2 * x * dh) / den
-    bound = (err * dq + math.ldexp(8 * (k + 4) * q, max(-1070, -prec))) * math.pi**k
-    bound = (bound + q * 2.0 ** -min(wp, 1000)) * (1 + 2.0**-40)
+    try:
+        q, dq = x**p * h / den, (h + 2 * y * dh if p else 2 * x * dh) / den
+        bound = (err * dq + math.ldexp(8 * (k + 4) * q, max(-1070, -prec))) * math.pi**k
+        bound = (bound + q * 2.0 ** -min(wp, 1000)) * (1 + 2.0**-40)
+    except OverflowError:  # den or pi^k past the float range
+        bound = math.inf
     return _entry((value, bound if bound < math.inf else math.inf), wp)
 
 

@@ -62,24 +62,34 @@ T_j(N-1) within eps_j = c_j + x^(s_j) c_(j-1), and P_j(m-1) = P_j(m) +
 (m+z)^(-s_j) P_(j-1)(m) with P_0 = 1.  The truncation error of P_j(m) is at
 most delta_j(m) = eps_j + sum over m < n < N of |(n+z)^(-s_j)| delta_(j-1)(n),
 kept per m as an integer count of 2^-wp with every product rounded up, so a
-large power near a pole at a small n reaches only the sums below n.
+large power near a pole at a small n reaches only the sums below n.  At the
+first level P_0 = 1 and delta_0 = 0, so the running sums are V_1(N+z) plus
+the exact prefix sums of the row, with no product and no count to update.
 
 The values themselves are computed in fixed point: a complex number x is
 held as a pair of Python ints (re, im) that approximate x * 2^wp, with
 wp = working precision + ``GUARD`` bits.  A tail value is one exact dot
 product of the integer coefficients of V_j with a shared table of the
-powers (N/u)^k N^(top-k), rounded once.  Every rounding is counted in ulps
-of 2^-wp: each power (m+z)^(-s), one rounding of an exact Gaussian
-rational; each power of N/u, one rounded product; each tail value; and each
-running sum, accumulated exactly and rounded once.  Earlier errors are
-carried through the later sums, weighted by upper bounds on what they
-multiply.  The count is kept in floats and scaled by 1 + 2^-20 to absorb
-their own rounding.  The total, times 2^-wp, is the rounding term.  It is
-added to the returned bound, and ``shifted_nested_sum`` refuses at once a
-target below it: the count grows with the cutoff, whose running sums alone
-add N roundings per level.  The value is returned exactly as the integers
-hold it, so the bound covers the number handed back.  The point enters as
-its exact dyadic (``_Point``), and every bound is a float rounded up.
+powers (N/u)^k N^(top-k), rounded once; the integers N^(top-k) and N^top
+and the floats N^-k are kept per (N, top) (``_scales``).  The rows
+(m+z)^(-s) of every exponent of the pass are built in one loop over m (the
+exponents ascending, each a few Gaussian products past the one before), and
+each entry is one rounding of an exact Gaussian rational.  Every rounding is
+counted in ulps of 2^-wp: each row entry; each power of N/u, one rounded
+product; each tail value; and each running sum past the first level,
+accumulated exactly and rounded once.  Earlier errors are carried through
+the later sums, weighted by upper bounds on what they multiply.  The count
+is kept in floats and scaled by 1 + 2^-20 to absorb their own rounding.  The
+total, times 2^-wp, is the rounding term.  It is added to the returned
+bound, and ``shifted_nested_sum`` refuses at once a target below it: the
+count grows with the cutoff, whose running sums alone add N roundings per
+level.  Every int-to-float step of the count and the bound (a row's total
+weight, the envelope, the count of delta) saturates to inf: a row past the
+float range makes the rounding term of every later level inf, and such a
+target is refused at once too.  The value is returned exactly as the
+integers hold it, so the bound covers the number handed back.  The point
+enters as its exact dyadic (``_Point``), and every bound is a float rounded
+up.
 
 Certified sums
 --------------
@@ -123,6 +133,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import accumulate
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -151,8 +162,19 @@ def _upward(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
+def _ratio(n: int, d: int) -> float:
+    """n / d >= 0 as a float, correctly rounded; inf beyond the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf
+
+
 def _ulps(x: float, wp: int) -> int:
-    """The float x >= 0 in units of 2^-wp, rounded up."""
+    """The float x >= 0 in units of 2^-wp, rounded up; inf as 2^(wp+1024)
+    units, a count that ``_ratio`` reads back as inf and that only grows."""
+    if x == math.inf:
+        return 1 << (wp + 1024)
     n, d = x.as_integer_ratio()
     return -((-n << wp) // d)
 
@@ -290,17 +312,12 @@ def _point(z) -> _Point:
     return _Point((-mr if sr else mr) << (er + k), (-mi if si else mi) << (ei + k), k)
 
 
-def _inverse_powers(ur: int, ui: int, k: int, exponents, wp: int) -> list:
-    """u^(-s) 2^wp at u = (ur + i ui) / 2^k for each s of the ascending
-    ``exponents``: conj(2^k u)^s 2^(k s) / |2^k u|^(2 s), each exact
-    Gaussian rational rounded once (error <= 1 ulp)."""
-    out, vr, vi, den, norm, t = [], 1, 0, 1, ur * ur + ui * ui, 0
-    for s in exponents:
-        for t in range(t, s):
-            vr, vi, den = vr * ur + vi * ui, vi * ur - vr * ui, den * norm
-        t, shift, half = s, wp + k * s, den >> 1
-        out.append((((vr << shift) + half) // den, ((vi << shift) + half) // den))
-    return out
+@functools.lru_cache(maxsize=64)
+def _scales(n0: int, top: int) -> tuple[tuple, int, tuple]:
+    """The integers n0^(top-k), n0^top and the floats n0^-k, k = 0..top: all
+    that the scaled power table of one cutoff needs beyond the point."""
+    ks = range(top + 1)
+    return tuple(n0 ** (top - k) for k in ks), n0**top, tuple(n0**-k for k in ks)
 
 
 class _Cutoff:
@@ -334,37 +351,52 @@ class _Cutoff:
         den = ur * ur + zi * zi
         num = (n0 << (k + wp)) * ur, -(n0 << (k + wp)) * zi
         rr, ri = [(x + (den >> 1)) // den for x in num]
+        one, half = self.one, self.half
         r_mag = self._mag(rr, ri) + self.ulp
         # a power (x, y), off by err ulps, times r (off by 1 ulp), rounded once
-        re, im, x, y, err = [self.one, rr], [0, ri], rr, ri, 1.0
-        self.power_err = err  # the largest error of a power
-        half = self.half
+        re, im, x, y, err = [one, rr], [0, ri], rr, ri, 1.0
+        power_err = err  # the largest error of a power
         for _ in range(top - 1):
-            err = self._mag(x, y) + r_mag * err + 1.0
+            err = (abs(x) + abs(y)) / one + r_mag * err + 1.0
             x, y = (x * rr - y * ri + half) >> wp, (x * ri + y * rr + half) >> wp
             re.append(x)
             im.append(y)
-            self.power_err = max(self.power_err, err)
-        scales = [n0 ** (top - k) for k in range(top + 1)]
+            power_err = max(power_err, err)
+        self.power_err = power_err
+        scales, self.denom, self.inv = _scales(n0, top)
         self.re = list(map(mul, re, scales))
         self.im = list(map(mul, im, scales))
-        self.denom = n0**top
-        self.inv = [n0**-k for k in range(top + 1)]  # floats n0^-k
 
     def _mag(self, x: int, y: int) -> float:
         """Upper bound on |x + iy| * 2^-wp, up to float rounding."""
         return (abs(x) + abs(y)) / self.one
 
     def rows(self, exponents) -> dict:
-        """s -> (row, weights): the powers (m+z)^(-s) for m = n0-1 down to 1
-        (``_inverse_powers``), and integers with |(m+z)^(-s)| <= weight 2^-64."""
+        """s -> (re, im, weights): the powers (m+z)^(-s) 2^wp for m = n0-1
+        down to 1 as their real and imaginary parts, and integers with
+        |(m+z)^(-s)| <= weight 2^-64.  One loop over m runs the exponents in
+        ascending order: at u = (ur + i zi) / 2^k, u^(-s) is the exact
+        Gaussian rational conj(2^k u)^s 2^(k s) / |2^k u|^(2 s), each part
+        rounded once (error <= 1 ulp)."""
         zr, zi, k = self.shift
         wp, wanted = self.wp, sorted(set(exponents))
-        columns = [_inverse_powers((m << k) + zr, zi, k, wanted, wp)
-                   for m in range(self.n0 - 1, 0, -1)]
+        out = {s: ([], []) for s in wanted}
+        # per exponent: the products since the one before, its shift, its lists
+        plan = [(s - t, wp + k * s, out[s][0].append, out[s][1].append)
+                for s, t in zip(wanted, [1, *wanted])]
+        for m in range(self.n0 - 1, 0, -1):
+            ur = (m << k) + zr
+            norm = ur * ur + zi * zi
+            vr, vi, den = ur, -zi, norm  # conj(2^k u) over its norm
+            for steps, shift, put_re, put_im in plan:
+                for _ in range(steps):
+                    vr, vi, den = vr * ur + vi * zi, vi * ur - vr * zi, den * norm
+                h = den >> 1
+                put_re(((vr << shift) + h) // den)
+                put_im(((vi << shift) + h) // den)
         return {
-            s: (row, [(((abs(x) + abs(y) + 1) << 64) >> wp) + 1 for x, y in row])
-            for s, row in zip(wanted, zip(*columns))
+            s: (re, im, [(((abs(x) + abs(y) + 1) << 64) >> wp) + 1 for x, y in zip(re, im)])
+            for s, (re, im) in out.items()
         }
 
     def tail_value(self, tail: _Tail) -> tuple[int, int, float]:
@@ -395,7 +427,7 @@ class _Cutoff:
             acc = -((-acc * X) >> 64) + (n << 64)
         # times 1 + n0 x >= 1 + pf (x = X 2^-64), rounded up
         acc = -((-acc * ((1 << 64) + self.n0 * X)) >> 64)
-        total = _upward(_upward(acc / (den << 64)) * self.xpow(lo))
+        total = _upward(_upward(_ratio(acc, den << 64)) * self.xpow(lo))
         return _upward(total + _upward(_upward(carried * self.n0) / tail.beta))
 
 
@@ -485,37 +517,49 @@ def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSu
     cut = _Cutoff(z, n0, max(t.top for t in tails))
     rows = cut.rows(exponents)
     wp, half = cut.wp, cut.half
-    # P_(j-1)(m) and delta_(j-1)(m) for m = n0-1 down to 1, from P_0 = 1
-    below, deltas = [(cut.one, 0)] * (n0 - 1), [0] * (n0 - 1)
     err, size = 0.0, 1.0  # rounding (ulps) and magnitude bound of P_(j-1)
     env = 0.0  # c_(j-1)
     prefixes = []
     for j, (s, tail) in enumerate(zip(exponents, tails), 1):
-        row, weights = rows[s]
-        total = sum(weights) / 2**64
+        row_re, row_im, weights = rows[s]
+        total = _ratio(sum(weights), 1 << 64)
         tr, ti, terr = cut.tail_value(tail)
         tmag = cut._mag(tr, ti) + terr * cut.ulp
         carried = _upward(env * cut.xpow(s))
         env = cut.envelope(tail, carried)
         delta = _ulps(_upward(env + carried), wp)  # eps_j
         keep = j < len(exponents)  # the last level's sums feed nothing
-        sums, next_deltas = [], []
-        ar, ai = tr << wp, ti << wp
-        for (pr, pi), (cr, ci), w, d in zip(row, below, weights, deltas):
+        # below_re, below_im and deltas: P_(j-1)(m) and delta_(j-1)(m) for
+        # m = n0-1 down to 1
+        if j == 1:
+            # P_0 = 1 and delta_0 = 0: the running sums are tr plus the exact
+            # prefix sums of the row, and delta_1(m) = eps_1
             if keep:
-                sums.append(((ar + half) >> wp, (ai + half) >> wp))
-                next_deltas.append(delta)
-            ar += pr * cr - pi * ci
-            ai += pr * ci + pi * cr
-            delta -= (-w * d) >> 64  # plus w d 2^-64, rounded up
-        tr, ti = (ar + half) >> wp, (ai + half) >> wp  # exact at the first level
-        err = terr + total * err + (n0 - 1) * size + (j > 1)
+                below_re = list(accumulate(row_re, initial=tr))
+                below_im = list(accumulate(row_im, initial=ti))
+                tr, ti, deltas = below_re.pop(), below_im.pop(), [delta] * (n0 - 1)
+            else:
+                tr, ti = tr + sum(row_re), ti + sum(row_im)
+        else:
+            sums_re, sums_im, next_deltas = [], [], []
+            ar, ai = tr << wp, ti << wp
+            for pr, pi, cr, ci, w, d in zip(row_re, row_im, below_re, below_im, weights, deltas):
+                if keep:
+                    sums_re.append((ar + half) >> wp)
+                    sums_im.append((ai + half) >> wp)
+                    next_deltas.append(delta)
+                ar += pr * cr - pi * ci
+                ai += pr * ci + pi * cr
+                delta -= (-w * d) >> 64  # plus w d 2^-64, rounded up
+            tr, ti = (ar + half) >> wp, (ai + half) >> wp
+            below_re, below_im, deltas = sums_re, sums_im, next_deltas
+        # err is 0 at the first level, where total may be inf
+        err = terr + (total * err if err else 0.0) + (n0 - 1) * size + (j > 1)
         size = tmag + total * size
-        below, deltas = sums, next_deltas
 
         # the float accounting rounds by at most 2^-53 relative per operation
         rounding = _upward(math.ldexp(err * (1 + 2.0**-20), -wp))
-        bound = _upward(_upward(delta / cut.one) + rounding)
+        bound = _upward(_upward(_ratio(delta, cut.one)) + rounding)
         prefixes.append(_FixedSum.exact(tr, ti, wp, bound, rounding))
     result = _FixedSum(prefixes[-1].read, wp, rounding)  # no cycle through prefixes
     result.prefixes = tuple(prefixes)

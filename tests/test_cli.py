@@ -61,6 +61,14 @@ class TestEval:
         assert result.exit_code == 1
         assert "is not finite" in result.output
 
+    @pytest.mark.parametrize("args", [["170", "--z", "0.01+0.01j"],
+                                      ["200", "--z", "0.3+0.5j", "--reduced"]])
+    def test_terms_past_the_float_range_exit_2(self, runner, args):
+        """Te[170] near 0 has a row weight past the float range, and Te^200's
+        bound passes it: both are refused as unreachable, never a traceback."""
+        result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 2, result.output
+
     def test_divergent_sequences_need_reduced_mode(self, runner):
         direct = runner.invoke(main, ["eval", "1,2", "--z", "0.3+0.7j", "--direct"])
         assert direct.exit_code != 0
