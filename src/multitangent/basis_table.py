@@ -64,7 +64,7 @@ def _basis_monomial(mono: tuple[tuple[int, ...], ...]) -> MzvMonomial:
 
 def _letters(s: Composition) -> Composition:
     """The x/y word of a composition, x as 1 and y as 2: part k is x^(k-1) y."""
-    return Composition(tuple(letter for k in s for letter in (1,) * (k - 1) + (2,)))
+    return Composition(letter for k in s for letter in (1,) * (k - 1) + (2,))
 
 
 def _parts(word: Composition) -> Composition:
@@ -75,7 +75,7 @@ def _parts(word: Composition) -> Composition:
         if letter == 2:
             parts.append(run)
             run = 0
-    return Composition(tuple(parts))
+    return Composition(parts)
 
 
 def _shuffle_xy(a: Composition, b: Composition) -> WordPoly:
@@ -107,7 +107,7 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
     ]
     for mono in basis:
         expansion = linearize(CoeffExpr({mono: 1}))
-        relations.append({mono: -1, **{m.factors[0]: c for m, c in expansion.items()}})
+        relations.append({mono: -1, **{m[0]: c for m, c in expansion.items()}})
     deepest = sorted(words, key=lambda w: -w.length)
     column = {key: i for i, key in enumerate(deepest + basis)}
     matrix = []

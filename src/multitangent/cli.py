@@ -124,8 +124,8 @@ def eval_cmd(nctx, sequence, z_str, direct):
     csv.writer(buf).writerow(
         [
             str(s),
-            mp.nstr(mp.re(z), 12),
-            mp.nstr(mp.im(z), 12),
+            repr(float(mp.re(z))),  # the doubles evaluated, shortest round trip
+            repr(float(mp.im(z))),
             mp.nstr(mp.re(value), 15),
             mp.nstr(mp.im(value), 15),
             method,

@@ -6,11 +6,12 @@ values, so a CoeffExpr holds Fraction coefficients.  Pi lives only in
 PiRational: the corrective constant delta(s), the even zeta values and the
 closed-form families.
 
-Everything here is symbolic and exact.  Numeric evaluation lives in
-:mod:`multitangent.mzv`.  Combinations add through ``words._accumulate``.
-``_combine``, the integer path kept for the hot fold, sums many expressions
-over one denominator (with ``_numerators``), and ``_expression`` builds the
-Fractions once, where a coefficient is handed out.
+A zeta monomial is the sorted tuple of its compositions.  Everything here
+is symbolic and exact.  Numeric evaluation lives in :mod:`multitangent.mzv`.
+Combinations add through ``words._accumulate``.  ``_combine``, the integer
+path kept for the hot fold, sums many expressions over one denominator
+(with ``_numerators``), and ``_expression`` builds the Fractions once, where
+a coefficient is handed out.
 """
 
 from __future__ import annotations
@@ -88,25 +89,20 @@ class PiRational(LinearCombination):
         return f"pi^{exp}" if coef == 1 else f"{coef}*pi^{exp}"
 
 
-class MzvMonomial:
+class MzvMonomial(tuple):
     """A commutative product of zeta symbols Ze[s^1]...Ze[s^d].
 
-    Factors are kept as a sorted tuple of compositions; the empty product is
-    the scalar one.  Factors are expected to index convergent nested sums
-    (first part >= 2); enforcing that is left to the constructors in
-    :mod:`multitangent.mzv` so that intermediate formal work stays cheap.
+    It is the tuple of its factors, compositions sorted by ``sort_key``; the
+    empty product is the scalar one.  Factors are expected to index
+    convergent nested sums (first part >= 2); enforcing that is left to the
+    constructors in :mod:`multitangent.mzv` so that intermediate formal work
+    stays cheap.
     """
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable[Composition] = ()):
-        factors = tuple(sorted(factors, key=Composition.sort_key))
-        object.__setattr__(self, "factors", factors)
-        # every dict and cache lookup hashes the monomial: hash it once
-        object.__setattr__(self, "_hash", hash(factors))
-
-    def __setattr__(self, *args):
-        raise AttributeError("MzvMonomial is immutable")
+    def __new__(cls, factors: Iterable[Composition] = ()) -> "MzvMonomial":
+        return super().__new__(cls, sorted(factors, key=Composition.sort_key))
 
     @classmethod
     def one(cls) -> "MzvMonomial":
@@ -117,31 +113,28 @@ class MzvMonomial:
         return cls((s,))
 
     @property
+    def factors(self) -> "MzvMonomial":
+        """The monomial itself, the tuple of its factors."""
+        return self
+
+    @property
     def degree(self) -> int:
-        return len(self.factors)
+        return len(self)
 
     @property
     def weight(self) -> int:
-        return sum(f.weight for f in self.factors)
+        return sum(map(sum, self))
 
     def __mul__(self, other: "MzvMonomial") -> "MzvMonomial":
-        return MzvMonomial(self.factors + other.factors)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MzvMonomial):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return self._hash
+        return MzvMonomial(self + other)
 
     def sort_key(self):
-        return (self.weight, self.degree, tuple(f.sort_key() for f in self.factors))
+        return (self.weight, len(self), tuple(f.sort_key() for f in self))
 
     def __str__(self) -> str:
-        if not self.factors:
+        if not self:
             return "1"
-        return "*".join(f"Ze[{f}]" for f in self.factors)
+        return "*".join(f"Ze[{f}]" for f in self)
 
     __repr__ = __str__
 
@@ -199,7 +192,7 @@ class CoeffExpr(LinearCombination):
             pair
             for mono, coef in self._terms.items()
             for pair in functools.reduce(
-                operator.mul, map(fn, mono.factors), CoeffExpr.scalar(coef)
+                operator.mul, map(fn, mono), CoeffExpr.scalar(coef)
             )._terms.items()
         )
 
@@ -210,7 +203,7 @@ class CoeffExpr(LinearCombination):
                 {
                     "pi2": 0,
                     "coef": f"{coef.numerator}/{coef.denominator}",
-                    "mzv": [list(f.parts) for f in mono.factors],
+                    "mzv": [list(f) for f in mono],
                 }
                 for mono, coef in self.items()
             ]
@@ -221,11 +214,11 @@ class CoeffExpr(LinearCombination):
         for term in data["terms"]:
             if int(term["pi2"]) != 0:
                 raise ValueError(f"pi power in term {term}: coefficients are rational")
-        return cls._sum((MzvMonomial(Composition(tuple(p)) for p in term["mzv"]),
+        return cls._sum((MzvMonomial(Composition(p) for p in term["mzv"]),
                          Fraction(term["coef"])) for term in data["terms"])
 
     def _term_str(self, mono: MzvMonomial, coef: Fraction, sep: str = "*") -> str:
-        factors = sep.join(f"Ze[{f}]" for f in mono.factors)
+        factors = sep.join(f"Ze[{f}]" for f in mono)
         if not factors:
             return str(coef)
         return factors if coef == 1 else f"{coef}{sep}{factors}"

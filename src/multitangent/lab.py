@@ -83,7 +83,7 @@ def differentiate_combo(combo: MtCombo) -> MtCombo:
     return MtCombo._sum(
         (comp.bump(i), -coef * part)
         for comp, coef in combo.items()
-        for i, part in enumerate(comp.parts)
+        for i, part in enumerate(comp)
     )
 
 
@@ -238,11 +238,11 @@ def projection(
     Raises ProjectionUnavailableError when the linear system has no solution
     at this weight.
     """
-    if not sigma or sigma.parts[0] < 2:
+    if not sigma or sigma[0] < 2:
         raise ValueError("sigma must index a convergent zeta value")
     w = sigma.weight + 2
     _require_coverage(w)
-    target = _expression(*_fragment_vector(sigma.parts, 0))
+    target = _expression(*_fragment_vector(sigma, 0))
     combo = _solve_for_combo(w, {(2, mono): c for mono, c in target.items()})
     if combo is None:
         raise ProjectionUnavailableError(
@@ -267,12 +267,12 @@ def unit_cleanse(
         raise ValueError("empty sequence")
     w = s.weight
     _require_coverage(w)
-    if all(p == 1 for p in s.parts):
+    if all(p == 1 for p in s):
         # Te[1^r] is a constant for even r and a multiple of Te^1 for odd r
         # (families.te_ones_closed_form); combinations of multitangents with
         # all parts >= 2 have neither term
         raise ProjectionUnavailableError(f"Te[{s}] has no unit-free form")
-    if all(p >= 2 for p in s.parts):
+    if all(p >= 2 for p in s):
         return MtCombo({s: 1})
     combo = _solve_for_combo(w, slot_vector(s))
     if combo is None:

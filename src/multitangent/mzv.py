@@ -83,9 +83,9 @@ def symmetrel_extend(s: Composition) -> CoeffExpr:
     """
     if not s:
         return CoeffExpr.scalar(1)
-    if s.parts[0] >= 2:
+    if s[0] >= 2:
         return CoeffExpr.symbol(s)
-    tail = Composition(s.parts[1:])
+    tail = Composition(s[1:])
     expansion = stuffle(Composition((1,)), tail)
     mult_s = expansion[s]
     # Ze[1] * Ze[tail] = 0 under the chosen normalization; summed in integers
@@ -111,7 +111,7 @@ def linearize(expr: CoeffExpr) -> CoeffExpr:
     return CoeffExpr._sum(
         (MzvMonomial((word,) if word else ()), coef * mult)
         for mono, coef in expr.items()
-        for words in [functools.reduce(_stuffle_onto, mono.factors, WordPoly.single(EMPTY))]
+        for words in [functools.reduce(_stuffle_onto, mono, WordPoly.single(EMPTY))]
         for word, mult in words._terms.items()
     )
 
@@ -142,8 +142,8 @@ def _certified(expr: CoeffExpr, target, cap: int) -> zetasum._FixedSum:
     symbols are resolved through the symmetrel extension first."""
     expr = expr.map_symbols(symmetrel_extend)
     result = zetasum.certify([
-        [*(functools.partial(zetasum.shifted_nested_sum, s.parts, 0, cap=cap)
-           for s in mono.factors), (coef, 0.0)]
+        [*(functools.partial(zetasum.shifted_nested_sum, tuple(s), 0, cap=cap)
+           for s in mono), (coef, 0.0)]
         for mono, coef in expr.items()
     ], target)
     return zetasum._FixedSum.exact(result.read[0], 0, result.wp, result[1], result.rounding, True)

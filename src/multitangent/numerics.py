@@ -114,7 +114,8 @@ def _monotangent(k: int, cot):
     working precision.  The coefficients are positive, so the error of c
     moves Q by at most err Q'(x), and the rounding is at most
     2^(3-prec) (k + 4) q; pi^k scales both, and 1 + 2^-40 covers the float
-    rounding of the bound."""
+    rounding of the bound.  A bound past the float range comes first: its
+    entry, size and bound inf, forms no value, as every caller refuses it."""
     cr, ci, _, m, err = cot.read
     x, prec, poly, p = m + err, mp.mp.prec, cot_poly(k), k % 2
     wp, den = prec + GUARD, math.lcm(*(a.denominator for a in poly.values()))
@@ -124,18 +125,20 @@ def _monotangent(k: int, cot):
         n = int(poly.get(j, 0) * den)
         ar, ai = ar * wr - ai * wi + (n << wp * (k - j)), ar * wi + ai * wr
         h, dh = h * y + _ratio(n, 1), dh * y + h
-    if p:
-        ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
-    pq = wp + 2 * k + k.bit_length()  # pi to pq bits: its k-th power is within 2^-wp
-    big, d = pi_fixed(pq) ** k, den << (k * (wp + pq))
-    value = mp.make_mpc(tuple(from_rational(a * big, d, prec, "n") for a in (ar, ai)))
     try:
         q, dq = x**p * h / den, (h + 2 * y * dh if p else 2 * x * dh) / den
         bound = (err * dq + math.ldexp(8 * (k + 4) * q, max(-1070, -prec))) * math.pi**k
         bound = (bound + q * 2.0 ** -min(wp, 1000)) * (1 + 2.0**-40)
     except OverflowError:  # den or pi^k past the float range
         bound = math.inf
-    return _entry((value, bound if bound < math.inf else math.inf), wp)
+    if not bound < math.inf:
+        return _FixedSum((0, 0, 0.0, math.inf, math.inf), wp)
+    if p:
+        ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
+    pq = wp + 2 * k + k.bit_length()  # pi to pq bits: its k-th power is within 2^-wp
+    big, d = pi_fixed(pq) ** k, den << (k * (wp + pq))
+    value = mp.make_mpc(tuple(from_rational(a * big, d, prec, "n") for a in (ar, ai)))
+    return _entry((value, bound), wp)
 
 
 _points = CertifiedCache(256)  # the rechecks: a cotangent and up to 11 orders per point
@@ -172,7 +175,7 @@ def _splits(s: Composition):
     hits."""
     r = s.length
     for a in (r, *range(r)):
-        yield s.parts[:a], s.parts[a:]
+        yield s[:a], s[a:]
 
 
 def _one_sided(side: str, parts: tuple, z, target: float, cap: int):
@@ -292,13 +295,13 @@ def hurwitz_eval(side: str, s: Composition, z, ctx: NumericContext = DEFAULT_CON
             _checked(z, ctx.pole_guard)
         if not s:
             return mp.mpc(1)
-        if s.parts == (1,):
+        if s == (1,):
             if side == "+":
                 return -mp.digamma(1 + z) - mp.euler
             return mp.digamma(1 - z) + mp.euler
-        if s.parts[0 if side == "+" else -1] < 2:
+        if s[0 if side == "+" else -1] < 2:
             raise ValueError(f"He_{side}[{s}] diverges")
-        return _one_sided(side, s.parts, point, ctx.target_abs_error, ctx.truncation_cap)[0]
+        return _one_sided(side, tuple(s), point, ctx.target_abs_error, ctx.truncation_cap)[0]
 
 
 def trifactorization_residual(
@@ -378,7 +381,7 @@ def flatness_and_bounds_check(
         raise ValueError(f"{s} is not convergent")
     report = BoundsReport(sequence=s)
     w, l = s.weight, s.length
-    val2 = all(p >= 2 for p in s.parts)
+    val2 = all(p >= 2 for p in s)
     with ctx.workprec():
         for z in z_samples:
             z = mp.mpc(z)

@@ -81,9 +81,9 @@ def _z_terms(i: int, k: int, s: Composition):
     r = s.length
     if not 1 <= i <= r:
         raise ValueError(f"pivot {i} out of range for length {r}")
-    if not 0 <= k <= s.parts[i - 1] - 1:
-        raise ValueError(f"order shift {k} out of range for part {s.parts[i - 1]}")
-    right, left = s.parts[i:][::-1], s.parts[: i - 1]
+    if not 0 <= k <= s[i - 1] - 1:
+        raise ValueError(f"order shift {k} out of range for part {s[i - 1]}")
+    right, left = s[i:][::-1], s[: i - 1]
     sign = (-1) ** sum(right)
     for a in range(0 if right else k, (k if left else 0) + 1):
         yield sign * (-1) ** a, right, k - a, left, a
@@ -94,7 +94,7 @@ def _order_terms(s: Composition) -> dict[int, list]:
     mapped to the terms of ``_z_terms`` of its coefficient, the sum over i
     of Z(i, s_i - k; s)."""
     terms: dict[int, list] = {}
-    for i, s_i in enumerate(s.parts, 1):
+    for i, s_i in enumerate(s, 1):
         for k in range(1, s_i + 1):
             for term in _z_terms(i, s_i - k, s):
                 terms.setdefault(k, []).append(term)
@@ -143,7 +143,7 @@ def delta(s: Composition) -> PiRational:
     """Corrective constant: nonzero only for the all-ones sequence of even
     length r, where it equals (-1)^(r/2) pi^r / r!."""
     r = s.length
-    if r and r % 2 == 0 and all(p == 1 for p in s.parts):
+    if r and r % 2 == 0 and all(p == 1 for p in s):
         return PiRational({r: Fraction((-1) ** (r // 2), math.factorial(r))})
     return PiRational(0)
 
@@ -172,7 +172,7 @@ class ReductionResult:
 
     def to_json(self) -> dict:
         return {
-            "sequence": list(self.sequence.parts),
+            "sequence": list(self.sequence),
             "constant": self.constant.to_json(),
             "coeffs": {str(k): e.to_json() for k, e in sorted(self.coeffs.items())},
         }

@@ -120,7 +120,7 @@ def suite_diff(
             quotient = [(1 / (2 * h), mp.ldexp(1 / h, -mp.mp.prec))]
             up, down, z = (_checked(w, ctx.pole_guard) for w in (z + h, z - h, z))
             terms = [[_direct(s, up, ctx), *quotient], [_direct(s, down, ctx), (-1, 0), *quotient]]
-            terms += [[(part, 0), _direct(s.bump(i), z, ctx)] for i, part in enumerate(s.parts)]
+            terms += [[(part, 0), _direct(s.bump(i), z, ctx)] for i, part in enumerate(s)]
             result.record(f"diff Te[{s}]", [*terms, [(0, DIFF_TRUNCATION)]], ctx)
     return result
 

@@ -1,7 +1,8 @@
 """Index compositions and the quasi-shuffle combinatorics built on them.
 
-A composition is a finite sequence of positive integers.  Two products act on
-formal sums of compositions: the shuffle (interleavings only) and the stuffle
+A composition is a finite sequence of positive integers, a ``Composition``
+the tuple of them with its own order.  Two products act on formal sums of
+compositions: the shuffle (interleavings only) and the stuffle
 (interleavings plus part-adding contractions over the additive semigroup of
 positive integers).  Both are commutative and associative, with the empty
 composition as unit.  Formal sums of compositions, like the other formal
@@ -13,24 +14,25 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=False)
-class Composition:
-    """An ordered tuple of positive integer parts; may be empty."""
+class Composition(tuple):
+    """An ordered tuple of positive integer parts; may be empty.  A slice or
+    a sum of two is a plain tuple; only the order is its own, by ``sort_key``."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(type(p) is not int or p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers, got {self.parts!r}")
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
+        self = super().__new__(cls, parts)
+        for p in self:
+            if type(p) is not int or p < 1:
+                raise ValueError(f"parts must be positive integers, got {tuple(self)!r}")
+        return self
 
     @classmethod
     def of(cls, *parts: int) -> "Composition":
-        return cls(tuple(parts))
+        return cls(parts)
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
@@ -38,28 +40,34 @@ class Composition:
         text = text.strip()
         if text in ("", "()"):
             return cls()
-        return cls(tuple(int(tok) for tok in text.split(",")))
+        return cls(int(tok) for tok in text.split(","))
+
+    @property
+    def parts(self) -> "Composition":
+        """The composition itself, the tuple of its parts."""
+        return self
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def reverse(self) -> "Composition":
-        return Composition(self.parts[::-1])
+        return Composition(self[::-1])
 
     def bump(self, i: int) -> "Composition":
         """Return the composition with part ``i`` (0-based) increased by one."""
-        parts = list(self.parts)
+        parts = list(self)
         parts[i] += 1
-        return Composition(tuple(parts))
+        return Composition(parts)
 
     def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
-        # Canonical total order: weight, then length, then lexicographic.
-        return (self.weight, self.length, self.parts)
+        # Canonical total order: weight, then length, then lexicographic.  The
+        # last item is a plain tuple: comparing self would recurse.
+        return (sum(self), len(self), tuple(self))
 
     def __lt__(self, other: "Composition") -> bool:
         return self.sort_key() < other.sort_key()
@@ -67,25 +75,19 @@ class Composition:
     def __le__(self, other: "Composition") -> bool:
         return self.sort_key() <= other.sort_key()
 
-    def __getitem__(self, i):
-        return self.parts[i]
+    def __gt__(self, other: "Composition") -> bool:
+        return self.sort_key() > other.sort_key()
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
+    def __ge__(self, other: "Composition") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def __str__(self) -> str:
-        if not self.parts:
+        if not self:
             return "()"
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
-        return f"Composition({list(self.parts)!r})"
+        return f"Composition({list(self)!r})"
 
 
 EMPTY = Composition()
@@ -112,8 +114,8 @@ class SeqClass(enum.Enum):
 def classify(s: Composition) -> SeqClass:
     if not s:
         return SeqClass.EMPTY
-    left_ok = s.parts[0] >= 2
-    right_ok = s.parts[-1] >= 2
+    left_ok = s[0] >= 2
+    right_ok = s[-1] >= 2
     if left_ok and right_ok:
         return SeqClass.CONVERGENT_MULTITANGENT
     if left_ok:
@@ -124,7 +126,7 @@ def classify(s: Composition) -> SeqClass:
 
 
 def is_multitangent_convergent(s: Composition) -> bool:
-    return bool(s) and s.parts[0] >= 2 and s.parts[-1] >= 2
+    return bool(s) and s[0] >= 2 and s[-1] >= 2
 
 
 def _accumulate(pairs) -> dict:
@@ -275,7 +277,7 @@ def _prefixed(*pieces) -> WordPoly:
     """The sum over the (letter, poly) ``pieces`` of the words of poly, each
     with letter put in front."""
     return WordPoly._sum(
-        (Composition((letter,) + w.parts), m)
+        (Composition((letter,) + w), m)
         for letter, poly in pieces
         for w, m in poly._terms.items()
     )
@@ -292,8 +294,8 @@ def stuffle(a: Composition, b: Composition) -> WordPoly:
         return WordPoly.single(b)
     if not b:
         return WordPoly.single(a)
-    p1, a_rest = a.parts[0], Composition(a.parts[1:])
-    q1, b_rest = b.parts[0], Composition(b.parts[1:])
+    p1, a_rest = a[0], Composition(a[1:])
+    q1, b_rest = b[0], Composition(b[1:])
     return _prefixed((p1, stuffle(a_rest, b)), (q1, stuffle(a, b_rest)),
                      (p1 + q1, stuffle(a_rest, b_rest)))
 
@@ -305,8 +307,8 @@ def shuffle(a: Composition, b: Composition) -> WordPoly:
         return WordPoly.single(b)
     if not b:
         return WordPoly.single(a)
-    p1, a_rest = a.parts[0], Composition(a.parts[1:])
-    q1, b_rest = b.parts[0], Composition(b.parts[1:])
+    p1, a_rest = a[0], Composition(a[1:])
+    q1, b_rest = b[0], Composition(b[1:])
     return _prefixed((p1, shuffle(a_rest, b)), (q1, shuffle(a, b_rest)))
 
 
@@ -344,7 +346,7 @@ def enumerate_compositions(weight: int, seq_class: str = "all") -> list[Composit
     if seq_class == "convergent":
         return [s for s in compositions_of(weight) if is_multitangent_convergent(s)]
     if seq_class == "mzv":
-        return [s for s in compositions_of(weight) if s and s.parts[0] >= 2]
+        return [s for s in compositions_of(weight) if s and s[0] >= 2]
     raise ValueError(f"unknown class {seq_class!r}")
 
 

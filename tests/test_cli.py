@@ -69,6 +69,17 @@ class TestEval:
         result = runner.invoke(main, ["eval", *args])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize("z, x, y", [("100000000000.3+0.1j", "100000000000.3", "0.1"),
+                                         ("0.3+0.7j", "0.3", "0.7"), ("2+0.5j", "2.0", "0.5")])
+    def test_prints_the_point_it_evaluated(self, runner, z, x, y):
+        """x and y are the shortest strings that read back as the doubles
+        evaluated: 12 significant digits printed 1e11 + 0.3 as 1e11."""
+        result = runner.invoke(main, ["eval", "3", "--z", z])
+        assert result.exit_code == 0, result.output
+        fields = eval_row(result.output)
+        assert fields[1:3] == [x, y] and len(fields) == 7
+        assert complex(float(x), float(y)) == complex(z)
+
     def test_divergent_sequences_need_reduced_mode(self, runner):
         direct = runner.invoke(main, ["eval", "1,2", "--z", "0.3+0.7j", "--direct"])
         assert direct.exit_code != 0

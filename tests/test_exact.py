@@ -51,6 +51,36 @@ class TestPiRational:
         assert {PiRational({0: 3}): "x"}.get(3) == "x"
 
 
+monomial = st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                    .map(Composition), max_size=3).map(MzvMonomial)
+
+
+class TestMzvMonomial:
+    def test_sorts_its_factors(self):
+        mono = MzvMonomial([C(3), C(2, 1), C(2)])
+        assert mono.factors == (C(2), C(3), C(2, 1)) == mono
+        assert mono == MzvMonomial([C(2, 1), C(2), C(3)])
+        assert hash(mono) == hash((C(2), C(3), C(2, 1)))
+        assert {mono: "x"}[MzvMonomial([C(2), C(2, 1), C(3)])] == "x"
+        assert (mono.degree, mono.weight, str(mono)) == (3, 8, "Ze[2]*Ze[3]*Ze[2,1]")
+        assert str(MzvMonomial.one()) == "1" and MzvMonomial.one().degree == 0
+
+    @given(monomial, monomial)
+    @settings(max_examples=100, deadline=None)
+    def test_product_is_the_monomial_of_the_concatenated_factors(self, a, b):
+        product = a * b
+        assert type(product) is MzvMonomial
+        assert product == MzvMonomial(a.factors + b.factors) == b * a
+        assert hash(product) == hash(MzvMonomial(b.factors + a.factors))
+
+    def test_is_immutable(self):
+        mono = MzvMonomial.symbol(C(2))
+        for name in ("factors", "degree", "other"):
+            with pytest.raises(AttributeError):
+                setattr(mono, name, ())
+        assert mono == MzvMonomial([C(2)])
+
+
 class TestCoeffExpr:
     def test_formal_product_keeps_monomials(self):
         e = CoeffExpr.symbol(C(2)) * CoeffExpr.symbol(C(3))

@@ -134,6 +134,26 @@ class TestTableLoading:
             assert mono == MzvMonomial.symbol(C(2 * n))
             assert coef * even_zeta(n) == zagier_ze2n(n)
 
+    @pytest.mark.parametrize("weight", range(2, 11))
+    def test_words_and_basis_monomials_take_distinct_columns(self, weight, monkeypatch):
+        """The derivation keys its columns by words and by basis monomials,
+        both tuples: a word is a tuple of ints and a monomial a tuple of
+        compositions, so none of them share a column."""
+        class Captured(Exception):
+            pass
+
+        def capture(matrix):
+            raise Captured(matrix)
+
+        monkeypatch.setattr(basis_table, "rref", capture)
+        basis = [basis_table._basis_monomial(m) for m in basis_table.BASES[weight]]
+        with pytest.raises(Captured) as got:
+            basis_table._derive(weight, basis)
+        basis_table.shuffle.cache_clear()  # as the table does after a derivation
+        (matrix,) = got.value.args
+        width = len(enumerate_compositions(weight, "mzv")) + len(basis)
+        assert {len(row) for row in matrix} == {width}
+
     def test_coverage_error_reported(self):
         table = MzvBasisTable.shared()
         with pytest.raises(CoverageError):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitangent.basis_table import BASES
+from multitangent.basis_table import BASES, _basis_monomial, _derive
 from multitangent.errors import PrecisionUnreachableError
 from multitangent.exact import CoeffExpr, MzvMonomial, PiRational
 from multitangent.mzv import (
@@ -19,7 +20,7 @@ from multitangent.mzv import (
     symmetrel_extend,
     ze_minus,
 )
-from multitangent.words import Composition, stuffle
+from multitangent.words import Composition, compositions_of, shuffle, stuffle
 from multitangent.zetasum import shifted_nested_sum
 from test_words import brute_stuffle
 
@@ -367,3 +368,40 @@ def test_context_rejects_settings_that_break_evaluation(field, value):
 def test_context_takes_any_real_target():
     ctx = NumericContext(target_abs_error=Fraction(1, 10**9), pole_guard=1)
     assert ctx.target_abs_error == Fraction(1, 10**9)
+
+
+def _word_algebra_in_insertion_order() -> str:
+    """The word algebra's outputs, each dict in its insertion order: stuffle
+    and shuffle of every pair of total weight <= 8, linearize of every
+    ``BASES`` monomial, the symmetrel extension of every composition of
+    weight <= 8 and the table entries derived at weights 2-8."""
+    def word(w):
+        return repr(tuple(w.parts))
+
+    def expr(e):
+        return ",".join(f"{[tuple(f.parts) for f in m.factors]}:{c}" for m, c in e._terms.items())
+
+    comps = [s for w in range(9) for s in compositions_of(w)]
+    lines = [
+        " ".join(f"{word(w)}:{m}" for w, m in product(a, b)._terms.items())
+        for a in comps for b in comps if a.weight + b.weight <= 8
+        for product in (stuffle, shuffle)
+    ]
+    lines += [expr(linearize(CoeffExpr({MzvMonomial(map(Composition, mono)): 1})))
+              for monos in BASES.values() for mono in monos]
+    lines += [expr(symmetrel_extend(s)) for s in comps]
+    for weight in range(2, 9):
+        basis = [_basis_monomial(mono) for mono in BASES[weight]]
+        lines += [f"{word(w)}={expr(e)}" for w, e in _derive(weight, basis).items()]
+    shuffle.cache_clear()  # as the table does after a derivation
+    return "\n".join(lines)
+
+
+def test_word_algebra_does_not_depend_on_hash_order():
+    """Words and monomials hash as plain tuples; no output of the word
+    algebra may change its order with that: one digest over the insertion
+    order of every dict above."""
+    text = _word_algebra_in_insertion_order()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fef6838b8644286dc23ea1a8c4d9a2ed62f872d25a5a51421285c77ed0ff649e"
+    )

@@ -172,3 +172,15 @@ def test_monotangent_past_the_float_range_is_refused(monkeypatch, k, prec):
     with pytest.raises(PrecisionUnreachableError) as info:
         monotangent_eval(k, mp.mpc(0.3, 0.5), ctx)
     assert info.value.achieved == math.inf
+
+
+def test_monotangent_refusal_forms_no_value(monkeypatch):
+    """Te^500 at 0.3 + 0.5i: the bound is inf, so the call is refused before
+    the value, a quotient of some hundred thousand bits, is rounded."""
+    monkeypatch.setattr(numerics, "_points", zetasum.CertifiedCache(numerics._points.maxsize))
+    rounded = []
+    monkeypatch.setattr(numerics, "from_rational", lambda *args: rounded.append(args))
+    with pytest.raises(PrecisionUnreachableError) as info:
+        monotangent_eval(500, mp.mpc(0.3, 0.5))
+    assert info.value.achieved == math.inf
+    assert rounded == []

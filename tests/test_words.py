@@ -96,6 +96,8 @@ def as_counter(poly: WordPoly) -> Counter:
 
 small_composition = st.lists(st.integers(1, 4), max_size=4).map(tuple).map(Composition)
 
+UP_TO_WEIGHT_8 = [s for w in range(9) for s in compositions_of(w)]
+
 
 class TestComposition:
     def test_invariants(self):
@@ -127,6 +129,31 @@ class TestComposition:
     def test_ordering_weight_length_lex(self):
         got = sorted([C(4), C(2, 2), C(1, 1, 2), C(3), C(2, 1, 1)])
         assert got == [C(3), C(4), C(2, 2), C(1, 1, 2), C(2, 1, 1)]
+
+    @given(st.sampled_from(UP_TO_WEIGHT_8), st.sampled_from(UP_TO_WEIGHT_8))
+    @settings(max_examples=200, deadline=None)
+    def test_every_order_comparison_agrees_with_sort_key(self, a, b):
+        # a tuple's own > and >= are lexicographic and would disagree with <
+        ka, kb = a.sort_key(), b.sort_key()
+        assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+
+    @pytest.mark.parametrize("parts", [(), (1,), (2, 1, 3), (5, 5, 1, 2)])
+    def test_is_the_tuple_of_its_parts(self, parts):
+        s = Composition(parts)
+        assert s == parts and parts == s and hash(s) == hash(parts)
+        assert {parts: "x"}[s] == "x" and {s: "x"}[parts] == "x"
+        assert s.parts == parts and list(s) == list(parts) and len(s) == len(parts)
+        assert bool(s) is bool(parts)
+        if parts:
+            assert (s[0], s[-1], s[1:]) == (parts[0], parts[-1], parts[1:])
+            assert type(s[1:]) is tuple
+
+    def test_is_immutable(self):
+        s = C(2, 3)
+        for name in ("parts", "weight", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, (1,))
+        assert s == (2, 3)
 
 
 class TestStuffle:
