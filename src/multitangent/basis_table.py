@@ -5,14 +5,15 @@ dimensions 1,1,1,2,2,3,4,5,7 for w = 2..10) and expresses every convergent
 zeta symbol of that weight as an exact rational combination of the basis.
 
 The entries are derived, not stored.  Per weight, the double shuffle
-relations (stuffle minus shuffle of two convergent words, one of them of
-depth 1), Hoffman's relations (stuffle minus shuffle of Ze[1] with a
-convergent word, whose divergent word cancels) and the stuffle expansion of
-each basis monomial form one exact rational system, and its reduced row
-echelon form solves every convergent word for the basis.  These relations
-suffice at weights 2..10 (Ihara-Kaneko-Zagier, Compositio 142, 2006;
-Bluemlein-Broadhurst-Vermaseren, "The MZV Data Mine", arXiv:0907.2557); a
-word they leave unsolved raises CoverageError.
+relations (stuffle minus shuffle of two words, one of them of depth 1) and
+the stuffle expansion of each basis monomial form one exact rational
+system, and its reduced row echelon form solves every convergent word for
+the basis.  The pairs of the divergent word (1) are Hoffman's relations:
+its divergent word (1, ...) cancels.  The shuffle is the one of x/y words,
+computed on the compositions and kept only while a derivation runs.  These
+relations suffice at weights 2..10 (Ihara-Kaneko-Zagier, Compositio 142,
+2006; Bluemlein-Broadhurst-Vermaseren, "The MZV Data Mine",
+arXiv:0907.2557); a word they leave unsolved raises CoverageError.
 
 The derivation is not trusted blindly: each weight's entries are stored
 only after the difference of each symbol and its entry is certified, as one
@@ -25,13 +26,12 @@ weight is derived on its first lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CoverageError
 from .exact import CoeffExpr, MzvMonomial
 from .linalg import rref
 from .mzv import NumericContext, _check_zero, linearize
-from .words import Composition, WordPoly, enumerate_compositions, shuffle, stuffle
+from .words import Composition, WordPoly, _accumulate, enumerate_compositions, stuffle
 
 #: Basis monomials per weight, each monomial a tuple of index tuples.
 BASES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
@@ -62,60 +62,50 @@ def _basis_monomial(mono: tuple[tuple[int, ...], ...]) -> MzvMonomial:
     return MzvMonomial(Composition(f) for f in mono)
 
 
-def _letters(s: Composition) -> Composition:
-    """The x/y word of a composition, x as 1 and y as 2: part k is x^(k-1) y."""
-    return Composition(letter for k in s for letter in (1,) * (k - 1) + (2,))
-
-
-def _parts(word: Composition) -> Composition:
-    """The composition of an x/y word ending in y; inverse of ``_letters``."""
-    parts, run = [], 0
-    for letter in word:
-        run += 1
-        if letter == 2:
-            parts.append(run)
-            run = 0
-    return Composition(parts)
-
-
-def _shuffle_xy(a: Composition, b: Composition) -> WordPoly:
-    """Shuffle of the x/y words of ``a`` and ``b``, read back as compositions."""
-    return WordPoly({_parts(w): m for w, m in shuffle(_letters(a), _letters(b)).items()})
+def _shuffle_xy(a: tuple, b: tuple, memo: dict) -> dict:
+    """Shuffle of the x/y words of ``a`` and ``b`` (part k is x^(k-1) y) as
+    {composition: multiplicity}, ``memo`` kept by one derivation.  A first
+    part k > 1 is an x before (k-1, ...): putting it back adds 1 to the first
+    part.  A first part 1 is a y: putting it back adds a leading part 1."""
+    if not a or not b:
+        return {a or b: 1}
+    if (a, b) not in memo:
+        memo[a, b] = _accumulate(
+            ((w[0] + 1, *w[1:]) if u[0] > 1 else (1, *w), m)
+            for u, v in ((a, b), (b, a))
+            for w, m in _shuffle_xy((u[0] - 1, *u[1:]) if u[0] > 1 else u[1:], v, memo).items()
+        )
+    return memo[a, b]
 
 
 def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExpr]:
     """Every convergent symbol of ``weight`` over ``basis``, in canonical order.
 
     Unknowns are the convergent words, deepest first (the least fill-in),
-    then one column per basis monomial.  After one rref every word column
-    must hold a pivot, and the word equals minus the basis part of its row.
+    then one column per basis monomial; the rows go to rref as the ints and
+    Fractions they hold.  After one rref every word column must hold a
+    pivot, and the word equals minus the basis part of its row.
     """
     words = enumerate_compositions(weight, "mzv")
+    shuffles: dict = {}  # freed when the derivation returns
     relations = [
-        stuffle(a, b) - _shuffle_xy(a, b)
-        for left in range(2, weight - 1)
-        for a in enumerate_compositions(left, "mzv")
+        stuffle(a, b) - WordPoly._make(_shuffle_xy(a, b, shuffles))
+        for left in range(1, weight - 1)
+        # weight 1 has the one word (1): its pairs are Hoffman's relations
+        for a in enumerate_compositions(left, "mzv") or [Composition((1,))]
         for b in enumerate_compositions(weight - left, "mzv")
         # both products commute: one row per unordered pair, one side of depth 1
         if a <= b and 1 in (a.length, b.length)
-    ]
-    one = Composition((1,))
-    # Hoffman's relations: the divergent word (1, k) cancels
-    relations += [
-        stuffle(one, k) - _shuffle_xy(one, k)
-        for k in enumerate_compositions(weight - 1, "mzv")
     ]
     for mono in basis:
         expansion = linearize(CoeffExpr({mono: 1}))
         relations.append({mono: -1, **{m[0]: c for m, c in expansion.items()}})
     deepest = sorted(words, key=lambda w: -w.length)
     column = {key: i for i, key in enumerate(deepest + basis)}
-    matrix = []
-    for relation in relations:
-        row = [Fraction(0)] * len(column)
+    matrix = [[0] * len(column) for _ in relations]
+    for row, relation in zip(matrix, relations):
         for key, coef in relation.items():
-            row[column[key]] = Fraction(coef)
-        matrix.append(row)
+            row[column[key]] = coef
     red, pivots = rref(matrix)
     n = len(words)
     if pivots[:n] != list(range(n)):
@@ -136,7 +126,6 @@ def _certified_entries(
     one sum, and unless 0 lies within its certificate NumericRecheckError
     names the entry."""
     entries = _derive(weight, basis)
-    shuffle.cache_clear()  # only the derivation shuffles x/y words: free them
     for comp, combo in entries.items():
         diff = CoeffExpr.symbol(comp) - combo
         _check_zero(f"Ze[{comp}] minus its table entry", diff, _VERIFY_CONTEXT)

@@ -370,7 +370,7 @@ def _numeric(expr: CoeffExpr, ctx: NumericContext) -> str:
     (its digits would be truncation noise)."""
     with ctx.workprec():
         result = mzv._certified(expr, ctx.target_abs_error, ctx.truncation_cap)
-    return "0" if result.contains_zero() else mp.nstr(result.value, 12)
+    return "0" if result.contains_zero() else mp.nstr(result.value.real, 12)
 
 
 def table_emit(

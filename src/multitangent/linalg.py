@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Routines on lists of Fraction rows: reduced row echelon form, rank, null
+Routines on lists of rational rows: reduced row echelon form, rank, null
 space, and a deterministic linear solve that factors a matrix once and
-answers each right-hand side by one product.  Rows go in and come out as
-Fractions; inside, every row is sparse integers over one denominator.
-``rref`` eliminates on such rows, fraction-free, and divides by the pivots
-once at the end; a factorization keeps its transform in that form and
-answers a right-hand side with integer dot products, building one Fraction
-per pivot variable.  No floating point enters anywhere.  The reduced row
-echelon form is unique, so the result does not depend on the order in
-which pivots are taken.
+answers each right-hand side by one product.  Rows go in as rationals (ints
+or Fractions) and come out as Fractions; inside, every row is sparse
+integers over one denominator.  ``rref`` eliminates on such rows,
+fraction-free, and divides by the pivots once at the end; a factorization
+keeps its transform in that form and answers a right-hand side with integer
+dot products, building one Fraction per pivot variable.  No floating point
+enters anywhere.  The reduced row echelon form is unique, so the result
+does not depend on the order in which pivots are taken.
 """
 
 from __future__ import annotations

@@ -135,18 +135,18 @@ def even_zeta(n: int) -> PiRational:
 
 
 def _certified(expr: CoeffExpr, target, cap: int) -> zetasum._FixedSum:
-    """The real entry of an exact expression at the current working
-    precision, certified to ``target`` by ``zetasum.certify``, which raises
+    """The entry of an exact expression at the current working precision,
+    certified to ``target`` by ``zetasum.certify``, which raises
     PrecisionUnreachableError if it cannot be: each monomial is a term, its
-    nested sums pieces and its exact coefficient a fixed factor.  Divergent
-    symbols are resolved through the symmetrel extension first."""
+    nested sums pieces and its exact coefficient a fixed factor.  Every sum
+    is at z = 0, so the imaginary integer of the entry is exactly 0.
+    Divergent symbols are resolved through the symmetrel extension first."""
     expr = expr.map_symbols(symmetrel_extend)
-    result = zetasum.certify([
+    return zetasum.certify([
         [*(functools.partial(zetasum.shifted_nested_sum, tuple(s), 0, cap=cap)
            for s in mono), (coef, 0.0)]
         for mono, coef in expr.items()
     ], target)
-    return zetasum._FixedSum.exact(result.read[0], 0, result.wp, result[1], result.rounding, True)
 
 
 def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CONTEXT):
@@ -158,7 +158,7 @@ def mzv_numeric(expr: CoeffExpr | Composition, ctx: NumericContext = DEFAULT_CON
     if isinstance(expr, Composition):
         expr = symmetrel_extend(expr)
     with ctx.workprec():
-        return _certified(expr, ctx.target_abs_error, ctx.truncation_cap)[0]
+        return _certified(expr, ctx.target_abs_error, ctx.truncation_cap).value.real
 
 
 def _check_zero(what: str, expr: CoeffExpr, ctx: NumericContext) -> None:
@@ -167,7 +167,7 @@ def _check_zero(what: str, expr: CoeffExpr, ctx: NumericContext) -> None:
     with ctx.workprec():
         result = _certified(expr, ctx.target_abs_error, ctx.truncation_cap)
     if not result.contains_zero():
-        raise NumericRecheckError(f"{what} is {mp.nstr(result.value, 15)}, "
+        raise NumericRecheckError(f"{what} is {mp.nstr(result.value.real, 15)}, "
                                   f"outside its certified bound {mp.nstr(result[1], 3)}")
 
 

@@ -73,8 +73,9 @@ product of the integer coefficients of V_j with a shared table of the
 powers (N/u)^k N^(top-k), rounded once; the integers N^(top-k) and N^top
 and the floats N^-k are kept per (N, top) (``_scales``).  The rows
 (m+z)^(-s) of every exponent of the pass are built in one loop over m (the
-exponents ascending, each a few Gaussian products past the one before), and
-each entry is one rounding of an exact Gaussian rational.  Every rounding is
+exponents ascending, each one product past the one before, by a power raised
+by squaring where the step is 2 or more), and each entry is one rounding of
+an exact Gaussian rational.  Every rounding is
 counted in ulps of 2^-wp: each row entry; each power of N/u, one rounded
 product; each tail value; and each running sum past the first level,
 accumulated exactly and rounded once.  Earlier errors are carried through
@@ -377,11 +378,13 @@ class _Cutoff:
         |(m+z)^(-s)| <= weight 2^-64.  One loop over m runs the exponents in
         ascending order: at u = (ur + i zi) / 2^k, u^(-s) is the exact
         Gaussian rational conj(2^k u)^s 2^(k s) / |2^k u|^(2 s), each part
-        rounded once (error <= 1 ulp)."""
+        rounded once (error <= 1 ulp).  Each power is the one before times
+        conj(2^k u)^step by binary powering: one product for a step of 1, at
+        most 2 log2(step) for a larger step."""
         zr, zi, k = self.shift
         wp, wanted = self.wp, sorted(set(exponents))
         out = {s: ([], []) for s in wanted}
-        # per exponent: the products since the one before, its shift, its lists
+        # per exponent: its step past the one before, its shift, its lists
         plan = [(s - t, wp + k * s, out[s][0].append, out[s][1].append)
                 for s, t in zip(wanted, [1, *wanted])]
         for m in range(self.n0 - 1, 0, -1):
@@ -389,8 +392,13 @@ class _Cutoff:
             norm = ur * ur + zi * zi
             vr, vi, den = ur, -zi, norm  # conj(2^k u) over its norm
             for steps, shift, put_re, put_im in plan:
-                for _ in range(steps):
-                    vr, vi, den = vr * ur + vi * zi, vi * ur - vr * zi, den * norm
+                pr, pi, pn = ur, -zi, norm  # conj(2^k u) and its norm, squared j times
+                while steps:
+                    if steps & 1:
+                        vr, vi, den = vr * pr - vi * pi, vr * pi + vi * pr, den * pn
+                    steps >>= 1
+                    if steps:
+                        pr, pi, pn = (pr + pi) * (pr - pi), 2 * pr * pi, pn * pn
                 h = den >> 1
                 put_re(((vr << shift) + h) // den)
                 put_im(((vi << shift) + h) // den)
@@ -446,27 +454,26 @@ class _FixedSum:
     ``_read`` returns for it at ``wp``, (x, y, err, size, bound).  ``rounding``
     is the part of the bound that covers rounding; for a nested sum it grows
     with the cutoff.  It reads as the pair (value, bound), the value an mpc
-    (an mpf if ``real``) built from x + iy on first use."""
+    built from x + iy on first use."""
 
-    __slots__ = ("read", "wp", "rounding", "real", "prefixes", "_value")
+    __slots__ = ("read", "wp", "rounding", "prefixes", "_value")
 
-    def __init__(self, read: tuple, wp: int, rounding: float = 0.0, value=None, real=False):
-        self.read, self.wp, self.rounding, self._value, self.real = read, wp, rounding, value, real
+    def __init__(self, read: tuple, wp: int, rounding: float = 0.0, value=None):
+        self.read, self.wp, self.rounding, self._value = read, wp, rounding, value
 
     @classmethod
-    def exact(cls, x: int, y: int, wp: int, bound: float, rounding: float, real=False):
+    def exact(cls, x: int, y: int, wp: int, bound: float, rounding: float):
         """The entry whose value is exactly (x + iy) / 2^wp."""
         try:
             size = abs(complex(x / (1 << wp), y / (1 << wp))) * (1 + 2.0**-50)
         except OverflowError:
             size = math.inf
-        return cls((x, y, 0.0, size, bound), wp, rounding, real=real)
+        return cls((x, y, 0.0, size, bound), wp, rounding)
 
     @property
     def value(self):
         if self._value is None:
-            re, im = (from_man_exp(x, -self.wp) for x in self.read[:2])
-            self._value = mp.make_mpf(re) if self.real else mp.make_mpc((re, im))
+            self._value = mp.make_mpc(tuple(from_man_exp(x, -self.wp) for x in self.read[:2]))
         return self._value
 
     def __len__(self) -> int:
@@ -486,7 +493,7 @@ class _FixedSum:
         working precision as mpmath negates."""
         x, y, _, _, bound = self.read
         x, y = (-_round(v, mp.mp.prec) for v in (x, y))
-        return _FixedSum.exact(x, y, self.wp, bound, self.rounding, self.real)
+        return _FixedSum.exact(x, y, self.wp, bound, self.rounding)
 
     def contains_zero(self) -> bool:
         """|value| <= bound, exactly, for an entry that holds its value (err 0)."""

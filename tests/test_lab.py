@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,11 +35,24 @@ from multitangent.lab import (
 from multitangent.mzv import NumericContext, even_zeta, mzv_numeric
 from multitangent.numerics import monotangent_eval, multitangent_eval_direct
 from multitangent.reduction import _fragment, _order_terms, reduce
-from multitangent.words import Composition, enumerate_compositions
+from multitangent.words import Composition, enumerate_compositions, shuffle, stuffle
 from multitangent.words import repeat
 
 C = Composition.of
 CTX = NumericContext(target_abs_error=1e-9)
+
+
+def _letter_shuffle(a: Composition, b: Composition) -> dict:
+    """The oracle of the x/y shuffle: each composition encoded as its word
+    of letters 1 (x) and 2 (y), part k being x^(k-1) y, the words shuffled
+    by ``words.shuffle``, and every word decoded."""
+    def letters(s):
+        return Composition(letter for k in s for letter in (1,) * (k - 1) + (2,))
+
+    def parts(word):
+        return tuple(len(run) + 1 for run in "".join(map(str, word)).split("2")[:-1])
+
+    return {parts(w): m for w, m in shuffle(letters(a), letters(b))._terms.items()}
 
 
 def combo_eq_mod_kernel(weight: int, a: MtCombo, b: MtCombo) -> bool:
@@ -149,10 +163,49 @@ class TestTableLoading:
         basis = [basis_table._basis_monomial(m) for m in basis_table.BASES[weight]]
         with pytest.raises(Captured) as got:
             basis_table._derive(weight, basis)
-        basis_table.shuffle.cache_clear()  # as the table does after a derivation
         (matrix,) = got.value.args
         width = len(enumerate_compositions(weight, "mzv")) + len(basis)
         assert {len(row) for row in matrix} == {width}
+
+    def test_composition_shuffle_matches_the_letter_route(self, monkeypatch):
+        """Every pair the derivation shuffles, up to weight 11, has the
+        shuffle of its x/y words, each composition written out in letters."""
+        class Captured(Exception):
+            pass
+
+        def capture(matrix):
+            raise Captured
+
+        pairs = []
+        monkeypatch.setattr(basis_table, "stuffle", lambda a, b: pairs.append((a, b)) or stuffle(a, b))
+        monkeypatch.setattr(basis_table, "rref", capture)
+        for weight in range(2, 12):
+            with pytest.raises(Captured):
+                basis_table._derive(weight, [])
+        assert len(pairs) == len(set(pairs)) == 997
+        shuffles = {}
+        for a, b in pairs:
+            assert basis_table._shuffle_xy(a, b, shuffles) == _letter_shuffle(a, b), (a, b)
+        shuffle.cache_clear()  # the letter words filled the shared cache
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 3), max_size=3), st.lists(st.integers(1, 3), max_size=3))
+    def test_composition_shuffle_of_any_pair(self, a, b):
+        got = basis_table._shuffle_xy(Composition(a), Composition(b), {})
+        assert got == _letter_shuffle(Composition(a), Composition(b))
+
+    def test_entries_at_weights_9_and_10_are_pinned(self):
+        """The derived entries at weights 9 and 10, in their insertion order,
+        as derived with letter words and the shared shuffle cache."""
+        lines = []
+        for weight in (9, 10):
+            basis = [basis_table._basis_monomial(m) for m in basis_table.BASES[weight]]
+            for w, e in basis_table._derive(weight, basis).items():
+                terms = ",".join(f"{[tuple(f) for f in m]}:{c}" for m, c in e._terms.items())
+                lines.append(f"{tuple(w)}={terms}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "82bd6ce0db52f0b931241bec0aae92293bb3952dc789910192dd695dcc41c4b2"
+        )
 
     def test_coverage_error_reported(self):
         table = MzvBasisTable.shared()

@@ -76,6 +76,20 @@ def test_rows_match_an_independent_fraction_oracle(prec):
                     assert (abs(x) + abs(y) + 1) << 64 <= w << cut.wp
 
 
+@pytest.mark.parametrize("prec", [53, 200])
+def test_rows_past_a_large_step_match_the_oracle(prec):
+    """A step of 58 between exponents, raised by squaring, gives the rows
+    that 58 single products give, at an integer, a real and a complex
+    point."""
+    with mp.workprec(prec):
+        for z in (mp.mpc(0), mp.mpc(-2.75, 0), mp.mpc(0.3125, -1.5)):
+            point = zetasum._point(z)
+            cut = zetasum._Cutoff(point, point.floor, 1)
+            rows = cut.rows((2, 60))
+            for s in (2, 60):
+                assert rows[s][:2] == _oracle_row(z, s, point.floor, cut.wp), (z, s)
+
+
 def _pass_digest() -> tuple[int, str]:
     """sha256 over the (read, rounding) of every prefix of about 300 seeded
     passes: depths 1-8, at 53, 128 and 200 bits, each at the floor cutoff
@@ -131,6 +145,13 @@ def test_direct_evaluation_past_the_float_range_is_refused(parts):
     with pytest.raises(PrecisionUnreachableError):
         multitangent_eval_direct(Composition(parts), mp.mpc(0.01, 0.01))
     assert time.perf_counter() - start < 5
+
+
+def test_deep_direct_evaluation_is_still_refused():
+    """Te[3000] at 0.3 + 0.5i: its rows raise each power by squaring, and
+    the evaluation is refused as before."""
+    with pytest.raises(PrecisionUnreachableError):
+        multitangent_eval_direct(Composition.of(3000), mp.mpc(0.3, 0.5))
 
 
 def test_saturating_conversions():
