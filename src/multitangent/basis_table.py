@@ -82,9 +82,10 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
     """Every convergent symbol of ``weight`` over ``basis``, in canonical order.
 
     Unknowns are the convergent words, deepest first (the least fill-in),
-    then one column per basis monomial; the rows go to rref as the ints and
-    Fractions they hold.  After one rref every word column must hold a
-    pivot, and the word equals minus the basis part of its row.
+    then one column per basis monomial; each relation goes to rref as one
+    sparse row of the ints and Fractions it holds.  After one rref every
+    word column must hold a pivot, and the word equals minus the basis part
+    of its row.
     """
     words = enumerate_compositions(weight, "mzv")
     shuffles: dict = {}  # freed when the derivation returns
@@ -102,11 +103,7 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
         relations.append({mono: -1, **{m[0]: c for m, c in expansion.items()}})
     deepest = sorted(words, key=lambda w: -w.length)
     column = {key: i for i, key in enumerate(deepest + basis)}
-    matrix = [[0] * len(column) for _ in relations]
-    for row, relation in zip(matrix, relations):
-        for key, coef in relation.items():
-            row[column[key]] = coef
-    red, pivots = rref(matrix)
+    red, pivots = rref([{column[key]: coef for key, coef in r.items()} for r in relations])
     n = len(words)
     if pivots[:n] != list(range(n)):
         raise CoverageError(
@@ -114,7 +111,7 @@ def _derive(weight: int, basis: list[MzvMonomial]) -> dict[Composition, CoeffExp
         )
     rows = dict(zip(deepest, red))
     return {
-        w: CoeffExpr({mono: -rows[w][n + j] for j, mono in enumerate(basis)})
+        w: CoeffExpr({mono: -rows[w][n + j] for j, mono in enumerate(basis) if n + j in rows[w]})
         for w in words
     }
 

@@ -32,7 +32,7 @@ from . import mzv
 from .basis_table import MzvBasisTable
 from .errors import CoverageError, NumericRecheckError, ProjectionUnavailableError
 from .exact import CoeffExpr, MzvMonomial, _expression, _numerators
-from .linalg import Factorization, Matrix, factor, nullspace, rank
+from .linalg import Factorization, factor, nullspace, rank
 from .mzv import DEFAULT_CONTEXT, NumericContext
 from .numerics import _checked, _direct, _monotangent_at, _reduced
 from .reduction import _fold, _fold_sum, _monomials, _order_terms, delta, reduce
@@ -126,15 +126,20 @@ def slot_vector(comp: Composition) -> dict[Slot, Fraction]:
     return dict(_slot_vector_cached(comp))
 
 
-def _system(rows: list[Composition]) -> tuple[list[Slot], Matrix]:
-    """The slots and the slots-by-rows matrix whose column j is the slot
-    vector of rows[j]."""
+def _system(rows: list[Composition]) -> tuple[dict[Slot, int], list[dict[int, Fraction]]]:
+    """The slots, each mapped to its row index, and the slots-by-rows
+    system of sparse rows whose column j is the slot vector of rows[j]."""
     vectors = [slot_vector(s) for s in rows]
-    slots = sorted(
+    order = sorted(
         {slot for vec in vectors for slot in vec},
         key=lambda sl: (sl[0], sl[1].sort_key()),
     )
-    return slots, [[vec.get(slot, MtCombo._zero) for vec in vectors] for slot in slots]
+    slots = {slot: i for i, slot in enumerate(order)}
+    system: list[dict[int, Fraction]] = [{} for _ in order]
+    for j, vec in enumerate(vectors):
+        for slot, c in vec.items():
+            system[slots[slot]][j] = c
+    return slots, system
 
 
 def _require_coverage(weight: int) -> None:
@@ -174,8 +179,8 @@ def relation_kernel(
         raise ValueError("relation kernels start at weight 4")
     _require_coverage(p)
     rows = enumerate_compositions(p, "convergent")
-    combos = [MtCombo._make({s: c for s, c in zip(rows, vec) if c})
-              for vec in nullspace(_system(rows)[1])]
+    combos = [MtCombo._make({rows[j]: c for j, c in vec.items()})
+              for vec in nullspace(_system(rows)[1], len(rows))]
     if recheck:
         for combo in combos:
             _recheck(f"kernel relation {combo}", lambda z: [], combo, ctx)
@@ -210,23 +215,23 @@ def kernel_contains(p: int, combo: MtCombo) -> bool:
 
 
 @lru_cache(maxsize=32)
-def _factored_system(w: int) -> tuple[list[Composition], tuple[Slot, ...], Factorization]:
+def _factored_system(w: int) -> tuple[list[Composition], dict[Slot, int], Factorization]:
     """The rows, the multitangents of weight w with every part >= 2, and the
-    slots and factorization of their system."""
+    slot index and factorization of their system."""
     rows = enumerate_compositions(w, "val2")
     slots, system = _system(rows)
-    return rows, tuple(slots), factor(system)
+    return rows, slots, factor(system, len(rows))
 
 
 def _solve_for_combo(w: int, target: dict[Slot, Fraction]) -> MtCombo | None:
     """The combination of the weight-w rows whose slot vector is ``target``, or None."""
     rows, slots, system = _factored_system(w)
-    if not target.keys() <= set(slots):
+    if not target.keys() <= slots.keys():
         return None
-    x = system.solve([target.get(slot, 0) for slot in slots])
+    x = system.solve({slots[slot]: c for slot, c in target.items()})
     if x is None:
         return None
-    return MtCombo._make({row: c for row, c in zip(rows, x) if c})
+    return MtCombo._make({rows[j]: c for j, c in x.items()})
 
 
 def projection(
@@ -291,7 +296,7 @@ class RankMatrix:
     weight: int
     rows: list[Composition]
     basis: list[MzvMonomial]
-    entries: Matrix
+    entries: list[list[Fraction]]
     rank: int
 
     def column(self, j: int = 0) -> list[Fraction]:
@@ -309,7 +314,7 @@ def rank_matrix(p: int) -> tuple[RankMatrix, int]:
     basis = table.basis(p)
     rows = [s for s in enumerate_compositions(p + 2, "val2") if s.length >= 2]
     entries = [te2_basis_coefficient(s) for s in rows]
-    r = rank(entries)
+    r = rank([{j: x for j, x in enumerate(row) if x} for row in entries])
     return RankMatrix(weight=p, rows=rows, basis=basis, entries=entries, rank=r), r
 
 
@@ -381,8 +386,9 @@ def table_emit(
 ) -> str:
     """Render the reduction table up to weight p_max as text, JSON, or CSV.
 
-    Every coefficient is accompanied by its numeric value at a 1e-9 target;
-    ordering is the canonical composition order, so output is reproducible.
+    Every coefficient is accompanied by its numeric value at the target of
+    ``ctx``, or of a 1e-9 target when no context is given; ordering is the
+    canonical composition order, so output is reproducible.
     """
     ctx = ctx or NumericContext(target_abs_error=1e-9)
     if p_max < 1:

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sparse_rows import dense, sparse
 
 from multitangent import basis_table, lab, linalg, mzv
 from multitangent.basis_table import MzvBasisTable
@@ -152,7 +153,8 @@ class TestTableLoading:
     def test_words_and_basis_monomials_take_distinct_columns(self, weight, monkeypatch):
         """The derivation keys its columns by words and by basis monomials,
         both tuples: a word is a tuple of ints and a monomial a tuple of
-        compositions, so none of them share a column."""
+        compositions, so none of them share a column, and the sparse rows
+        hold every column of the width."""
         class Captured(Exception):
             pass
 
@@ -165,7 +167,7 @@ class TestTableLoading:
             basis_table._derive(weight, basis)
         (matrix,) = got.value.args
         width = len(enumerate_compositions(weight, "mzv")) + len(basis)
-        assert {len(row) for row in matrix} == {width}
+        assert set().union(*matrix) == set(range(width))
 
     def test_composition_shuffle_matches_the_letter_route(self, monkeypatch):
         """Every pair the derivation shuffles, up to weight 11, has the
@@ -233,9 +235,9 @@ class TestRelationKernel:
         certificate of the difference at the default target 1e-10."""
         exact = lab.nullspace
 
-        def shifted(matrix):
-            basis = exact(matrix)
-            j = next(j for j, x in enumerate(basis[0]) if x)
+        def shifted(matrix, cols):
+            basis = exact(matrix, cols)
+            j = min(basis[0])  # its first nonzero entry
             basis[0][j] += Fraction(1, 10**8)
             return basis
 
@@ -639,18 +641,14 @@ def test_zeta_coefficients_reject_pi_powers():
 
 
 def rref_solve(m, b):
-    """Reference solve: read the solution off rref([m | b]), free variables
-    at 0; None when the constant column holds a pivot."""
-    if not m:
-        return None if any(b) else []
-    cols = len(m[0])
-    red, pivots = linalg.rref([row + [rhs] for row, rhs in zip(m, b)])
+    """Reference solve of the dense system m x = b: read the solution off
+    rref([m | b]), free variables at 0, as a sparse vector; None when the
+    constant column holds a pivot."""
+    cols = len(m[0]) if m else 0
+    red, pivots = linalg.rref([sparse(row + [rhs]) for row, rhs in zip(m, b)])
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    return {pc: row[cols] for row, pc in zip(red, pivots) if cols in row}
 
 
 fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -684,15 +682,16 @@ class TestFactoredSolve:
     @settings(max_examples=150, deadline=None)
     def test_matches_rref_of_augmented_system(self, system):
         m, rhss = system
-        factored = linalg.factor(m)
+        cols = len(m[0])
+        factored = linalg.factor([sparse(row) for row in m], cols)
         for b in rhss:
-            x = factored.solve(b)
+            x = factored.solve(sparse(b))
             assert x == rref_solve(m, b)
             if x is not None:
-                assert [sum((a * xi for a, xi in zip(row, x)), 0) for row in m] == b
+                assert [sum((a * xi for a, xi in zip(row, dense(x, cols))), 0) for row in m] == b
 
     def test_empty_system(self):
-        assert linalg.factor([]).solve([]) == []
+        assert linalg.factor([], 0).solve({}) == {}
 
 
 def _fresh_slots(k, expr):
@@ -706,10 +705,11 @@ def _reference_combo(rows, target):
     """The workbench solve done afresh: build the system of ``rows`` and
     read the combination off rref([system | target])."""
     slots, system = lab._system(rows)
-    if not target.keys() <= set(slots):
+    if not target.keys() <= slots.keys():
         return None
-    x = rref_solve(system, [target.get(slot, Fraction(0)) for slot in slots])
-    return None if x is None else MtCombo(dict(zip(rows, x)))
+    x = rref_solve([dense(row, len(rows)) for row in system],
+                   [target.get(slot, Fraction(0)) for slot in slots])
+    return None if x is None else MtCombo({rows[j]: c for j, c in x.items()})
 
 
 class TestWorkbenchParity:

@@ -1,9 +1,11 @@
-"""``linalg`` against a dense Fraction Gauss-Jordan oracle, by value."""
+"""``linalg`` against a dense Fraction Gauss-Jordan oracle, by value: the
+sparse rows go in, and come out, through ``sparse_rows``."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sparse_rows import dense, sparse
 
 from multitangent import basis_table, linalg
 
@@ -35,10 +37,7 @@ def oracle_rref(m):
     return m, pivots
 
 
-def oracle_nullspace(m):
-    if not m:
-        return []
-    cols = len(m[0])
+def oracle_nullspace(m, cols):
     red, pivots = oracle_rref(m)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
@@ -50,12 +49,9 @@ def oracle_nullspace(m):
     return basis
 
 
-def oracle_solve(m, b):
+def oracle_solve(m, b, cols):
     """The solution of m x = b with free variables at 0, read off the
     oracle rref of [m | b]; None when the constant column holds a pivot."""
-    if not m:
-        return None if any(b) else []
-    cols = len(m[0])
     red, pivots = oracle_rref([row + [rhs] for row, rhs in zip(m, b)])
     if cols in pivots:
         return None
@@ -112,18 +108,41 @@ def with_edges(test):
     return test
 
 
+def assert_matches_oracle(rows, cols):
+    """rref, rank and null space of the sparse ``rows`` over ``cols``
+    columns equal the oracle's on the rows written out densely: rref's
+    nonzero rows, and each null vector in column order."""
+    m = [dense(row, cols) for row in rows]
+    red, pivots = linalg.rref(rows)
+    oracle_red, oracle_pivots = oracle_rref(m)
+    assert (red, pivots) == ([sparse(row) for row in oracle_red if any(row)], oracle_pivots)
+    assert all(isinstance(x, Fraction) for row in red for x in row.values())
+    assert linalg.rank(rows) == len(pivots)
+    basis = linalg.nullspace(rows, cols)
+    assert basis == [sparse(vec) for vec in oracle_nullspace(m, cols)]
+    for vec in basis:
+        assert list(vec) == sorted(vec)
+        assert not any(product(m, dense(vec, cols)))
+
+
+def assert_solves_as_oracle(rows, cols, rhss):
+    """The factored solve of the sparse ``rows`` over ``cols`` columns
+    equals the oracle's for each dense right-hand side, and solves it."""
+    m = [dense(row, cols) for row in rows]
+    factored = linalg.factor(rows, cols)
+    for b in rhss:
+        solution = factored.solve(sparse(b))
+        expected = oracle_solve(m, b, cols)
+        assert solution == (None if expected is None else sparse(expected))
+        if solution is not None:
+            assert product(m, dense(solution, cols)) == b
+
+
 @with_edges
 @given(matrices())
 @settings(max_examples=300, deadline=None)
 def test_rref_rank_nullspace_match_oracle(m):
-    red, pivots = linalg.rref(m)
-    assert (red, pivots) == oracle_rref(m)
-    assert all(isinstance(x, Fraction) for row in red for x in row)
-    assert linalg.rank(m) == len(pivots)
-    basis = linalg.nullspace(m)
-    assert basis == oracle_nullspace(m)
-    for vec in basis:
-        assert not any(product(m, vec))
+    assert_matches_oracle([sparse(row) for row in m], len(m[0]) if m else 0)
 
 
 @st.composite
@@ -148,12 +167,7 @@ def with_edge_systems(test):
 @settings(max_examples=200, deadline=None)
 def test_factored_solve_matches_oracle(system):
     m, rhss = system
-    factored = linalg.factor(m)
-    for b in rhss:
-        solution = factored.solve(b)
-        assert solution == oracle_solve(m, b)
-        if solution is not None:
-            assert product(m, solution) == b
+    assert_solves_as_oracle([sparse(row) for row in m], len(m[0]) if m else 0, rhss)
 
 
 def test_solve_over_mixed_denominators():
@@ -164,24 +178,56 @@ def test_solve_over_mixed_denominators():
     m = [[F(1, 2), F(2, 3), 1, 0],
          [F(-3, 5), 0, F(7, 4), F(1, 9)],
          [F(-1, 10), F(2, 3), F(11, 4), F(1, 9)]]  # row 0 + row 1
-    factored = linalg.factor(m)
+    factored = linalg.factor([sparse(row) for row in m], 4)
     consistent = [F(1, 6), F(-5, 14), F(1, 6) + F(-5, 14)]
     mixed = [F(3, 8), 2, F(19, 8)]
     inconsistent = [F(1, 3), F(1, 7), F(1, 2)]
     for b in (consistent, mixed, [0, 0, 0]):
-        x = factored.solve(b)
-        assert x == oracle_solve(m, b) and product(m, x) == b
-        assert all(type(v) is Fraction for v in x)
-    assert oracle_solve(m, inconsistent) is None
-    assert factored.solve(inconsistent) is None
+        x = factored.solve(sparse(b))
+        assert x == sparse(oracle_solve(m, b, 4)) and product(m, dense(x, 4)) == b
+        assert all(type(v) is Fraction for v in x.values())
+    assert oracle_solve(m, inconsistent, 4) is None
+    assert factored.solve(sparse(inconsistent)) is None
 
 
 def test_input_is_not_modified():
-    m = [[Fraction(1, 2), 3], [2, Fraction(-5, 4)]]
-    copy = [row[:] for row in m]
+    m = [{0: Fraction(1, 2), 1: 3}, {1: Fraction(-5, 4), 0: 2}]
+    copy = [dict(row) for row in m]
     linalg.rref(m)
-    linalg.factor(m)
+    linalg.factor(m, 2)
+    linalg.nullspace(m, 2)
     assert m == copy
+
+
+def test_column_no_row_holds():
+    """Column 1 of 3 is held by no row: it is free in the null space and
+    absent from every solution."""
+    rows = [{0: 1, 2: Fraction(-3, 2)}, {2: 4}]
+    assert_matches_oracle(rows, 3)
+    assert {1: 1} in linalg.nullspace(rows, 3)
+    assert_solves_as_oracle(rows, 3, [[Fraction(5, 2), 8], [1, 0]])
+    assert 1 not in linalg.factor(rows, 3).solve({0: 1, 1: 2})
+
+
+def test_no_rows_over_columns():
+    """No rows over 3 columns: every column is free, and the one
+    right-hand side, the empty one, is solved by 0."""
+    assert linalg.rref([]) == ([], [])
+    assert_matches_oracle([], 3)
+    assert linalg.nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert_solves_as_oracle([], 3, [[]])
+    assert linalg.factor([], 3).solve({}) == {}
+
+
+def test_keys_out_of_column_order():
+    """Rows whose keys are not in column order reduce and solve as the
+    same rows written in order."""
+    rows = [{3: 2, 0: Fraction(1, 3), 1: -1}, {2: 5, 1: 1, 3: Fraction(7, 4)}, {3: 1, 0: 2}]
+    assert_matches_oracle(rows, 4)
+    ordered = [dict(sorted(row.items())) for row in rows]
+    assert linalg.rref(rows) == linalg.rref(ordered)
+    m = [dense(row, 4) for row in rows]
+    assert_solves_as_oracle(rows, 4, [product(m, [1, 2, 3, 4]), [1, 0, 0]])
 
 
 def test_weight_8_table_system(monkeypatch):
@@ -191,5 +237,5 @@ def test_weight_8_table_system(monkeypatch):
     basis = [basis_table._basis_monomial(mono) for mono in basis_table.BASES[8]]
     basis_table._derive(8, basis)
     (m,) = seen
-    assert (len(m), len(m[0])) == (65, 68)
-    assert linalg.rref(m) == oracle_rref(m)
+    assert (len(m), 1 + max(j for row in m for j in row)) == (65, 68)
+    assert_matches_oracle(m, 68)

@@ -393,7 +393,7 @@ def _word_algebra_in_insertion_order() -> str:
     for weight in range(2, 9):
         basis = [_basis_monomial(mono) for mono in BASES[weight]]
         lines += [f"{word(w)}={expr(e)}" for w, e in _derive(weight, basis).items()]
-    shuffle.cache_clear()  # as the table does after a derivation
+    shuffle.cache_clear()  # the products above filled the shared shuffle cache
     return "\n".join(lines)
 
 
