@@ -9,7 +9,8 @@ exact cotangent polynomials, with an error bound.  cot(pi z) and each
 Te^k(z) are kept in ``_points``, keyed on that point, the working precision
 and k, for ``monotangent_eval``, the reduced evaluator ``_reduced`` and
 ``families.te_nk_closed_form``.  This module's four caches are
-``zetasum.CertifiedCache``s of entries, each sized where it is made.
+``zetasum.CertifiedCache``s of entries under its one rule, each sized where
+it is made and read through ``fetch``, which stores what it makes.
 
 Bilateral multitangent sums are evaluated by splitting each chain once,
 where its indices change sign: n_1 > ... > n_a >= 0 sums to
@@ -150,11 +151,8 @@ def _monotangent_at(k: int, z):
     Neither depends on a target, so an entry serves every caller, which
     compares the bound with its own target."""
     point = (z, mp.mp.prec)
-    hit = _points.get((*point, k))
-    if hit is None:
-        cot = _points.get(point) or _points.put(point, _cot(z))
-        hit = _points.put((*point, k), _monotangent(k, cot))
-    return hit
+    cot = partial(_points.fetch, point, partial(_cot, z))
+    return _points.fetch((*point, k), lambda: _monotangent(k, cot()))
 
 
 def monotangent_eval(k: int, z, ctx: NumericContext = DEFAULT_CONTEXT):
@@ -208,15 +206,11 @@ def _direct(s: Composition, z, ctx: NumericContext):
     splits is a term of ``zetasum.certify``, its one-sided sums pieces at the
     exact dyadics of z - 1 ("+") and z ("-").  The last 256 entries
     (``_memo``) serve later calls they meet."""
-    key = (s, z, mp.mp.prec, ctx.truncation_cap)
-    hit = _memo.get(key, ctx.target_abs_error)
-    if hit is not None:
-        return hit
-    sides, cap = (("+", z.shift(-1)), ("-", z)), ctx.truncation_cap
-    terms = [[partial(_one_sided, side, parts, point, cap=cap)
-              for (side, point), parts in zip(sides, split) if parts]
-             for split in _splits(s)]
-    return _memo.put(key, certify(terms, ctx.target_abs_error))
+    target, cap = ctx.target_abs_error, ctx.truncation_cap
+    return _memo.fetch((s, z, mp.mp.prec, cap), lambda: certify(
+        [[partial(_one_sided, side, parts, point, cap=cap)
+          for (side, point), parts in zip((("+", z.shift(-1)), ("-", z)), split) if parts]
+         for split in _splits(s)], target), target)
 
 
 _fragments = CertifiedCache(1024)  # weight <= w needs 2^w - w per precision and cap
@@ -226,9 +220,8 @@ def _fragment_value(parts: tuple, a: int, target: float, cap: int):
     """(value, bound) of the fragment coefficient [X^a] Ze[parts](X) at the
     working precision, within ``target``.  It does not depend on the point,
     so one entry serves every point and every sequence that shares it."""
-    key = (parts, a, mp.mp.prec, cap)
-    hit = _fragments.get(key, target)
-    return hit or _fragments.put(key, _certified(_fragment(parts, a), target, cap))
+    return _fragments.fetch((parts, a, mp.mp.prec, cap),
+                            lambda: _certified(_fragment(parts, a), target, cap), target)
 
 
 _orders = CertifiedCache(1024)  # one c_k per order: the rechecks to weight 8 need about 570
@@ -238,12 +231,11 @@ def _order_coefficient(s: Composition, k: int, terms: list, target, cap: int):
     """(value, bound) of the c_k of s within ``target``: the certified sum of
     the fragment products of its ``terms``, ``reduction._order_terms(s)[k]``,
     cached."""
-    key = (s, k, mp.mp.prec, cap)
-    return _orders.get(key, target) or _orders.put(key, certify([
+    return _orders.fetch((s, k, mp.mp.prec, cap), lambda: certify([
         [(sign, 0.0), partial(_fragment_value, right, a_r, cap=cap),
          partial(_fragment_value, left, a_l, cap=cap)]
         for sign, right, a_r, left, a_l in terms
-    ], target))
+    ], target), target)
 
 
 def multitangent_eval_reduced(
@@ -376,6 +368,8 @@ def flatness_and_bounds_check(
         |Te[s](z)| <= (1/l!) (2/sqrt(|Im z|))^w;
       * for Im z >= 1, |Te[s](z)| e^(2 pi Im z) <= 4 l e^(2 pi)
         (Schwarz-lemma envelope anchored on the Im z = 1 line).
+    A bound fails when |value| less the bound of the ``_direct`` entry at
+    the sample's ``_checked`` point exceeds it.
     """
     if not is_multitangent_convergent(s):
         raise ValueError(f"{s} is not convergent")
@@ -393,7 +387,9 @@ def flatness_and_bounds_check(
                 target_abs_error=min(1e-8, float(mp.exp(-2 * mp.pi * y)) * 1e-4 + 1e-30),
                 working_precision=max(ctx.working_precision, 160),
             )
-            value = abs(multitangent_eval_direct(s, z, eval_ctx))
+            with eval_ctx.workprec():
+                value, err = _direct(s, _checked(z, eval_ctx.pole_guard), eval_ctx)
+            value = abs(value)
             entry = {"z": complex(z), "abs_value": float(value)}
             # (violation label, sample key, bound) for each bound that applies
             bounds = [("generic_bound", "bound_generic", 4 * l / y ** (w - l - 1))]
@@ -405,7 +401,7 @@ def flatness_and_bounds_check(
                 bounds.append(("flatness", "flatness_envelope", envelope))
             for label, key, bound in bounds:
                 entry[key] = float(bound)
-                if value > bound * (1 + 1e-9):
+                if value - err > bound:
                     report.violations.append((label, complex(z), float(value)))
             report.samples.append(entry)
     return report

@@ -62,20 +62,20 @@ def sample_points(
 
 
 _SUITE_IM_RANGE = (0.3, 1.2)
+_SUITE_SEEDS = {"symmetrel": 7, "parity": 11, "diff": 13, "trifact": 17}
+_FLATNESS_POINTS = 20  # samples on the flatness suite's vertical line
 # |quotient - F'| <= h^2 |F^(3)| / 6 for the diff suite's h = 1e-5, which no
 # certificate covers: 1.2e-6 at most at its points (Te[6]), 80 times below
 DIFF_TRUNCATION = 1e-4
 
 
-def _convergent_cases(max_weight: int, seed: int):
+def _convergent_cases(max_weight: int, suite: str):
     """(s, z) for each convergent s of weight 2..max_weight, a point each."""
     seqs = [s for w in range(2, max_weight + 1) for s in enumerate_compositions(w, "convergent")]
-    return zip(seqs, sample_points(len(seqs), seed, _SUITE_IM_RANGE))
+    return zip(seqs, sample_points(len(seqs), _SUITE_SEEDS[suite], _SUITE_IM_RANGE))
 
 
-def suite_symmetrel(
-    ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 8, seed: int = 7
-) -> SuiteResult:
+def suite_symmetrel(ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 8) -> SuiteResult:
     """Te[a](z) Te[b](z) against the stuffle expansion, all convergent pairs
     with total weight <= max_weight, one sample point per pair."""
     result = SuiteResult("symmetrel")
@@ -86,7 +86,8 @@ def suite_symmetrel(
                 for b in enumerate_compositions(wb, "convergent"):
                     if a.sort_key() <= b.sort_key():
                         pairs.append((a, b))
-    for (a, b), z in zip(pairs, sample_points(len(pairs), seed, _SUITE_IM_RANGE)):
+    points = sample_points(len(pairs), _SUITE_SEEDS["symmetrel"], _SUITE_IM_RANGE)
+    for (a, b), z in zip(pairs, points):
         with ctx.workprec():
             z = _checked(z, ctx.pole_guard)
             rhs = [[(-mult, 0), _direct(word, z, ctx)] for word, mult in stuffle(a, b).items()]
@@ -94,12 +95,10 @@ def suite_symmetrel(
     return result
 
 
-def suite_parity(
-    ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 8, seed: int = 11
-) -> SuiteResult:
+def suite_parity(ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 8) -> SuiteResult:
     """Te[s](-z) = (-1)^||s|| Te[reverse(s)](z)."""
     result = SuiteResult("parity")
-    for s, z in _convergent_cases(max_weight, seed):
+    for s, z in _convergent_cases(max_weight, "parity"):
         with ctx.workprec():  # -z is read as the negated point
             z = _checked(z, ctx.pole_guard)
             rhs = [(-((-1) ** s.weight), 0), _direct(s.reverse(), z, ctx)]
@@ -107,14 +106,12 @@ def suite_parity(
     return result
 
 
-def suite_diff(
-    ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 7, seed: int = 13
-) -> SuiteResult:
+def suite_diff(ctx: NumericContext = DEFAULT_CONTEXT, max_weight: int = 7) -> SuiteResult:
     """Central finite difference of Te[s] against -sum_i s_i Te[s + e_i],
     with ``DIFF_TRUNCATION`` as one more term, of value 0.
     """
     result = SuiteResult("diff")
-    for s, z in _convergent_cases(max_weight, seed):
+    for s, z in _convergent_cases(max_weight, "diff"):
         with ctx.workprec():  # z +- h exact, 1/(2h) rounded once
             h = mp.mpf("1e-5")
             quotient = [(1 / (2 * h), mp.ldexp(1 / h, -mp.mp.prec))]
@@ -125,11 +122,11 @@ def suite_diff(
     return result
 
 
-def suite_flatness(ctx: NumericContext = DEFAULT_CONTEXT, points: int = 20) -> SuiteResult:
+def suite_flatness(ctx: NumericContext = DEFAULT_CONTEXT) -> SuiteResult:
     """Growth bounds and the exponential-flatness envelope along a vertical
     line, for a small family of sequences."""
     result = SuiteResult("flatness")
-    ys = [1 + 5 * i / (points - 1) for i in range(points)]  # Im z in [1, 6]
+    ys = [1 + 5 * i / (_FLATNESS_POINTS - 1) for i in range(_FLATNESS_POINTS)]  # Im z in [1, 6]
     for s in (Composition((2,)), Composition((2, 2)), Composition((3, 2))):
         samples = [mp.mpc("0.37", y) for y in ys]
         report = flatness_and_bounds_check(s, samples, ctx)
@@ -139,14 +136,14 @@ def suite_flatness(ctx: NumericContext = DEFAULT_CONTEXT, points: int = 20) -> S
     return result
 
 
-def suite_trifact(ctx: NumericContext = DEFAULT_CONTEXT, seed: int = 17) -> SuiteResult:
+def suite_trifact(ctx: NumericContext = DEFAULT_CONTEXT) -> SuiteResult:
     """Trifactorization residual for the reference sequences."""
     result = SuiteResult("trifact")
     seqs = [
         Composition(t) for t in ((2,), (3,), (2, 2), (3, 2), (2, 3))
     ]
     for s in seqs:
-        for z in sample_points(3, seed + s.weight, _SUITE_IM_RANGE):
+        for z in sample_points(3, _SUITE_SEEDS["trifact"] + s.weight, _SUITE_IM_RANGE):
             result.record(f"trifact Te[{s}]", [[trifactorization_residual(s, z, ctx)]], ctx)
     return result
 

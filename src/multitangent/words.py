@@ -6,8 +6,10 @@ compositions: the shuffle (interleavings only) and the stuffle
 (interleavings plus part-adding contractions over the additive semigroup of
 positive integers).  Both are commutative and associative, with the empty
 composition as unit.  Formal sums of compositions, like the other formal
-sums of the package, are sparse linear combinations (LinearCombination); every
-sparse sum of the package goes through the one accumulator, ``_accumulate``.
+sums of the package, are sparse linear combinations (LinearCombination) that
+add through ``_accumulate``; the integer loops of ``exact._combine`` and
+``reduction._fold_sum`` keep their own, as through it a cold ``reduce`` of
+every composition to weight 9 took 6% more CPU time.
 """
 
 from __future__ import annotations

@@ -121,11 +121,12 @@ pass that misses is summed again with every piece at its value and bound 0:
 if that misses too, no piece target can help, and the sum is refused.  A
 piece that refuses its own target is refused under the sum's target.
 
-Certified results are cached under one rule, ``CertifiedCache``: keyed on the
-exact point at the working precision, an entry serves only calls whose target
-and cap it meets, only a tighter entry replaces it, and past its size the
-least recently used goes.  Each cache counts hits, misses and evictions and is
-sized where it is made; ``_cache`` keeps every prefix a pass evaluated.
+Certified results are cached under one rule, ``CertifiedCache``: an entry's
+key holds all its value depends on but the target (the exact point, working
+precision and truncation cap), it serves calls whose target its bound meets,
+only a tighter entry replaces it, and past its size the least recently used
+goes.  Each cache counts hits, misses and evictions and is sized where it is
+made; ``_cache`` keeps every prefix a pass evaluated.
 
 Convergence requires s_1 >= 2; later parts may equal 1.
 """
@@ -476,9 +477,6 @@ class _FixedSum:
             self._value = mp.make_mpc(tuple(from_man_exp(x, -self.wp) for x in self.read[:2]))
         return self._value
 
-    def __len__(self) -> int:
-        return 2
-
     def __getitem__(self, i):
         return self.read[4] if i == 1 else (self.value, self.read[4])[i]
 
@@ -574,17 +572,17 @@ def shifted_nested_sum_fixed(exponents: tuple[int, ...], z, n0: int) -> _FixedSu
 
 
 class CertifiedCache:
-    """A bounded LRU of certified entries ``(value, bound[, cutoff])``, under
-    the rule above; ``put`` returns the new entry, and ``cache_info()`` reads
-    as an lru_cache's."""
+    """A bounded LRU of certified entries ``(value, bound)``, under the rule
+    above; ``put`` returns the new entry, ``fetch`` the hit or the entry it
+    makes and stores, and ``cache_info()`` reads as an lru_cache's."""
 
     def __init__(self, maxsize: int):
         self.maxsize, self._entries = maxsize, {}  # least recently used first
         self.clear()
 
-    def get(self, key, target=math.inf, cap=math.inf):
+    def get(self, key, target=math.inf):
         entry = self._entries.get(key)
-        if entry is not None and entry[1] <= target and (len(entry) < 3 or entry[2] <= cap):
+        if entry is not None and entry[1] <= target:
             self._entries[key] = self._entries.pop(key)
             self.hits += 1
             return entry
@@ -598,6 +596,11 @@ class CertifiedCache:
             del self._entries[next(iter(self._entries))]
             self.evictions += 1
         return entry
+
+    def fetch(self, key, make, target=math.inf):
+        """The entry under ``key`` that meets ``target``, else ``make()`` stored."""
+        hit = self.get(key, target)
+        return self.put(key, make()) if hit is None else hit
 
     def clear(self) -> None:
         self._entries.clear()
@@ -627,15 +630,15 @@ def shifted_nested_sum(
     target; raises PrecisionUnreachableError (carrying the achieved bound)
     if the cap is hit first, or at once if the rounding at this working
     precision alone exceeds the target.  The last 1024 results used are
-    cached in ``_cache`` with their cutoff, which the caller's cap must
-    admit; a certifying pass stores every prefix it evaluated, the full sum
-    last, and a hit returns the float bound the pass returned.
+    cached in ``_cache``, keyed on the point, the working precision and the
+    cap; a certifying pass stores every prefix it evaluated, the full sum
+    last, and a hit returns the entry the pass returned.
     """
     z = _point(z)
-    key = (exponents, z, mp.mp.prec)
-    hit = _cache.get(key, target, cap)
+    key = (exponents, z, mp.mp.prec, cap)
+    hit = _cache.get(key, target)
     if hit is not None:
-        return hit[0]
+        return hit
 
     n0 = z.floor
     best = None
@@ -643,7 +646,7 @@ def shifted_nested_sum(
         best = shifted_nested_sum_fixed(exponents, z, n0)
         if best[1] <= target:
             for j, prefix in enumerate(best.prefixes, 1):
-                _cache.put((exponents[:j], *key[1:]), (prefix, prefix.read[4], n0))
+                _cache.put((exponents[:j], *key[1:]), prefix)
             return prefix
         if best.rounding > target:
             break
@@ -652,7 +655,7 @@ def shifted_nested_sum(
     why = (f"rounding at {mp.mp.prec} bits alone is {best.rounding:.3e}"
            if best is not None and best.rounding > target else f"within cutoff cap {cap}")
     raise PrecisionUnreachableError(
-        f"nested sum for {exponents} reached bound {achieved:.3e} > {target:.3e} {why}",
+        f"nested sum for {exponents} reached bound {achieved:.3e} > {float(target):.3e} {why}",
         achieved=achieved,
     )
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from multitangent import basis_table
 from multitangent.cli import main
 
 
@@ -130,7 +131,8 @@ class TestLabCommands:
         assert "kernel dimension 1" in result.output
 
     def test_relations_coverage_exit(self, runner):
-        result = runner.invoke(main, ["relations", "--weight", "12"])
+        weight = basis_table.MAX_WEIGHT + 2
+        result = runner.invoke(main, ["relations", "--weight", str(weight)])
         assert result.exit_code == 3
 
     def test_project(self, runner):

@@ -211,8 +211,8 @@ class TestTableLoading:
 
     def test_coverage_error_reported(self):
         table = MzvBasisTable.shared()
-        with pytest.raises(CoverageError):
-            table.substitute_symbol(C(9, 2))
+        with pytest.raises(CoverageError):  # one weight past the table
+            table.substitute_symbol(C(basis_table.MAX_WEIGHT - 1, 2))
 
 
 class TestRelationKernel:
@@ -294,7 +294,7 @@ class TestRelationKernel:
 
     def test_coverage_limit(self):
         with pytest.raises(CoverageError):
-            relation_kernel(12)
+            relation_kernel(basis_table.MAX_WEIGHT + 2)
 
     def test_non_member(self):
         assert not kernel_contains(6, MtCombo({C(2, 4): 1}))
@@ -473,8 +473,8 @@ class TestTe2Coefficients:
 
 class TestDimensions:
     def test_conjectured_sequence(self):
-        got = [conjectured_dimension(w) for w in range(2, 12)]
-        assert got == [1, 1, 2, 3, 4, 6, 8, 11, 15, 20]
+        got = [conjectured_dimension(w) for w in range(2, 14)]
+        assert got == [1, 1, 2, 3, 4, 6, 8, 11, 15, 20, 27, 36]
 
     def test_report_matches_conjecture_to_weight7(self):
         report = dimension_report(7)

@@ -36,6 +36,7 @@ from multitangent.words import Composition, enumerate_compositions
 from multitangent import zetasum
 from multitangent.zetasum import (
     CertifiedCache,
+    _FixedSum,
     certified_sum,
     shifted_nested_sum,
     shifted_nested_sum_fixed,
@@ -665,8 +666,9 @@ def test_nested_sum_refuses_a_negative_integer_shift(z):
 
 
 def test_cached_nested_sum_respects_cap():
-    """A cached sum whose cutoff exceeds the caller's cap must not serve it.
-    The target misses at the floor cutoff 16, so the sum is cached at 48."""
+    """A cached sum made under another cap must not serve a call: the cap is
+    in the key.  The target misses at the floor cutoff 16, so the sum is
+    cached from the pass at 48, past the second call's cap."""
     shifted_nested_sum((3,), 0, target=1e-25)
     with pytest.raises(PrecisionUnreachableError):
         shifted_nested_sum((3,), 0, target=1e-25, cap=20)
@@ -687,7 +689,7 @@ def _counting_fixed(monkeypatch) -> list:
 
 def test_certified_cache_counts_each_step():
     """One scripted sequence: (hits, misses, evictions, currsize) after each
-    call of a cache of two entries ``(value, bound[, cutoff])``."""
+    call of a cache of two entries ``(value, bound)``."""
     cache = CertifiedCache(2)
 
     def counts():
@@ -697,19 +699,19 @@ def test_certified_cache_counts_each_step():
 
     assert cache.get("a", 1e-8) is None  # a miss
     assert counts() == (0, 1, 0, 0)
-    cache.put("a", (1, 1e-10, 16))  # a store
+    cache.put("a", (1, 1e-10))  # a store
     assert counts() == (0, 1, 0, 1)
-    assert cache.get("a", 1e-8, 48) == (1, 1e-10, 16)  # a hit
+    assert cache.get("a", 1e-8) == (1, 1e-10)  # a hit
     assert counts() == (1, 1, 0, 1)
     assert cache.get("a", 1e-12) is None  # a miss on a tighter target
     assert counts() == (1, 2, 0, 1)
-    assert cache.get("a", 1e-8, 15) is None  # a miss on a smaller cap
+    # a fetch that misses makes a tighter entry, which replaces the old one
+    assert cache.fetch("a", lambda: (2, 1e-13), 1e-12) == (2, 1e-13)
     assert counts() == (1, 3, 0, 1)
-    cache.put("a", (2, 1e-13, 48))  # a tighter store replaces the entry
-    assert cache.get("a", 1e-12) == (2, 1e-13, 48)
+    assert cache.fetch("a", lambda: 1 / 0, 1e-12) == (2, 1e-13)  # a hit makes nothing
     assert counts() == (2, 3, 0, 1)
-    cache.put("a", (3, 1e-9, 16))  # a looser store is ignored
-    assert cache.get("a", 1e-12) == (2, 1e-13, 48)
+    cache.put("a", (3, 1e-9))  # a looser store is ignored
+    assert cache.get("a", 1e-12) == (2, 1e-13)
     assert counts() == (3, 3, 0, 1)
     cache.put("b", (4, 1e-10))
     cache.put("c", (5, 1e-10))  # an overflow evicts "a", the least recently used
@@ -723,6 +725,32 @@ def test_certified_cache_counts_each_step():
     assert counts() == (5, 5, 2, 2)
     cache.clear()
     assert counts() == (0, 0, 0, 0)
+
+
+def test_every_certified_cache_holds_entries(monkeypatch):
+    """Each of the five certified caches holds ``_FixedSum`` entries, the cap
+    in the key and no cutoff beside the entry."""
+    _fresh(monkeypatch, zetasum, "_cache")
+    _fresh(monkeypatch, numerics, "_memo", "_fragments", "_orders", "_points")
+    z = mp.mpc(0.3, 0.7)
+    multitangent_eval_direct(C(3, 2), z, CTX)
+    multitangent_eval_reduced(C(3, 2), z, CTX)
+    caches = (zetasum._cache, numerics._memo, numerics._fragments, numerics._orders,
+              numerics._points)
+    assert all(len(cache) for cache in caches)
+    for cache in caches:
+        for entry in cache._entries.values():
+            assert type(entry) is _FixedSum
+    for cache in caches[:4]:
+        assert all(key[-1] == CTX.truncation_cap for key in cache._entries)
+
+
+@pytest.mark.parametrize("target", [Fraction(1, 10**60), mp.mpf("1e-60")], ids=type)
+def test_nested_sum_refusal_formats_any_real_target(target):
+    """A Fraction or mpf target the rounding alone misses is refused with a
+    PrecisionUnreachableError, its message formatting the target as a float."""
+    with mp.workprec(53), pytest.raises(PrecisionUnreachableError, match="> 1.000e-60"):
+        shifted_nested_sum((3,), 0, target=target, cap=100)
 
 
 @pytest.mark.parametrize("z", [mp.inf, mp.mpc(mp.nan, 1), mp.mpc(1, mp.inf)], ids=str)
@@ -852,10 +880,16 @@ def test_every_prefix_bound_covers_reference(parts, point, digits, prec):
     reference at n0 = 144."""
     z = mp.mpc(*point) / 2**10
     target = 10.0**-digits
+    fixed, cutoffs = zetasum.shifted_nested_sum_fixed, []
+
+    def counted(exponents, z, n0):
+        cutoffs.append(n0)
+        return fixed(exponents, z, n0)
+
     with mp.workprec(prec), _fresh_nested_sums():
-        value, bound = shifted_nested_sum(parts, z, target=target)
-        n0 = zetasum._cache.get((parts, zetasum._point(z), prec))[2]
-        result = shifted_nested_sum_fixed(parts, z, n0)
+        with mock.patch.object(zetasum, "shifted_nested_sum_fixed", counted):
+            value, bound = shifted_nested_sum(parts, z, target=target)
+        result = shifted_nested_sum_fixed(parts, z, cutoffs[-1])
     assert (value, bound) == tuple(result) and bound <= target
     with mp.workprec(400):
         reference = shifted_nested_sum_fixed(parts, z, 144).prefixes
@@ -1272,6 +1306,27 @@ class TestBounds:
         for parts in [(2, 2), (3, 2), (2,)]:
             report = flatness_and_bounds_check(Composition(parts), samples, CTX)
             assert report.ok, report.violations
+
+    @pytest.mark.parametrize("bound, labels", [
+        (0.6, []), (0.4, ["generic_bound", "val2_bound", "flatness"])])
+    def test_a_violation_is_certified(self, monkeypatch, bound, labels):
+        """Every right side for Te[2] at z = 0.37 + i is 4.  An entry 4.5
+        within 0.6 may lie below it and violates nothing; within 0.4 it
+        cannot, and violates all three.  The entry is read at the sample's
+        checked point, at the check's 160 bits."""
+        seen = []
+
+        def direct(s, z, ctx):
+            seen.append((s, z, mp.mp.prec))
+            return mp.mpc(4.5), bound
+
+        monkeypatch.setattr(numerics, "_direct", direct)
+        with CTX.workprec():
+            z = mp.mpc("0.37", 1)
+            point = numerics._checked(z, CTX.pole_guard)
+        report = flatness_and_bounds_check(C(2), [z], CTX)
+        assert [label for label, _, _ in report.violations] == labels
+        assert seen == [(C(2), point, 160)]
 
     def test_specific_bound_value(self):
         # |Te[2,2](3i)| <= 4*2/3^(4-2-1) = 8/3
